@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -128,6 +129,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _json_number(value: float) -> float | None:
+    """Strict JSON has no NaN or infinity; an undefined value is written as null."""
+    return value if math.isfinite(value) else None
+
+
 def emit(records: list[ReplicaRecord], summary: Summary, config: ExperimentConfig,
          base_path: str, wallclock: float) -> tuple[str, str]:
     """Write <base>.csv (records) and <base>.json (summary); returns the paths."""
@@ -158,19 +164,22 @@ def emit(records: list[ReplicaRecord], summary: Summary, config: ExperimentConfi
     payload = {
         "config_echo": config_echo,
         "estimates": {
-            name: {"mean": summary.mean[name], "stderr": summary.stderr[name]}
+            name: {
+                "mean": _json_number(summary.mean[name]),
+                "stderr": _json_number(summary.stderr[name]),
+            }
             for name in summary.mean
         },
         "wallclock_seconds": wallclock,
         "version": __version__,
     }
     with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=True)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return csv_path, json_path
 
 
-def _emit_sample(config: ExperimentConfig, base_path: str, wallclock: float) -> str:
+def _emit_sample(config: ExperimentConfig, base_path: str) -> str:
     """Field samples in long format: one row per (replica, grid point)."""
     csv_path = f"{base_path}.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -245,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "sample":
             config = _load_config(args, Experiment.MOMENT_CHECK)
             base = config.output_path or "sample"
-            path = _emit_sample(config, base, time.monotonic() - started)
+            path = _emit_sample(config, base)
             print(f"wrote {path}")
             return EXIT_OK
         experiment = _SUBCOMMAND_EXPERIMENTS[args.subcommand]

@@ -29,6 +29,9 @@ def quad(*args, **kwargs):
 
 QUAD_TOL = 1e-9
 
+# modes per block in circle_truncated_kernel_grid
+TRUNCATED_BLOCK = 64
+
 # Normalization of the standard bump exp(-1/(1-u^2)) on (-1,1):
 # integral computed once by adaptive quadrature at tolerance 1e-14.
 BUMP_INTEGRAL = 0.4439938161680786
@@ -97,23 +100,34 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
 
     Returns an array of shape (len(kmaxes), len(deltas)); the sum over k is
     accumulated once up to max(kmaxes), snapshotting at each requested order.
+
+    Modes are summed in blocks of at most TRUNCATED_BLOCK, and a block also
+    ends at each requested order.  The block starting at k0 sums
+    Re(e^{i k0 x} e^{i j x}) / k over k = k0 + j; the e^{i j x} table is built
+    once and every block's weighted sum over j is one row of a single matrix
+    product.  The block sums are Kahan-accumulated.
     """
+    if min(kmaxes) < 1:
+        raise ValueError(f"every kmax must be >= 1, got {kmaxes}")
     deltas = np.asarray(deltas, dtype=float)
-    order = np.argsort(kmaxes)
-    top = max(kmaxes)
+    ends = sorted(set(range(TRUNCATED_BLOCK, max(kmaxes), TRUNCATED_BLOCK)) | {*kmaxes})
+    starts = [1, *(end + 1 for end in ends[:-1])]
+    inverse_k = np.zeros((len(ends), TRUNCATED_BLOCK))
+    for row, (start, end) in enumerate(zip(starts, ends)):
+        inverse_k[row, : end - start + 1] = 1.0 / np.arange(start, end + 1)
+    table = np.exp(1j * np.outer(np.arange(TRUNCATED_BLOCK), deltas))
+    block_sums = (np.exp(1j * np.outer(starts, deltas)) * (inverse_k @ table)).real
     out = np.empty((len(kmaxes), deltas.size))
     acc = np.zeros_like(deltas)
     comp = np.zeros_like(deltas)  # Kahan compensation
-    next_idx = 0
-    sorted_kmaxes = [kmaxes[i] for i in order]
-    for k in range(1, top + 1):
-        term = np.cos(k * deltas) / k - comp
+    for end, block in zip(ends, block_sums):
+        term = block - comp
         total = acc + term
         comp = (total - acc) - term
         acc = total
-        while next_idx < len(sorted_kmaxes) and sorted_kmaxes[next_idx] == k:
-            out[order[next_idx]] = acc
-            next_idx += 1
+        for row, kmax in enumerate(kmaxes):
+            if kmax == end:
+                out[row] = acc
     return out
 
 
@@ -174,29 +188,66 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _conv_cache: dict = {}
 
+# the unit convolution density is tabulated on CONV_NODES points; its lattice
+# step divides that grid and puts CONV_MIN_POINTS on the narrower profile's
+# support, refining the grid step at most CONV_MAX_REFINE times
+CONV_NODES = 4097
+CONV_MIN_POINTS = 2049
+CONV_MAX_REFINE = 512
 
-def _conv_density(delta: float, epsilon: float, rho: MollifierSpec):
-    """Cubic spline of the convolution density of the two centered mollifiers.
 
-    q(w) = int rho_delta(w + v) rho_epsilon(v) dv, supported on
-    [-(delta+epsilon), delta+epsilon]; evaluated by Simpson on a fine grid.
+def _unit_conv_density(ratio: float, rho: MollifierSpec):
+    """Cubic spline of S_r = rho * rho_r with rho_r(v) = rho(v/r)/r, r = ratio.
+
+    S_r is supported on [-(1+r), 1+r] and tabulated on CONV_NODES points.
+    Both profiles are sampled on one lattice whose step h divides that grid's
+    step, each sample set is scaled to unit mass (h times its sum), and the
+    two are convolved by one numpy rfft/irfft product.  For the smooth bump
+    the lattice sum equals the integral to rounding.  The mass scaling keeps
+    S_r a probability density when r is so far from 1 that the refinement
+    cap leaves the narrower profile fewer than CONV_MIN_POINTS samples.
     """
-    key = (delta, epsilon, rho.profile)
+    key = (ratio, rho.profile)
     hit = _conv_cache.get(key)
     if hit is not None:
         return hit
-    from scipy.integrate import simpson
     from scipy.interpolate import CubicSpline
 
-    v = np.linspace(-epsilon, epsilon, 2049)
-    rv = rho.scaled_density(v, epsilon, 0.0)
-    half = delta + epsilon
-    w = np.linspace(-half, half, 4097)
-    vals = rho.scaled_density(w[:, None] + v[None, :], delta, 0.0) * rv[None, :]
-    q = simpson(vals, x=v, axis=1)
-    spline = CubicSpline(w, q)
-    _conv_cache[key] = (spline, half)
-    return spline, half
+    half_nodes = (CONV_NODES - 1) // 2
+    grid_step = (1.0 + ratio) / half_nodes
+    narrow = min(ratio, 1.0)
+    refine = min(math.ceil(grid_step * (CONV_MIN_POINTS - 1) / (2.0 * narrow)), CONV_MAX_REFINE)
+    step = grid_step / refine
+    reach = math.floor(1.0 / step)
+    reach_r = math.floor(ratio / step)
+    base = rho.density(np.arange(-reach, reach + 1) * step)
+    scaled = rho.density(np.arange(-reach_r, reach_r + 1) * (step / ratio))
+    base /= base.sum() * step
+    scaled /= scaled.sum() * step
+    size = base.size + scaled.size - 1
+    nfft = 1 << (size - 1).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(base, nfft) * np.fft.rfft(scaled, nfft), nfft)[:size] * step
+    # lattice offset t sits at index t + reach + reach_r of the linear convolution
+    index = np.arange(-half_nodes, half_nodes + 1) * refine + (reach + reach_r)
+    inside = (index >= 0) & (index < size)
+    q = np.zeros(CONV_NODES)
+    q[inside] = conv[index[inside]]
+    spline = CubicSpline(np.linspace(-(1.0 + ratio), 1.0 + ratio, CONV_NODES), q)
+    _conv_cache[key] = spline
+    return spline
+
+
+def _conv_density(delta: float, epsilon: float, rho: MollifierSpec):
+    """Convolution density of the two centered mollifiers and its half-width.
+
+    q(w) = int rho_delta(w + v) rho_epsilon(v) dv is supported on
+    [-(delta+epsilon), delta+epsilon].  It obeys the scale law
+    q_{delta,epsilon}(w) = S_r(w/delta) / delta with r = epsilon/delta, so one
+    unit density S_r per ratio (see _unit_conv_density) serves every pair of
+    scales with that ratio.
+    """
+    unit = _unit_conv_density(epsilon / delta, rho)
+    return (lambda w: unit(w / delta) / delta), delta + epsilon
 
 
 def _refined_edges(lo: float, hi: float, special: list[float]) -> np.ndarray:
@@ -243,6 +294,9 @@ def doubly_mollified_kernel(
     The double integral collapses to a single integral of -log|c + w| against
     the convolution density of the two mollifiers (c = x - z); the log
     singularity is handled by dyadically refined Gauss-Legendre panels.
+    By the scale law q_{delta,epsilon}(w) = S_r(w/delta) / delta, r =
+    epsilon/delta, the density is a rescaled unit density that is built by
+    one FFT convolution per ratio r and profile, and cached.
     Absolute accuracy ~1e-8.
     """
     if not 0.0 < delta <= 1.0:
@@ -253,13 +307,13 @@ def doubly_mollified_kernel(
         raise ValueError("mollifier support escapes the working domain")
     if domain is not None and (z - epsilon < domain[0] or z + epsilon > domain[1]):
         raise ValueError("mollifier support escapes the working domain")
-    spline, half = _conv_density(delta, epsilon, rho)
+    density, half = _conv_density(delta, epsilon, rho)
     c = x - z
 
     def integrand(w):
         with np.errstate(divide="ignore"):
             lg = np.log(np.abs(c + w))
-        return -np.where(np.isfinite(lg), lg, 0.0) * spline(w)
+        return -np.where(np.isfinite(lg), lg, 0.0) * density(w)
 
     edges = _refined_edges(-half, half, [-c])
     out = _panel_quad(integrand, edges)
@@ -281,6 +335,9 @@ def doubly_mollified_kernel(
     return out
 
 
+_kappa_cache: dict = {}
+
+
 def kappa(
     x: float,
     rho: MollifierSpec,
@@ -288,17 +345,22 @@ def kappa(
 ) -> float:
     """Diagonal constant of the doubly smoothed kernel:
     -int int log|v - u| rho(du) rho(dv) + h(x, x).
+
+    The double integral does not depend on x; it is computed once per
+    mollifier profile and cached.
     """
+    val = _kappa_cache.get(rho.profile)
+    if val is None:
+        def outer(v):
+            def inner(u):
+                return -math.log(abs(u - v)) * float(rho.density(u))
 
-    def outer(v):
-        def inner(u):
-            return -math.log(abs(u - v)) * float(rho.density(u))
+            a, _ = quad(inner, -1.0, v, epsabs=1e-10, epsrel=0.0, limit=200)
+            b, _ = quad(inner, v, 1.0, epsabs=1e-10, epsrel=0.0, limit=200)
+            return (a + b) * float(rho.density(v))
 
-        a, _ = quad(inner, -1.0, v, epsabs=1e-10, epsrel=0.0, limit=200)
-        b, _ = quad(inner, v, 1.0, epsabs=1e-10, epsrel=0.0, limit=200)
-        return (a + b) * float(rho.density(v))
-
-    val, _ = quad(outer, -1.0, 1.0, epsabs=1e-9, epsrel=0.0, limit=200)
+        val, _ = quad(outer, -1.0, 1.0, epsabs=1e-9, epsrel=0.0, limit=200)
+        _kappa_cache[rho.profile] = val
     if h is not None:
         val += h(x, x)
     return val

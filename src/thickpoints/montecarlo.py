@@ -9,6 +9,7 @@ reproducible across platforms.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -207,8 +208,10 @@ def _replica_gaussian_gmc(config: ExperimentConfig, stream) -> dict[str, float]:
     return {"gmc_mass": mass}
 
 
-def _replica_kernel_checks(config: ExperimentConfig, stream) -> dict[str, float]:
-    # deterministic; stream unused
+@functools.cache
+def _kernel_check_values() -> dict[str, float]:
+    """The kernel-check scalars.  They depend on neither the config nor the
+    replica stream, so each process computes them once."""
     rng = np.random.Generator(np.random.PCG64(12345))
     seps = rng.uniform(1e-4, math.pi, 10_000)
     js = list(range(2, 13))
@@ -228,6 +231,10 @@ def _replica_kernel_checks(config: ExperimentConfig, stream) -> dict[str, float]
         "truncated_kernel_max_dev": worst,
         "assumption1_max_dev": report.max_deviation,
     }
+
+
+def _replica_kernel_checks(config: ExperimentConfig, stream) -> dict[str, float]:
+    return dict(_kernel_check_values())
 
 
 _REPLICA_FNS = {

@@ -1,13 +1,15 @@
 """Shared test oracles.
 
 Independent high-precision references used to pin the analytic code:
-a Weierstrass-product Barnes G, and a replica-vectorized Szego sampler for
-Monte Carlo moment oracles.
+a Weierstrass-product Barnes G, a replica-vectorized Szego sampler for
+Monte Carlo moment oracles, and a brute-force Simpson convolution density.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
 from scipy.special import zeta
 
 EULER_GAMMA = 0.57721566490153286060651209008240
@@ -92,3 +94,15 @@ def batch_field_at(alphas: np.ndarray, thetas) -> np.ndarray:
             logs += np.log(s)
     with np.errstate(divide="ignore"):
         return SQRT2 * (np.log(np.abs(phi)) + logs)
+
+
+def simpson_conv_density(delta: float, epsilon: float, rho):
+    """Cubic spline of q(w) = int rho_delta(w + v) rho_epsilon(v) dv and its
+    half-width delta + epsilon, by Simpson over v at every one of 4097 points w.
+    """
+    v = np.linspace(-epsilon, epsilon, 2049)
+    rv = rho.scaled_density(v, epsilon, 0.0)
+    half = delta + epsilon
+    w = np.linspace(-half, half, 4097)
+    vals = rho.scaled_density(w[:, None] + v[None, :], delta, 0.0) * rv[None, :]
+    return CubicSpline(w, simpson(vals, x=v, axis=1)), half

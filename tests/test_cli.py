@@ -241,6 +241,19 @@ class TestMain:
         assert payload["estimates"]["truncated_kernel_max_dev"]["mean"] <= 2.0
         assert payload["estimates"]["assumption1_max_dev"]["mean"] <= 3.0
 
+    def test_one_replica_json_is_strict(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"bare {token} is not JSON")
+
+        base = tmp_path / "kc"
+        assert main(["kernel-check", "--set", "replicas=1", "-o", str(base)]) == EXIT_OK
+        with open(f"{base}.json") as fh:
+            payload = json.load(fh, parse_constant=reject)
+        for estimate in payload["estimates"].values():
+            assert math.isfinite(estimate["mean"])
+            # one replica leaves the standard error undefined
+            assert estimate["stderr"] is None
+
 
 class TestParser:
     def test_all_subcommands_registered(self):

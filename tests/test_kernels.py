@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import simpson_conv_density
 from thickpoints.kernels import (
     BUMP_INTEGRAL,
     MollifierProfile,
     MollifierSpec,
+    _conv_cache,
+    _conv_density,
     assumption1_check,
     circle_log_kernel,
     circle_truncated_kernel,
@@ -90,6 +93,16 @@ class TestCircleTruncatedKernel:
             for got, d in zip(row, deltas):
                 assert got == pytest.approx(circle_truncated_kernel(float(d), 0.0, kmax), abs=1e-12)
 
+    def test_grid_variant_matches_fsum_at_top_order(self):
+        deltas = np.linspace(1e-4, math.pi, 20)
+        grid = circle_truncated_kernel_grid(deltas, [4096])[0]
+        for got, d in zip(grid, deltas):
+            assert abs(got - circle_truncated_kernel(float(d), 0.0, 4096)) <= 1e-12
+
+    def test_grid_variant_rejects_order_below_one(self):
+        with pytest.raises(ValueError):
+            circle_truncated_kernel_grid(np.array([0.5]), [0, 4])
+
     def test_bounded_deviation_from_log_kernel(self):
         rng = np.random.default_rng(5)
         seps = rng.uniform(1e-4, math.pi, 10_000)
@@ -145,6 +158,34 @@ class TestMollifiedKernel:
     def test_rejects_support_outside_domain(self):
         with pytest.raises(ValueError):
             mollified_kernel(0.05, 0.5, 0.1, BUMP, domain=(0.0, 1.0))
+
+
+class TestConvDensity:
+    @pytest.mark.parametrize(
+        "delta, epsilon", [(1.0 / 16.0, 1.0 / 32.0), (1.0 / 16.0, 1e-4), (1.0 / 8.0, 1.0 / 256.0)]
+    )
+    def test_matches_simpson_oracle(self, delta, epsilon):
+        oracle, half = simpson_conv_density(delta, epsilon, BUMP)
+        density, got_half = _conv_density(delta, epsilon, BUMP)
+        assert got_half == half
+        w = np.linspace(-half, half, 10_001)
+        assert float(np.max(np.abs(density(w) - oracle(w)))) <= 1e-12
+
+    def test_ratio_below_refinement_cap_matches_oracle(self):
+        # epsilon/delta = 8e-6 leaves rho_r about 17 lattice points
+        oracle, half = simpson_conv_density(1.0 / 8.0, 1e-6, BUMP)
+        density, _ = _conv_density(1.0 / 8.0, 1e-6, BUMP)
+        w = np.linspace(-half, half, 10_001)
+        assert float(np.max(np.abs(density(w) - oracle(w)))) <= 1e-11
+
+    def test_one_unit_density_per_ratio(self):
+        _conv_cache.clear()
+        coarse, _ = _conv_density(1.0 / 8.0, 1.0 / 32.0, BUMP)
+        fine, _ = _conv_density(1.0 / 64.0, 1.0 / 256.0, BUMP)
+        assert len(_conv_cache) == 1
+        u = np.linspace(-1.25, 1.25, 101)
+        # q_{delta,eps}(w) = delta^-1 S_{eps/delta}(w/delta)
+        assert np.allclose(coarse(u / 8.0) / 8.0, fine(u / 64.0) / 64.0, rtol=1e-14, atol=0.0)
 
 
 class TestDoublyMollifiedKernel:

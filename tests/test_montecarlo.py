@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from thickpoints import montecarlo
 from thickpoints.montecarlo import (
     Experiment,
     ExperimentConfig,
@@ -112,6 +113,23 @@ class TestRunExperiment:
         exact = float(cue_abs_moment_exact(2, 0.4 * math.sqrt(2)).real)
         dev = abs(summary.mean["exp_moment"] - exact)
         assert dev <= 4.0 * summary.stderr["exp_moment"]
+
+    def test_kernel_check_runs_once_per_process(self, monkeypatch):
+        calls = []
+        check = montecarlo.assumption1_check
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "assumption1_check", counted)
+        monkeypatch.setenv("THICKPOINT_THREADS", "1")
+        montecarlo._kernel_check_values.cache_clear()
+        records, _ = run_experiment(ExperimentConfig(Experiment.KERNEL_CHECKS, replicas=3))
+        assert len(calls) == 1
+        assert [r.replica_index for r in records] == [0, 1, 2]
+        assert records[0].scalars == records[1].scalars == records[2].scalars
+        assert set(records[0].scalars) == {"truncated_kernel_max_dev", "assumption1_max_dev"}
 
     def test_worker_count_env_parsing(self, monkeypatch):
         monkeypatch.setenv("THICKPOINT_THREADS", "3")
