@@ -58,11 +58,10 @@ def sample_circle_field(
 
 @dataclass(frozen=True)
 class CholeskyField:
-    """Mollified Gaussian field on an interval grid with a cached factor."""
+    """Mollified Gaussian field on an interval grid."""
 
     grid: np.ndarray
     delta: float
-    factor: np.ndarray
     values: np.ndarray
 
 
@@ -113,7 +112,7 @@ class CovarianceFactorization:
 
     def draw(self, stream: np.random.Generator) -> CholeskyField:
         z = stream.standard_normal(self.grid.size)
-        return CholeskyField(self.grid, self.delta, self.factor, self.factor @ z)
+        return CholeskyField(self.grid, self.delta, self.factor @ z)
 
 
 def sample_mollified_field(

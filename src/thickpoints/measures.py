@@ -93,7 +93,6 @@ class MeasureResult:
     mu_f: float
     nu_f: float
     discrepancy: float
-    barrier_violation_fraction: float = math.nan
 
 
 def cue_exp_normalizer(n: int, gamma_theorem: float) -> float:

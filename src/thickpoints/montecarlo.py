@@ -95,6 +95,12 @@ class ExperimentConfig:
             problems.append(f"ell must be >= 1 (got {self.ell})")
         if self.kmax is not None and self.kmax < 1:
             problems.append(f"kmax must be >= 1 (got {self.kmax})")
+        guard = cue.TRACE_COST_GUARD * self.n
+        traced = self.experiment is Experiment.TRACE_COVARIANCE
+        if traced and self.kmax is not None and self.kmax > guard:
+            problems.append(f"kmax must be <= {cue.TRACE_COST_GUARD}*n = {guard} (got {self.kmax})")
+        if self.experiment in (Experiment.FK_TEST, Experiment.NU_MU_DISCREPANCY) and self.n < 2:
+            problems.append(f"n must be >= 2 for {self.experiment.value} (got {self.n})")
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
 

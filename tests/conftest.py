@@ -2,11 +2,13 @@
 
 Independent high-precision references used to pin the analytic code:
 a Weierstrass-product Barnes G, a replica-vectorized Szego sampler for
-Monte Carlo moment oracles, and a brute-force Simpson convolution density.
+Monte Carlo moment oracles, an mpmath Szego recursion, and a brute-force
+Simpson convolution density.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
@@ -94,6 +96,22 @@ def batch_field_at(alphas: np.ndarray, thetas) -> np.ndarray:
             logs += np.log(s)
     with np.errstate(divide="ignore"):
         return SQRT2 * (np.log(np.abs(phi)) + logs)
+
+
+def mp_field_on_grid(alphas: np.ndarray, grid_size: int, indices, dps: int = 40) -> np.ndarray:
+    """X_N at theta = 2 pi j / grid_size for j in indices, by the Szego
+    recursion in mpmath at dps digits."""
+    out = []
+    with mpmath.workdps(dps):
+        steps = [mpmath.mpc(complex(a)) for a in alphas]
+        for j in indices:
+            z = mpmath.expjpi(mpmath.mpf(2 * j) / grid_size)
+            phi = star = mpmath.mpc(1)
+            for a in steps:
+                zphi = z * phi
+                phi, star = zphi - mpmath.conj(a) * star, star - a * zphi
+            out.append(float(mpmath.sqrt(2) * mpmath.log(abs(phi))))
+    return np.array(out)
 
 
 def simpson_conv_density(delta: float, epsilon: float, rho):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from thickpoints import __version__
+from thickpoints import __version__, cli
 from thickpoints.cli import (
     ConfigError,
     EXIT_CONFIG_ERROR,
@@ -221,6 +221,25 @@ class TestMain:
         code = main(["verify-moments", str(conf)])
         assert code == EXIT_CONFIG_ERROR
         assert "category=config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace-cov", "--set", "n=4", "--set", "kmax=1000"],
+            ["nu-mu", "--set", "n=1", "--set", "ell=1"],
+            ["fk-test", "--set", "n=1"],
+        ],
+    )
+    def test_worker_limits_rejected_before_any_replica(self, argv, monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError("a replica ran for an invalid config")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert "category=config invalid config" in capsys.readouterr().err
+        cfg = ExperimentConfig(experiment=cli._SUBCOMMAND_EXPERIMENTS[argv[0]])
+        with pytest.raises(ConfigError):
+            apply_overrides(cfg, argv[2::2])
 
     def test_missing_config_file_exit_code(self, capsys):
         code = main(["verify-moments", "/nonexistent/path.conf"])

@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
-from conftest import SQRT2, mc_field_at
+from conftest import SQRT2, mc_field_at, mp_field_on_grid
+from thickpoints import cue
 from thickpoints.cue import (
     TRACE_COST_GUARD,
     FieldSample,
@@ -136,6 +137,35 @@ class TestEvalField:
         b = mc_field_at(32, [2.1], reps, rng)[:, 0]
         d = ks_two_sample(a, b)
         assert d < ks_two_sample_critical_value(reps, reps, 0.01)
+
+
+class TestSynthesis:
+    @pytest.mark.parametrize("n", [65, 127, 128, 129, 1000, 1024, 1300, 4096])
+    def test_tree_matches_single_block_recursion(self, n, monkeypatch):
+        # partial last leaves (65, 127, 129, 1000, 1300) and odd blocks
+        # carried up (129: three leaves; 1300: 21, then 11 and 3 blocks)
+        alphas = sample_verblunsky(n, np.random.default_rng(n)).alphas
+        plain = cue._szego_steps(alphas[None, :], np.array([[1.0, 1.0]]))[0][:, 0, 0]
+        monkeypatch.setattr(cue, "SZEGO_CROSSOVER", 0)
+        tree = cue._phi_coefficient_vector(alphas)
+        assert tree.shape == (n + 1,)
+        assert np.max(np.abs(tree - plain)) <= 1e-13
+
+    def test_coefficients_are_cached_read_only(self):
+        c = sample_verblunsky(300, np.random.default_rng(1))
+        first = c.phi_coefficients
+        assert c.phi_coefficients is first
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    def test_field_against_mpmath(self, n):
+        c = sample_verblunsky(n, np.random.default_rng(n + 1))
+        m = 16 * n
+        indices = [1, m // 7, m // 3, (5 * m) // 11]
+        got = eval_field(c, m).values[indices]
+        ref = mp_field_on_grid(c.alphas, m, indices)
+        assert np.max(np.abs(got - ref)) <= 1e-11
 
 
 class TestDenseOracle:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from thickpoints import montecarlo
+from thickpoints import cue, montecarlo
 from thickpoints.montecarlo import (
     Experiment,
     ExperimentConfig,
@@ -254,6 +254,24 @@ class TestPerReplicaColumns:
         expected |= {f"nu_barrier_violation_l{k}" for k in range(2, depth + 1)}
         assert set(rec.scalars) == expected
         assert rec.scalars["nu_barrier_violation"] == rec.scalars["nu_barrier_violation_l2"]
+
+    def test_nu_mu_barrier_synthesizes_once(self, monkeypatch):
+        calls = {"synthesis": 0, "traces": 0}
+        synthesize, traces = cue._phi_coefficient_vector, cue.trace_powers
+
+        def counted_synthesis(alphas):
+            calls["synthesis"] += 1
+            return synthesize(alphas)
+
+        def counted_traces(*args):
+            calls["traces"] += 1
+            return traces(*args)
+
+        monkeypatch.setattr(cue, "_phi_coefficient_vector", counted_synthesis)
+        monkeypatch.setattr(cue, "trace_powers", counted_traces)
+        cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, n=256, replicas=1, ell=2, eta=0.2)
+        run_replica(cfg, 0)
+        assert calls == {"synthesis": 1, "traces": 1}
 
     def test_nu_mu_empty_barrier_range_is_zero(self):
         cfg = ExperimentConfig(
