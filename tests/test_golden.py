@@ -1,0 +1,46 @@
+"""Golden values: fixed-seed outputs pinned to 1e-12 relative, so that a
+refactor of the Szego evaluators or the samplers cannot drift silently."""
+
+import numpy as np
+
+from conftest import mc_field_at
+from thickpoints.cue import eval_field, sample_verblunsky
+from thickpoints.montecarlo import Experiment, ExperimentConfig, run_experiment
+
+RTOL = 1e-12
+
+
+def test_verify_moments_field_at_0():
+    config = ExperimentConfig(Experiment.MOMENT_CHECK, n=64, replicas=4, master_seed=2024)
+    records, _ = run_experiment(config)
+    got = [r.scalars["field_at_0"] for r in records]
+    want = [1.7878775447480715, 0.6355750396277267, 4.146642984615555, 0.45810215800742904]
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
+
+
+def test_mc_field_at():
+    got = mc_field_at(16, [0.0, 2.1], 3, np.random.default_rng(7))
+    want = [
+        [-1.9482041367438039, 2.148924871999114],
+        [-2.310488295195975, -0.5220346987688737],
+        [-1.4674517812294758, -0.5611428712663012],
+    ]
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
+
+
+def test_eval_field_grids():
+    c = sample_verblunsky(24, np.random.default_rng(11))
+    # grid_size <= n: the per-point Szego recursion
+    per_point = [
+        -0.2792260907988022, -1.355378192268603, 1.4220871401223831, 3.1144744238702424,
+        -0.22989986228373774, 3.292465821752468, -0.2609144255633822, 4.19810033713891,
+        0.12407329251888607, -0.22451861715343407, -1.889445907878397, -1.6700592409469,
+        -3.8245005261310823, -0.17060996036912304, 1.4578286285026305, -2.753177493599117,
+    ]
+    np.testing.assert_allclose(eval_field(c, 16).values, per_point, rtol=RTOL, atol=0.0)
+    # grid_size > n: one FFT of the synthesized coefficients
+    fft = [
+        -0.2792260907988026, 1.4220871401223834, -0.22989986228373588, -0.2609144255633714,
+        0.12407329251888004, -1.8894459078784005, -3.824500526131065, 1.457828628502635,
+    ]
+    np.testing.assert_allclose(eval_field(c, 128).values[::16], fft, rtol=RTOL, atol=0.0)
