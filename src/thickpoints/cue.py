@@ -4,9 +4,12 @@ field, its Fourier truncations and power traces.
 No dense eigensolver anywhere: a Haar CUE spectrum is parametrized by random
 Verblunsky coefficients, whose Szego polynomial is synthesized once per
 sample as a coefficient vector by a product tree of transfer matrices.  The
-field on a uniform grid is one FFT of that vector, at arbitrary angles the
-Szego recursion runs per point in O(n), and power traces come from Newton's
-identities on the synthesized coefficients.
+field on a uniform grid is one FFT of that vector, and power traces come from
+Newton's identities on the same coefficients.  At arbitrary angles, on grids
+too coarse to resolve the polynomial and wherever the coefficient vector
+overflows, one per-point Szego recursion (szego_log_abs), batched over
+replicas, evaluates the field in O(n) per point.  The dense determinant and
+CMV-operator references live with the tests.
 """
 
 from __future__ import annotations
@@ -48,8 +51,11 @@ class VerblunskyCoeffs:
     @functools.cached_property
     def phi_coefficients(self) -> np.ndarray:
         """Ascending monomial coefficients of the degree-n Szego polynomial,
-        synthesized on first use and shared read-only afterwards."""
-        c = _phi_coefficient_vector(self.alphas)
+        synthesized on first use and shared read-only afterwards.  Where the
+        coefficients overflow the double range the vector is non-finite, which
+        eval_field checks for, so the overflow is not warned about."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = _phi_coefficient_vector(self.alphas)
         c.flags.writeable = False
         return c
 
@@ -88,37 +94,59 @@ class TraceVector:
         return self.traces.size
 
 
-def sample_verblunsky(n: int, stream: np.random.Generator) -> VerblunskyCoeffs:
-    """Draw Verblunsky coefficients whose Szego polynomial zeros are CUE.
+def sample_alphas(n: int, stream: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Verblunsky coefficients of shape (*batch, n) whose Szego polynomial
+    zeros are CUE along the last axis.
 
     |alpha_k|^2 = 1 - U^{1/(n-k-1)} (Beta(1, n-k-1) by inverse CDF) with an
     independent uniform phase; the last coefficient is uniform on the circle.
+    The stream yields the whole U block first, then the whole phase block.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    u = stream.random(n)
-    phase = np.exp(2j * np.pi * stream.random(n))
-    radii = np.empty(n)
-    if n > 1:
-        b = n - 1 - np.arange(n - 1, dtype=np.float64)
-        radii[:-1] = np.sqrt(1.0 - u[:-1] ** (1.0 / b))
-    radii[-1] = 1.0
-    return VerblunskyCoeffs(radii * phase)
+    shape = (*batch, n)
+    u = stream.random(shape)
+    phase = np.exp(2j * np.pi * stream.random(shape))
+    radii = np.ones(shape)
+    b = n - 1 - np.arange(n - 1, dtype=np.float64)
+    radii[..., :-1] = np.sqrt(1.0 - u[..., :-1] ** (1.0 / b))
+    return radii * phase
 
 
-def _szego_numpy(alphas: np.ndarray, z: np.ndarray, cadence: int) -> np.ndarray:
-    phi = np.ones_like(z)
-    phistar = np.ones_like(z)
-    logscale = np.zeros(z.size)
-    for k, a in enumerate(alphas):
+def sample_verblunsky(n: int, stream: np.random.Generator) -> VerblunskyCoeffs:
+    """Draw one CUE spectrum's Verblunsky coefficients (see sample_alphas)."""
+    return VerblunskyCoeffs(sample_alphas(n, stream))
+
+
+# Steps between renormalizations of the per-point recursion; 64 steps grow
+# |Phi| by at most 2^64, far inside the double range.
+RESCALE_CADENCE = 64
+
+
+def szego_log_abs(alphas: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """log|Phi_n(z)| by the Szego recursion run per point, batched over replicas.
+
+    alphas has shape (R, n) and z shape (m,); returns shape (R, m).  The pair
+    (Phi_k, Phi*_k) is renormalized every RESCALE_CADENCE steps and the scale
+    kept as a logarithm, so any n works without overflow.  O(R m n).
+    """
+    shape = (alphas.shape[0], z.size)
+    # z spelled out per replica keeps every product elementwise on equal
+    # shapes, so a row comes out bit for bit the same whatever R is
+    z = np.broadcast_to(z, shape).copy()
+    phi = np.ones(shape, dtype=np.complex128)
+    star = np.ones_like(phi)
+    logscale = np.zeros(shape)
+    steps = alphas.T[:, :, None]
+    for k, (a, a_conj) in enumerate(zip(steps, steps.conj())):
         zphi = z * phi
-        phi = zphi - np.conj(a) * phistar
-        phistar = phistar - a * zphi
-        if (k + 1) % cadence == 0:
-            s = np.maximum(np.abs(phi), np.abs(phistar))
+        phi = zphi - a_conj * star
+        star = star - a * zphi
+        if (k + 1) % RESCALE_CADENCE == 0:
+            s = np.maximum(np.abs(phi), np.abs(star))
             s[s == 0.0] = 1.0
             phi = phi / s
-            phistar = phistar / s
+            star = star / s
             logscale += np.log(s)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(phi)) + logscale
@@ -209,21 +237,16 @@ def _phi_coefficient_vector(alphas: np.ndarray) -> np.ndarray:
     return level[0, 0, 0, pad : pad + n + 1] + level[0, 0, 1, pad : pad + n + 1]
 
 
-def eval_field(
-    coeffs: VerblunskyCoeffs, grid_size: int, rescale_cadence: int = 64
-) -> FieldSample:
+def eval_field(coeffs: VerblunskyCoeffs, grid_size: int) -> FieldSample:
     """Evaluate X_N on the uniform grid.
 
     When the grid resolves the polynomial (grid_size > n) the field is one FFT
     of the Szego coefficient vector, which is computed once per
-    VerblunskyCoeffs and shared with trace_powers; otherwise the Szego
-    recursion runs per point, renormalized every rescale_cadence steps so it
-    survives n >= 10^4 without overflow.
+    VerblunskyCoeffs and shared with trace_powers.  Otherwise, and when that
+    vector overflows, the Szego recursion runs per point (szego_log_abs).
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-    if rescale_cadence < 1:
-        raise ValueError(f"rescale_cadence must be >= 1, got {rescale_cadence}")
     n = coeffs.n
     if grid_size > n:
         c = coeffs.phi_coefficients
@@ -234,152 +257,29 @@ def eval_field(
             values = SQRT2 * logabs
             return FieldSample(n, values, bool(np.any(np.isneginf(values))))
     z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    values = SQRT2 * _szego_numpy(coeffs.alphas, z, rescale_cadence)
+    values = SQRT2 * szego_log_abs(coeffs.alphas[None, :], z)[0]
     return FieldSample(n, values, bool(np.any(np.isneginf(values))))
 
 
-def eval_field_at(coeffs: VerblunskyCoeffs, theta: np.ndarray, rescale_cadence: int = 64) -> np.ndarray:
-    """X_N at arbitrary angles (same recursion, explicit grid)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    z = np.exp(1j * theta)
-    return SQRT2 * _szego_numpy(coeffs.alphas, z.astype(np.complex128), rescale_cadence)
+def eval_field_at(coeffs: VerblunskyCoeffs, theta: np.ndarray) -> np.ndarray:
+    """X_N at arbitrary angles by the per-point Szego recursion."""
+    z = np.exp(1j * np.atleast_1d(np.asarray(theta, dtype=float)))
+    return SQRT2 * szego_log_abs(coeffs.alphas[None, :], z)[0]
 
 
 # ---------------------------------------------------------------------------
-# dense oracle path (tests only): hand-rolled linear algebra, n <= 8
-# ---------------------------------------------------------------------------
-
-_ORACLE_MAX_N = 8
-
-
-def _gram_schmidt_unitary(z: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt orthonormalization of a complex matrix.
-
-    The induced R has positive real diagonal, which is exactly the coset
-    convention under which Q of a Ginibre matrix is Haar distributed.
-    """
-    n = z.shape[0]
-    q = z.astype(np.complex128).copy()
-    for j in range(n):
-        for i in range(j):
-            q[:, j] -= (q[:, i].conj() @ q[:, j]) * q[:, i]
-        q[:, j] /= math.sqrt(float(np.sum(np.abs(q[:, j]) ** 2)))
-    return q
-
-
-def _lu_logabsdet(a: np.ndarray) -> float:
-    """log|det A| by LU with partial pivoting; -inf for singular A."""
-    a = a.astype(np.complex128).copy()
-    n = a.shape[0]
-    acc = 0.0
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0.0:
-            return -math.inf
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        acc += math.log(abs(a[col, col]))
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-    return acc
-
-
-def sample_haar_unitary_dense(n: int, stream: np.random.Generator) -> np.ndarray:
-    """Haar random unitary by orthonormalizing a Ginibre matrix (n <= 8)."""
-    if n > _ORACLE_MAX_N:
-        raise ValueError(f"dense oracle limited to n <= {_ORACLE_MAX_N}, got {n}")
-    g = stream.standard_normal((n, n)) + 1j * stream.standard_normal((n, n))
-    return _gram_schmidt_unitary(g)
-
-
-def det_log_field(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sqrt(2) log|det(I - e^{-i theta} U)| by dense LU; oracle path."""
-    n = u.shape[0]
-    if n > _ORACLE_MAX_N:
-        raise ValueError(f"dense oracle limited to n <= {_ORACLE_MAX_N}, got {n}")
-    eye = np.eye(n, dtype=np.complex128)
-    out = np.empty(len(theta))
-    for i, t in enumerate(np.asarray(theta, dtype=float)):
-        out[i] = SQRT2 * _lu_logabsdet(eye - np.exp(-1j * t) * u)
-    return out
-
-
-def det_field_oracle(n: int, stream: np.random.Generator, grid_size: int) -> FieldSample:
-    """Independent sampler for tests: Haar unitary via Gram-Schmidt plus dense
-    LU determinants.  Matches eval_field in distribution."""
-    u = sample_haar_unitary_dense(n, stream)
-    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    values = det_log_field(u, theta)
-    return FieldSample(n, values, bool(np.any(np.isneginf(values))))
-
-
-# ---------------------------------------------------------------------------
-# CMV operator and power traces
+# power traces
 # ---------------------------------------------------------------------------
 
 TRACE_COST_GUARD = 64
-
-
-def _cmv_factors(coeffs: VerblunskyCoeffs):
-    """Block structure of C = L M.
-
-    L carries the 2x2 blocks Theta_j at even j, M the odd ones plus the 1x1
-    identity cap in the corner; whichever factor runs out of room holds the
-    truncated unimodular cap alpha_{n-1} conjugate.
-    """
-    a = coeffs.alphas
-    n = coeffs.n
-    rho = np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None))
-
-    def theta_blocks(indices):
-        blocks = np.empty((len(indices), 2, 2), dtype=np.complex128)
-        for m, j in enumerate(indices):
-            blocks[m, 0, 0] = np.conj(a[j])
-            blocks[m, 0, 1] = rho[j]
-            blocks[m, 1, 0] = rho[j]
-            blocks[m, 1, 1] = -a[j]
-        return blocks
-
-    cap = np.conj(a[n - 1])
-    if n % 2 == 0:
-        l_blocks = theta_blocks(range(0, n - 1, 2))
-        l_cap = None
-        m_blocks = theta_blocks(range(1, n - 2, 2))
-        m_cap = cap
-    else:
-        l_blocks = theta_blocks(range(0, n - 2, 2))
-        l_cap = cap
-        m_blocks = theta_blocks(range(1, n - 1, 2))
-        m_cap = None
-    return l_blocks, l_cap, m_blocks, m_cap
-
-
-def _apply_blockdiag(v, blocks, start, cap_back):
-    """Apply (1-cap?) + 2x2 block-diagonal + (cap?) operator to matrix v."""
-    out = v.copy()
-    m = blocks.shape[0]
-    if m:
-        seg = v[start : start + 2 * m].reshape(m, 2, -1)
-        out[start : start + 2 * m] = np.matmul(blocks, seg).reshape(2 * m, -1)
-    if cap_back is not None:
-        out[-1] = cap_back * v[-1]
-    return out
-
-
-def cmv_matrix(coeffs: VerblunskyCoeffs) -> np.ndarray:
-    """Dense CMV operator; its characteristic polynomial is the Szego Phi_n."""
-    n = coeffs.n
-    l_blocks, l_cap, m_blocks, m_cap = _cmv_factors(coeffs)
-    lmat = _apply_blockdiag(np.eye(n, dtype=np.complex128), l_blocks, 0, l_cap)
-    mmat = _apply_blockdiag(np.eye(n, dtype=np.complex128), m_blocks, 1, m_cap)
-    return lmat @ mmat
 
 
 def trace_powers(coeffs: VerblunskyCoeffs, kmax: int) -> TraceVector:
     """Tr U^k for k = 1..kmax as power sums of the characteristic polynomial
     roots, via Newton's identities on the Szego coefficients; O(kmax^2) on top
     of the coefficient vector, which is computed once per VerblunskyCoeffs and
-    shared with eval_field.  Cross-checked against trace_powers_cmv."""
+    shared with eval_field.  The tests cross-check it against powers of the
+    dense CMV operator (tests/conftest.py: trace_powers_cmv)."""
     n = coeffs.n
     if not 1 <= kmax <= TRACE_COST_GUARD * n:
         raise ValueError(f"kmax must lie in [1, {TRACE_COST_GUARD * n}], got {kmax}")
@@ -392,22 +292,6 @@ def trace_powers(coeffs: VerblunskyCoeffs, kmax: int) -> TraceVector:
             s -= np.dot(a[1 : m + 1], p[k - 2 :: -1][:m])
         p[k - 1] = s
     return TraceVector(n, p)
-
-
-def trace_powers_cmv(coeffs: VerblunskyCoeffs, kmax: int) -> TraceVector:
-    """Tr U^k by repeated application of the CMV factors to the full basis;
-    O(n^2) per power.  Slow reference implementation."""
-    n = coeffs.n
-    if not 1 <= kmax <= TRACE_COST_GUARD * n:
-        raise ValueError(f"kmax must lie in [1, {TRACE_COST_GUARD * n}], got {kmax}")
-    l_blocks, l_cap, m_blocks, m_cap = _cmv_factors(coeffs)
-    v = np.eye(n, dtype=np.complex128)
-    traces = np.empty(kmax, dtype=np.complex128)
-    for k in range(kmax):
-        v = _apply_blockdiag(v, m_blocks, 1, m_cap)
-        v = _apply_blockdiag(v, l_blocks, 0, l_cap)
-        traces[k] = np.trace(v)
-    return TraceVector(n, traces)
 
 
 def truncated_field(traces: TraceVector, n: int, delta: float, grid_size: int) -> FieldSample:

@@ -1,9 +1,10 @@
 """Shared test oracles.
 
-Independent high-precision references used to pin the analytic code:
-a Weierstrass-product Barnes G, a replica-vectorized Szego sampler for
-Monte Carlo moment oracles, an mpmath Szego recursion, and a brute-force
-Simpson convolution density.
+Independent references used to pin the analytic code: a Weierstrass-product
+Barnes G, a Monte Carlo field sampler over the library's batched Szego
+routines, an mpmath Szego recursion, a brute-force Simpson convolution
+density, and small-n dense oracles (a Gram-Schmidt Haar unitary, LU
+determinants, the CMV operator and its power traces).
 """
 
 import math
@@ -13,6 +14,15 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.special import zeta
+
+from thickpoints.cue import (
+    TRACE_COST_GUARD,
+    FieldSample,
+    TraceVector,
+    VerblunskyCoeffs,
+    sample_alphas,
+    szego_log_abs,
+)
 
 EULER_GAMMA = 0.57721566490153286060651209008240
 
@@ -49,53 +59,19 @@ def weierstrass_log_psi(z: float) -> float:
     return 2.0 * weierstrass_log_barnes_g1p(z / SQRT2) - weierstrass_log_barnes_g1p(SQRT2 * z)
 
 
-def batch_sample_alphas(n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """Verblunsky coefficients for many replicas at once, shape (reps, n)."""
-    u = rng.random((reps, n))
-    phase = np.exp(2j * np.pi * rng.random((reps, n)))
-    radii = np.empty((reps, n))
-    if n > 1:
-        b = n - 1 - np.arange(n - 1, dtype=np.float64)
-        radii[:, :-1] = np.sqrt(1.0 - u[:, :-1] ** (1.0 / b))
-    radii[:, -1] = 1.0
-    return radii * phase
-
-
 def mc_field_at(
     n: int, thetas, reps: int, rng: np.random.Generator, chunk: int = 5000
 ) -> np.ndarray:
-    """X_N at the given angles over many replicas, chunked to bound memory."""
+    """X_N at the given angles over many replicas, shape (reps, len(thetas)),
+    chunked to bound memory."""
+    z = np.exp(1j * np.atleast_1d(np.asarray(thetas, dtype=float)))
     parts = []
     done = 0
     while done < reps:
         m = min(chunk, reps - done)
-        parts.append(batch_field_at(batch_sample_alphas(n, m, rng), thetas))
+        parts.append(SQRT2 * szego_log_abs(sample_alphas(n, rng, (m,)), z))
         done += m
     return np.concatenate(parts, axis=0)
-
-
-def batch_field_at(alphas: np.ndarray, thetas) -> np.ndarray:
-    """X_N at the given angles for every replica, shape (reps, len(thetas)).
-
-    Replica-vectorized Szego recursion with periodic rescaling.
-    """
-    z = np.exp(1j * np.atleast_1d(np.asarray(thetas, dtype=float)))[None, :]
-    reps, n = alphas.shape
-    phi = np.ones((reps, z.size), dtype=np.complex128)
-    star = np.ones_like(phi)
-    logs = np.zeros(phi.shape)
-    for k in range(n):
-        a = alphas[:, k][:, None]
-        zphi = z * phi
-        phi, star = zphi - np.conj(a) * star, star - a * zphi
-        if (k + 1) % 64 == 0:
-            s = np.maximum(np.abs(phi), np.abs(star))
-            s[s == 0.0] = 1.0
-            phi /= s
-            star /= s
-            logs += np.log(s)
-    with np.errstate(divide="ignore"):
-        return SQRT2 * (np.log(np.abs(phi)) + logs)
 
 
 def mp_field_on_grid(alphas: np.ndarray, grid_size: int, indices, dps: int = 40) -> np.ndarray:
@@ -124,3 +100,146 @@ def simpson_conv_density(delta: float, epsilon: float, rho):
     w = np.linspace(-half, half, 4097)
     vals = rho.scaled_density(w[:, None] + v[None, :], delta, 0.0) * rv[None, :]
     return CubicSpline(w, simpson(vals, x=v, axis=1)), half
+
+
+# ---------------------------------------------------------------------------
+# dense oracles: hand-rolled linear algebra, n <= 8
+# ---------------------------------------------------------------------------
+
+_ORACLE_MAX_N = 8
+
+
+def _gram_schmidt_unitary(z: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt orthonormalization of a complex matrix.
+
+    The induced R has positive real diagonal, which is exactly the coset
+    convention under which Q of a Ginibre matrix is Haar distributed.
+    """
+    n = z.shape[0]
+    q = z.astype(np.complex128).copy()
+    for j in range(n):
+        for i in range(j):
+            q[:, j] -= (q[:, i].conj() @ q[:, j]) * q[:, i]
+        q[:, j] /= math.sqrt(float(np.sum(np.abs(q[:, j]) ** 2)))
+    return q
+
+
+def _lu_logabsdet(a: np.ndarray) -> float:
+    """log|det A| by LU with partial pivoting; -inf for singular A."""
+    a = a.astype(np.complex128).copy()
+    n = a.shape[0]
+    acc = 0.0
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[piv, col] == 0.0:
+            return -math.inf
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+        acc += math.log(abs(a[col, col]))
+        factors = a[col + 1 :, col] / a[col, col]
+        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
+    return acc
+
+
+def sample_haar_unitary_dense(n: int, stream: np.random.Generator) -> np.ndarray:
+    """Haar random unitary by orthonormalizing a Ginibre matrix (n <= 8)."""
+    if n > _ORACLE_MAX_N:
+        raise ValueError(f"dense oracle limited to n <= {_ORACLE_MAX_N}, got {n}")
+    g = stream.standard_normal((n, n)) + 1j * stream.standard_normal((n, n))
+    return _gram_schmidt_unitary(g)
+
+
+def det_log_field(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sqrt(2) log|det(I - e^{-i theta} U)| by dense LU; oracle path."""
+    n = u.shape[0]
+    if n > _ORACLE_MAX_N:
+        raise ValueError(f"dense oracle limited to n <= {_ORACLE_MAX_N}, got {n}")
+    eye = np.eye(n, dtype=np.complex128)
+    out = np.empty(len(theta))
+    for i, t in enumerate(np.asarray(theta, dtype=float)):
+        out[i] = SQRT2 * _lu_logabsdet(eye - np.exp(-1j * t) * u)
+    return out
+
+
+def det_field_oracle(n: int, stream: np.random.Generator, grid_size: int) -> FieldSample:
+    """Independent sampler for tests: Haar unitary via Gram-Schmidt plus dense
+    LU determinants.  Matches eval_field in distribution."""
+    u = sample_haar_unitary_dense(n, stream)
+    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    values = det_log_field(u, theta)
+    return FieldSample(n, values, bool(np.any(np.isneginf(values))))
+
+
+# ---------------------------------------------------------------------------
+# CMV operator: a dense unitary whose characteristic polynomial is Phi_n
+# ---------------------------------------------------------------------------
+
+def _cmv_factors(coeffs: VerblunskyCoeffs):
+    """Block structure of C = L M.
+
+    L carries the 2x2 blocks Theta_j at even j, M the odd ones plus the 1x1
+    identity cap in the corner; whichever factor runs out of room holds the
+    truncated unimodular cap alpha_{n-1} conjugate.
+    """
+    a = coeffs.alphas
+    n = coeffs.n
+    rho = np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None))
+
+    def theta_blocks(indices):
+        blocks = np.empty((len(indices), 2, 2), dtype=np.complex128)
+        for m, j in enumerate(indices):
+            blocks[m, 0, 0] = np.conj(a[j])
+            blocks[m, 0, 1] = rho[j]
+            blocks[m, 1, 0] = rho[j]
+            blocks[m, 1, 1] = -a[j]
+        return blocks
+
+    cap = np.conj(a[n - 1])
+    if n % 2 == 0:
+        l_blocks = theta_blocks(range(0, n - 1, 2))
+        l_cap = None
+        m_blocks = theta_blocks(range(1, n - 2, 2))
+        m_cap = cap
+    else:
+        l_blocks = theta_blocks(range(0, n - 2, 2))
+        l_cap = cap
+        m_blocks = theta_blocks(range(1, n - 1, 2))
+        m_cap = None
+    return l_blocks, l_cap, m_blocks, m_cap
+
+
+def _apply_blockdiag(v, blocks, start, cap_back):
+    """Apply (1-cap?) + 2x2 block-diagonal + (cap?) operator to matrix v."""
+    out = v.copy()
+    m = blocks.shape[0]
+    if m:
+        seg = v[start : start + 2 * m].reshape(m, 2, -1)
+        out[start : start + 2 * m] = np.matmul(blocks, seg).reshape(2 * m, -1)
+    if cap_back is not None:
+        out[-1] = cap_back * v[-1]
+    return out
+
+
+def cmv_matrix(coeffs: VerblunskyCoeffs) -> np.ndarray:
+    """Dense CMV operator; its characteristic polynomial is the Szego Phi_n."""
+    n = coeffs.n
+    l_blocks, l_cap, m_blocks, m_cap = _cmv_factors(coeffs)
+    lmat = _apply_blockdiag(np.eye(n, dtype=np.complex128), l_blocks, 0, l_cap)
+    mmat = _apply_blockdiag(np.eye(n, dtype=np.complex128), m_blocks, 1, m_cap)
+    return lmat @ mmat
+
+
+def trace_powers_cmv(coeffs: VerblunskyCoeffs, kmax: int) -> TraceVector:
+    """Tr U^k by repeated application of the CMV factors to the full basis;
+    O(n^2) per power.  Slow reference implementation."""
+    n = coeffs.n
+    if not 1 <= kmax <= TRACE_COST_GUARD * n:
+        raise ValueError(f"kmax must lie in [1, {TRACE_COST_GUARD * n}], got {kmax}")
+    l_blocks, l_cap, m_blocks, m_cap = _cmv_factors(coeffs)
+    v = np.eye(n, dtype=np.complex128)
+    traces = np.empty(kmax, dtype=np.complex128)
+    for k in range(kmax):
+        v = _apply_blockdiag(v, m_blocks, 1, m_cap)
+        v = _apply_blockdiag(v, l_blocks, 0, l_cap)
+        traces[k] = np.trace(v)
+    return TraceVector(n, traces)

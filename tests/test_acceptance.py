@@ -14,14 +14,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import SQRT2, mc_field_at
-from thickpoints.cue import (
-    cmv_matrix,
-    det_field_oracle,
-    det_log_field,
-    eval_field,
-    sample_verblunsky,
-)
+from conftest import SQRT2, cmv_matrix, det_field_oracle, det_log_field, mc_field_at
+from thickpoints.cue import eval_field, sample_verblunsky
 from thickpoints.kernels import (
     MollifierProfile,
     MollifierSpec,

@@ -1,25 +1,32 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
-from conftest import SQRT2, mc_field_at, mp_field_on_grid
+from conftest import (
+    SQRT2,
+    cmv_matrix,
+    det_field_oracle,
+    det_log_field,
+    mc_field_at,
+    mp_field_on_grid,
+    sample_haar_unitary_dense,
+    trace_powers_cmv,
+)
 from thickpoints import cue
 from thickpoints.cue import (
     TRACE_COST_GUARD,
     FieldSample,
     VerblunskyCoeffs,
-    cmv_matrix,
-    det_field_oracle,
-    det_log_field,
     eval_field,
     eval_field_at,
-    sample_haar_unitary_dense,
     sample_verblunsky,
     trace_powers,
-    trace_powers_cmv,
     truncated_field,
     truncated_field_variance,
 )
@@ -102,15 +109,16 @@ class TestEvalField:
             ref = eval_field_at(c, fs.theta)
             assert np.max(np.abs(fs.values - ref)) < 1e-9
 
-    def test_rescaling_cadence_does_not_change_values(self):
+    def test_rescaling_cadence_does_not_change_values(self, monkeypatch):
         rng = np.random.default_rng(6)
         c = sample_verblunsky(200, rng)
         theta = np.linspace(0.0, 2.0 * np.pi, 37, endpoint=False)
-        a = eval_field_at(c, theta, rescale_cadence=16)
-        b = eval_field_at(c, theta, rescale_cadence=64)
+        b = eval_field_at(c, theta)
+        fb = eval_field(c, 128).values
+        monkeypatch.setattr(cue, "RESCALE_CADENCE", 16)
+        a = eval_field_at(c, theta)
         assert np.max(np.abs(a - b)) <= 1e-10
-        fa = eval_field(c, 128, rescale_cadence=16).values
-        fb = eval_field(c, 128, rescale_cadence=64).values
+        fa = eval_field(c, 128).values
         assert np.max(np.abs(fa - fb)) <= 1e-10
 
     def test_zero_mean_at_origin(self):
@@ -166,6 +174,51 @@ class TestSynthesis:
         got = eval_field(c, m).values[indices]
         ref = mp_field_on_grid(c.alphas, m, indices)
         assert np.max(np.abs(got - ref)) <= 1e-11
+        # the per-point recursion has the looser budget: it loses about an
+        # order of magnitude to the FFT path near zeros
+        per_point = eval_field_at(c, 2.0 * np.pi * np.array(indices) / m)
+        assert np.max(np.abs(per_point - ref)) <= 1e-10
+
+
+class TestPerPointSzego:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        reps=st.integers(1, 5),
+        n=st.integers(1, 200),
+        theta=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_rows_match_single_replica(self, reps, n, theta, seed):
+        alphas = cue.sample_alphas(n, np.random.default_rng(seed), (reps,))
+        z = np.exp(1j * np.array(theta))
+        batched = SQRT2 * cue.szego_log_abs(alphas, z)
+        assert batched.shape == (reps, len(theta))
+        for r in range(reps):
+            assert np.array_equal(batched[r], eval_field_at(VerblunskyCoeffs(alphas[r]), theta))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_batched_sampler_matches_sample_verblunsky(self, n, seed):
+        batched = cue.sample_alphas(n, np.random.default_rng(seed), (1,))
+        single = sample_verblunsky(n, np.random.default_rng(seed)).alphas
+        assert batched.shape == (1, n)
+        assert np.array_equal(batched[0], single)
+
+    def test_overflowing_coefficients_fall_back_to_the_recursion(self):
+        # zeros crowded at z = 1 make the coefficients binomial-sized, so
+        # the vector overflows from n of about 1100
+        n = 1200
+        alphas = np.full(n, 0.999 + 0.0j)
+        alphas[-1] = 1.0
+        c = VerblunskyCoeffs(alphas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not np.all(np.isfinite(c.phi_coefficients))
+            fs = eval_field(c, 2048)
+            per_point = eval_field_at(c, fs.theta)
+        assert np.array_equal(fs.values, per_point)
+        assert fs.has_singular_points
+        assert np.isneginf(fs.values[0])
 
 
 class TestDenseOracle:
