@@ -31,6 +31,7 @@ from .special_fn import GammaConvention
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
+EXIT_RUNTIME_ERROR = 4
 
 _SUBCOMMAND_EXPERIMENTS = {
     "verify-moments": Experiment.MOMENT_CHECK,
@@ -274,8 +275,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: category=io {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     except ValueError as exc:
-        print(f"error: category=config {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        # the config was validated before any replica ran
+        print(f"error: category=runtime {exc}", file=sys.stderr)
+        return EXIT_RUNTIME_ERROR
 
 
 if __name__ == "__main__":

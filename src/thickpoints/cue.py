@@ -279,11 +279,17 @@ def trace_powers(coeffs: VerblunskyCoeffs, kmax: int) -> TraceVector:
     roots, via Newton's identities on the Szego coefficients; O(kmax^2) on top
     of the coefficient vector, which is computed once per VerblunskyCoeffs and
     shared with eval_field.  The tests cross-check it against powers of the
-    dense CMV operator (tests/conftest.py: trace_powers_cmv)."""
+    dense CMV operator (tests/conftest.py: trace_powers_cmv).  Raises
+    ValueError when the coefficient vector has overflowed."""
     n = coeffs.n
     if not 1 <= kmax <= TRACE_COST_GUARD * n:
         raise ValueError(f"kmax must lie in [1, {TRACE_COST_GUARD * n}], got {kmax}")
     a = coeffs.phi_coefficients[::-1]  # a[i] multiplies z^{n-i}
+    if not np.all(np.isfinite(a)):
+        raise ValueError(
+            f"characteristic polynomial coefficients overflow the double range at n={n}; "
+            "Newton's identities cannot give its power traces"
+        )
     p = np.empty(kmax, dtype=np.complex128)
     for k in range(1, kmax + 1):
         m = min(k - 1, n)

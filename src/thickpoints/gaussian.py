@@ -41,7 +41,8 @@ def sample_circle_field(
     kmax: int, grid_size: int, stream: np.random.Generator
 ) -> GaussianCircleField:
     """X(theta) = sum_{k<=kmax} k^{-1/2} (A_k cos k theta + B_k sin k theta)
-    with A, B iid standard normal; evaluated by FFT on the uniform grid.
+    with A, B iid standard normal; evaluated by one real inverse FFT on the
+    uniform grid.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
@@ -49,10 +50,19 @@ def sample_circle_field(
         raise ValueError(f"grid_size must exceed kmax for alias-free synthesis, got {grid_size}")
     a = stream.standard_normal(kmax)
     b = stream.standard_normal(kmax)
-    # A cos + B sin = Re((A - iB) e^{ik theta}); evaluate with one FFT
-    coeff = np.zeros(grid_size, dtype=np.complex128)
-    coeff[1 : kmax + 1] = (a - 1j * b) / np.sqrt(np.arange(1, kmax + 1))
-    values = np.fft.fft(np.conj(coeff)).real
+    # A cos + B sin = Re((A - iB) e^{ik theta}), and irfft(spec, M) * M / 2
+    # is Re sum_k spec_k e^{ik theta} on the grid, with the Nyquist mode halved
+    k = np.arange(1, kmax + 1)
+    coeff = (a - 1j * b) / np.sqrt(k)
+    half = grid_size // 2
+    spec = np.zeros(half + 1, dtype=np.complex128)
+    low = k <= half
+    spec[k[low]] = coeff[low]
+    # on the grid a mode above half equals the conjugate mode M - k
+    spec[grid_size - k[~low]] += np.conj(coeff[~low])
+    if grid_size % 2 == 0:
+        spec[half] *= 2.0
+    values = np.fft.irfft(spec, grid_size) * (0.5 * grid_size)
     return GaussianCircleField(kmax, values)
 
 

@@ -16,16 +16,19 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
-from scipy.integrate import quad as _scipy_quad
 
 
 def quad(*args, **kwargs):
+    """scipy's adaptive quad, imported on first use: the command-line
+    experiments never call it, so they run without scipy."""
+    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import quad as scipy_quad
+
     # log singularities push the extrapolation table to its roundoff floor;
     # the returned values are still well within tolerance
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        return _scipy_quad(*args, **kwargs)
+        return scipy_quad(*args, **kwargs)
 
 QUAD_TOL = 1e-9
 
@@ -194,10 +197,47 @@ _conv_cache: dict = {}
 CONV_NODES = 4097
 CONV_MIN_POINTS = 2049
 CONV_MAX_REFINE = 512
+# zero nodes added on each side before the periodic spline solve
+CONV_PAD = 32
+
+
+def _uniform_spline(lo: float, step: float, values: np.ndarray):
+    """Interpolating cubic spline through values[i] at lo + i*step; zero
+    outside [lo, lo + (len(values) - 1)*step).
+
+    The values are zero-padded by CONV_PAD on each side and the periodic
+    B-spline system (c[i-1] + 4 c[i] + c[i+1]) / 6 = values[i] is solved by
+    one rfft/irfft.  The densities it serves vanish smoothly at both ends, so
+    the wrap-around sees only zeros.  Each interval's cubic is then stored in
+    the power basis, with a zero row on either side for queries outside.
+    """
+    padded = np.pad(values, CONV_PAD)
+    size = padded.size
+    symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(size // 2 + 1) / size)) / 6.0
+    c = np.fft.irfft(np.fft.rfft(padded) / symbol, size)
+    last = values.size - 1
+    # interval j, between nodes j and j+1, uses the coefficients of nodes j-1..j+2
+    c0, c1, c2, c3 = (c[CONV_PAD - 1 + k : CONV_PAD - 1 + k + last] for k in range(4))
+    table = np.zeros((4, last + 2))
+    table[:, 1:-1] = [
+        (c0 + 4.0 * c1 + c2) / 6.0,
+        (c2 - c0) / 2.0,
+        (c0 - 2.0 * c1 + c2) / 2.0,
+        (c3 - c0 + 3.0 * (c1 - c2)) / 6.0,
+    ]
+
+    def spline(w):
+        t = (np.asarray(w, dtype=float) - lo) / step
+        j = np.clip(np.floor(t), -1.0, last)
+        u = t - j
+        a0, a1, a2, a3 = table.take(j.astype(np.intp) + 1, axis=1)
+        return ((a3 * u + a2) * u + a1) * u + a0
+
+    return spline
 
 
 def _unit_conv_density(ratio: float, rho: MollifierSpec):
-    """Cubic spline of S_r = rho * rho_r with rho_r(v) = rho(v/r)/r, r = ratio.
+    """Uniform cubic spline of S_r = rho * rho_r with rho_r(v) = rho(v/r)/r, r = ratio.
 
     S_r is supported on [-(1+r), 1+r] and tabulated on CONV_NODES points.
     Both profiles are sampled on one lattice whose step h divides that grid's
@@ -211,8 +251,6 @@ def _unit_conv_density(ratio: float, rho: MollifierSpec):
     hit = _conv_cache.get(key)
     if hit is not None:
         return hit
-    from scipy.interpolate import CubicSpline
-
     half_nodes = (CONV_NODES - 1) // 2
     grid_step = (1.0 + ratio) / half_nodes
     narrow = min(ratio, 1.0)
@@ -232,7 +270,7 @@ def _unit_conv_density(ratio: float, rho: MollifierSpec):
     inside = (index >= 0) & (index < size)
     q = np.zeros(CONV_NODES)
     q[inside] = conv[index[inside]]
-    spline = CubicSpline(np.linspace(-(1.0 + ratio), 1.0 + ratio, CONV_NODES), q)
+    spline = _uniform_spline(-(1.0 + ratio), grid_step, q)
     _conv_cache[key] = spline
     return spline
 
@@ -297,7 +335,10 @@ def doubly_mollified_kernel(
     By the scale law q_{delta,epsilon}(w) = S_r(w/delta) / delta, r =
     epsilon/delta, the density is a rescaled unit density that is built by
     one FFT convolution per ratio r and profile, and cached.
-    Absolute accuracy ~1e-8.
+    Absolute accuracy, measured on the diagonal against mpmath: about 3e-14
+    for the bump, whose lattice convolution is exact to rounding, and about
+    4.4e-7 for the triangle, where the lattice sum is a trapezoid rule across
+    the profile's kinks.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0,1], got {delta}")

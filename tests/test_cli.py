@@ -1,8 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickpoints import __version__, cli
 from thickpoints.cli import (
@@ -10,6 +15,7 @@ from thickpoints.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_IO_ERROR,
     EXIT_OK,
+    EXIT_RUNTIME_ERROR,
     apply_overrides,
     build_parser,
     emit,
@@ -152,6 +158,36 @@ class TestEmit:
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+_OPTIONAL_INT = st.none() | st.integers(1, 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    experiment=st.sampled_from(sorted(cli._SUBCOMMAND_EXPERIMENTS.values(), key=lambda e: e.value)),
+    n=st.integers(2, 4096),
+    grid_factor=st.integers(4, 64),
+    gamma=st.floats(0.01, 0.99),
+    convention=st.sampled_from(GammaConvention),
+    eta=st.floats(0.01, 0.99),
+    ell=_OPTIONAL_INT,
+    L=_OPTIONAL_INT,
+    kmax=_OPTIONAL_INT,
+    replicas=st.integers(1, 10**6),
+    master_seed=st.integers(0, 2**64 - 1),
+    g_shift=st.floats(-5.0, 5.0),
+)
+def test_config_echo_parses_back_to_the_config(tmp_path_factory, experiment, **fields):
+    config = ExperimentConfig(experiment=experiment, **fields)
+    config.validate()
+    base = tmp_path_factory.mktemp("echo") / "run"
+    record = ReplicaRecord(0, derive_seed(config.master_seed, 0), {"x": 1.0})
+    emit([record], summarize([record]), config, str(base), 0.0)
+    echo = json.load(open(f"{base}.json"))["config_echo"]
+    assert Experiment(echo.pop("experiment")) is experiment
+    text = "".join(f"{key} = {value}\n" for key, value in echo.items() if value is not None)
+    assert parse_config(text, experiment) == config
+
+
 class TestMain:
     def test_help_lists_all_config_keys(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -241,6 +277,14 @@ class TestMain:
         with pytest.raises(ConfigError):
             apply_overrides(cfg, argv[2::2])
 
+    def test_value_error_while_running_is_a_runtime_error(self, monkeypatch, capsys):
+        def failing_run(config):
+            raise ValueError("replica blew up")
+
+        monkeypatch.setattr(cli, "run_experiment", failing_run)
+        assert main(["verify-moments", "--set", "n=4"]) == EXIT_RUNTIME_ERROR
+        assert "error: category=runtime replica blew up" in capsys.readouterr().err
+
     def test_missing_config_file_exit_code(self, capsys):
         code = main(["verify-moments", "/nonexistent/path.conf"])
         assert code == EXIT_CONFIG_ERROR
@@ -272,6 +316,35 @@ class TestMain:
             assert math.isfinite(estimate["mean"])
             # one replica leaves the standard error undefined
             assert estimate["stderr"] is None
+
+
+_COLD_START = """
+import sys
+from thickpoints import cli
+
+runs = [
+    ["sample", "--set", "n=4"],
+    ["verify-moments", "--set", "n=4", "--set", "replicas=2"],
+    ["trace-cov", "--set", "n=4", "--set", "replicas=2"],
+    ["fk-test", "--set", "n=16"],
+    ["nu-mu", "--set", "n=64", "--set", "ell=1"],
+    ["gaussian-gmc", "--set", "kmax=16", "--set", "replicas=2"],
+    ["kernel-check"],
+]
+for argv in runs:
+    assert cli.main([*argv, "-o", argv[0]]) == cli.EXIT_OK, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_every_subcommand_without_scipy(tmp_path):
+    # a fresh interpreter, because this test process has imported scipy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, THICKPOINT_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _COLD_START], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestParser:

@@ -221,6 +221,17 @@ class TestPerPointSzego:
         assert np.isneginf(fs.values[0])
 
 
+    def test_overflowing_coefficients_make_trace_powers_raise(self):
+        n = 1200
+        alphas = np.full(n, 0.999 + 0.0j)
+        alphas[-1] = 1.0
+        c = VerblunskyCoeffs(alphas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                trace_powers(c, 8)
+
+
 class TestDenseOracle:
     def test_unitarity(self):
         rng = np.random.default_rng(9)

@@ -35,6 +35,18 @@ class TestSampleCircleField:
         expected = a * np.cos(theta) + b * np.sin(theta)
         assert np.max(np.abs(field.values - expected)) < 1e-12
 
+    @pytest.mark.parametrize("kmax, m", [(4, 8), (7, 8), (5, 6), (10, 11), (64, 80), (512, 8192)])
+    def test_matches_direct_sum_with_aliased_modes(self, kmax, m):
+        # modes at and above m/2 alias onto the grid; the sum is still exact there
+        field = sample_circle_field(kmax, m, np.random.default_rng(kmax))
+        check = np.random.default_rng(kmax)
+        a = check.standard_normal(kmax)
+        b = check.standard_normal(kmax)
+        k = np.arange(1, kmax + 1)
+        phase = np.outer(2.0 * np.pi * np.arange(m) / m, k)
+        expected = (np.cos(phase) * a + np.sin(phase) * b) @ (1.0 / np.sqrt(k))
+        assert np.max(np.abs(field.values - expected)) < 1e-11
+
     def test_single_mode_variance_and_covariance(self):
         rng = np.random.default_rng(1)
         reps = 50_000

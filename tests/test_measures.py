@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mc_field_at
 from thickpoints.cue import FieldSample, eval_field, sample_verblunsky
@@ -210,6 +212,43 @@ class TestBarrierMask:
         spec = BarrierSpec(0.5, 0.2, 7, 5)
         mask = barrier_mask({}, spec)
         assert mask.dtype == bool and np.all(mask)
+
+
+class TestMeasureProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(1, 6),
+        ells=st.tuples(st.integers(1, 8), st.integers(1, 8)).map(sorted),
+    )
+    def test_barrier_mask_grows_with_ell(self, seed, depth, ells):
+        # a larger ell drops constraints, so every point that passes the
+        # smaller ell's barrier passes the larger one's
+        rng = np.random.default_rng(seed)
+        fields = {k: FieldSample(64, rng.normal(0.0, k, 32)) for k in range(1, depth + 1)}
+        small, large = (barrier_mask(fields, BarrierSpec(0.5, 0.2, ell, depth)) for ell in ells)
+        assert np.all(large[small])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(-10.0, 10.0),
+        b=st.floats(-10.0, 10.0),
+        gamma=st.floats(0.05, 1.4),
+    )
+    def test_measures_are_linear_in_f(self, seed, a, b, gamma):
+        rng = np.random.default_rng(seed)
+        field = FieldSample(64, rng.normal(0.0, 3.0, 48))
+        f1, f2 = rng.uniform(-1.0, 1.0, (2, 48))
+        norm = cue_exp_normalizer(64, gamma)
+        spec = ThickPointSpec(gamma)
+        for integral in (
+            lambda f: exp_measure_integral(field, gamma, norm, f),
+            lambda f: thick_measure_integral(field, spec, 64, f),
+        ):
+            scale = abs(a) * integral(np.abs(f1)) + abs(b) * integral(np.abs(f2))
+            combined = integral(a * f1 + b * f2)
+            assert abs(combined - (a * integral(f1) + b * integral(f2))) <= 1e-13 * scale
 
 
 class TestL1Discrepancy:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -13,6 +14,7 @@ from conftest import (
 from thickpoints import cue
 from thickpoints.special_fn import (
     GammaConvention,
+    _loggamma,
     circle_chord,
     cue_abs_moment_exact,
     fk_normalizer,
@@ -63,6 +65,33 @@ class TestLogGamma:
     def test_rejects_poles(self, z):
         with pytest.raises(ValueError):
             log_gamma(z)
+
+    @pytest.mark.parametrize(
+        "region",
+        ["right half-plane", "left half-plane", "next to the negative axis", "positive reals"],
+    )
+    def test_against_mpmath(self, region):
+        rng = np.random.default_rng(sum(map(ord, region)))
+        size = 300
+        if region == "right half-plane":
+            z = rng.uniform(0.5, 40.0, size) + 1j * rng.uniform(-40.0, 40.0, size)
+        elif region == "left half-plane":
+            z = rng.uniform(-40.0, 0.5, size) + 1j * rng.uniform(-40.0, 40.0, size)
+        elif region == "next to the negative axis":
+            z = rng.uniform(-30.0, 0.0, size) + 1j * rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-12, -1, size)
+        else:
+            z = 10.0 ** rng.uniform(-6, 4, size) + 0j
+        with mpmath.workdps(30):
+            reference = np.array([complex(mpmath.loggamma(mpmath.mpc(v.real, v.imag))) for v in z])
+        error = np.abs(_loggamma(z) - reference) / np.maximum(np.abs(reference), 1.0)
+        assert error.max() <= 1e-14
+
+    def test_poles_and_large_imaginary_parts(self):
+        assert np.all(np.isnan(_loggamma(np.array([0.0, -1.0, -12.0]))))
+        z = np.array([-300.5 + 400.0j, 2.0 - 500.0j])
+        with mpmath.workdps(30):
+            reference = np.array([complex(mpmath.loggamma(mpmath.mpc(v.real, v.imag))) for v in z])
+        assert np.all(np.abs(_loggamma(z) - reference) <= 1e-14 * np.abs(reference))
 
 
 class TestLogBarnesG:
@@ -157,6 +186,47 @@ class TestCueMomentExact:
                 r = cue_abs_moment_exact(n, SQRT2 * z).real * n ** (-z * z / 2.0) / psi(z).real
                 devs.append(abs(r - 1.0))
             assert devs[1] < devs[0] and devs[2] < devs[1] and devs[3] < devs[2]
+
+    @pytest.mark.parametrize("zeta", [SQRT2 * 0.5, 2.0])
+    @pytest.mark.parametrize("n", [64, 1024, 10_000])
+    def test_against_mpmath_barnes_g(self, n, zeta):
+        # the product telescopes to G(N+1+zeta) G(N+2) G(1+zeta/2)^2 /
+        # (G(1+zeta) G(N+1+zeta/2)^2 N!).  Summing separate log-Gamma values,
+        # each about 8e4 at N = 10^4, was off by 5.3e-8 there (zeta = 1/sqrt(2))
+        with mpmath.workdps(40):
+            z = mpmath.mpf(zeta)
+            lg = lambda x: mpmath.log(mpmath.barnesg(x))
+            reference = float(
+                lg(n + 1 + z) - lg(1 + z) + lg(n + 2) + 2 * (lg(1 + z / 2) - lg(n + 1 + z / 2))
+                - mpmath.loggamma(n + 1)
+            )
+        got = log_cue_abs_moment_exact(n, zeta)
+        assert abs(got.real - reference) <= 1e-9
+        assert got.imag == 0.0
+
+    def test_complex_exponent_against_mpmath(self):
+        for zeta in (1.0 + 0.5j, -0.5 + 2.0j, 0.3 - 1.0j):
+            with mpmath.workdps(30):
+                z = mpmath.mpc(zeta.real, zeta.imag)
+                reference = complex(
+                    mpmath.fsum(
+                        mpmath.loggamma(1 + z + j) + mpmath.loggamma(2 + j) - 2 * mpmath.loggamma(1 + j + z / 2)
+                        for j in range(200)
+                    )
+                    - mpmath.loggamma(201)
+                )
+            assert abs(log_cue_abs_moment_exact(200, zeta) - reference) <= 1e-12
+
+    def test_normalizers_are_cached(self):
+        for fn, args in (
+            (log_cue_abs_moment_exact, (96, 0.75)),
+            (thickpoint_prob_asymptotic, (96, 0.5, GammaConvention.THEOREM)),
+            (fk_normalizer, (96, 0.25)),
+        ):
+            fn.cache_clear()
+            first = fn(*args)
+            assert fn(*args) == first
+            assert fn.cache_info().hits == 1 and fn.cache_info().misses == 1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
