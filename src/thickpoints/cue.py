@@ -195,10 +195,14 @@ def _phi_coefficient_vector(alphas: np.ndarray) -> np.ndarray:
     every leaf's 2x2 product comes from the recursion on the start columns
     (1, 0) and (0, 1), batched over leaves, and adjacent products are merged
     level by level with batched FFT polynomial products, an odd block being
-    carried up unchanged.  That costs O(n log^2 n) (von zur Gathen-Gerhard,
-    Modern Computer Algebra ch. 10).  The last leaf is completed with
-    alpha = 0 steps, each of which only multiplies Phi by z, so the root's
-    row 0 is z^pad times the true one.
+    carried up unchanged, until two blocks are left.  That costs
+    O(n log^2 n) (von zur Gathen-Gerhard, Modern Computer Algebra ch. 10).
+    Of the root product only Phi_n = row 0 times (1, 1) is needed, so the
+    last merge forms just L00 (E00 + E01) + L01 (E10 + E11) for the later
+    block L and the earlier block E: 4 forward transforms and 1 inverse in
+    place of 8 and 4.  The last leaf is completed with alpha = 0 steps, each
+    of which only multiplies Phi by z, so the root's row 0 is z^pad times the
+    true one.
     """
     n = alphas.size
     if n <= SZEGO_CROSSOVER:
@@ -209,32 +213,45 @@ def _phi_coefficient_vector(alphas: np.ndarray) -> np.ndarray:
     phi, star = _szego_steps(leaves.reshape(-1, SZEGO_LEAF), np.eye(2))
     # level[b, r, c] holds row r, column c of block b's product
     level = np.stack([phi, star]).transpose(2, 0, 3, 1)
-    while level.shape[0] > 1:
+    while level.shape[0] > 2:
         pairs = level.shape[0] // 2
-        degree = level.shape[-1] - 1  # SZEGO_LEAF times a power of two
+        # the later block multiplies from the left
         later, earlier = level[1 : 2 * pairs : 2], level[0 : 2 * pairs : 2]
-        # The later block multiplies from the left.  A cyclic product of the
-        # power-of-two length 2 * degree folds the top coefficient onto the
-        # constant one, so it is computed directly and moved back.  At n = 4096
-        # this stayed within 4e-15 of an 80-bit recursion; 5-smooth lengths
-        # of at least 2 * degree + 1 drifted to 2e-14.
-        cyclic = np.fft.ifft(
-            np.einsum(
-                "pabf,pbcf->pacf",
-                np.fft.fft(later, n=2 * degree, axis=-1),
-                np.fft.fft(earlier, n=2 * degree, axis=-1),
-            ),
-            axis=-1,
-        )
-        top = np.einsum("pab,pbc->pac", later[..., degree], earlier[..., degree])
-        cyclic[..., 0] -= top
-        merged = np.concatenate([cyclic, top[..., None]], axis=-1)
+        merged = _cyclic_product("pabf,pbcf->pacf", later, earlier)
         if level.shape[0] % 2:
-            carried = np.zeros((1, 2, 2, 2 * degree + 1), dtype=np.complex128)
-            carried[..., : degree + 1] = level[-1]
+            carried = np.zeros((1, *merged.shape[1:]), dtype=np.complex128)
+            carried[..., : level.shape[-1]] = level[-1]
             merged = np.concatenate([merged, carried])
         level = merged
-    return level[0, 0, 0, pad : pad + n + 1] + level[0, 0, 1, pad : pad + n + 1]
+    if level.shape[0] == 1:
+        root = level[0, 0, 0] + level[0, 0, 1]
+    else:
+        root = _cyclic_product("bf,bf->f", level[1, 0], level[0, :, 0] + level[0, :, 1])
+    return root[pad : pad + n + 1]
+
+
+def _cyclic_product(subscripts: str, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Products of degree-d polynomials, coefficients on the last axis (f in
+    the einsum subscripts), contracted as the subscripts say; returns the
+    2d + 1 coefficients of each result.
+
+    A cyclic product of the power-of-two length 2d folds the top coefficient
+    onto the constant one, so it is computed directly and moved back.  At
+    n = 4096 this stayed within 4e-15 of an 80-bit recursion; 5-smooth
+    lengths of at least 2d + 1 drifted to 2e-14.
+    """
+    degree = later.shape[-1] - 1  # SZEGO_LEAF times a power of two
+    cyclic = np.fft.ifft(
+        np.einsum(
+            subscripts,
+            np.fft.fft(later, n=2 * degree, axis=-1),
+            np.fft.fft(earlier, n=2 * degree, axis=-1),
+        ),
+        axis=-1,
+    )
+    top = np.einsum(subscripts.replace("f", ""), later[..., degree], earlier[..., degree])
+    cyclic[..., 0] -= top
+    return np.concatenate([cyclic, top[..., None]], axis=-1)
 
 
 def eval_field(coeffs: VerblunskyCoeffs, grid_size: int) -> FieldSample:
@@ -300,22 +317,50 @@ def trace_powers(coeffs: VerblunskyCoeffs, kmax: int) -> TraceVector:
     return TraceVector(n, p)
 
 
+def truncated_fields(traces: TraceVector, deltas, grid_size: int) -> np.ndarray:
+    """Fourier-truncated fields X_{N,delta} on the uniform grid, one row per delta:
+    -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}.
+
+    Every row comes from one real inverse FFT of a (len(deltas), grid_size//2 + 1)
+    half spectrum holding conj(Tr U^k)/k; a mode above grid_size/2 is folded onto
+    grid_size - k.  numpy transforms the rows independently, so each row is bit
+    for bit the one its delta gives alone.  Each delta must lie in (0, 1], with
+    at least floor(1/delta) traces and a grid finer than that.
+    """
+    kmaxes = []
+    for delta in deltas:
+        if not 0.0 < delta <= 1.0:
+            raise ValueError(f"delta must lie in (0,1], got {delta}")
+        kmax = int(math.floor(1.0 / delta))
+        if kmax > traces.kmax:
+            raise ValueError(f"need {kmax} traces for delta={delta}, have {traces.kmax}")
+        if grid_size <= kmax:
+            raise ValueError(f"grid_size must exceed 1/delta={kmax}, got {grid_size}")
+        kmaxes.append(kmax)
+    k = np.arange(1, max(kmaxes, default=0) + 1)
+    # row j keeps the modes k <= kmaxes[j]
+    modes = np.where(k <= np.array(kmaxes)[:, None], np.conj(traces.traces[: k.size]) / k, 0.0)
+    # on the grid, Re sum_k c_k e^{ik theta} is irfft(spec, M) * M / 2 once a
+    # c_k above M/2 is moved to the conjugate mode M - k and the Nyquist mode,
+    # which irfft halves, is doubled
+    half = grid_size // 2
+    spec = np.zeros((len(kmaxes), half + 1), dtype=np.complex128)
+    low = k <= half
+    spec[:, k[low]] = modes[:, low]
+    spec[:, grid_size - k[~low]] += np.conj(modes[:, ~low])
+    if grid_size % 2 == 0:
+        spec[:, half] *= 2.0
+    values = np.fft.irfft(spec, grid_size)
+    values *= -0.5 * SQRT2 * grid_size
+    return values
+
+
 def truncated_field(traces: TraceVector, n: int, delta: float, grid_size: int) -> FieldSample:
     """Fourier-truncated field X_{N,delta} on the uniform grid:
-    -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}.
+    -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}; the one row of
+    truncated_fields for this delta.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0,1], got {delta}")
-    kmax = int(math.floor(1.0 / delta))
-    if kmax > traces.kmax:
-        raise ValueError(f"need {kmax} traces for delta={delta}, have {traces.kmax}")
-    if grid_size <= kmax:
-        raise ValueError(f"grid_size must exceed 1/delta={kmax}, got {grid_size}")
-    coeff = np.zeros(grid_size, dtype=np.complex128)
-    k = np.arange(1, kmax + 1)
-    coeff[1 : kmax + 1] = traces.traces[:kmax] / k
-    values = -SQRT2 * np.real(np.fft.fft(coeff))
-    return FieldSample(n, values)
+    return FieldSample(n, truncated_fields(traces, [delta], grid_size)[0])
 
 
 def truncated_field_variance(n: int, delta: float) -> float:

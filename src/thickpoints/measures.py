@@ -128,11 +128,15 @@ def thick_measure_integral(field: FieldSample, spec: ThickPointSpec, n: int, f=N
     """Grid-average thick-point measure
     (1/M) sum f(theta_i) 1{X(theta_i) >= gamma' log N + g(theta_i)} / denominator.
     """
-    g = spec.gamma_theorem
-    threshold = g * math.log(n) + np.asarray(spec.g, dtype=float)
     weights = _as_grid_function(f, field.grid_size)
-    indicator = field.values >= threshold
+    indicator = thick_indicator(field, spec, n)
     return float(np.mean(weights * indicator) / spec.denominator(n))
+
+
+def thick_indicator(field: FieldSample, spec: ThickPointSpec, n: int) -> np.ndarray:
+    """1{X(theta_i) >= gamma' log N + g(theta_i)} on the grid, as booleans."""
+    threshold = spec.gamma_theorem * math.log(n) + np.asarray(spec.g, dtype=float)
+    return field.values >= threshold
 
 
 def fk_normalized_mass(field: FieldSample, gamma_conj: float, n: int) -> float:
@@ -160,6 +164,34 @@ def barrier_mask(truncated_fields: dict[int, FieldSample], spec: BarrierSpec) ->
         ok = truncated_fields[k].values <= (spec.gamma + spec.eta) * k
         mask = ok if mask is None else (mask & ok)
     return mask
+
+
+def barrier_violations(
+    field: FieldSample,
+    spec: ThickPointSpec,
+    n: int,
+    barrier: BarrierSpec,
+    truncated: np.ndarray,
+) -> list[float]:
+    """Thick-point measure of the barrier's complement for every start level
+    ell' in barrier.levels: nu(1 - barrier_mask) with the constraints
+    k in [ell', L], in the order of the levels.
+
+    truncated holds the values of X_{N, e^{-k}} on the grid, one row per
+    level.  One conjunction is kept from the deepest level up, so each level
+    is read once, and the thick-point indicator is formed once.  Each value
+    is bit for bit thick_measure_integral(field, spec, n, f=~mask): both sum
+    zeros and ones exactly and divide by M, then by the denominator.
+    """
+    levels = barrier.levels
+    thick = thick_indicator(field, spec, n)
+    denominator = spec.denominator(n)
+    mask = np.ones(field.grid_size, dtype=bool)
+    out = [0.0] * len(levels)
+    for i in reversed(range(len(levels))):
+        mask &= truncated[i] <= (barrier.gamma + barrier.eta) * levels[i]
+        out[i] = np.count_nonzero(thick & ~mask) / field.grid_size / denominator
+    return out
 
 
 def l1_discrepancy(

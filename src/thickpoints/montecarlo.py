@@ -89,7 +89,7 @@ class ExperimentConfig:
                 to_theorem_scale(self.gamma, self.convention)
             except ValueError as exc:
                 problems.append(str(exc))
-        if self.eta <= 0.0 or self.eta >= 1.0:
+        if not 0.0 < self.eta < 1.0:
             problems.append(f"eta must lie in (0,1) (got {self.eta})")
         if self.ell is not None and self.ell < 1:
             problems.append(f"ell must be >= 1 (got {self.ell})")
@@ -101,8 +101,30 @@ class ExperimentConfig:
             problems.append(f"kmax must be <= {cue.TRACE_COST_GUARD}*n = {guard} (got {self.kmax})")
         if self.experiment in (Experiment.FK_TEST, Experiment.NU_MU_DISCREPANCY) and self.n < 2:
             problems.append(f"n must be >= 2 for {self.experiment.value} (got {self.n})")
+        # the barrier depth is checked against n, eta and grid_factor once they are valid
+        barrier = self.experiment is Experiment.NU_MU_DISCREPANCY and self.ell is not None
+        if barrier and not problems and self.ell <= self.barrier_depth:
+            problems.extend(self._barrier_depth_problems())
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
+
+    def _barrier_depth_problems(self) -> list[str]:
+        """The finest barrier level L keeps the modes k <= floor(e^L): the grid
+        must resolve them and trace_powers must allow that many traces."""
+        depth = self.barrier_depth
+        grid = self.grid_factor * self.n
+        guard = cue.TRACE_COST_GUARD * self.n
+        # e^L overflows a double past L = 709
+        modes = math.floor(math.exp(depth)) if depth <= 700 else math.inf
+        shown = f"floor(e^L) = {modes}" if modes < 1e15 else "floor(e^L)"
+        problems = []
+        if modes >= grid:
+            problems.append(f"barrier depth L={depth} keeps {shown} modes, "
+                            f"so grid_factor*n = {grid} must exceed it")
+        if modes > guard:
+            problems.append(f"barrier depth L={depth} needs {shown} traces, "
+                            f"more than {cue.TRACE_COST_GUARD}*n = {guard}")
+        return problems
 
     @property
     def gamma_theorem(self) -> float:
@@ -182,34 +204,33 @@ def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
     if config.ell is not None:
         barrier = measures.BarrierSpec(g, config.eta, config.ell, config.barrier_depth)
         levels = barrier.levels
-        truncated = {}
+        # one violation column per start level ell' <= L; with no levels there
+        # are no constraints, so the complement is empty
+        violations = [0.0]
         if levels:
-            kneed = int(math.floor(math.exp(levels[-1])))
-            traces = cue.trace_powers(coeffs, min(kneed, cue.TRACE_COST_GUARD * config.n))
-            truncated = {
-                k: cue.truncated_field(traces, config.n, barrier.scale(k), sample.grid_size)
-                for k in levels
-            }
-        # one violation column per starting level: the mask for start ell'
-        # is the suffix conjunction of the per-level constraints
-        for start in levels or [config.ell]:
-            if levels:
-                mask = measures.barrier_mask(truncated, replace(barrier, ell=start))
-                violation = measures.thick_measure_integral(
-                    sample, spec, config.n, f=(~mask).astype(float)
-                )
-            else:
-                violation = 0.0  # no constraints, so the complement is empty
-            if start == config.ell:
-                out["nu_barrier_violation"] = violation
+            # validate keeps floor(e^L) within the trace guard and below the grid size
+            traces = cue.trace_powers(coeffs, int(math.floor(math.exp(levels[-1]))))
+            truncated = cue.truncated_fields(
+                traces, [barrier.scale(k) for k in levels], sample.grid_size
+            )
+            violations = measures.barrier_violations(sample, spec, config.n, barrier, truncated)
+        out["nu_barrier_violation"] = violations[0]
+        for start, violation in zip(levels or [config.ell], violations):
             out[f"nu_barrier_violation_l{start}"] = violation
     return out
+
+
+@functools.cache
+def _gmc_normalizer(kmax: int, gamma: float) -> float:
+    """E e^{gamma X} for the circle field truncated at kmax; the same for every
+    replica of a config, so each process computes it once."""
+    return gaussian_exp_normalizer(harmonic_number(kmax), gamma)
 
 
 def _replica_gaussian_gmc(config: ExperimentConfig, stream) -> dict[str, float]:
     kmax = config.effective_kmax
     field = sample_circle_field(kmax, config.grid_factor * kmax, stream)
-    norm = gaussian_exp_normalizer(harmonic_number(kmax), config.gamma_theorem)
+    norm = _gmc_normalizer(kmax, config.gamma_theorem)
     mass = float(np.mean(np.exp(config.gamma_theorem * field.values)) / norm)
     return {"gmc_mass": mass}
 

@@ -2,12 +2,15 @@
 
 Independent references used to pin the analytic code: a Weierstrass-product
 Barnes G, a Monte Carlo field sampler over the library's batched Szego
-routines, an mpmath Szego recursion, a brute-force Simpson convolution
-density, and small-n dense oracles (a Gram-Schmidt Haar unitary, LU
+routines, an mpmath Szego recursion, a long-double Szego coefficient
+recursion, a brute-force Simpson convolution density, the truncated field by
+one complex FFT per scale, the nu-mu barrier columns from one barrier mask
+per start level, and small-n dense oracles (a Gram-Schmidt Haar unitary, LU
 determinants, the CMV operator and its power traces).
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -20,9 +23,15 @@ from thickpoints.cue import (
     FieldSample,
     TraceVector,
     VerblunskyCoeffs,
+    eval_field,
     sample_alphas,
+    sample_verblunsky,
     szego_log_abs,
+    trace_powers,
+    truncated_field,
 )
+from thickpoints.measures import BarrierSpec, ThickPointSpec, barrier_mask, thick_measure_integral
+from thickpoints.montecarlo import ExperimentConfig, replica_stream
 
 EULER_GAMMA = 0.57721566490153286060651209008240
 
@@ -88,6 +97,53 @@ def mp_field_on_grid(alphas: np.ndarray, grid_size: int, indices, dps: int = 40)
                 phi, star = zphi - mpmath.conj(a) * star, star - a * zphi
             out.append(float(mpmath.sqrt(2) * mpmath.log(abs(phi))))
     return np.array(out)
+
+
+def ld_phi_coefficients(alphas: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of Phi_n by the plain Szego recursion on
+    coefficient vectors in long double (80-bit on x86); O(n^2)."""
+    n = alphas.size
+    phi = np.zeros(n + 1, dtype=np.clongdouble)
+    star = np.zeros_like(phi)
+    phi[0] = star[0] = 1
+    for k, a in enumerate(alphas.astype(np.clongdouble)):
+        zphi = np.zeros_like(phi)
+        zphi[1 : k + 2] = phi[: k + 1]
+        phi, star = zphi - np.conj(a) * star, star - a * zphi
+    return phi
+
+
+def truncated_field_fft(traces: TraceVector, delta: float, grid_size: int) -> np.ndarray:
+    """-sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta} on the grid by
+    one complex FFT of length grid_size."""
+    kmax = int(math.floor(1.0 / delta))
+    coeff = np.zeros(grid_size, dtype=np.complex128)
+    coeff[1 : kmax + 1] = traces.traces[:kmax] / np.arange(1, kmax + 1)
+    return -SQRT2 * np.real(np.fft.fft(coeff))
+
+
+def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[str, float]:
+    """The nu_barrier_violation_l* columns of one nu-mu replica, each start
+    level's mask built afresh by barrier_mask over the per-scale truncated
+    fields and integrated by thick_measure_integral."""
+    coeffs = sample_verblunsky(config.n, replica_stream(config.master_seed, replica_index))
+    sample = eval_field(coeffs, config.grid_factor * config.n)
+    spec = ThickPointSpec(config.gamma_theorem)
+    barrier = BarrierSpec(spec.gamma, config.eta, config.ell, config.barrier_depth)
+    levels = barrier.levels
+    if not levels:
+        return {f"nu_barrier_violation_l{config.ell}": 0.0}
+    traces = trace_powers(coeffs, int(math.floor(math.exp(levels[-1]))))
+    truncated = {
+        k: truncated_field(traces, config.n, barrier.scale(k), sample.grid_size) for k in levels
+    }
+    out = {}
+    for start in levels:
+        mask = barrier_mask(truncated, replace(barrier, ell=start))
+        out[f"nu_barrier_violation_l{start}"] = thick_measure_integral(
+            sample, spec, config.n, f=(~mask).astype(float)
+        )
+    return out
 
 
 def simpson_conv_density(delta: float, epsilon: float, rho):

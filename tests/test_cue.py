@@ -13,10 +13,12 @@ from conftest import (
     cmv_matrix,
     det_field_oracle,
     det_log_field,
+    ld_phi_coefficients,
     mc_field_at,
     mp_field_on_grid,
     sample_haar_unitary_dense,
     trace_powers_cmv,
+    truncated_field_fft,
 )
 from thickpoints import cue
 from thickpoints.cue import (
@@ -25,10 +27,12 @@ from thickpoints.cue import (
     VerblunskyCoeffs,
     eval_field,
     eval_field_at,
+    sample_alphas,
     sample_verblunsky,
     trace_powers,
     truncated_field,
     truncated_field_variance,
+    truncated_fields,
 )
 from thickpoints.montecarlo import ks_two_sample, ks_two_sample_critical_value
 from thickpoints.special_fn import cue_abs_moment_exact
@@ -46,6 +50,29 @@ class TestVerblunskyCoeffs:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             VerblunskyCoeffs(np.array([]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), data=st.data())
+    def test_accepts_sampled_draws_and_rejects_bad_input(self, seed, n, data):
+        alphas = sample_alphas(n, np.random.default_rng(seed))
+        assert np.array_equal(VerblunskyCoeffs(alphas).alphas, alphas)
+        with pytest.raises(ValueError):
+            VerblunskyCoeffs(alphas[None, :])
+        with pytest.raises(ValueError):
+            VerblunskyCoeffs(alphas[:0])
+        phase = np.exp(2j * np.pi * data.draw(st.floats(0.0, 1.0)))
+        off = data.draw(st.floats(2e-12, 0.5) | st.floats(-0.5, -2e-12))
+        bad_last = alphas.copy()
+        bad_last[-1] = (1.0 + off) * phase
+        with pytest.raises(ValueError):
+            VerblunskyCoeffs(bad_last)
+        if n > 1:
+            bad_interior = alphas.copy()
+            # a unimodular phase that is exact, so |alpha| >= 1 holds down to 1 itself
+            exact_phase = data.draw(st.sampled_from([1.0, -1.0, 1j, -1j]))
+            bad_interior[data.draw(st.integers(0, n - 2))] = data.draw(st.floats(1.0, 2.0)) * exact_phase
+            with pytest.raises(ValueError):
+                VerblunskyCoeffs(bad_interior)
 
 
 class TestSampleVerblunsky:
@@ -148,16 +175,25 @@ class TestEvalField:
 
 
 class TestSynthesis:
-    @pytest.mark.parametrize("n", [65, 127, 128, 129, 1000, 1024, 1300, 4096])
+    @pytest.mark.parametrize("n", [65, 101, 127, 128, 129, 300, 1000, 1024, 1300, 4096])
     def test_tree_matches_single_block_recursion(self, n, monkeypatch):
-        # partial last leaves (65, 127, 129, 1000, 1300) and odd blocks
-        # carried up (129: three leaves; 1300: 21, then 11 and 3 blocks)
+        # partial last leaves (65, 101, 127, 129, 300, 1000, 1300), odd blocks
+        # carried up (129: three leaves; 300: five, then three; 1300: 21, then
+        # 11 and 3 blocks) and a root of two leaves (65, 101, 128)
         alphas = sample_verblunsky(n, np.random.default_rng(n)).alphas
         plain = cue._szego_steps(alphas[None, :], np.array([[1.0, 1.0]]))[0][:, 0, 0]
         monkeypatch.setattr(cue, "SZEGO_CROSSOVER", 0)
         tree = cue._phi_coefficient_vector(alphas)
         assert tree.shape == (n + 1,)
         assert np.max(np.abs(tree - plain)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [101, 300, 4096])
+    def test_tree_against_long_double_recursion(self, n):
+        # 101: two leaves, pad 27; 300: five leaves, one carried up
+        alphas = sample_verblunsky(n, np.random.default_rng(n + 7)).alphas
+        ref = ld_phi_coefficients(alphas)
+        err = np.max(np.abs(cue._phi_coefficient_vector(alphas) - ref)) / np.max(np.abs(ref))
+        assert float(err) <= 4e-15
 
     def test_coefficients_are_cached_read_only(self):
         c = sample_verblunsky(300, np.random.default_rng(1))
@@ -352,6 +388,27 @@ class TestTruncatedField:
             truncated_field(tr, 8, 1.0 / 8.0, 64)
         with pytest.raises(ValueError):
             truncated_field(tr, 8, 1.0 / 4.0, 4)
+
+    @pytest.mark.parametrize(
+        "n, grid_size, inverse_deltas",
+        [
+            # modes folded above grid_size / 2, onto the Nyquist mode included
+            (8, 32, [1, 4, 15, 16, 17, 31]),
+            (8, 33, [1, 16, 17, 32]),  # odd grid, no Nyquist mode
+            (1024, 16 * 1024, [math.exp(k) for k in range(2, 6)]),
+        ],
+    )
+    def test_batched_rows_match_single_delta_and_complex_fft(self, n, grid_size, inverse_deltas):
+        deltas = [1.0 / d for d in inverse_deltas]
+        rng = np.random.default_rng(grid_size)
+        tr = trace_powers(sample_verblunsky(n, rng), int(max(inverse_deltas)))
+        rows = truncated_fields(tr, deltas, grid_size)
+        assert rows.shape == (len(deltas), grid_size)
+        for row, delta in zip(rows, deltas):
+            assert np.array_equal(row, truncated_field(tr, n, delta, grid_size).values)
+            kmax = int(math.floor(1.0 / delta))
+            scale = np.sum(np.abs(tr.traces[:kmax]) / np.arange(1, kmax + 1))
+            assert np.max(np.abs(row - truncated_field_fft(tr, delta, grid_size))) <= 1e-13 * scale
 
     def test_projection_of_full_field(self):
         # DFT of the full field restricted to modes k <= 8 must reproduce the

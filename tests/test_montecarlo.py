@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from conftest import nu_mu_barrier_oracle
 from thickpoints import cue, montecarlo
 from thickpoints.montecarlo import (
     Experiment,
@@ -87,6 +88,23 @@ class TestConfigValidation:
         cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, n=1024, eta=0.2)
         assert cfg.barrier_depth == int(0.8 * math.log(1024))
         assert replace(cfg, L=3).barrier_depth == 3
+
+    def test_barrier_depth_must_fit_grid_and_traces(self):
+        cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, n=8, grid_factor=4, ell=1)
+        # floor(e^3) = 20 modes fold onto a grid of 32 points
+        replace(cfg, L=3).validate()
+        for bad, word in ((replace(cfg, L=4), "grid_factor*n = 32"),  # floor(e^4) = 54
+                          (replace(cfg, n=5, L=3), "grid_factor*n = 20"),  # 20 modes, 20 points
+                          (replace(cfg, n=4, grid_factor=128, L=6), "64*n = 256"),  # 403
+                          (replace(cfg, L=1000), "grid_factor*n")):
+            with pytest.raises(ValueError, match=r"barrier depth") as err:
+                bad.validate()
+            assert word in str(err.value)
+        with pytest.raises(ValueError, match=r"eta must lie in \(0,1\) \(got nan\)"):
+            replace(cfg, eta=math.nan).validate()
+        # an empty barrier range (ell > L) keeps no modes, so any depth passes
+        replace(cfg, ell=6, L=5).validate()
+        replace(cfg, L=1000, ell=1001).validate()
 
 
 class TestRunExperiment:
@@ -273,6 +291,24 @@ class TestPerReplicaColumns:
         run_replica(cfg, 0)
         assert calls == {"synthesis": 1, "traces": 1}
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(n=1024, ell=2, replicas=16),
+            dict(n=256, ell=1, g_shift=-0.7, replicas=8),
+            dict(n=64, ell=4, L=3, replicas=2),  # empty range: ell > L
+        ],
+    )
+    def test_barrier_columns_equal_per_start_mask_oracle(self, fields, monkeypatch):
+        cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, eta=0.2, master_seed=5, **fields)
+        monkeypatch.setenv("THICKPOINT_THREADS", "1")
+        records, _ = run_experiment(cfg)
+        for rec in records:
+            expected = nu_mu_barrier_oracle(cfg, rec.replica_index)
+            got = {k: v for k, v in rec.scalars.items() if k.startswith("nu_barrier_violation_l")}
+            assert got == expected
+            assert rec.scalars["nu_barrier_violation"] == expected[f"nu_barrier_violation_l{cfg.ell}"]
+
     def test_nu_mu_empty_barrier_range_is_zero(self):
         cfg = ExperimentConfig(
             Experiment.NU_MU_DISCREPANCY, n=64, replicas=1, ell=9, eta=0.2
@@ -295,6 +331,20 @@ class TestPerReplicaColumns:
         a = run_replica(theorem, 0).scalars["fk_mass"]
         b = run_replica(conjecture, 0).scalars["fk_mass"]
         assert a == pytest.approx(b, rel=1e-12)
+
+    def test_gmc_normalizer_once_per_config(self, monkeypatch):
+        calls = []
+        harmonic = montecarlo.harmonic_number
+
+        def counted(k):
+            calls.append(k)
+            return harmonic(k)
+
+        monkeypatch.setattr(montecarlo, "harmonic_number", counted)
+        monkeypatch.setenv("THICKPOINT_THREADS", "1")
+        montecarlo._gmc_normalizer.cache_clear()
+        run_experiment(ExperimentConfig(Experiment.GAUSSIAN_GMC, kmax=16, replicas=3))
+        assert calls == [16]
 
     def test_gmc_mass_positive(self):
         cfg = ExperimentConfig(Experiment.GAUSSIAN_GMC, kmax=16, replicas=3)
