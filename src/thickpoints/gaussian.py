@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .kernels import MollifierSpec, doubly_mollified_kernel
+from .kernels import MollifierSpec, Shift, doubly_mollified_kernel
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ class CovarianceFactorization:
         grid,
         delta: float,
         rho: MollifierSpec,
-        h: Callable[[float, float], float] | None = None,
+        h: Shift | None = None,
         domain: tuple[float, float] = (0.0, 1.0),
     ):
         grid = np.asarray(grid, dtype=float)
@@ -129,7 +128,7 @@ def sample_mollified_field(
     grid,
     delta: float,
     rho: MollifierSpec,
-    h: Callable[[float, float], float] | None,
+    h: Shift | None,
     stream: np.random.Generator,
     domain: tuple[float, float] = (0.0, 1.0),
 ) -> CholeskyField:

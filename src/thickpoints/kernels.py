@@ -1,8 +1,9 @@
 """Deterministic covariance-kernel evaluations.
 
 Exact log kernels on the circle and on an interval, truncated Fourier kernels,
-and quadrature-based mollified kernels, together with numeric checks of the
-bounded-deviation estimates they are supposed to satisfy.
+and mollified kernels by Gauss-Legendre panel quadrature, together with
+numeric checks of the bounded-deviation estimates they are supposed to
+satisfy.
 
 Distances on the circle are always the chord 2|sin(delta/2)|, never arc length.
 """
@@ -10,27 +11,12 @@ Distances on the circle are always the chord 2|sin(delta/2)|, never arc length.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-
-def quad(*args, **kwargs):
-    """scipy's adaptive quad, imported on first use: the command-line
-    experiments never call it, so they run without scipy."""
-    from scipy.integrate import IntegrationWarning
-    from scipy.integrate import quad as scipy_quad
-
-    # log singularities push the extrapolation table to its roundoff floor;
-    # the returned values are still well within tolerance
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return scipy_quad(*args, **kwargs)
-
-QUAD_TOL = 1e-9
 
 # modes per block in circle_truncated_kernel_grid
 TRUNCATED_BLOCK = 64
@@ -38,6 +24,10 @@ TRUNCATED_BLOCK = 64
 # Normalization of the standard bump exp(-1/(1-u^2)) on (-1,1): the correctly
 # rounded double of the integral, 0.443993816168079437823... by mpmath.quad.
 BUMP_INTEGRAL = 0.4439938161680794
+
+# a smooth shift h(u, v) of the log kernel; the mollified kernels call it on
+# numpy arrays that broadcast against each other
+Shift = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class MollifierProfile(enum.Enum):
@@ -65,17 +55,10 @@ class MollifierSpec:
         """rho_{delta,center}(u) = delta^-1 rho((u - center)/delta)."""
         return self.density((np.asarray(u, dtype=float) - center) / delta) / delta
 
-    def sample(self, stream: np.random.Generator, size: int) -> np.ndarray:
-        """Draw from the profile; used by Monte Carlo oracles in tests."""
-        if self.profile is MollifierProfile.TRIANGLE:
-            return stream.uniform(0, 1, size) + stream.uniform(0, 1, size) - 1.0
-        out = np.empty(0)
-        peak = self.density(np.array([0.0]))[0]
-        while out.size < size:
-            cand = stream.uniform(-1, 1, 2 * (size - out.size) + 16)
-            acc = stream.uniform(0, peak, cand.size) < self.density(cand)
-            out = np.concatenate([out, cand[acc]])
-        return out[:size]
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """Points of [-1, 1] where the profile is not smooth."""
+        return () if self.profile is MollifierProfile.BUMP else (-1.0, 0.0, 1.0)
 
 
 def circle_log_kernel(theta: float, x: float) -> float:
@@ -134,7 +117,7 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
     return out
 
 
-def euclid_kernel(x: float, y: float, h: Callable[[float, float], float] | None = None) -> float:
+def euclid_kernel(x: float, y: float, h: Shift | None = None) -> float:
     """-log|x - y| + h(x, y) on an interval; +inf at coincidence."""
     d = abs(x - y)
     shift = 0.0 if h is None else h(x, y)
@@ -143,62 +126,21 @@ def euclid_kernel(x: float, y: float, h: Callable[[float, float], float] | None 
     return -math.log(d) + shift
 
 
-def _quad_log(center: float, z: float, delta: float, rho: MollifierSpec) -> float:
-    """int -log|u - z| rho_{delta,center}(u) du with the singularity split out."""
-    lo, hi = center - delta, center + delta
-
-    def integrand(u):
-        return -math.log(abs(u - z)) * float(rho.scaled_density(u, delta, center))
-
-    if lo < z < hi:
-        a, _ = quad(integrand, lo, z, epsabs=QUAD_TOL, epsrel=0.0, limit=200)
-        b, _ = quad(integrand, z, hi, epsabs=QUAD_TOL, epsrel=0.0, limit=200)
-        return a + b
-    val, _ = quad(integrand, lo, hi, epsabs=QUAD_TOL, epsrel=0.0, limit=200)
-    return val
-
-
-def mollified_kernel(
-    x: float,
-    z: float,
-    delta: float,
-    rho: MollifierSpec,
-    h: Callable[[float, float], float] | None = None,
-    domain: tuple[float, float] | None = None,
-) -> float:
-    """Kernel of the field smoothed at x with scale delta against the point z:
-    int C(u, z) rho_{delta,x}(u) du.
-    """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0,1], got {delta}")
-    if domain is not None and (x - delta < domain[0] or x + delta > domain[1]):
-        raise ValueError("mollifier support escapes the working domain")
-    out = _quad_log(x, z, delta, rho)
-    if h is not None:
-        hv, _ = quad(
-            lambda u: h(u, z) * float(rho.scaled_density(u, delta, x)),
-            x - delta,
-            x + delta,
-            epsabs=QUAD_TOL,
-            epsrel=0.0,
-            limit=200,
-        )
-        out += hv
-    return out
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL2_NODES = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
 _conv_cache: dict = {}
 
-# the unit convolution density is tabulated on CONV_NODES points; its lattice
-# step divides that grid and puts CONV_MIN_POINTS on the narrower profile's
-# support, refining the grid step at most CONV_MAX_REFINE times
+# the bump's unit convolution density is tabulated on CONV_NODES points; its
+# lattice step divides that grid and puts CONV_MIN_POINTS on the narrower
+# profile's support, refining the grid step at most CONV_MAX_REFINE times
 CONV_NODES = 4097
 CONV_MIN_POINTS = 2049
 CONV_MAX_REFINE = 512
 # zero nodes added on each side before the periodic spline solve
 CONV_PAD = 32
+# equal Gauss-Legendre panels of the h-term rule on [-1, 1]
+H_PANELS = 32
 
 
 def _uniform_spline(lo: float, step: float, values: np.ndarray):
@@ -236,17 +178,39 @@ def _uniform_spline(lo: float, step: float, values: np.ndarray):
     return spline
 
 
-def _unit_conv_density(ratio: float, rho: MollifierSpec):
-    """Uniform cubic spline of S_r = rho * rho_r with rho_r(v) = rho(v/r)/r, r = ratio.
+def _triangle_conv(ratio: float, w) -> np.ndarray:
+    """S_r(w) = int rho(w - r s) rho(s) ds for the triangle rho, r = ratio.
 
-    S_r is supported on [-(1+r), 1+r] and tabulated on CONV_NODES points.
-    Both profiles are sampled on one lattice whose step h divides that grid's
-    step, each sample set is scaled to unit mass (h times its sum), and the
-    two are convolved by one numpy rfft/irfft product.  For the smooth bump
-    the lattice sum equals the integral to rounding.  The mass scaling keeps
-    S_r a probability density when r is so far from 1 that the refinement
-    cap leaves the narrower profile fewer than CONV_MIN_POINTS samples.
+    Between consecutive kinks s in {-1, 0, 1, (w-1)/r, w/r, (w+1)/r} the
+    integrand is a product of two linear functions, so 2-point Gauss-Legendre
+    on each piece is exact and nothing cancels at small r.
     """
+    tri = MollifierSpec(MollifierProfile.TRIANGLE).density
+    w = np.asarray(w, dtype=float)[..., None]
+    own = np.array([-1.0, 0.0, 1.0])
+    kinks = np.concatenate(np.broadcast_arrays(own, (w + own) / ratio), axis=-1)
+    cuts = np.sort(np.clip(kinks, -1.0, 1.0), axis=-1)
+    mid = 0.5 * (cuts[..., 1:] + cuts[..., :-1])
+    halfw = 0.5 * (cuts[..., 1:] - cuts[..., :-1])
+    s = mid[..., None] + halfw[..., None] * _GL2_NODES
+    return np.sum((tri(s) * tri(w[..., None] - ratio * s)).sum(axis=-1) * halfw, axis=-1)
+
+
+def _unit_conv_density(ratio: float, rho: MollifierSpec):
+    """S_r = rho * rho_r with rho_r(v) = rho(v/r)/r, r = ratio, as a function.
+
+    The triangle's is exact (_triangle_conv).  The bump's is a uniform cubic
+    spline: S_r is supported on [-(1+r), 1+r] and tabulated on CONV_NODES
+    points.  rho and rho_r are sampled on one lattice whose step h divides
+    that grid's step, each sample set is scaled to unit mass (h times its
+    sum), and the two are convolved by one numpy rfft/irfft product.  For
+    the smooth bump the lattice sum equals the integral to rounding.  The
+    mass scaling keeps S_r a probability density when r is so far from 1 that
+    the refinement cap leaves the narrower profile fewer than CONV_MIN_POINTS
+    samples.
+    """
+    if rho.profile is MollifierProfile.TRIANGLE:
+        return functools.partial(_triangle_conv, ratio)
     key = (ratio, rho.profile)
     hit = _conv_cache.get(key)
     if hit is not None:
@@ -306,15 +270,67 @@ def _refined_edges(lo: float, hi: float, special: list[float]) -> np.ndarray:
     return np.array(sorted(edges))
 
 
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on the given panels, one row per panel, and the
+    panels' half-widths as a column."""
+    halfw = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return 0.5 * (edges[:-1] + edges[1:])[:, None] + halfw * _GL_NODES, halfw
+
+
 def _panel_quad(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> float:
     """Fixed-order Gauss-Legendre over the given panels, vectorized."""
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    halfw = 0.5 * (b - a)[:, None]
-    x = mid + halfw * _GL_NODES[None, :]
+    x, halfw = _panel_nodes(edges)
     vals = f(x.ravel()).reshape(x.shape)
     return float(np.sum(vals @ _GL_WEIGHTS * halfw[:, 0]))
+
+
+def _log_integral(c: float, density, half: float, knots: list[float]) -> float:
+    """int -log|c + w| density(w) dw over [-half, half], on panels refined
+    dyadically toward the log singularity at w = -c and the density's knots."""
+
+    def integrand(w):
+        with np.errstate(divide="ignore"):
+            lg = np.log(np.abs(c + w))
+        return -np.where(np.isfinite(lg), lg, 0.0) * density(w)
+
+    return _panel_quad(integrand, _refined_edges(-half, half, [-c, *knots]))
+
+
+def _profile_rule(rho: MollifierSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s and weights of int g(s) rho(s) ds: H_PANELS equal panels on
+    [-1, 1], whose edges include the triangle's kinks, with the nodes where
+    the bump underflows to zero dropped."""
+    nodes, halfw = _panel_nodes(np.linspace(-1.0, 1.0, H_PANELS + 1))
+    weights = halfw * _GL_WEIGHTS * rho.density(nodes)
+    keep = weights > 0.0
+    return nodes[keep], weights[keep]
+
+
+def mollified_kernel(
+    x: float,
+    z: float,
+    delta: float,
+    rho: MollifierSpec,
+    h: Shift | None = None,
+    domain: tuple[float, float] | None = None,
+) -> float:
+    """Kernel of the field smoothed at x with scale delta against the point z:
+    int C(u, z) rho_{delta,x}(u) du.
+
+    The log part is the panel integral of -log|c + w| against rho_delta
+    (c = x - z); the h-term is a panel sum over rho_delta.
+    """
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0,1], got {delta}")
+    if domain is not None and (x - delta < domain[0] or x + delta > domain[1]):
+        raise ValueError("mollifier support escapes the working domain")
+    out = _log_integral(
+        x - z, lambda w: rho.scaled_density(w, delta, 0.0), delta, [delta * a for a in rho.kinks]
+    )
+    if h is not None:
+        nodes, weights = _profile_rule(rho)
+        out += float(np.sum(weights * h(x + delta * nodes, z)))
+    return out
 
 
 def doubly_mollified_kernel(
@@ -323,7 +339,7 @@ def doubly_mollified_kernel(
     delta: float,
     epsilon: float,
     rho: MollifierSpec,
-    h: Callable[[float, float], float] | None = None,
+    h: Shift | None = None,
     domain: tuple[float, float] | None = None,
 ) -> float:
     """Kernel smoothed at both arguments:
@@ -333,12 +349,15 @@ def doubly_mollified_kernel(
     the convolution density of the two mollifiers (c = x - z); the log
     singularity is handled by dyadically refined Gauss-Legendre panels.
     By the scale law q_{delta,epsilon}(w) = S_r(w/delta) / delta, r =
-    epsilon/delta, the density is a rescaled unit density that is built by
-    one FFT convolution per ratio r and profile, and cached.
-    Absolute accuracy, measured on the diagonal against mpmath: about 3e-14
-    for the bump, whose lattice convolution is exact to rounding, and about
-    4.4e-7 for the triangle, where the lattice sum is a trapezoid rule across
-    the profile's kinks.
+    epsilon/delta, the density is a rescaled unit density: for the bump a
+    spline built by one FFT convolution per ratio r and cached, for the
+    triangle an exact piecewise evaluation whose knots
+    delta * {0, +-r, +-1, +-|1-r|, +-(1+r)} are panel edges.  The h-term is
+    the tensor product of the h-term rule of mollified_kernel.
+    Absolute accuracy of the log part against mpmath: about 3e-14 for the
+    bump, where the lattice convolution is exact to rounding and the spline
+    is what is left, and about 2e-15 for the triangle, on and off the
+    diagonal.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0,1], got {delta}")
@@ -349,62 +368,24 @@ def doubly_mollified_kernel(
     if domain is not None and (z - epsilon < domain[0] or z + epsilon > domain[1]):
         raise ValueError("mollifier support escapes the working domain")
     density, half = _conv_density(delta, epsilon, rho)
-    c = x - z
-
-    def integrand(w):
-        with np.errstate(divide="ignore"):
-            lg = np.log(np.abs(c + w))
-        return -np.where(np.isfinite(lg), lg, 0.0) * density(w)
-
-    edges = _refined_edges(-half, half, [-c])
-    out = _panel_quad(integrand, edges)
-    lo, hi = z - epsilon, z + epsilon
+    knots = [delta * a + epsilon * b for a in rho.kinks for b in rho.kinks]
+    out = _log_integral(x - z, density, half, knots)
     if h is not None:
-        def outer_h(v):
-            inner, _ = quad(
-                lambda u: h(u, v) * float(rho.scaled_density(u, delta, x)),
-                x - delta,
-                x + delta,
-                epsabs=QUAD_TOL,
-                epsrel=0.0,
-                limit=200,
-            )
-            return inner * float(rho.scaled_density(v, epsilon, z))
-
-        hv, _ = quad(outer_h, lo, hi, epsabs=QUAD_TOL, epsrel=0.0, limit=200)
-        out += hv
+        nodes, weights = _profile_rule(rho)
+        shift = h((x + delta * nodes)[:, None], (z + epsilon * nodes)[None, :])
+        out += float(np.sum(np.outer(weights, weights) * shift))
     return out
 
 
-_kappa_cache: dict = {}
-
-
-def kappa(
-    x: float,
-    rho: MollifierSpec,
-    h: Callable[[float, float], float] | None = None,
-) -> float:
+def kappa(x: float, rho: MollifierSpec, h: Shift | None = None) -> float:
     """Diagonal constant of the doubly smoothed kernel:
     -int int log|v - u| rho(du) rho(dv) + h(x, x).
 
-    The double integral does not depend on x; it is computed once per
-    mollifier profile and cached.
+    The double integral does not depend on x: it is the doubly mollified
+    kernel at unit scales.
     """
-    val = _kappa_cache.get(rho.profile)
-    if val is None:
-        def outer(v):
-            def inner(u):
-                return -math.log(abs(u - v)) * float(rho.density(u))
-
-            a, _ = quad(inner, -1.0, v, epsabs=1e-10, epsrel=0.0, limit=200)
-            b, _ = quad(inner, v, 1.0, epsabs=1e-10, epsrel=0.0, limit=200)
-            return (a + b) * float(rho.density(v))
-
-        val, _ = quad(outer, -1.0, 1.0, epsabs=1e-9, epsrel=0.0, limit=200)
-        _kappa_cache[rho.profile] = val
-    if h is not None:
-        val += h(x, x)
-    return val
+    val = doubly_mollified_kernel(0.0, 0.0, 1.0, 1.0, rho)
+    return val if h is None else val + h(x, x)
 
 
 @dataclass
@@ -420,7 +401,7 @@ def assumption1_check(
     delta_list,
     epsilon_list,
     rho: MollifierSpec,
-    h: Callable[[float, float], float] | None = None,
+    h: Shift | None = None,
     domain: tuple[float, float] = (0.0, 1.0),
 ) -> Assumption1Report:
     """Max over grid pairs and scale pairs (epsilon <= delta) of

@@ -91,6 +91,8 @@ class ExperimentConfig:
                 problems.append(str(exc))
         if not 0.0 < self.eta < 1.0:
             problems.append(f"eta must lie in (0,1) (got {self.eta})")
+        if not math.isfinite(self.g_shift):
+            problems.append(f"g_shift must be finite (got {self.g_shift})")
         if self.ell is not None and self.ell < 1:
             problems.append(f"ell must be >= 1 (got {self.ell})")
         if self.kmax is not None and self.kmax < 1:
@@ -137,14 +139,16 @@ class ExperimentConfig:
         return measures.BarrierSpec.auto_depth(self.n, self.eta)
 
     @property
-    def effective_kmax(self) -> int:
+    def effective_kmax(self) -> int | None:
+        """kmax, defaulting to 2n for trace-cov and n for gaussian-gmc, the
+        experiments that read it."""
         if self.kmax is not None:
             return self.kmax
         if self.experiment is Experiment.TRACE_COVARIANCE:
             return 2 * self.n
         if self.experiment is Experiment.GAUSSIAN_GMC:
             return self.n
-        return min(int(math.ceil(math.exp(self.barrier_depth))), cue.TRACE_COST_GUARD * self.n)
+        return None
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Independent references used to pin the analytic code: a Weierstrass-product
 Barnes G, a Monte Carlo field sampler over the library's batched Szego
 routines, an mpmath Szego recursion, a long-double Szego coefficient
-recursion, a brute-force Simpson convolution density, the truncated field by
+recursion, a brute-force Simpson convolution density, a mollifier-profile
+sampler, the truncated field by
 one complex FFT per scale, the nu-mu barrier columns from one barrier mask
 per start level, and small-n dense oracles (a Gram-Schmidt Haar unitary, LU
 determinants, the CMV operator and its power traces).
@@ -30,6 +31,7 @@ from thickpoints.cue import (
     trace_powers,
     truncated_field,
 )
+from thickpoints.kernels import MollifierProfile, MollifierSpec
 from thickpoints.measures import BarrierSpec, ThickPointSpec, barrier_mask, thick_measure_integral
 from thickpoints.montecarlo import ExperimentConfig, replica_stream
 
@@ -156,6 +158,20 @@ def simpson_conv_density(delta: float, epsilon: float, rho):
     w = np.linspace(-half, half, 4097)
     vals = rho.scaled_density(w[:, None] + v[None, :], delta, 0.0) * rv[None, :]
     return CubicSpline(w, simpson(vals, x=v, axis=1)), half
+
+
+def sample_profile(rho: MollifierSpec, stream: np.random.Generator, size: int) -> np.ndarray:
+    """Draw from the profile: the triangle as a sum of two uniforms, the bump
+    by rejection."""
+    if rho.profile is MollifierProfile.TRIANGLE:
+        return stream.uniform(0, 1, size) + stream.uniform(0, 1, size) - 1.0
+    out = np.empty(0)
+    peak = rho.density(np.array([0.0]))[0]
+    while out.size < size:
+        cand = stream.uniform(-1, 1, 2 * (size - out.size) + 16)
+        acc = stream.uniform(0, peak, cand.size) < rho.density(cand)
+        out = np.concatenate([out, cand[acc]])
+    return out[:size]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import SQRT2, cmv_matrix, det_field_oracle, det_log_field, mc_field_at
+from conftest import SQRT2, cmv_matrix, det_field_oracle, det_log_field, mc_field_at, sample_profile
 from thickpoints.cue import eval_field, sample_verblunsky
 from thickpoints.kernels import (
     MollifierProfile,
@@ -181,7 +181,7 @@ def test_criterion_06_mollified_kernel_rates():
         rate_note = f"log-log slope {slope:.2f} (limit 0.8)"
     rng = np.random.default_rng(106)
     draws = 10_000_000
-    vals = -np.log(np.abs(BUMP.sample(rng, draws) - BUMP.sample(rng, draws)))
+    vals = -np.log(np.abs(sample_profile(BUMP, rng, draws) - sample_profile(BUMP, rng, draws)))
     se = float(vals.std(ddof=1) / math.sqrt(draws))
     kappa_sigmas = abs(float(vals.mean()) - kappa0) / se
     elapsed = time.monotonic() - started

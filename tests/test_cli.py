@@ -299,6 +299,14 @@ class TestMain:
         with pytest.raises(ConfigError):
             apply_overrides(cfg, argv[2::2])
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_g_shift_writes_no_file(self, value, tmp_path, capsys):
+        base = tmp_path / "out"
+        argv = ["nu-mu", "--set", "n=16", "--set", f"g_shift={value}", "-o", str(base)]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert "category=config invalid config: g_shift must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_value_error_while_running_is_a_runtime_error(self, monkeypatch, capsys):
         def failing_run(config):
             raise ValueError("replica blew up")
@@ -355,6 +363,23 @@ runs = [
 ]
 for argv in runs:
     assert cli.main([*argv, "-o", argv[0]]) == cli.EXIT_OK, argv
+
+import numpy as np
+from thickpoints.gaussian import CovarianceFactorization
+from thickpoints.kernels import (
+    MollifierProfile, MollifierSpec, doubly_mollified_kernel, kappa, mollified_kernel,
+)
+
+def h(u, v):
+    return np.cos(u - v)
+
+for profile in MollifierProfile:
+    rho = MollifierSpec(profile)
+    for shift in (None, h):
+        assert np.isfinite(kappa(0.5, rho, shift))
+        assert np.isfinite(mollified_kernel(0.5, 0.4, 0.125, rho, shift))
+        assert np.isfinite(doubly_mollified_kernel(0.5, 0.4, 0.125, 0.0625, rho, shift))
+    CovarianceFactorization(np.linspace(0.3, 0.7, 3), 0.125, rho, h)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

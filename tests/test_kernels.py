@@ -1,10 +1,11 @@
+import functools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from conftest import simpson_conv_density
+from conftest import sample_profile, simpson_conv_density
 from thickpoints.kernels import (
     BUMP_INTEGRAL,
     MollifierProfile,
@@ -26,21 +27,41 @@ BUMP = MollifierSpec(MollifierProfile.BUMP)
 TRIANGLE = MollifierSpec(MollifierProfile.TRIANGLE)
 
 
+def smooth_shift(u, v):
+    return np.sin(3.0 * u) * np.cos(2.0 * v) + np.exp(-u * v)
+
+
+# h-terms of smooth_shift, pinned from scipy's adaptive quad (absolute
+# tolerance 1e-9) as kernel(h) - kernel(None); mollified_kernel takes
+# (x, z, delta), doubly_mollified_kernel (x, z, delta, epsilon)
+PINNED_H_TERMS = [
+    (mollified_kernel, BUMP, (0.5, 0.3, 1.0 / 16.0), 1.6817141388284085),
+    (mollified_kernel, BUMP, (0.4, 0.4, 1.0 / 8.0), 1.4944792464663976),
+    (mollified_kernel, TRIANGLE, (0.5, 0.3, 1.0 / 16.0), 1.6815922372323928),
+    (mollified_kernel, TRIANGLE, (0.4, 0.4, 1.0 / 8.0), 1.4941051364343858),
+    (doubly_mollified_kernel, BUMP, (0.4, 0.45, 1.0 / 16.0, 1.0 / 32.0), 1.412910503785492),
+    (doubly_mollified_kernel, BUMP, (0.5, 0.5, 1.0 / 8.0, 1.0 / 8.0), 1.309634850515589),
+    (doubly_mollified_kernel, TRIANGLE, (0.4, 0.45, 1.0 / 16.0, 1.0 / 32.0), 1.412817574974405),
+    (doubly_mollified_kernel, TRIANGLE, (0.5, 0.5, 1.0 / 8.0, 1.0 / 8.0), 1.309203342089544),
+]
+
+
+def mp_rho(profile: MollifierProfile):
+    """The profile's density in mpmath, at the working precision."""
+    if profile is MollifierProfile.BUMP:
+        mass = mpmath.quad(lambda u: mpmath.exp(-1 / (1 - u * u)), [-1, 0, 1])
+        return lambda u: mpmath.exp(-1 / (1 - u * u)) / mass if abs(u) < 1 else mpmath.mpf(0)
+    return lambda u: max(1 - abs(u), mpmath.mpf(0))
+
+
+@functools.cache
 def mp_kappa(profile: MollifierProfile) -> float:
     """-int int log|u - v| rho(u) rho(v) du dv by mpmath, in the one-dimensional
     form -2 int_0^2 log(w) (rho * rho)(w) dw.  At 16 digits it agrees with a
     20-digit run to 1e-16 (bump 1.1739085958938038615, triangle
     1.1591370925867395874)."""
     with mpmath.workdps(16):
-        if profile is MollifierProfile.BUMP:
-            mass = mpmath.quad(lambda u: mpmath.exp(-1 / (1 - u * u)), [-1, 1])
-
-            def rho(u):
-                return mpmath.exp(-1 / (1 - u * u)) / mass if abs(u) < 1 else mpmath.mpf(0)
-        else:
-
-            def rho(u):
-                return max(1 - abs(u), mpmath.mpf(0))
+        rho = mp_rho(profile)
 
         # the triangle's kinks at u = 0 and u = w split the inner integral
         def conv(w):
@@ -48,6 +69,46 @@ def mp_kappa(profile: MollifierProfile) -> float:
             return mpmath.quad(lambda u: rho(u) * rho(u - w), edges)
 
         return float(-2 * mpmath.quad(lambda w: mpmath.log(w) * conv(w), [0, 1, 2]))
+
+
+def mp_mollified_kernel(x: float, z: float, delta: float, profile: MollifierProfile) -> float:
+    """int -log|u - z| rho_{delta,x}(u) du by mpmath in one dimension, split
+    at the profile's centre and at z."""
+    with mpmath.workdps(30):
+        rho = mp_rho(profile)
+        x, z, delta = mpmath.mpf(x), mpmath.mpf(z), mpmath.mpf(delta)
+        edges = sorted({x - delta, x, x + delta, *([z] if abs(z - x) < delta else [])})
+        return float(mpmath.quad(lambda u: -mpmath.log(abs(u - z)) * rho((u - x) / delta) / delta,
+                                 edges))
+
+
+def mp_triangle_doubly(c: float, delta: float, epsilon: float) -> float:
+    """int int -log|c + delta s - epsilon t| rho(s) rho(t) ds dt for the
+    triangle rho by mpmath: the s integral in closed form from the
+    antiderivatives of log|y| and y log|y|, the t integral by quadrature split
+    wherever c + delta s - epsilon t vanishes at a kink s in {-1, 0, 1}."""
+    with mpmath.workdps(30):
+        c, delta, epsilon = mpmath.mpf(c), mpmath.mpf(delta), mpmath.mpf(epsilon)
+
+        def g1(y):
+            return y * mpmath.log(abs(y)) - y if y else mpmath.mpf(0)
+
+        def g2(y):
+            return y * y * mpmath.log(abs(y)) / 2 - y * y / 4 if y else mpmath.mpf(0)
+
+        def inner(t):
+            a = c - epsilon * t
+            total = mpmath.mpf(0)
+            # weight 1 + beta s on s in [s0, s1], with y = a + delta s
+            for s0, s1, beta in ((-1, 0, 1), (0, 1, -1)):
+                y0, y1 = a + delta * s0, a + delta * s1
+                total -= ((1 - beta * a / delta) * (g1(y1) - g1(y0))
+                          + beta / delta * (g2(y1) - g2(y0))) / delta
+            return total * (1 - abs(t))
+
+        cuts = {mpmath.mpf(-1), mpmath.mpf(0), mpmath.mpf(1)}
+        cuts |= {t for t in ((c + delta * s) / epsilon for s in (-1, 0, 1)) if -1 < t < 1}
+        return float(mpmath.quad(inner, sorted(cuts)))
 
 
 class TestMollifierSpec:
@@ -69,7 +130,7 @@ class TestMollifierSpec:
     @pytest.mark.parametrize("rho", [BUMP, TRIANGLE])
     def test_sampler_matches_density(self, rho):
         rng = np.random.default_rng(42)
-        draws = rho.sample(rng, 200_000)
+        draws = sample_profile(rho, rng, 200_000)
         assert np.all(np.abs(draws) <= 1.0)
         hist, edges = np.histogram(draws, bins=50, range=(-1, 1), density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -185,6 +246,23 @@ class TestMollifiedKernel:
         with pytest.raises(ValueError):
             mollified_kernel(0.05, 0.5, 0.1, BUMP, domain=(0.0, 1.0))
 
+    @pytest.mark.parametrize("rho", [BUMP, TRIANGLE], ids=["bump", "triangle"])
+    @pytest.mark.parametrize(
+        "x, z, delta",
+        [
+            (0.5, 0.5, 1.0 / 16.0),  # z at the centre
+            (0.5, 0.5 + 0.37 / 16.0, 1.0 / 16.0),  # inside the support
+            (0.5, 0.5 - 0.6 / 8.0, 1.0 / 8.0),
+            (0.5, 0.5 + 1.0 / 16.0, 1.0 / 16.0),  # at its edge
+            (0.5, 0.2, 1.0 / 16.0),  # far away
+        ],
+        ids=["centre", "inside", "inside-left", "edge", "far"],
+    )
+    def test_against_mpmath(self, rho, x, z, delta):
+        # measured at most 1.8e-15
+        reference = mp_mollified_kernel(x, z, delta, rho.profile)
+        assert abs(mollified_kernel(x, z, delta, rho) - reference) <= 1e-12
+
 
 class TestConvDensity:
     @pytest.mark.parametrize(
@@ -268,20 +346,22 @@ class TestDoublyMollifiedKernel:
             got = doubly_mollified_kernel(0.5, 0.5, eps, eps, BUMP)
             assert got == pytest.approx(math.log(1.0 / eps) + k, abs=1e-8)
 
-    @pytest.mark.parametrize(
-        "rho, budget",
-        # the bump's lattice convolution is exact to rounding (measured
-        # 3e-14); the triangle's is a trapezoid rule across its kinks
-        # (measured 4.4069e-7 at every delta)
-        [(BUMP, 1e-12), (TRIANGLE, 1e-6)],
-        ids=["bump", "triangle"],
-    )
-    def test_diagonal_against_mpmath(self, rho, budget):
+    # the bump's lattice convolution is exact to rounding (measured 3e-14);
+    # the triangle's convolution is evaluated exactly (measured 1.6e-15)
+    @pytest.mark.parametrize("rho", [BUMP, TRIANGLE], ids=["bump", "triangle"])
+    def test_diagonal_against_mpmath(self, rho):
         # C_{delta,delta}(x,x) = log(1/delta) + kappa by scale invariance
         reference = mp_kappa(rho.profile)
         for delta in (1.0, 0.5, 0.125):
             got = doubly_mollified_kernel(0.3, 0.3, delta, delta, rho)
-            assert abs(got - math.log(1.0 / delta) - reference) <= budget
+            assert abs(got - math.log(1.0 / delta) - reference) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [1.0 / 32.0, 0.37, 0.5])
+    @pytest.mark.parametrize("c", [0.0, 0.03, 0.09, 0.3])
+    def test_triangle_off_diagonal_against_mpmath(self, ratio, c):
+        delta = 1.0 / 8.0
+        got = doubly_mollified_kernel(0.5 + c, 0.5, delta, ratio * delta, TRIANGLE)
+        assert abs(got - mp_triangle_doubly(c, delta, ratio * delta)) <= 1e-12
 
     def test_cross_scale_error_is_controlled(self):
         # |C_{delta,eps} - C_delta| <= C (eps/delta) log(1/delta) with C <= 10
@@ -295,7 +375,18 @@ class TestDoublyMollifiedKernel:
                     assert diff <= 10.0 * (eps / delta) * math.log(1.0 / delta)
 
 
+@pytest.mark.parametrize("kernel, rho, args, pinned", PINNED_H_TERMS)
+def test_h_term_against_pinned_quad(kernel, rho, args, pinned):
+    # measured at most 3.6e-15
+    got = kernel(*args, rho, smooth_shift) - kernel(*args, rho)
+    assert abs(got - pinned) <= 1e-9
+
+
 class TestKappa:
+    @pytest.mark.parametrize("rho", [BUMP, TRIANGLE], ids=["bump", "triangle"])
+    def test_against_mpmath(self, rho):
+        assert abs(kappa(0.5, rho) - mp_kappa(rho.profile)) <= 1e-12
+
     def test_triangle_against_monte_carlo(self):
         got = kappa(0.5, TRIANGLE)
         rng = np.random.default_rng(2)

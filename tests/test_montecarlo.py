@@ -106,6 +106,19 @@ class TestConfigValidation:
         replace(cfg, ell=6, L=5).validate()
         replace(cfg, L=1000, ell=1001).validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_g_shift_must_be_finite(self, value):
+        cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, n=16, g_shift=value)
+        with pytest.raises(ValueError, match="g_shift must be finite"):
+            cfg.validate()
+
+    def test_effective_kmax_defaults(self):
+        assert ExperimentConfig(Experiment.TRACE_COVARIANCE, n=8).effective_kmax == 16
+        assert ExperimentConfig(Experiment.GAUSSIAN_GMC, n=8).effective_kmax == 8
+        assert ExperimentConfig(Experiment.GAUSSIAN_GMC, kmax=5).effective_kmax == 5
+        # no other experiment reads it, so a deep barrier must not overflow it
+        assert ExperimentConfig(Experiment.NU_MU_DISCREPANCY, L=1000).effective_kmax is None
+
 
 class TestRunExperiment:
     def test_replica_count_and_sorted_indices(self):
