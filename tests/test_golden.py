@@ -1,5 +1,6 @@
 """Golden values: fixed-seed outputs pinned to 1e-12 relative, so that a
-refactor of the Szego evaluators or the samplers cannot drift silently."""
+refactor of the Szego evaluators, the samplers or the grid synthesis cannot
+drift silently."""
 
 import numpy as np
 
@@ -44,3 +45,37 @@ def test_eval_field_grids():
         0.12407329251888004, -1.8894459078784005, -3.824500526131065, 1.457828628502635,
     ]
     np.testing.assert_allclose(eval_field(c, 128).values[::16], fft, rtol=RTOL, atol=0.0)
+
+
+def test_nu_mu_barrier_columns():
+    # 20 modes on a 32-point grid: modes 17-20 are folded and the Nyquist
+    # mode is doubled in the truncated-field synthesis
+    config = ExperimentConfig(
+        Experiment.NU_MU_DISCREPANCY, n=8, grid_factor=4, ell=1, L=3, replicas=4
+    )
+    records, _ = run_experiment(config)
+    want = {
+        "nu_barrier_violation_l1": [
+            0.5329980210687831, 0.5329980210687831, 0.7328722789695769, 0.5329980210687831,
+        ],
+        "nu_barrier_violation_l2": [
+            0.3331237631679895, 0.3997485158015874, 0.5329980210687831, 0.4663732684351853,
+        ],
+        "nu_barrier_violation_l3": [
+            0.26649901053439157, 0.3331237631679895, 0.3997485158015874, 0.13324950526719578,
+        ],
+        "nu": [0.5329980210687831, 0.5329980210687831, 0.7328722789695769, 0.7328722789695769],
+        "mu": [0.9844461903002463, 1.0679825836131673, 1.0148320742038146, 0.9436980039421252],
+    }
+    for name, values in want.items():
+        got = [r.scalars[name] for r in records]
+        np.testing.assert_allclose(got, values, rtol=RTOL, atol=0.0, err_msg=name)
+
+
+def test_gaussian_gmc_mass_odd_grid():
+    # kmax=7 on an odd grid of 35 points: no Nyquist mode
+    config = ExperimentConfig(Experiment.GAUSSIAN_GMC, kmax=7, grid_factor=5, replicas=4)
+    records, _ = run_experiment(config)
+    got = [r.scalars["gmc_mass"] for r in records]
+    want = [1.0488756890702826, 0.8553437029853983, 1.0514988129775775, 0.9961558698838396]
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
