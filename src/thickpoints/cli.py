@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import __version__
 from .cue import eval_field, sample_verblunsky
@@ -33,13 +34,23 @@ EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
 EXIT_RUNTIME_ERROR = 4
 
-_SUBCOMMAND_EXPERIMENTS = {
-    "verify-moments": Experiment.MOMENT_CHECK,
-    "trace-cov": Experiment.TRACE_COVARIANCE,
-    "fk-test": Experiment.FK_TEST,
-    "nu-mu": Experiment.NU_MU_DISCREPANCY,
-    "gaussian-gmc": Experiment.GAUSSIAN_GMC,
-    "kernel-check": Experiment.KERNEL_CHECKS,
+# subcommand -> (experiment whose config it reads, help text); sample draws
+# fields with the moment-check config instead of running replicas
+_SUBCOMMANDS = {
+    "sample": (Experiment.MOMENT_CHECK, "draw field samples and write them as CSV"),
+    "verify-moments": (
+        Experiment.MOMENT_CHECK, "Monte Carlo check of the exact finite-N moment formula"
+    ),
+    "trace-cov": (
+        Experiment.TRACE_COVARIANCE, "empirical covariance of power traces against min(k, N)"
+    ),
+    "fk-test": (Experiment.FK_TEST, "normalized thick-point mass against the limiting law"),
+    "nu-mu": (
+        Experiment.NU_MU_DISCREPANCY,
+        "thick-point vs exponential measure discrepancy (and barrier)",
+    ),
+    "gaussian-gmc": (Experiment.GAUSSIAN_GMC, "normalized Gaussian chaos mass and stability"),
+    "kernel-check": (Experiment.KERNEL_CHECKS, "deterministic kernel bound checks"),
 }
 
 _KEY_HELP = {
@@ -148,20 +159,8 @@ def emit(records: list[ReplicaRecord], summary: Summary, config: ExperimentConfi
             writer.writerow(
                 [rec.replica_index, rec.derived_seed, *(_fmt(rec.scalars[k]) for k in names)]
             )
-    config_echo = {
-        "experiment": config.experiment.value,
-        "n": config.n,
-        "grid_factor": config.grid_factor,
-        "gamma": config.gamma,
-        "convention": config.convention.value,
-        "eta": config.eta,
-        "ell": config.ell,
-        "L": config.L,
-        "kmax": config.kmax,
-        "replicas": config.replicas,
-        "master_seed": config.master_seed,
-        "g_shift": config.g_shift,
-    }
+    echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "output_path"}
+    config_echo = {k: v.value if isinstance(v, enum.Enum) else v for k, v in echo.items()}
     payload = {
         "config_echo": config_echo,
         "estimates": {
@@ -233,16 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    descriptions = {
-        "sample": "draw field samples and write them as CSV",
-        "verify-moments": "Monte Carlo check of the exact finite-N moment formula",
-        "trace-cov": "empirical covariance of power traces against min(k, N)",
-        "fk-test": "normalized thick-point mass against the limiting law",
-        "nu-mu": "thick-point vs exponential measure discrepancy (and barrier)",
-        "gaussian-gmc": "normalized Gaussian chaos mass and stability",
-        "kernel-check": "deterministic kernel bound checks",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=desc, description=desc)
         _add_common(sub)
     return parser
@@ -252,14 +242,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        experiment, _ = _SUBCOMMANDS[args.subcommand]
+        config = _load_config(args, experiment)
         if args.subcommand == "sample":
-            config = _load_config(args, Experiment.MOMENT_CHECK)
-            base = config.output_path or "sample"
-            path = _emit_sample(config, base)
+            path = _emit_sample(config, config.output_path or "sample")
             print(f"wrote {path}")
             return EXIT_OK
-        experiment = _SUBCOMMAND_EXPERIMENTS[args.subcommand]
-        config = _load_config(args, experiment)
         records, summary = run_experiment(config)
         print(f"completed {config.replicas} replicas of {experiment.value}")
         base = config.output_path or experiment.value

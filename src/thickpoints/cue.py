@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import real_fourier_grid
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -321,11 +323,10 @@ def truncated_fields(traces: TraceVector, deltas, grid_size: int) -> np.ndarray:
     """Fourier-truncated fields X_{N,delta} on the uniform grid, one row per delta:
     -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}.
 
-    Every row comes from one real inverse FFT of a (len(deltas), grid_size//2 + 1)
-    half spectrum holding conj(Tr U^k)/k; a mode above grid_size/2 is folded onto
-    grid_size - k.  numpy transforms the rows independently, so each row is bit
-    for bit the one its delta gives alone.  Each delta must lie in (0, 1], with
-    at least floor(1/delta) traces and a grid finer than that.
+    All rows come from one batched real inverse FFT of conj(Tr U^k)/k
+    (kernels.real_fourier_grid), and each row is bit for bit the one its
+    delta gives alone.  Each delta must lie in (0, 1], with at least
+    floor(1/delta) traces and a grid finer than that.
     """
     kmaxes = []
     for delta in deltas:
@@ -340,17 +341,7 @@ def truncated_fields(traces: TraceVector, deltas, grid_size: int) -> np.ndarray:
     k = np.arange(1, max(kmaxes, default=0) + 1)
     # row j keeps the modes k <= kmaxes[j]
     modes = np.where(k <= np.array(kmaxes)[:, None], np.conj(traces.traces[: k.size]) / k, 0.0)
-    # on the grid, Re sum_k c_k e^{ik theta} is irfft(spec, M) * M / 2 once a
-    # c_k above M/2 is moved to the conjugate mode M - k and the Nyquist mode,
-    # which irfft halves, is doubled
-    half = grid_size // 2
-    spec = np.zeros((len(kmaxes), half + 1), dtype=np.complex128)
-    low = k <= half
-    spec[:, k[low]] = modes[:, low]
-    spec[:, grid_size - k[~low]] += np.conj(modes[:, ~low])
-    if grid_size % 2 == 0:
-        spec[:, half] *= 2.0
-    values = np.fft.irfft(spec, grid_size)
+    values = real_fourier_grid(modes, grid_size)
     values *= -0.5 * SQRT2 * grid_size
     return values
 

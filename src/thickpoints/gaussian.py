@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import MollifierSpec, Shift, doubly_mollified_kernel
+from .kernels import MollifierSpec, Shift, doubly_mollified_kernel, real_fourier_grid
 
 
 @dataclass(frozen=True)
@@ -49,19 +49,9 @@ def sample_circle_field(
         raise ValueError(f"grid_size must exceed kmax for alias-free synthesis, got {grid_size}")
     a = stream.standard_normal(kmax)
     b = stream.standard_normal(kmax)
-    # A cos + B sin = Re((A - iB) e^{ik theta}), and irfft(spec, M) * M / 2
-    # is Re sum_k spec_k e^{ik theta} on the grid, with the Nyquist mode halved
-    k = np.arange(1, kmax + 1)
-    coeff = (a - 1j * b) / np.sqrt(k)
-    half = grid_size // 2
-    spec = np.zeros(half + 1, dtype=np.complex128)
-    low = k <= half
-    spec[k[low]] = coeff[low]
-    # on the grid a mode above half equals the conjugate mode M - k
-    spec[grid_size - k[~low]] += np.conj(coeff[~low])
-    if grid_size % 2 == 0:
-        spec[half] *= 2.0
-    values = np.fft.irfft(spec, grid_size) * (0.5 * grid_size)
+    # A cos + B sin = Re((A - iB) e^{ik theta})
+    coeff = (a - 1j * b) / np.sqrt(np.arange(1, kmax + 1))
+    values = real_fourier_grid(coeff, grid_size) * (0.5 * grid_size)
     return GaussianCircleField(kmax, values)
 
 

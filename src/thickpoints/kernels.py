@@ -1,9 +1,9 @@
 """Deterministic covariance-kernel evaluations.
 
 Exact log kernels on the circle and on an interval, truncated Fourier kernels,
-and mollified kernels by Gauss-Legendre panel quadrature, together with
-numeric checks of the bounded-deviation estimates they are supposed to
-satisfy.
+real Fourier series on the uniform circle grid, and mollified kernels by
+Gauss-Legendre panel quadrature, together with numeric checks of the
+bounded-deviation estimates they are supposed to satisfy.
 
 Distances on the circle are always the chord 2|sin(delta/2)|, never arc length.
 """
@@ -61,24 +61,43 @@ class MollifierSpec:
         return () if self.profile is MollifierProfile.BUMP else (-1.0, 0.0, 1.0)
 
 
+def circle_chord(x1: float, x2: float) -> float:
+    """|e^{ix1} - e^{ix2}| computed as 2|sin((x1-x2)/2)| to avoid cancellation."""
+    return 2.0 * abs(math.sin(0.5 * (x1 - x2)))
+
+
 def circle_log_kernel(theta: float, x: float) -> float:
     """-log|e^{i theta} - e^{ix}| = -log(2|sin((theta-x)/2)|).
 
     Returns +inf at coincident angles.
     """
-    chord = 2.0 * abs(math.sin(0.5 * (theta - x)))
+    chord = circle_chord(theta, x)
     if chord == 0.0:
         return math.inf
     return -math.log(chord)
 
 
-def circle_truncated_kernel(theta: float, x: float, kmax: int) -> float:
-    """Fourier-truncated circle kernel sum_{k=1}^{kmax} cos(k(theta-x))/k."""
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    delta = theta - x
-    k = np.arange(1, kmax + 1, dtype=np.float64)
-    return float(math.fsum((np.cos(k * delta) / k).tolist()))
+def real_fourier_grid(modes: np.ndarray, grid_size: int) -> np.ndarray:
+    """Re sum_{k>=1} modes[..., k-1] e^{ik theta} at theta = 2 pi j / grid_size,
+    up to the factor grid_size / 2, which the caller applies; one real inverse
+    FFT per row.
+
+    irfft(spec, M) * M / 2 is Re sum_k spec_k e^{ik theta} on the grid once a
+    mode above M/2 is moved to the conjugate mode M - k and the Nyquist mode,
+    which irfft halves, is doubled.  numpy transforms the rows independently,
+    so each row is bit for bit the one it gives alone.  Needs fewer modes
+    than grid points.
+    """
+    kmax = modes.shape[-1]
+    half = grid_size // 2
+    spec = np.zeros(modes.shape[:-1] + (half + 1,), dtype=np.complex128)
+    spec[..., 1 : min(kmax, half) + 1] = modes[..., :half]
+    if kmax > half:
+        # modes k = kmax, ..., half + 1 land on M - k = M - kmax, ..., M - half - 1
+        spec[..., grid_size - kmax : grid_size - half] += np.conj(modes[..., : half - 1 : -1])
+    if grid_size % 2 == 0:
+        spec[..., half] *= 2.0
+    return np.fft.irfft(spec, grid_size)
 
 
 def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.ndarray:
@@ -252,11 +271,13 @@ def _conv_density(delta: float, epsilon: float, rho: MollifierSpec):
     return (lambda w: unit(w / delta) / delta), delta + epsilon
 
 
-def _refined_edges(lo: float, hi: float, special: list[float]) -> np.ndarray:
-    """Panel edges on [lo, hi], refined dyadically toward each special point."""
-    edges = {lo, hi}
+def _refined_edges(lo: float, hi: float, special: float, knots: list[float]) -> np.ndarray:
+    """Panel edges on [lo, hi]: the knots inside it as plain edges, and edges
+    refined dyadically toward both ends and toward the special point if it
+    lies inside."""
+    edges = {lo, hi, *(k for k in knots if lo < k < hi)}
     scale = hi - lo
-    points = [p for p in special if lo < p < hi] + [lo, hi]
+    points = ([special] if lo < special < hi else []) + [lo, hi]
     for p in points:
         for side in (lo, hi):
             gap = abs(side - p)
@@ -286,14 +307,15 @@ def _panel_quad(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> flo
 
 def _log_integral(c: float, density, half: float, knots: list[float]) -> float:
     """int -log|c + w| density(w) dw over [-half, half], on panels refined
-    dyadically toward the log singularity at w = -c and the density's knots."""
+    dyadically toward the log singularity at w = -c.  The density's knots,
+    where it is only piecewise smooth, are added as plain panel edges."""
 
     def integrand(w):
         with np.errstate(divide="ignore"):
             lg = np.log(np.abs(c + w))
         return -np.where(np.isfinite(lg), lg, 0.0) * density(w)
 
-    return _panel_quad(integrand, _refined_edges(-half, half, [-c, *knots]))
+    return _panel_quad(integrand, _refined_edges(-half, half, -c, knots))
 
 
 def _profile_rule(rho: MollifierSpec) -> tuple[np.ndarray, np.ndarray]:

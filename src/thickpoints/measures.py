@@ -9,7 +9,6 @@ comparable with the deterministic normalizers.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -25,34 +24,31 @@ from .special_fn import (
 )
 
 
-class DenominatorMode(enum.Enum):
-    ASYMPTOTIC_FORMULA = "asymptotic"
-    SUPPLIED_VALUE = "supplied"
-
-
 @dataclass(frozen=True)
 class ThickPointSpec:
     """Parameters of the thick-point measure.
 
-    g is the tuneable shift (scalar or per-grid-point vector, default 0); the
-    denominator defaults to the moderate-deviation asymptotic, with an option
-    to supply an externally estimated exact probability.
+    g is the tuneable shift (scalar or per-grid-point vector, default 0).  The
+    denominator is the moderate-deviation asymptotic unless an externally
+    estimated exact probability in (0, 1] is supplied.
     """
 
     gamma: float
     convention: GammaConvention = GammaConvention.THEOREM
     g: float | np.ndarray = 0.0
-    denominator_mode: DenominatorMode = DenominatorMode.ASYMPTOTIC_FORMULA
     supplied_denominator: float | None = None
+
+    def __post_init__(self):
+        p = self.supplied_denominator
+        if p is not None and not 0.0 < p <= 1.0:
+            raise ValueError(f"supplied denominator must be a probability in (0,1], got {p}")
 
     @property
     def gamma_theorem(self) -> float:
         return to_theorem_scale(self.gamma, self.convention)
 
     def denominator(self, n: int) -> float:
-        if self.denominator_mode is DenominatorMode.SUPPLIED_VALUE:
-            if self.supplied_denominator is None or self.supplied_denominator <= 0.0:
-                raise ValueError("supplied denominator must be a positive probability")
+        if self.supplied_denominator is not None:
             return self.supplied_denominator
         return thickpoint_prob_asymptotic(n, self.gamma, self.convention)
 

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .kernels import circle_chord, circle_truncated_kernel_grid
+
 SQRT2 = math.sqrt(2.0)
 
 # Glaisher-Kinkelin constant, 30 significant digits.
@@ -263,22 +265,12 @@ def fk_normalizer(n: int, gamma: float) -> float:
     """Deterministic denominator of the Fyodorov-Keating mass ratio.
 
     N^{-gamma^2} (pi log N)^{-1/2} G(1+gamma)^2 / (2 gamma G(1+2 gamma))
-    / Gamma(1-gamma^2), with gamma on the conjecture scale (0,1).
+    / Gamma(1-gamma^2), with gamma on the conjecture scale (0,1).  Since
+    Psi(sqrt(2) gamma) = G(1+gamma)^2 / G(1+2 gamma), this is the thick-point
+    probability at conjecture-scale gamma over Gamma(1-gamma^2).
     """
-    if n < 2:
-        raise ValueError(f"need N >= 2, got {n}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"conjecture-scale gamma must lie in (0,1), got {gamma}")
-    logn = math.log(n)
-    logval = (
-        -gamma * gamma * logn
-        - 0.5 * math.log(math.pi * logn)
-        + 2.0 * log_barnes_g(1.0 + gamma).real
-        - math.log(2.0 * gamma)
-        - log_barnes_g(1.0 + 2.0 * gamma).real
-        - log_gamma(1.0 - gamma * gamma).real
-    )
-    return math.exp(logval)
+    prob = thickpoint_prob_asymptotic(n, gamma, GammaConvention.CONJECTURE)
+    return prob / math.gamma(1.0 - gamma * gamma)
 
 
 def frechet_pdf(x: float, gamma: float) -> float:
@@ -309,32 +301,15 @@ def frechet_ppf(u: float, gamma: float) -> float:
     return (-math.log(u)) ** (-gamma * gamma)
 
 
-def circle_chord(x1: float, x2: float) -> float:
-    """|e^{ix1} - e^{ix2}| computed as 2|sin((x1-x2)/2)| to avoid cancellation."""
-    return 2.0 * abs(math.sin(0.5 * (x1 - x2)))
-
-
 def two_point_moment_asymptotic(
     n: int, zeta1: complex, zeta2: complex, x1: float, x2: float
 ) -> complex:
     """Predicted E[e^{zeta1 X_N(x1) + zeta2 X_N(x2)}] for distinct angles:
 
-    Psi(zeta1) Psi(zeta2) N^{(zeta1^2+zeta2^2)/2} |e^{ix1}-e^{ix2}|^{-zeta1 zeta2}.
+    Psi(zeta1) Psi(zeta2) N^{(zeta1^2+zeta2^2)/2} |e^{ix1}-e^{ix2}|^{-zeta1 zeta2},
+    the joint moment with no smoothed values.
     """
-    if n < 1:
-        raise ValueError(f"need N >= 1, got {n}")
-    chord = circle_chord(x1, x2)
-    if chord == 0.0:
-        raise ValueError("two_point_moment_asymptotic requires x1 != x2 mod 2 pi")
-    zeta1 = complex(zeta1)
-    zeta2 = complex(zeta2)
-    logval = (
-        log_psi(zeta1)
-        + log_psi(zeta2)
-        + 0.5 * (zeta1 * zeta1 + zeta2 * zeta2) * math.log(n)
-        - zeta1 * zeta2 * math.log(chord)
-    )
-    return complex(np.exp(logval))
+    return joint_moment_asymptotic(n, zeta1, zeta2, x1, x2, [], [], [])
 
 
 def joint_moment_asymptotic(
@@ -352,13 +327,14 @@ def joint_moment_asymptotic(
 
     The circle covariance integrals reduce to finite cosine sums: smoothing at
     scale delta keeps Fourier modes k <= 1/delta, and the coarser scale wins
-    when two smoothed values are paired.
+    when two smoothed values are paired.  All of them come from one call of
+    circle_truncated_kernel_grid.
     """
-    from .kernels import circle_truncated_kernel
-
+    if n < 1:
+        raise ValueError(f"need N >= 1, got {n}")
     chord = circle_chord(x1, x2)
     if chord == 0.0:
-        raise ValueError("joint_moment_asymptotic requires x1 != x2 mod 2 pi")
+        raise ValueError("the moment asymptotics require x1 != x2 mod 2 pi")
     xi = np.asarray(xi, dtype=float)
     delta = np.asarray(delta, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -368,7 +344,6 @@ def joint_moment_asymptotic(
         raise ValueError("all scales must lie in (0,1]")
     zeta1 = complex(zeta1)
     zeta2 = complex(zeta2)
-    kmaxes = np.floor(1.0 / delta).astype(int)
 
     logval = (
         log_psi(zeta1)
@@ -376,16 +351,22 @@ def joint_moment_asymptotic(
         + 0.5 * (zeta1 * zeta1 + zeta2 * zeta2) * math.log(n)
         - zeta1 * zeta2 * math.log(chord)
     )
-    # cross terms zeta_i * int C_X(x_i, .) f
-    for xj, zj, kj in zip(xi, z, kmaxes):
-        ker1 = circle_truncated_kernel(x1, float(zj), int(kj))
-        ker2 = circle_truncated_kernel(x2, float(zj), int(kj))
-        logval += zeta1 * xj * ker1 + zeta2 * xj * ker2
-    # (1/2) E<X, f>^2, pairwise truncated kernels at the coarser scale
-    quad = 0.0
-    for j in range(len(xi)):
-        for l in range(len(xi)):
-            kj = int(min(kmaxes[j], kmaxes[l]))
-            quad += xi[j] * xi[l] * circle_truncated_kernel(float(z[j]), float(z[l]), kj)
-    logval += 0.5 * quad
+    if xi.size:
+        # ker[r, i, l]: the kernel at order orders[r] between the angle
+        # (x1, x2, z_0, z_1, ...)[i] and z_l; orders ascend, so the coarser of
+        # two scales has the smaller row
+        kmaxes = np.floor(1.0 / delta).astype(int)
+        orders = sorted(set(kmaxes.tolist()))
+        rows = np.searchsorted(orders, kmaxes)
+        seps = np.concatenate([[x1, x2], z])[:, None] - z
+        ker = circle_truncated_kernel_grid(seps.ravel(), orders).reshape(len(orders), *seps.shape)
+        # cross terms zeta_i * int C_X(x_i, .) f
+        for j, (xj, rj) in enumerate(zip(xi, rows)):
+            logval += zeta1 * xj * ker[rj, 0, j] + zeta2 * xj * ker[rj, 1, j]
+        # (1/2) E<X, f>^2, pairwise truncated kernels at the coarser scale
+        quad = 0.0
+        for j in range(len(xi)):
+            for l in range(len(xi)):
+                quad += xi[j] * xi[l] * ker[min(rows[j], rows[l]), 2 + j, l]
+        logval += 0.5 * quad
     return complex(np.exp(logval))

@@ -3,10 +3,10 @@
 Independent references used to pin the analytic code: a Weierstrass-product
 Barnes G, a Monte Carlo field sampler over the library's batched Szego
 routines, an mpmath Szego recursion, a long-double Szego coefficient
-recursion, a brute-force Simpson convolution density, a mollifier-profile
-sampler, the truncated field by
-one complex FFT per scale, the nu-mu barrier columns from one barrier mask
-per start level, and small-n dense oracles (a Gram-Schmidt Haar unitary, LU
+recursion, the truncated circle kernel by one correctly rounded sum, a
+brute-force Simpson convolution density, a mollifier-profile sampler, the
+truncated field by one complex FFT per scale, the nu-mu barrier columns from
+one barrier mask per start level, and small-n dense oracles (a Gram-Schmidt Haar unitary, LU
 determinants, the CMV operator and its power traces).
 """
 
@@ -146,6 +146,15 @@ def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[s
             sample, spec, config.n, f=(~mask).astype(float)
         )
     return out
+
+
+def circle_truncated_kernel(theta: float, x: float, kmax: int) -> float:
+    """Fourier-truncated circle kernel sum_{k=1}^{kmax} cos(k(theta-x))/k."""
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    delta = theta - x
+    k = np.arange(1, kmax + 1, dtype=np.float64)
+    return float(math.fsum((np.cos(k * delta) / k).tolist()))
 
 
 def simpson_conv_density(delta: float, epsilon: float, rho):

@@ -163,7 +163,9 @@ _OPTIONAL_INT = st.none() | st.integers(1, 64)
 
 @settings(max_examples=60, deadline=None)
 @given(
-    experiment=st.sampled_from(sorted(cli._SUBCOMMAND_EXPERIMENTS.values(), key=lambda e: e.value)),
+    experiment=st.sampled_from(
+        sorted({e for e, _ in cli._SUBCOMMANDS.values()}, key=lambda e: e.value)
+    ),
     n=st.integers(2, 4096),
     grid_factor=st.integers(4, 64),
     gamma=st.floats(0.01, 0.99),
@@ -248,6 +250,30 @@ class TestMain:
         assert outputs[0] == outputs[1]
         assert b"nu_barrier_violation_l4" in outputs[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-moments", "--set", "n=16", "--set", "replicas=7"],
+            ["trace-cov", "--set", "n=16", "--set", "kmax=40", "--set", "replicas=7"],
+            ["fk-test", "--set", "n=32", "--set", "replicas=7"],
+            ["nu-mu", "--set", "n=64", "--set", "ell=1", "--set", "g_shift=0.2",
+             "--set", "replicas=7"],
+            ["gaussian-gmc", "--set", "kmax=16", "--set", "replicas=7"],
+            # each worker computes the kernel checks once, about 0.2 s
+            ["kernel-check", "--set", "replicas=5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_is_worker_count_independent(self, argv, tmp_path, monkeypatch):
+        # neither 2 nor 3 workers divide the replicas evenly
+        outputs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("THICKPOINT_THREADS", threads)
+            base = tmp_path / f"t{threads}"
+            assert main([*argv, "--set", "master_seed=9", "-o", str(base)]) == EXIT_OK
+            outputs.append(open(f"{base}.csv", "rb").read())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_set_overrides_file(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("n = 4\nreplicas = 2\n")
@@ -295,7 +321,7 @@ class TestMain:
         monkeypatch.setattr(cli, "run_experiment", no_run)
         assert main(argv) == EXIT_CONFIG_ERROR
         assert "category=config invalid config" in capsys.readouterr().err
-        cfg = ExperimentConfig(experiment=cli._SUBCOMMAND_EXPERIMENTS[argv[0]])
+        cfg = ExperimentConfig(experiment=cli._SUBCOMMANDS[argv[0]][0])
         with pytest.raises(ConfigError):
             apply_overrides(cfg, argv[2::2])
 

@@ -12,7 +12,8 @@ from thickpoints.gaussian import (
     sample_circle_field,
     sample_mollified_field,
 )
-from thickpoints.kernels import MollifierProfile, MollifierSpec, circle_truncated_kernel, kappa
+from conftest import circle_truncated_kernel
+from thickpoints.kernels import MollifierProfile, MollifierSpec, kappa
 from thickpoints.montecarlo import ks_critical_value, ks_statistic
 
 BUMP = MollifierSpec(MollifierProfile.BUMP)

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import sample_profile, simpson_conv_density
+from conftest import circle_truncated_kernel, sample_profile, simpson_conv_density
 from thickpoints.kernels import (
     BUMP_INTEGRAL,
     MollifierProfile,
@@ -15,7 +15,6 @@ from thickpoints.kernels import (
     _uniform_spline,
     assumption1_check,
     circle_log_kernel,
-    circle_truncated_kernel,
     circle_truncated_kernel_grid,
     doubly_mollified_kernel,
     euclid_kernel,
@@ -163,15 +162,22 @@ class TestCircleLogKernel:
 
 class TestCircleTruncatedKernel:
     def test_diagonal_is_harmonic_number(self):
-        for kmax in (1, 5, 100):
+        kmaxes = [1, 5, 100]
+        got = circle_truncated_kernel_grid(np.array([0.0]), kmaxes)[:, 0]
+        for value, kmax in zip(got, kmaxes):
             h = sum(1.0 / k for k in range(1, kmax + 1))
-            assert circle_truncated_kernel(0.7, 0.7, kmax) == pytest.approx(h, abs=1e-13)
+            assert value == pytest.approx(h, abs=1e-13)
 
     def test_single_mode_is_cosine(self):
-        assert circle_truncated_kernel(1.1, 0.4, 1) == pytest.approx(math.cos(0.7), abs=1e-14)
+        got = circle_truncated_kernel_grid(np.array([1.1 - 0.4]), [1])[0, 0]
+        assert got == pytest.approx(math.cos(0.7), abs=1e-14)
 
     def test_symmetric(self):
-        assert circle_truncated_kernel(0.3, 1.9, 37) == circle_truncated_kernel(1.9, 0.3, 37)
+        # even in the separation bit for bit, so the kernel is symmetric in
+        # its two angles
+        seps = np.array([0.3 - 1.9, 2.5, 1e-3, 3.1])
+        got = circle_truncated_kernel_grid(np.concatenate([seps, -seps]), [37, 200])
+        np.testing.assert_array_equal(got[:, :4], got[:, 4:])
 
     def test_grid_variant_matches_scalar(self):
         deltas = np.array([0.1, 1.0, 2.7])

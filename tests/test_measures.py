@@ -9,7 +9,6 @@ from conftest import mc_field_at
 from thickpoints.cue import FieldSample, eval_field, sample_verblunsky
 from thickpoints.measures import (
     BarrierSpec,
-    DenominatorMode,
     ThickPointSpec,
     barrier_mask,
     cue_exp_normalizer,
@@ -108,16 +107,14 @@ class TestThickMeasureIntegral:
         assert both == pytest.approx(a + 2.0 * b, rel=1e-12)
 
     def test_supplied_denominator_mode(self):
-        spec = ThickPointSpec(
-            0.5,
-            denominator_mode=DenominatorMode.SUPPLIED_VALUE,
-            supplied_denominator=0.25,
-        )
+        spec = ThickPointSpec(0.5, supplied_denominator=0.25)
         got = thick_measure_integral(flat_field(64, 8, 100.0), spec, 64)
         assert got == pytest.approx(4.0, rel=1e-14)
-        bad = ThickPointSpec(0.5, denominator_mode=DenominatorMode.SUPPLIED_VALUE)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf, 1.5])
+    def test_rejects_supplied_denominator_outside_unit_interval(self, p):
         with pytest.raises(ValueError):
-            thick_measure_integral(flat_field(64, 8, 0.0), bad, 64)
+            ThickPointSpec(0.5, supplied_denominator=p)
 
     @pytest.mark.slow
     def test_replica_mean_with_supplied_exact_probability(self):
@@ -127,11 +124,7 @@ class TestThickMeasureIntegral:
         n, gamma = 256, 0.6
         x0 = mc_field_at(n, [0.0], 200_000, rng)[:, 0]
         p_exact = float(np.mean(x0 >= gamma * math.log(n)))
-        spec = ThickPointSpec(
-            gamma,
-            denominator_mode=DenominatorMode.SUPPLIED_VALUE,
-            supplied_denominator=p_exact,
-        )
+        spec = ThickPointSpec(gamma, supplied_denominator=p_exact)
         reps = 3000
         vals = np.empty(reps)
         for i in range(reps):

@@ -7,6 +7,7 @@ from scipy.integrate import dblquad, quad
 
 from conftest import (
     SQRT2,
+    circle_truncated_kernel,
     mc_field_at,
     weierstrass_log_barnes_g1p,
     weierstrass_log_psi,
@@ -360,6 +361,25 @@ class TestJointMoment:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             joint_moment_asymptotic(64, 0.5, 0.0, 0.0, 2.0, [0.3], [0.5, 0.25], [1.0])
+
+    def test_several_scales_against_fsum_kernels(self):
+        # three smoothed values at three scales: every cross term at its own
+        # scale and every pair at the coarser one, each kernel an fsum
+        n, zeta1, zeta2, x1, x2 = 64, 0.5 + 0.2j, -0.3, 0.4, 2.9
+        xi, delta, z = [0.3, -0.7, 0.5], [1.0 / 3.0, 1.0 / 40.0, 1.0 / 7.5], [1.0, -2.2, 1.3]
+        kmaxes = [math.floor(1.0 / d) for d in delta]
+        logval = (
+            log_psi(zeta1) + log_psi(zeta2) + 0.5 * (zeta1**2 + zeta2**2) * math.log(n)
+            - zeta1 * zeta2 * math.log(circle_chord(x1, x2))
+        )
+        for xj, zj, kj in zip(xi, z, kmaxes):
+            logval += xj * (zeta1 * circle_truncated_kernel(x1, zj, kj)
+                            + zeta2 * circle_truncated_kernel(x2, zj, kj))
+        for xj, zj, kj in zip(xi, z, kmaxes):
+            for xl, zl, kl in zip(xi, z, kmaxes):
+                logval += 0.5 * xj * xl * circle_truncated_kernel(zj, zl, min(kj, kl))
+        got = joint_moment_asymptotic(n, zeta1, zeta2, x1, x2, xi, delta, z)
+        assert got == pytest.approx(complex(np.exp(logval)), rel=1e-12)
 
     @pytest.mark.slow
     def test_against_monte_carlo_joint_moment(self):
