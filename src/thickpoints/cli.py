@@ -101,11 +101,9 @@ def _parse_value(key: str, raw: str, where: str):
         raise ConfigError(f"{where}: cannot parse {key} value {raw!r}")
 
 
-def parse_config(text: str, experiment: Experiment, validate: bool = True) -> ExperimentConfig:
-    """Parse `key = value` lines (# comments) into a validated config.
-
-    Pass validate=False when overrides will be applied afterwards.
-    """
+def parse_config(text: str, experiment: Experiment) -> ExperimentConfig:
+    """Parse `key = value` lines (# comments) into a config.  It is not
+    validated here: apply_overrides validates the final config."""
     fields: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -115,16 +113,11 @@ def parse_config(text: str, experiment: Experiment, validate: bool = True) -> Ex
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         fields[key] = _parse_value(key, raw, f"line {lineno} key {key!r}")
-    config = ExperimentConfig(experiment=experiment, **fields)
-    if validate:
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    return config
+    return ExperimentConfig(experiment=experiment, **fields)
 
 
 def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
+    """Apply `key=value` overrides in order, then validate the result."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must have the form key=value")
@@ -201,7 +194,7 @@ def _load_config(args, experiment: Experiment) -> ExperimentConfig:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
-        config = parse_config(text, experiment, validate=False)
+        config = parse_config(text, experiment)
     else:
         config = ExperimentConfig(experiment=experiment)
     config = apply_overrides(config, args.set or [])  # validates the final config

@@ -67,13 +67,11 @@ class FieldSample:
     """Field values on the uniform angular grid theta_i = 2 pi i / M.
 
     Values are on the theorem scale: X_N = sqrt(2) log|p_N|.  A grid point
-    falling on an eigenvalue to machine precision yields a -inf sentinel and
-    sets has_singular_points.
+    falling on an eigenvalue to machine precision yields a -inf sentinel,
+    which has_singular_points reports.
     """
 
-    n: int
     values: np.ndarray
-    has_singular_points: bool = False
 
     @property
     def grid_size(self) -> int:
@@ -83,17 +81,9 @@ class FieldSample:
     def theta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
 
-
-@dataclass(frozen=True)
-class TraceVector:
-    """Tr U^k for k = 1..kmax."""
-
-    n: int
-    traces: np.ndarray
-
     @property
-    def kmax(self) -> int:
-        return self.traces.size
+    def has_singular_points(self) -> bool:
+        return bool(np.any(np.isneginf(self.values)))
 
 
 def sample_alphas(n: int, stream: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
@@ -197,7 +187,8 @@ def _phi_coefficient_vector(alphas: np.ndarray) -> np.ndarray:
     every leaf's 2x2 product comes from the recursion on the start columns
     (1, 0) and (0, 1), batched over leaves, and adjacent products are merged
     level by level with batched FFT polynomial products, an odd block being
-    carried up unchanged, until two blocks are left.  That costs
+    carried up unchanged, until two blocks are left (n > SZEGO_CROSSOVER >=
+    SZEGO_LEAF makes at least two leaves).  That costs
     O(n log^2 n) (von zur Gathen-Gerhard, Modern Computer Algebra ch. 10).
     Of the root product only Phi_n = row 0 times (1, 1) is needed, so the
     last merge forms just L00 (E00 + E01) + L01 (E10 + E11) for the later
@@ -225,10 +216,7 @@ def _phi_coefficient_vector(alphas: np.ndarray) -> np.ndarray:
             carried[..., : level.shape[-1]] = level[-1]
             merged = np.concatenate([merged, carried])
         level = merged
-    if level.shape[0] == 1:
-        root = level[0, 0, 0] + level[0, 0, 1]
-    else:
-        root = _cyclic_product("bf,bf->f", level[1, 0], level[0, :, 0] + level[0, :, 1])
+    root = _cyclic_product("bf,bf->f", level[1, 0], level[0, :, 0] + level[0, :, 1])
     return root[pad : pad + n + 1]
 
 
@@ -266,18 +254,15 @@ def eval_field(coeffs: VerblunskyCoeffs, grid_size: int) -> FieldSample:
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-    n = coeffs.n
-    if grid_size > n:
+    if grid_size > coeffs.n:
         c = coeffs.phi_coefficients
         if np.all(np.isfinite(c)):
             vals = np.fft.ifft(c, n=grid_size) * grid_size
             with np.errstate(divide="ignore"):
                 logabs = np.log(np.abs(vals))
-            values = SQRT2 * logabs
-            return FieldSample(n, values, bool(np.any(np.isneginf(values))))
+            return FieldSample(SQRT2 * logabs)
     z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    values = SQRT2 * szego_log_abs(coeffs.alphas[None, :], z)[0]
-    return FieldSample(n, values, bool(np.any(np.isneginf(values))))
+    return FieldSample(SQRT2 * szego_log_abs(coeffs.alphas[None, :], z)[0])
 
 
 def eval_field_at(coeffs: VerblunskyCoeffs, theta: np.ndarray) -> np.ndarray:
@@ -293,13 +278,14 @@ def eval_field_at(coeffs: VerblunskyCoeffs, theta: np.ndarray) -> np.ndarray:
 TRACE_COST_GUARD = 64
 
 
-def trace_powers(coeffs: VerblunskyCoeffs, kmax: int) -> TraceVector:
-    """Tr U^k for k = 1..kmax as power sums of the characteristic polynomial
-    roots, via Newton's identities on the Szego coefficients; O(kmax^2) on top
-    of the coefficient vector, which is computed once per VerblunskyCoeffs and
-    shared with eval_field.  The tests cross-check it against powers of the
-    dense CMV operator (tests/conftest.py: trace_powers_cmv).  Raises
-    ValueError when the coefficient vector has overflowed."""
+def trace_powers(coeffs: VerblunskyCoeffs, kmax: int) -> np.ndarray:
+    """p with p[k-1] = Tr U^k for k = 1..kmax, the power sums of the
+    characteristic polynomial roots, via Newton's identities on the Szego
+    coefficients; O(kmax^2) on top of the coefficient vector, which is
+    computed once per VerblunskyCoeffs and shared with eval_field.  The tests
+    cross-check it against powers of the dense CMV operator
+    (tests/conftest.py: trace_powers_cmv).  Raises ValueError when the
+    coefficient vector has overflowed."""
     n = coeffs.n
     if not 1 <= kmax <= TRACE_COST_GUARD * n:
         raise ValueError(f"kmax must lie in [1, {TRACE_COST_GUARD * n}], got {kmax}")
@@ -316,46 +302,40 @@ def trace_powers(coeffs: VerblunskyCoeffs, kmax: int) -> TraceVector:
         if m:
             s -= np.dot(a[1 : m + 1], p[k - 2 :: -1][:m])
         p[k - 1] = s
-    return TraceVector(n, p)
+    return p
 
 
-def truncated_fields(traces: TraceVector, deltas, grid_size: int) -> np.ndarray:
+def truncated_fields(traces: np.ndarray, deltas, grid_size: int) -> np.ndarray:
     """Fourier-truncated fields X_{N,delta} on the uniform grid, one row per delta:
     -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}.
 
     All rows come from one batched real inverse FFT of conj(Tr U^k)/k
     (kernels.real_fourier_grid), and each row is bit for bit the one its
-    delta gives alone.  Each delta must lie in (0, 1], with at least
-    floor(1/delta) traces and a grid finer than that.
+    delta gives alone.  traces[k-1] is Tr U^k, as trace_powers returns it.
+    Each delta must lie in (0, 1], with at least floor(1/delta) traces and a
+    grid finer than that.
     """
     kmaxes = []
     for delta in deltas:
         if not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must lie in (0,1], got {delta}")
         kmax = int(math.floor(1.0 / delta))
-        if kmax > traces.kmax:
-            raise ValueError(f"need {kmax} traces for delta={delta}, have {traces.kmax}")
+        if kmax > traces.size:
+            raise ValueError(f"need {kmax} traces for delta={delta}, have {traces.size}")
         if grid_size <= kmax:
             raise ValueError(f"grid_size must exceed 1/delta={kmax}, got {grid_size}")
         kmaxes.append(kmax)
     k = np.arange(1, max(kmaxes, default=0) + 1)
     # row j keeps the modes k <= kmaxes[j]
-    modes = np.where(k <= np.array(kmaxes)[:, None], np.conj(traces.traces[: k.size]) / k, 0.0)
+    modes = np.where(k <= np.array(kmaxes)[:, None], np.conj(traces[: k.size]) / k, 0.0)
     values = real_fourier_grid(modes, grid_size)
     values *= -0.5 * SQRT2 * grid_size
     return values
 
 
-def truncated_field(traces: TraceVector, n: int, delta: float, grid_size: int) -> FieldSample:
+def truncated_field(traces: np.ndarray, delta: float, grid_size: int) -> FieldSample:
     """Fourier-truncated field X_{N,delta} on the uniform grid:
     -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}; the one row of
     truncated_fields for this delta.
     """
-    return FieldSample(n, truncated_fields(traces, [delta], grid_size)[0])
-
-
-def truncated_field_variance(n: int, delta: float) -> float:
-    """Analytic Var X_{N,delta}(x) = sum_{k <= 1/delta} min(k, n)/k^2."""
-    kmax = int(math.floor(1.0 / delta))
-    k = np.arange(1, kmax + 1, dtype=np.float64)
-    return float(np.sum(np.minimum(k, float(n)) / k**2))
+    return FieldSample(truncated_fields(traces, [delta], grid_size)[0])

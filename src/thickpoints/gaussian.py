@@ -8,40 +8,21 @@ drawn through a Cholesky factor of the doubly mollified covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import MollifierSpec, Shift, doubly_mollified_kernel, real_fourier_grid
 
 
-@dataclass(frozen=True)
-class GaussianCircleField:
-    """One draw of the truncated free field on the uniform angular grid."""
-
-    kmax: int
-    values: np.ndarray
-
-    @property
-    def grid_size(self) -> int:
-        return self.values.size
-
-    @property
-    def variance(self) -> float:
-        """Analytic Var X(x) = H_kmax."""
-        return harmonic_number(self.kmax)
-
-
 def harmonic_number(k: int) -> float:
     return float(np.sum(1.0 / np.arange(1, k + 1)))
 
 
-def sample_circle_field(
-    kmax: int, grid_size: int, stream: np.random.Generator
-) -> GaussianCircleField:
+def sample_circle_field(kmax: int, grid_size: int, stream: np.random.Generator) -> np.ndarray:
     """X(theta) = sum_{k<=kmax} k^{-1/2} (A_k cos k theta + B_k sin k theta)
-    with A, B iid standard normal; evaluated by one real inverse FFT on the
-    uniform grid.
+    with A, B iid standard normal; its values on the uniform grid
+    theta_j = 2 pi j / grid_size, by one real inverse FFT.  Var X(theta) =
+    harmonic_number(kmax).
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
@@ -51,17 +32,7 @@ def sample_circle_field(
     b = stream.standard_normal(kmax)
     # A cos + B sin = Re((A - iB) e^{ik theta})
     coeff = (a - 1j * b) / np.sqrt(np.arange(1, kmax + 1))
-    values = real_fourier_grid(coeff, grid_size) * (0.5 * grid_size)
-    return GaussianCircleField(kmax, values)
-
-
-@dataclass(frozen=True)
-class CholeskyField:
-    """Mollified Gaussian field on an interval grid."""
-
-    grid: np.ndarray
-    delta: float
-    values: np.ndarray
+    return real_fourier_grid(coeff, grid_size) * (0.5 * grid_size)
 
 
 class CovarianceFactorization:
@@ -93,7 +64,6 @@ class CovarianceFactorization:
                     float(grid[i]), float(grid[j]), delta, delta, rho, h, domain
                 )
         self.grid = grid
-        self.delta = delta
         self.covariance = cov
         self.factor = self._factor(cov)
 
@@ -109,9 +79,9 @@ class CovarianceFactorization:
             "scale/grid combination is numerically ill-conditioned"
         )
 
-    def draw(self, stream: np.random.Generator) -> CholeskyField:
-        z = stream.standard_normal(self.grid.size)
-        return CholeskyField(self.grid, self.delta, self.factor @ z)
+    def draw(self, stream: np.random.Generator) -> np.ndarray:
+        """Field values at the grid points."""
+        return self.factor @ stream.standard_normal(self.grid.size)
 
 
 def sample_mollified_field(
@@ -121,7 +91,7 @@ def sample_mollified_field(
     h: Shift | None,
     stream: np.random.Generator,
     domain: tuple[float, float] = (0.0, 1.0),
-) -> CholeskyField:
+) -> np.ndarray:
     """Mean-zero Gaussian vector with covariance C_{X,delta,delta}(x_i, x_j)."""
     return CovarianceFactorization(grid, delta, rho, h, domain).draw(stream)
 

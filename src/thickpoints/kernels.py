@@ -148,8 +148,6 @@ def euclid_kernel(x: float, y: float, h: Shift | None = None) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL2_NODES = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
-_conv_cache: dict = {}
-
 # the bump's unit convolution density is tabulated on CONV_NODES points; its
 # lattice step divides that grid and puts CONV_MIN_POINTS on the narrower
 # profile's support, refining the grid step at most CONV_MAX_REFINE times
@@ -215,6 +213,7 @@ def _triangle_conv(ratio: float, w) -> np.ndarray:
     return np.sum((tri(s) * tri(w[..., None] - ratio * s)).sum(axis=-1) * halfw, axis=-1)
 
 
+@functools.cache
 def _unit_conv_density(ratio: float, rho: MollifierSpec):
     """S_r = rho * rho_r with rho_r(v) = rho(v/r)/r, r = ratio, as a function.
 
@@ -226,14 +225,10 @@ def _unit_conv_density(ratio: float, rho: MollifierSpec):
     the smooth bump the lattice sum equals the integral to rounding.  The
     mass scaling keeps S_r a probability density when r is so far from 1 that
     the refinement cap leaves the narrower profile fewer than CONV_MIN_POINTS
-    samples.
+    samples.  Each (ratio, rho) is built once per process.
     """
     if rho.profile is MollifierProfile.TRIANGLE:
         return functools.partial(_triangle_conv, ratio)
-    key = (ratio, rho.profile)
-    hit = _conv_cache.get(key)
-    if hit is not None:
-        return hit
     half_nodes = (CONV_NODES - 1) // 2
     grid_step = (1.0 + ratio) / half_nodes
     narrow = min(ratio, 1.0)
@@ -253,9 +248,7 @@ def _unit_conv_density(ratio: float, rho: MollifierSpec):
     inside = (index >= 0) & (index < size)
     q = np.zeros(CONV_NODES)
     q[inside] = conv[index[inside]]
-    spline = _uniform_spline(-(1.0 + ratio), grid_step, q)
-    _conv_cache[key] = spline
-    return spline
+    return _uniform_spline(-(1.0 + ratio), grid_step, q)
 
 
 def _conv_density(delta: float, epsilon: float, rho: MollifierSpec):
@@ -410,14 +403,6 @@ def kappa(x: float, rho: MollifierSpec, h: Shift | None = None) -> float:
     return val if h is None else val + h(x, x)
 
 
-@dataclass
-class Assumption1Report:
-    max_deviation: float
-    worst_pair: tuple[float, float] = (math.nan, math.nan)
-    worst_scales: tuple[float, float] = (math.nan, math.nan)
-    evaluations: int = 0
-
-
 def assumption1_check(
     grid,
     delta_list,
@@ -425,7 +410,7 @@ def assumption1_check(
     rho: MollifierSpec,
     h: Shift | None = None,
     domain: tuple[float, float] = (0.0, 1.0),
-) -> Assumption1Report:
+) -> float:
     """Max over grid pairs and scale pairs (epsilon <= delta) of
     |C_{delta,epsilon}(x,z) + log(|x-z| v delta)|.
 
@@ -433,7 +418,7 @@ def assumption1_check(
     supplied by theory.
     """
     grid = np.asarray(grid, dtype=float)
-    report = Assumption1Report(0.0)
+    worst = 0.0
     for delta in delta_list:
         for eps in epsilon_list:
             if eps > delta:
@@ -441,10 +426,5 @@ def assumption1_check(
             for xi in grid:
                 for zj in grid:
                     val = doubly_mollified_kernel(float(xi), float(zj), delta, eps, rho, h, domain)
-                    dev = abs(val + math.log(max(abs(xi - zj), delta)))
-                    report.evaluations += 1
-                    if dev > report.max_deviation:
-                        report.max_deviation = dev
-                        report.worst_pair = (float(xi), float(zj))
-                        report.worst_scales = (delta, eps)
-    return report
+                    worst = max(worst, abs(val + math.log(max(abs(xi - zj), delta))))
+    return worst

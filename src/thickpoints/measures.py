@@ -10,7 +10,7 @@ comparable with the deterministic normalizers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,13 +82,6 @@ class BarrierSpec:
 
     def scale(self, k: int) -> float:
         return math.exp(-k)
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    mu_f: float
-    nu_f: float
-    discrepancy: float
 
 
 def cue_exp_normalizer(n: int, gamma_theorem: float) -> float:
@@ -196,8 +189,9 @@ def l1_discrepancy(
     n: int,
     f=None,
     mu_normalizer: float | None = None,
-) -> MeasureResult:
-    """Single-replica |nu_N(f) - mu_N(e^{-gamma g} f)|.
+) -> tuple[float, float, float]:
+    """Single-replica (mu, nu, |nu - mu|) for mu = mu_N(e^{-gamma g} f) and
+    nu = nu_N(f).
 
     mu_normalizer defaults to the exact CUE moment at the spec's gamma.
     """
@@ -208,4 +202,4 @@ def l1_discrepancy(
     shifted = weights * np.exp(-g * np.asarray(spec.g, dtype=float))
     mu = exp_measure_integral(field, g, mu_normalizer, shifted)
     nu = thick_measure_integral(field, spec, n, weights)
-    return MeasureResult(mu, nu, abs(nu - mu))
+    return mu, nu, abs(nu - mu)

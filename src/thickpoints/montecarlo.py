@@ -1,5 +1,5 @@
-"""Experiment driver: deterministic seeded replication, estimators and
-goodness-of-fit statistics.
+"""Experiment driver: deterministic seeded replication and the
+summary estimators.
 
 Each replica owns an RNG stream derived from (master_seed, replica_index) by a
 SplitMix64-style avalanche, so results are independent of worker count and
@@ -162,8 +162,6 @@ class ReplicaRecord:
 class Summary:
     mean: dict[str, float]
     stderr: dict[str, float]
-    min: dict[str, float]
-    max: dict[str, float]
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +182,8 @@ def _trace_ks(config: ExperimentConfig) -> list[int]:
 
 def _replica_trace_covariance(config: ExperimentConfig, stream) -> dict[str, float]:
     coeffs = cue.sample_verblunsky(config.n, stream)
-    tv = cue.trace_powers(coeffs, config.effective_kmax)
-    return {f"abs_trace_sq_k{k}": float(np.abs(tv.traces[k - 1]) ** 2) for k in _trace_ks(config)}
+    traces = cue.trace_powers(coeffs, config.effective_kmax)
+    return {f"abs_trace_sq_k{k}": float(np.abs(traces[k - 1]) ** 2) for k in _trace_ks(config)}
 
 
 def _replica_fk_test(config: ExperimentConfig, stream) -> dict[str, float]:
@@ -200,8 +198,8 @@ def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
     sample = cue.eval_field(coeffs, config.grid_factor * config.n)
     g = config.gamma_theorem
     spec = measures.ThickPointSpec(g)
-    result = measures.l1_discrepancy(sample, spec, config.n)
-    out = {"mu": result.mu_f, "nu": result.nu_f, "discrepancy": result.discrepancy}
+    mu, nu, discrepancy = measures.l1_discrepancy(sample, spec, config.n)
+    out = {"mu": mu, "nu": nu, "discrepancy": discrepancy}
     if config.g_shift != 0.0:
         shifted = replace(spec, g=config.g_shift)
         out["nu_shifted"] = measures.thick_measure_integral(sample, shifted, config.n)
@@ -235,7 +233,7 @@ def _replica_gaussian_gmc(config: ExperimentConfig, stream) -> dict[str, float]:
     kmax = config.effective_kmax
     field = sample_circle_field(kmax, config.grid_factor * kmax, stream)
     norm = _gmc_normalizer(kmax, config.gamma_theorem)
-    mass = float(np.mean(np.exp(config.gamma_theorem * field.values)) / norm)
+    mass = float(np.mean(np.exp(config.gamma_theorem * field)) / norm)
     return {"gmc_mass": mass}
 
 
@@ -255,12 +253,11 @@ def _kernel_check_values() -> dict[str, float]:
         worst = max(worst, float(dev.max()))
     rho = MollifierSpec(MollifierProfile.BUMP)
     deltas = [2.0**-j for j in range(3, 9)]
-    report = assumption1_check(
-        np.linspace(0.15, 0.85, 5), deltas, deltas, rho, None, (0.0, 1.0)
-    )
     return {
         "truncated_kernel_max_dev": worst,
-        "assumption1_max_dev": report.max_deviation,
+        "assumption1_max_dev": assumption1_check(
+            np.linspace(0.15, 0.85, 5), deltas, deltas, rho, None, (0.0, 1.0)
+        ),
     }
 
 
@@ -307,7 +304,8 @@ HEAP_KEEP_BYTES = 8 << 20
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[ReplicaRecord], Summary]:
     """Execute all replicas; output is a pure function of the config,
-    independent of worker count (records come back sorted by index).
+    independent of worker count.  Each worker runs one contiguous run of
+    replica indices, and the runs are joined in index order.
 
     A replica allocates and frees arrays of a few hundred kB.  By default
     glibc serves such blocks by mmap, or trims them off the heap when they
@@ -324,12 +322,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ReplicaRecord], Summa
     if workers <= 1:
         records = [run_replica(config, i) for i in indices]
     else:
-        chunks = [(config, indices[i::workers]) for i in range(workers)]
+        # worker i takes the contiguous run of indices bounds[i]:bounds[i+1]
+        bounds = [config.replicas * i // workers for i in range(workers + 1)]
+        chunks = [(config, indices[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
-        records = sorted(
-            (rec for part in parts for rec in part), key=lambda r: r.replica_index
-        )
+            records = [rec for part in pool.map(_run_chunk, chunks) for rec in part]
     return records, summarize(records)
 
 
@@ -339,47 +336,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ReplicaRecord], Summa
 
 
 def summarize(records: list[ReplicaRecord]) -> Summary:
-    """Mean, stderr (= sample sd / sqrt(R)), min and max for every scalar."""
+    """Mean and stderr (= sample sd / sqrt(R)) for every scalar."""
     if not records:
         raise ValueError("cannot summarize zero records")
-    names = list(records[0].scalars)
-    mean, stderr, mn, mx = {}, {}, {}, {}
-    for name in names:
+    mean, stderr = {}, {}
+    for name in records[0].scalars:
         vals = np.array([r.scalars[name] for r in records], dtype=float)
         mean[name] = float(vals.mean())
         stderr[name] = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
-        mn[name] = float(vals.min())
-        mx[name] = float(vals.max())
-    return Summary(mean, stderr, mn, mx)
-
-
-def ks_statistic(samples, cdf) -> float:
-    """sup_i max(|i/n - F(x_i)|, |(i-1)/n - F(x_i)|) over the sorted sample."""
-    samples = np.sort(np.asarray(samples, dtype=float))
-    n = samples.size
-    if n == 0:
-        raise ValueError("ks_statistic needs at least one sample")
-    f = np.array([cdf(x) for x in samples])
-    i = np.arange(1, n + 1)
-    return float(np.max(np.maximum(np.abs(i / n - f), np.abs((i - 1) / n - f))))
-
-
-def ks_two_sample(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov distance."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("ks_two_sample needs non-empty samples")
-    both = np.concatenate([a, b])
-    fa = np.searchsorted(a, both, side="right") / a.size
-    fb = np.searchsorted(b, both, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
-
-
-def ks_critical_value(n: int, alpha: float = 0.01) -> float:
-    """Asymptotic one-sample critical value c(alpha)/sqrt(n)."""
-    return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
-
-
-def ks_two_sample_critical_value(n: int, m: int, alpha: float = 0.01) -> float:
-    return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((n + m) / (n * m))
+    return Summary(mean, stderr)

@@ -5,9 +5,11 @@ Barnes G, a Monte Carlo field sampler over the library's batched Szego
 routines, an mpmath Szego recursion, a long-double Szego coefficient
 recursion, the truncated circle kernel by one correctly rounded sum, a
 brute-force Simpson convolution density, a mollifier-profile sampler, the
-truncated field by one complex FFT per scale, the nu-mu barrier columns from
-one barrier mask per start level, and small-n dense oracles (a Gram-Schmidt Haar unitary, LU
-determinants, the CMV operator and its power traces).
+truncated field by one complex FFT per scale and its analytic variance, the
+nu-mu barrier columns from one barrier mask per start level, small-n dense
+oracles (a Gram-Schmidt Haar unitary, LU determinants, the CMV operator and
+its power traces), and Kolmogorov-Smirnov statistics with their asymptotic
+critical values.
 """
 
 import math
@@ -21,8 +23,6 @@ from scipy.special import zeta
 
 from thickpoints.cue import (
     TRACE_COST_GUARD,
-    FieldSample,
-    TraceVector,
     VerblunskyCoeffs,
     eval_field,
     sample_alphas,
@@ -115,12 +115,12 @@ def ld_phi_coefficients(alphas: np.ndarray) -> np.ndarray:
     return phi
 
 
-def truncated_field_fft(traces: TraceVector, delta: float, grid_size: int) -> np.ndarray:
+def truncated_field_fft(traces: np.ndarray, delta: float, grid_size: int) -> np.ndarray:
     """-sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta} on the grid by
     one complex FFT of length grid_size."""
     kmax = int(math.floor(1.0 / delta))
     coeff = np.zeros(grid_size, dtype=np.complex128)
-    coeff[1 : kmax + 1] = traces.traces[:kmax] / np.arange(1, kmax + 1)
+    coeff[1 : kmax + 1] = traces[:kmax] / np.arange(1, kmax + 1)
     return -SQRT2 * np.real(np.fft.fft(coeff))
 
 
@@ -136,9 +136,7 @@ def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[s
     if not levels:
         return {f"nu_barrier_violation_l{config.ell}": 0.0}
     traces = trace_powers(coeffs, int(math.floor(math.exp(levels[-1]))))
-    truncated = {
-        k: truncated_field(traces, config.n, barrier.scale(k), sample.grid_size) for k in levels
-    }
+    truncated = {k: truncated_field(traces, barrier.scale(k), sample.grid_size) for k in levels}
     out = {}
     for start in levels:
         mask = barrier_mask(truncated, replace(barrier, ell=start))
@@ -242,13 +240,13 @@ def det_log_field(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def det_field_oracle(n: int, stream: np.random.Generator, grid_size: int) -> FieldSample:
+def det_field_oracle(n: int, stream: np.random.Generator, grid_size: int) -> np.ndarray:
     """Independent sampler for tests: Haar unitary via Gram-Schmidt plus dense
-    LU determinants.  Matches eval_field in distribution."""
+    LU determinants, giving the field values on the uniform grid.  Matches
+    eval_field in distribution."""
     u = sample_haar_unitary_dense(n, stream)
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    values = det_log_field(u, theta)
-    return FieldSample(n, values, bool(np.any(np.isneginf(values))))
+    return det_log_field(u, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +308,8 @@ def cmv_matrix(coeffs: VerblunskyCoeffs) -> np.ndarray:
     return lmat @ mmat
 
 
-def trace_powers_cmv(coeffs: VerblunskyCoeffs, kmax: int) -> TraceVector:
-    """Tr U^k by repeated application of the CMV factors to the full basis;
+def trace_powers_cmv(coeffs: VerblunskyCoeffs, kmax: int) -> np.ndarray:
+    """traces[k-1] = Tr U^k by repeated application of the CMV factors to the full basis;
     O(n^2) per power.  Slow reference implementation."""
     n = coeffs.n
     if not 1 <= kmax <= TRACE_COST_GUARD * n:
@@ -323,4 +321,47 @@ def trace_powers_cmv(coeffs: VerblunskyCoeffs, kmax: int) -> TraceVector:
         v = _apply_blockdiag(v, m_blocks, 1, m_cap)
         v = _apply_blockdiag(v, l_blocks, 0, l_cap)
         traces[k] = np.trace(v)
-    return TraceVector(n, traces)
+    return traces
+
+
+def truncated_field_variance(n: int, delta: float) -> float:
+    """Analytic Var X_{N,delta}(x) = sum_{k <= 1/delta} min(k, n)/k^2."""
+    kmax = int(math.floor(1.0 / delta))
+    k = np.arange(1, kmax + 1, dtype=np.float64)
+    return float(np.sum(np.minimum(k, float(n)) / k**2))
+
+
+# ---------------------------------------------------------------------------
+# Kolmogorov-Smirnov statistics and their asymptotic critical values
+# ---------------------------------------------------------------------------
+
+def ks_statistic(samples, cdf) -> float:
+    """sup_i max(|i/n - F(x_i)|, |(i-1)/n - F(x_i)|) over the sorted sample."""
+    samples = np.sort(np.asarray(samples, dtype=float))
+    n = samples.size
+    if n == 0:
+        raise ValueError("ks_statistic needs at least one sample")
+    f = np.array([cdf(x) for x in samples])
+    i = np.arange(1, n + 1)
+    return float(np.max(np.maximum(np.abs(i / n - f), np.abs((i - 1) / n - f))))
+
+
+def ks_two_sample(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov distance."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("ks_two_sample needs non-empty samples")
+    both = np.concatenate([a, b])
+    fa = np.searchsorted(a, both, side="right") / a.size
+    fb = np.searchsorted(b, both, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+def ks_critical_value(n: int, alpha: float = 0.01) -> float:
+    """Asymptotic one-sample critical value c(alpha)/sqrt(n)."""
+    return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
+
+
+def ks_two_sample_critical_value(n: int, m: int, alpha: float = 0.01) -> float:
+    return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((n + m) / (n * m))

@@ -76,12 +76,11 @@ class TestParseConfig:
         assert "line 1" in str(err.value)
 
     def test_out_of_range_gamma_for_conjecture_convention(self):
-        text = "convention = conjecture\ngamma = 1.5\n"
-        with pytest.raises(ConfigError):
-            parse_config(text, Experiment.FK_TEST)
-        # same text parses fine when validation is deferred
-        cfg = parse_config(text, Experiment.FK_TEST, validate=False)
+        # parsing only parses; the final config is validated by apply_overrides
+        cfg = parse_config("convention = conjecture\ngamma = 1.5\n", Experiment.FK_TEST)
         assert cfg.gamma == 1.5
+        with pytest.raises(ConfigError):
+            apply_overrides(cfg, [])
 
     def test_bad_convention_value(self):
         with pytest.raises(ConfigError):
@@ -90,28 +89,24 @@ class TestParseConfig:
 
 class TestApplyOverrides:
     def test_override_wins_over_file_value(self):
-        cfg = parse_config("n = 16\n", Experiment.MOMENT_CHECK, validate=False)
+        cfg = parse_config("n = 16\n", Experiment.MOMENT_CHECK)
         cfg = apply_overrides(cfg, ["n=32", "gamma=0.7"])
         assert cfg.n == 32
         assert cfg.gamma == 0.7
 
     def test_override_can_fix_invalid_file(self):
         # gamma out of range for the file's convention, repaired by override
-        cfg = parse_config(
-            "convention = conjecture\ngamma = 1.5\n",
-            Experiment.FK_TEST,
-            validate=False,
-        )
+        cfg = parse_config("convention = conjecture\ngamma = 1.5\n", Experiment.FK_TEST)
         cfg = apply_overrides(cfg, ["gamma=0.5"])
         assert cfg.gamma == 0.5
 
     def test_final_config_is_validated(self):
-        cfg = parse_config("", Experiment.MOMENT_CHECK, validate=False)
+        cfg = parse_config("", Experiment.MOMENT_CHECK)
         with pytest.raises(ConfigError):
             apply_overrides(cfg, ["replicas=0"])
 
     def test_malformed_override(self):
-        cfg = parse_config("", Experiment.MOMENT_CHECK, validate=False)
+        cfg = parse_config("", Experiment.MOMENT_CHECK)
         with pytest.raises(ConfigError):
             apply_overrides(cfg, ["replicas"])
 

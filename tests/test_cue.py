@@ -13,12 +13,15 @@ from conftest import (
     cmv_matrix,
     det_field_oracle,
     det_log_field,
+    ks_two_sample,
+    ks_two_sample_critical_value,
     ld_phi_coefficients,
     mc_field_at,
     mp_field_on_grid,
     sample_haar_unitary_dense,
     trace_powers_cmv,
     truncated_field_fft,
+    truncated_field_variance,
 )
 from thickpoints import cue
 from thickpoints.cue import (
@@ -31,10 +34,8 @@ from thickpoints.cue import (
     sample_verblunsky,
     trace_powers,
     truncated_field,
-    truncated_field_variance,
     truncated_fields,
 )
-from thickpoints.montecarlo import ks_two_sample, ks_two_sample_critical_value
 from thickpoints.special_fn import cue_abs_moment_exact
 
 
@@ -179,7 +180,10 @@ class TestSynthesis:
     def test_tree_matches_single_block_recursion(self, n, monkeypatch):
         # partial last leaves (65, 101, 127, 129, 300, 1000, 1300), odd blocks
         # carried up (129: three leaves; 300: five, then three; 1300: 21, then
-        # 11 and 3 blocks) and a root of two leaves (65, 101, 128)
+        # 11 and 3 blocks) and a root of two leaves (65, 101, 128); every
+        # n above the crossover has at least two leaves, so the root merge
+        # always sees two blocks
+        assert cue.SZEGO_CROSSOVER >= cue.SZEGO_LEAF
         alphas = sample_verblunsky(n, np.random.default_rng(n)).alphas
         plain = cue._szego_steps(alphas[None, :], np.array([[1.0, 1.0]]))[0][:, 0, 0]
         monkeypatch.setattr(cue, "SZEGO_CROSSOVER", 0)
@@ -293,8 +297,7 @@ class TestDenseOracle:
         reps = 30_000
         vals = np.empty(reps)
         for i in range(reps):
-            fs = det_field_oracle(4, rng, 1)
-            vals[i] = math.exp(0.7 * fs.values[0])
+            vals[i] = math.exp(0.7 * det_field_oracle(4, rng, 1)[0])
         exact = cue_abs_moment_exact(4, 0.7 * SQRT2).real
         se = float(vals.std(ddof=1) / math.sqrt(reps))
         assert abs(float(vals.mean()) - exact) <= 4.0 * se
@@ -330,7 +333,7 @@ class TestTracePowers:
     def test_single_phase(self):
         phi = 1.2
         c = VerblunskyCoeffs(np.array([np.exp(1j * phi)]))
-        tr = trace_powers(c, 5).traces
+        tr = trace_powers(c, 5)
         for k in range(1, 6):
             assert tr[k - 1] == pytest.approx(np.exp(-1j * k * phi), abs=1e-12)
 
@@ -338,15 +341,15 @@ class TestTracePowers:
     def test_matches_cmv_reference(self, n, kmax):
         rng = np.random.default_rng(15)
         c = sample_verblunsky(n, rng)
-        fast = trace_powers(c, kmax).traces
-        slow = trace_powers_cmv(c, kmax).traces
+        fast = trace_powers(c, kmax)
+        slow = trace_powers_cmv(c, kmax)
         assert np.max(np.abs(fast - slow)) < 1e-10
 
     def test_newton_consistency_against_eigenvalues(self):
         rng = np.random.default_rng(16)
         c = sample_verblunsky(4, rng)
         lam = np.linalg.eigvals(cmv_matrix(c))
-        tr = trace_powers(c, 12).traces
+        tr = trace_powers(c, 12)
         for k in range(1, 13):
             assert tr[k - 1] == pytest.approx(complex(np.sum(lam**k)), abs=1e-10)
 
@@ -356,7 +359,7 @@ class TestTracePowers:
         ks = (1, 4, 16, 32)
         sq = np.empty((reps, len(ks)))
         for i in range(reps):
-            tr = trace_powers(sample_verblunsky(n, rng), 32).traces
+            tr = trace_powers(sample_verblunsky(n, rng), 32)
             sq[i] = [abs(tr[k - 1]) ** 2 for k in ks]
         for j, k in enumerate(ks):
             mean = float(sq[:, j].mean())
@@ -375,9 +378,9 @@ class TestTruncatedField:
         rng = np.random.default_rng(19)
         c = sample_verblunsky(8, rng)
         tr = trace_powers(c, 4)
-        fs = truncated_field(tr, 8, 1.0, 32)
+        fs = truncated_field(tr, 1.0, 32)
         theta = fs.theta
-        expected = -SQRT2 * np.real(tr.traces[0] * np.exp(-1j * theta))
+        expected = -SQRT2 * np.real(tr[0] * np.exp(-1j * theta))
         assert np.max(np.abs(fs.values - expected)) < 1e-12
 
     def test_rejects_insufficient_traces_or_grid(self):
@@ -385,9 +388,9 @@ class TestTruncatedField:
         c = sample_verblunsky(8, rng)
         tr = trace_powers(c, 4)
         with pytest.raises(ValueError):
-            truncated_field(tr, 8, 1.0 / 8.0, 64)
+            truncated_field(tr, 1.0 / 8.0, 64)
         with pytest.raises(ValueError):
-            truncated_field(tr, 8, 1.0 / 4.0, 4)
+            truncated_field(tr, 1.0 / 4.0, 4)
 
     @pytest.mark.parametrize(
         "n, grid_size, inverse_deltas",
@@ -405,9 +408,9 @@ class TestTruncatedField:
         rows = truncated_fields(tr, deltas, grid_size)
         assert rows.shape == (len(deltas), grid_size)
         for row, delta in zip(rows, deltas):
-            assert np.array_equal(row, truncated_field(tr, n, delta, grid_size).values)
+            assert np.array_equal(row, truncated_field(tr, delta, grid_size).values)
             kmax = int(math.floor(1.0 / delta))
-            scale = np.sum(np.abs(tr.traces[:kmax]) / np.arange(1, kmax + 1))
+            scale = np.sum(np.abs(tr[:kmax]) / np.arange(1, kmax + 1))
             assert np.max(np.abs(row - truncated_field_fft(tr, delta, grid_size))) <= 1e-13 * scale
 
     def test_projection_of_full_field(self):
@@ -423,7 +426,7 @@ class TestTruncatedField:
             coeff[1:9] = fhat[1:9]
             coeff[-8:] = fhat[-8:]
             proj = np.real(np.fft.ifft(coeff) * m)
-            tf = truncated_field(trace_powers(c, 8), 16, 1.0 / 8.0, m)
+            tf = truncated_field(trace_powers(c, 8), 1.0 / 8.0, m)
             assert np.max(np.abs(proj - tf.values)) < 5e-2
 
     def test_projection_at_coarse_grid_pinned_draw(self):
@@ -436,7 +439,7 @@ class TestTruncatedField:
         coeff[1:9] = fhat[1:9]
         coeff[-8:] = fhat[-8:]
         proj = np.real(np.fft.ifft(coeff) * m)
-        tf = truncated_field(trace_powers(c, 8), 16, 1.0 / 8.0, m)
+        tf = truncated_field(trace_powers(c, 8), 1.0 / 8.0, m)
         assert np.max(np.abs(proj - tf.values)) < 5e-2
 
     def test_variance_matches_truncated_harmonic_sum(self):
@@ -445,7 +448,7 @@ class TestTruncatedField:
         vals = np.empty(reps)
         for i in range(reps):
             tr = trace_powers(sample_verblunsky(n, rng), 16)
-            vals[i] = truncated_field(tr, n, delta, 32).values[0]
+            vals[i] = truncated_field(tr, delta, 32).values[0]
         target = truncated_field_variance(n, delta)
         var = float(vals.var(ddof=1))
         se = var * math.sqrt(2.0 / (reps - 1))  # stderr of a variance estimate
@@ -458,6 +461,10 @@ class TestTruncatedField:
 
 class TestFieldSample:
     def test_theta_grid(self):
-        fs = FieldSample(4, np.zeros(8))
+        fs = FieldSample(np.zeros(8))
         assert fs.grid_size == 8
         assert fs.theta[1] == pytest.approx(math.pi / 4.0)
+
+    def test_singular_points_read_from_values(self):
+        assert not FieldSample(np.array([0.0, np.inf, -1e308])).has_singular_points
+        assert FieldSample(np.array([0.0, -np.inf])).has_singular_points

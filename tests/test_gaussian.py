@@ -6,15 +6,13 @@ from scipy.stats import norm
 
 from thickpoints.gaussian import (
     CovarianceFactorization,
-    GaussianCircleField,
     gaussian_exp_normalizer,
     harmonic_number,
     sample_circle_field,
     sample_mollified_field,
 )
-from conftest import circle_truncated_kernel
+from conftest import circle_truncated_kernel, ks_critical_value, ks_statistic
 from thickpoints.kernels import MollifierProfile, MollifierSpec, kappa
-from thickpoints.montecarlo import ks_critical_value, ks_statistic
 
 BUMP = MollifierSpec(MollifierProfile.BUMP)
 
@@ -34,7 +32,7 @@ class TestSampleCircleField:
         b = check.standard_normal(1)[0]
         theta = 2.0 * np.pi * np.arange(64) / 64
         expected = a * np.cos(theta) + b * np.sin(theta)
-        assert np.max(np.abs(field.values - expected)) < 1e-12
+        assert np.max(np.abs(field - expected)) < 1e-12
 
     @pytest.mark.parametrize("kmax, m", [(4, 8), (7, 8), (5, 6), (10, 11), (64, 80), (512, 8192)])
     def test_matches_direct_sum_with_aliased_modes(self, kmax, m):
@@ -46,7 +44,7 @@ class TestSampleCircleField:
         k = np.arange(1, kmax + 1)
         phase = np.outer(2.0 * np.pi * np.arange(m) / m, k)
         expected = (np.cos(phase) * a + np.sin(phase) * b) @ (1.0 / np.sqrt(k))
-        assert np.max(np.abs(field.values - expected)) < 1e-11
+        assert np.max(np.abs(field - expected)) < 1e-11
 
     def test_single_mode_variance_and_covariance(self):
         rng = np.random.default_rng(1)
@@ -55,7 +53,7 @@ class TestSampleCircleField:
         x1 = np.empty(reps)
         for i in range(reps):
             f = sample_circle_field(1, 6, rng)  # grid step pi/3
-            x0[i], x1[i] = f.values[0], f.values[1]
+            x0[i], x1[i] = f[0], f[1]
         assert float(x0.var(ddof=1)) == pytest.approx(1.0, abs=0.03)
         cov = float(np.mean(x0 * x1))
         assert cov == pytest.approx(math.cos(math.pi / 3.0), abs=0.03)
@@ -68,7 +66,7 @@ class TestSampleCircleField:
         xd = np.empty(reps)
         for i in range(reps):
             f = sample_circle_field(kmax, m, rng)
-            x0[i], xd[i] = f.values[0], f.values[86]
+            x0[i], xd[i] = f[0], f[86]
         target = circle_truncated_kernel(0.0, 2.0 * math.pi * 86 / m, kmax)
         cov = float(np.mean(x0 * xd))
         se = float(np.std(x0 * xd, ddof=1) / math.sqrt(reps))
@@ -79,7 +77,7 @@ class TestSampleCircleField:
         kmax, reps = 64, 10_000
         vals = np.empty(reps)
         for i in range(reps):
-            vals[i] = sample_circle_field(kmax, 80, rng).values[0]
+            vals[i] = sample_circle_field(kmax, 80, rng)[0]
         vals /= math.sqrt(harmonic_number(kmax))
         d = ks_statistic(vals, norm.cdf)
         assert d < ks_critical_value(reps, 0.01)
@@ -91,7 +89,7 @@ class TestSampleCircleField:
         anchors = range(0, m, m // 8)
         draws = np.empty((reps, m))
         for i in range(reps):
-            draws[i] = sample_circle_field(kmax, m, rng).values
+            draws[i] = sample_circle_field(kmax, m, rng)
         covs = []
         ses = []
         for a in anchors:
@@ -102,7 +100,13 @@ class TestSampleCircleField:
         assert spread < 4.0 * (max(ses) + min(ses))
 
     def test_analytic_variance_property(self):
-        assert GaussianCircleField(8, np.zeros(4)).variance == pytest.approx(harmonic_number(8))
+        # Var X(theta) = H_kmax at every grid point
+        rng = np.random.default_rng(6)
+        kmax, reps = 8, 20_000
+        draws = np.array([sample_circle_field(kmax, 16, rng) for _ in range(reps)])
+        target = harmonic_number(kmax)
+        se = target * math.sqrt(2.0 / (reps - 1))  # stderr of a variance estimate
+        assert np.all(np.abs(draws.var(axis=0, ddof=1) - target) <= 5.0 * se)
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(5)
@@ -132,12 +136,12 @@ class TestMollifiedGaussianField:
     def test_draw_reproducible_and_gaussian(self):
         grid = np.linspace(0.2, 0.8, 5)
         fac = CovarianceFactorization(grid, 1.0 / 32.0, BUMP)
-        a = fac.draw(np.random.default_rng(7)).values
-        b = fac.draw(np.random.default_rng(7)).values
+        a = fac.draw(np.random.default_rng(7))
+        b = fac.draw(np.random.default_rng(7))
         assert np.array_equal(a, b)
         reps = 5000
         rng = np.random.default_rng(8)
-        draws = np.array([fac.draw(rng).values[2] for _ in range(reps)])
+        draws = np.array([fac.draw(rng)[2] for _ in range(reps)])
         sd = math.sqrt(fac.covariance[2, 2])
         d = ks_statistic(draws / sd, norm.cdf)
         assert d < ks_critical_value(reps, 0.01)
@@ -147,7 +151,7 @@ class TestMollifiedGaussianField:
         direct = sample_mollified_field(grid, 1.0 / 16.0, BUMP, None, np.random.default_rng(9))
         fac = CovarianceFactorization(grid, 1.0 / 16.0, BUMP)
         again = fac.draw(np.random.default_rng(9))
-        assert np.allclose(direct.values, again.values)
+        assert np.allclose(direct, again)
 
     def test_rejects_grid_leaving_domain(self):
         with pytest.raises(ValueError):
@@ -171,7 +175,7 @@ class TestGaussianExpNormalizer:
         kmax, reps, gamma = 64, 100_000, 0.5
         vals = np.empty(reps)
         for i in range(reps):
-            vals[i] = math.exp(gamma * sample_circle_field(kmax, 80, rng).values[0])
+            vals[i] = math.exp(gamma * sample_circle_field(kmax, 80, rng)[0])
         target = gaussian_exp_normalizer(harmonic_number(kmax), gamma)
         se = float(vals.std(ddof=1) / math.sqrt(reps))
         assert abs(float(vals.mean()) - target) <= 4.0 * se

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import circle_truncated_kernel, sample_profile, simpson_conv_density
+from thickpoints import kernels
 from thickpoints.kernels import (
     BUMP_INTEGRAL,
     MollifierProfile,
     MollifierSpec,
-    _conv_cache,
     _conv_density,
     _uniform_spline,
     assumption1_check,
@@ -298,10 +298,10 @@ class TestConvDensity:
         assert np.all(spline(np.array([-3.0, -1.0 - 1e-9, 1.0, 2.5])) == 0.0)
 
     def test_one_unit_density_per_ratio(self):
-        _conv_cache.clear()
+        kernels._unit_conv_density.cache_clear()
         coarse, _ = _conv_density(1.0 / 8.0, 1.0 / 32.0, BUMP)
         fine, _ = _conv_density(1.0 / 64.0, 1.0 / 256.0, BUMP)
-        assert len(_conv_cache) == 1
+        assert kernels._unit_conv_density.cache_info().currsize == 1
         u = np.linspace(-1.25, 1.25, 101)
         # q_{delta,eps}(w) = delta^-1 S_{eps/delta}(w/delta)
         assert np.allclose(coarse(u / 8.0) / 8.0, fine(u / 64.0) / 64.0, rtol=1e-14, atol=0.0)
@@ -412,14 +412,23 @@ class TestKappa:
 
 
 class TestAssumption1Check:
-    def test_bounded_on_working_grid(self):
+    def test_bounded_on_working_grid(self, monkeypatch):
+        calls = []
+        kernel = kernels.doubly_mollified_kernel
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, "doubly_mollified_kernel", counted)
         deltas = [2.0**-j for j in range(3, 9)]
-        report = assumption1_check(
+        worst = assumption1_check(
             np.linspace(0.15, 0.85, 5), deltas, deltas, BUMP, None, (0.0, 1.0)
         )
-        assert math.isfinite(report.max_deviation)
-        assert report.max_deviation <= 3.0
-        assert report.evaluations == 21 * 25
+        assert math.isfinite(worst)
+        assert worst <= 3.0
+        # 21 scale pairs with epsilon <= delta, 25 grid pairs each
+        assert len(calls) == 21 * 25
 
     def test_far_pair_has_small_deviation(self):
         val = doubly_mollified_kernel(0.25, 0.75, 1.0 / 8.0, 1.0 / 8.0, BUMP, None, (0.0, 1.0))
