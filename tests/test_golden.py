@@ -3,10 +3,13 @@ refactor of the Szego evaluators, the samplers or the grid synthesis cannot
 drift silently."""
 
 import numpy as np
+import pytest
 
 from conftest import mc_field_at
+from thickpoints import cue
 from thickpoints.cue import eval_field, sample_verblunsky
 from thickpoints.montecarlo import Experiment, ExperimentConfig, run_experiment
+from thickpoints.special_fn import GammaConvention
 
 RTOL = 1e-12
 
@@ -79,3 +82,64 @@ def test_gaussian_gmc_mass_odd_grid():
     got = [r.scalars["gmc_mass"] for r in records]
     want = [1.0488756890702826, 0.8553437029853983, 1.0514988129775775, 0.9961558698838396]
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
+
+
+# n = 256 and 300 lie above cue.SZEGO_CROSSOVER, so these pin the product
+# tree; 300 also has an odd leaf count and a partial last leaf.  Float
+# columns hold to RTOL; the count-based columns (nu and the barrier
+# violations, each a grid-point count times a constant) must not move at all.
+TREE_FK_MASS = {
+    256: [0.9280926951436611, 0.8261805974892932, 0.8123284677110295],
+    300: [0.8199781694962258, 0.8121605810158593, 0.9190009569142024],
+}
+TREE_NU_MU_FLOATS = {
+    256: {
+        "mu": [1.007087535437931, 1.0915591864839302, 0.96170889529109],
+        "discrepancy": [0.027880883246042987, 0.20542304608002626, 0.23549673288907413],
+    },
+    300: {
+        "mu": [1.2022789588966167, 0.9834470603284016, 1.1821612041717633],
+        "discrepancy": [0.3355402434747541, 0.10976517762679094, 0.24020484321929836],
+    },
+}
+TREE_NU_MU_COUNTS = {
+    256: {
+        "nu": [0.979206652191888, 0.886136140403904, 0.7262121624020159],
+        "nu_barrier_violation": [0.6999951168279359, 0.651493582515888, 0.503367275022336],
+        "nu_barrier_violation_l2": [0.6999951168279359, 0.651493582515888, 0.503367275022336],
+        "nu_barrier_violation_l3": [0.605613752761248, 0.5898835254168, 0.407675058676944],
+        "nu_barrier_violation_l4": [0.433892104251024, 0.48108278628436796, 0.256927046625984],
+    },
+    300: {
+        "nu": [0.8667387154218626, 0.8736818827016106, 0.9419563609524649],
+        "nu_barrier_violation": [0.6596008915760504, 0.6086843315245658, 0.7614340116790196],
+        "nu_barrier_violation_l2": [0.6596008915760504, 0.6086843315245658, 0.7614340116790196],
+        "nu_barrier_violation_l3": [0.6040555533380672, 0.5542961878332072, 0.6572865024828011],
+        "nu_barrier_violation_l4": [0.5045368223283473, 0.3726166440131372, 0.4640350131964846],
+    },
+}
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_fk_mass_tree_path(n):
+    config = ExperimentConfig(
+        Experiment.FK_TEST, n=n, gamma=0.3, convention=GammaConvention.CONJECTURE,
+        replicas=3, master_seed=11,
+    )
+    assert n > cue.SZEGO_CROSSOVER
+    records, _ = run_experiment(config)
+    got = [r.scalars["fk_mass"] for r in records]
+    np.testing.assert_allclose(got, TREE_FK_MASS[n], rtol=RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_nu_mu_tree_path(n):
+    # ell = 2 with the automatic depth L = 4: barrier levels 2, 3 and 4
+    config = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, n=n, ell=2, replicas=3, master_seed=11)
+    assert n > cue.SZEGO_CROSSOVER
+    records, _ = run_experiment(config)
+    for name, values in TREE_NU_MU_FLOATS[n].items():
+        got = [r.scalars[name] for r in records]
+        np.testing.assert_allclose(got, values, rtol=RTOL, atol=0.0, err_msg=name)
+    for name, values in TREE_NU_MU_COUNTS[n].items():
+        assert [r.scalars[name] for r in records] == values, name
