@@ -3,9 +3,12 @@ field, its Fourier truncations and power traces.
 
 No dense eigensolver anywhere: a Haar CUE spectrum is parametrized by random
 Verblunsky coefficients, whose Szego polynomial is synthesized once per
-sample as a coefficient vector by a product tree of transfer matrices.  The
-field on a uniform grid is one FFT of that vector, and power traces come from
-Newton's identities on the same coefficients.  At arbitrary angles, on grids
+sample as a coefficient vector by a product tree of transfer matrices.  Each
+block of the tree carries only row 0 of its product, since row 1 is its
+reflection (Simon, Orthogonal Polynomials on the Unit Circle, sec. 1.5): a
+merge takes 4 forward FFTs and 2 inverse, the root 3 and 1.  The field on a
+uniform grid is one FFT of that vector, and power traces come from Newton's
+identities on the same coefficients.  At arbitrary angles, on grids
 too coarse to resolve the polynomial and wherever the coefficient vector
 overflows, one per-point Szego recursion (szego_log_abs), batched over
 replicas, evaluates the field in O(n) per point.  The dense determinant and
@@ -144,12 +147,16 @@ def szego_log_abs(alphas: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.log(np.abs(phi)) + logscale
 
 
-SZEGO_LEAF = 64
-# Degree at or below which the plain recursion beats the product tree; a lone
-# leaf carries four polynomials where the plain recursion carries two.  On a
-# 2-core Xeon VM the plain recursion won at n = 96 (0.86 ms against 0.97 ms)
-# and the tree from n = 112 on (0.97 ms against 1.05 ms).
-SZEGO_CROSSOVER = 100
+# Steps per leaf of the product tree.  On a 2-core Xeon VM (best of 9),
+# leaves of 32 beat leaves of 64 at n = 1024 (0.72 ms against 1.03 ms) and at
+# n = 16384 (16.9 ms against 18.3 ms), and matched them at n = 4096.
+SZEGO_LEAF = 32
+# Degree at or below which the plain recursion runs in place of the tree.
+# Padding to whole leaves makes the tree lose below n of about 48 (0.29 ms
+# against 0.22 ms at n = 33); from there to 64 it wins by at most 0.1 ms
+# (0.29 ms against 0.38 ms at n = 64), so the n <= 64 runs keep the plain
+# recursion and their bits.
+SZEGO_CROSSOVER = 64
 
 
 def _szego_steps(alphas: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,19 +190,24 @@ def _phi_coefficient_vector(alphas: np.ndarray) -> np.ndarray:
     T_k = [[z, -conj(alpha_k)], [-alpha_k z, 1]] acting on (Phi_k, Phi*_k), so
     Phi_n is row 0 of T_{n-1} ... T_0 applied to (1, 1).  For
     n <= SZEGO_CROSSOVER the recursion runs on that start vector directly,
-    O(n^2).  Above it the alphas are split into leaves of SZEGO_LEAF steps;
-    every leaf's 2x2 product comes from the recursion on the start columns
-    (1, 0) and (0, 1), batched over leaves, and adjacent products are merged
-    level by level with batched FFT polynomial products, an odd block being
-    carried up unchanged, until two blocks are left (n > SZEGO_CROSSOVER >=
-    SZEGO_LEAF makes at least two leaves).  That costs
-    O(n log^2 n) (von zur Gathen-Gerhard, Modern Computer Algebra ch. 10).
-    Of the root product only Phi_n = row 0 times (1, 1) is needed, so the
-    last merge forms just L00 (E00 + E01) + L01 (E10 + E11) for the later
-    block L and the earlier block E: 4 forward transforms and 1 inverse in
-    place of 8 and 4.  The last leaf is completed with alpha = 0 steps, each
-    of which only multiplies Phi by z, so the root's row 0 is z^pad times the
-    true one.
+    O(n^2).  Above it the alphas are split into leaves of SZEGO_LEAF steps and
+    the leaf products are merged level by level with batched FFT polynomial
+    products, an odd block being carried up unchanged, until two blocks are
+    left (n > SZEGO_CROSSOVER >= SZEGO_LEAF makes at least two leaves).  That
+    costs O(n log^2 n) (von zur Gathen-Gerhard, Modern Computer Algebra
+    ch. 10).
+
+    Every product of d steps has the form [[A, B], [B#, A#]] with
+    P#(z) = z^d conj(P(1/conj(z))), the coefficients of P reversed and
+    conjugated (Simon, Orthogonal Polynomials on the Unit Circle, AMS 2005,
+    sec. 1.5), so each block carries only its row 0, (A, B).  A leaf runs the
+    recursion on the one start column (1, 0), which yields A and B#, batched
+    over leaves.  Merging a later block (A2, B2) with an earlier (A1, B1)
+    gives A = A2 A1 + B2 B1# and B = A2 B1 + B2 A1#, and the root gives
+    Phi_n = A2 S + B2 S# with S = A1 + B1 (_row0_product).  A merge takes 4
+    forward transforms and 2 inverse, the root 3 and 1.  The last leaf is
+    completed with alpha = 0 steps, each of which only multiplies Phi by z, so
+    the root's row 0 is z^pad times the true one.
     """
     n = alphas.size
     if n <= SZEGO_CROSSOVER:
@@ -203,43 +215,47 @@ def _phi_coefficient_vector(alphas: np.ndarray) -> np.ndarray:
         return phi[:, 0, 0]
     pad = -n % SZEGO_LEAF
     leaves = np.concatenate([alphas, np.zeros(pad, dtype=np.complex128)])
-    phi, star = _szego_steps(leaves.reshape(-1, SZEGO_LEAF), np.eye(2))
-    # level[b, r, c] holds row r, column c of block b's product
-    level = np.stack([phi, star]).transpose(2, 0, 3, 1)
+    a, b_star = _szego_steps(leaves.reshape(-1, SZEGO_LEAF), np.array([[1.0, 0.0]]))
+    # level[b, 0] and level[b, 1] hold A and B of block b's product
+    level = np.stack([a[:, :, 0], np.conj(b_star[::-1, :, 0])]).transpose(2, 0, 1)
     while level.shape[0] > 2:
         pairs = level.shape[0] // 2
-        # the later block multiplies from the left
-        later, earlier = level[1 : 2 * pairs : 2], level[0 : 2 * pairs : 2]
-        merged = _cyclic_product("pabf,pbcf->pacf", later, earlier)
+        # the later block multiplies from the left; only the earlier one is
+        # reflected, and it always fills its storage degree, since only the
+        # last block can have been carried up
+        merged = _row0_product(level[1 : 2 * pairs : 2], level[0 : 2 * pairs : 2])
         if level.shape[0] % 2:
             carried = np.zeros((1, *merged.shape[1:]), dtype=np.complex128)
             carried[..., : level.shape[-1]] = level[-1]
             merged = np.concatenate([merged, carried])
         level = merged
-    root = _cyclic_product("bf,bf->f", level[1, 0], level[0, :, 0] + level[0, :, 1])
+    root = _row0_product(level[1], level[0, :1] + level[0, 1:])[0]
     return root[pad : pad + n + 1]
 
 
-def _cyclic_product(subscripts: str, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """Products of degree-d polynomials, coefficients on the last axis (f in
-    the einsum subscripts), contracted as the subscripts say; returns the
-    2d + 1 coefficients of each result.
+def _row0_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """A2 E_c + B2 (E_{C-1-c})# for each c, the coefficients on the last axis.
 
-    A cyclic product of the power-of-two length 2d folds the top coefficient
-    onto the constant one, so it is computed directly and moved back.  At
-    n = 4096 this stayed within 4e-15 of an 80-bit recursion; 5-smooth
-    lengths of at least 2d + 1 drifted to 2e-14.
+    later (..., 2, d + 1) holds (A2, B2), earlier (..., C, d + 1) the degree-d
+    polynomials E_c, and # reflects at degree d.  C = 2 with E = (A1, B1)
+    merges two blocks; C = 1 with E = S gives the root's A2 S + B2 S#.
+    Returns the 2d + 1 coefficients of each result, shape (..., C, 2d + 1).
+
+    Zero-padded to length 2d, fft(P#)[k] = (-1)^k conj(fft(P)[k]), so the
+    reflections cost no transform.  A cyclic product of the power-of-two
+    length 2d folds the top coefficient onto the constant one, so it is
+    computed directly and moved back.  At n = 4096 this stayed within 4e-15
+    of an 80-bit recursion; 5-smooth lengths of at least 2d + 1 drifted to
+    2e-14.
     """
     degree = later.shape[-1] - 1  # SZEGO_LEAF times a power of two
-    cyclic = np.fft.ifft(
-        np.einsum(
-            subscripts,
-            np.fft.fft(later, n=2 * degree, axis=-1),
-            np.fft.fft(earlier, n=2 * degree, axis=-1),
-        ),
-        axis=-1,
-    )
-    top = np.einsum(subscripts.replace("f", ""), later[..., degree], earlier[..., degree])
+    f_later = np.fft.fft(later, n=2 * degree, axis=-1)
+    f_earlier = np.fft.fft(earlier, n=2 * degree, axis=-1)
+    f_star = np.conj(f_earlier[..., ::-1, :])
+    f_star[..., 1::2] *= -1.0
+    cyclic = np.fft.ifft(f_later[..., :1, :] * f_earlier + f_later[..., 1:, :] * f_star, axis=-1)
+    # B2 has degree below d, so only A2 E_c reaches the top coefficient
+    top = later[..., :1, degree] * earlier[..., degree]
     cyclic[..., 0] -= top
     return np.concatenate([cyclic, top[..., None]], axis=-1)
 

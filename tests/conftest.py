@@ -2,14 +2,15 @@
 
 Independent references used to pin the analytic code: a Weierstrass-product
 Barnes G, a Monte Carlo field sampler over the library's batched Szego
-routines, an mpmath Szego recursion, a long-double Szego coefficient
-recursion, the truncated circle kernel by one correctly rounded sum, a
-brute-force Simpson convolution density, a mollifier-profile sampler, the
-truncated field by one complex FFT per scale and its analytic variance, the
-nu-mu barrier columns from one barrier mask per start level, small-n dense
-oracles (a Gram-Schmidt Haar unitary, LU determinants, the CMV operator and
-its power traces), and Kolmogorov-Smirnov statistics with their asymptotic
-critical values.
+routines, an mpmath Szego recursion, mpmath power traces by the Szego
+coefficient recursion and Newton's identities, a long-double Szego
+coefficient recursion, the truncated circle kernel by one correctly rounded
+sum, a brute-force Simpson convolution density, a mollifier-profile sampler,
+the truncated field by one complex FFT per scale and its analytic variance,
+the nu-mu barrier columns from one barrier mask per start level, small-n
+dense oracles (a Gram-Schmidt Haar unitary, LU determinants, the CMV
+operator and its power traces), and Kolmogorov-Smirnov statistics with their
+asymptotic critical values.
 """
 
 import math
@@ -99,6 +100,30 @@ def mp_field_on_grid(alphas: np.ndarray, grid_size: int, indices, dps: int = 40)
                 phi, star = zphi - mpmath.conj(a) * star, star - a * zphi
             out.append(float(mpmath.sqrt(2) * mpmath.log(abs(phi))))
     return np.array(out)
+
+
+def mp_trace_powers(alphas: np.ndarray, kmax: int, dps: int = 60) -> np.ndarray:
+    """Tr U^k for k = 1..kmax: the Szego recursion on coefficient vectors,
+    then Newton's identities on the monic Phi_n, both in mpmath at dps
+    digits.  O(n^2 + kmax n)."""
+    n = alphas.size
+    with mpmath.workdps(dps):
+        phi = [mpmath.mpc(1)] + [mpmath.mpc(0)] * n
+        star = list(phi)
+        for a in alphas:
+            a = mpmath.mpc(complex(a))
+            zphi = [mpmath.mpc(0)] + phi[:n]
+            phi = [zp - mpmath.conj(a) * s for zp, s in zip(zphi, star)]
+            star = [s - a * zp for zp, s in zip(zphi, star)]
+        c = phi[::-1]  # c[i] multiplies z^{n-i}
+        p = []
+        for k in range(1, kmax + 1):
+            m = min(k - 1, n)
+            s = -k * c[k] if k <= n else mpmath.mpc(0)
+            if m:
+                s -= mpmath.fdot(c[1 : m + 1], p[k - 2 :: -1][:m])
+            p.append(s)
+        return np.array([complex(x) for x in p])
 
 
 def ld_phi_coefficients(alphas: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ they exercise the same code paths as the CLI.
 """
 
 import math
-import os
 import time
 
 import numpy as np

@@ -18,6 +18,7 @@ from conftest import (
     ld_phi_coefficients,
     mc_field_at,
     mp_field_on_grid,
+    mp_trace_powers,
     sample_haar_unitary_dense,
     trace_powers_cmv,
     truncated_field_fft,
@@ -175,15 +176,41 @@ class TestEvalField:
         assert d < ks_two_sample_critical_value(reps, reps, 0.01)
 
 
+def _tree_shape(n: int, leaf: int) -> tuple[int, int, int]:
+    """(leaves, pad, carries) of the product tree at n: the leaf count, the
+    alpha = 0 steps completing the last leaf, and the levels that carry an
+    odd block up unchanged."""
+    blocks = -(-n // leaf)
+    leaves, carries = blocks, 0
+    while blocks > 2:
+        carries += blocks % 2
+        blocks = (blocks + 1) // 2
+    return leaves, -n % leaf, carries
+
+
+LEAF = cue.SZEGO_LEAF
+# fixed sizes, plus sizes derived from the leaf so that each tree shape stays
+# covered after a retune: two-leaf roots with a partial last leaf (LEAF + 1)
+# and without (2 LEAF), and five leaves, the last partial, whose odd block is
+# carried up twice (5 LEAF - 3: five blocks, then three)
+TREE_SIZES = sorted(
+    {65, 101, 127, 128, 129, 300, 1000, 1024, 1300, 4096, LEAF + 1, 2 * LEAF, 5 * LEAF - 3}
+)
+
+
 class TestSynthesis:
-    @pytest.mark.parametrize("n", [65, 101, 127, 128, 129, 300, 1000, 1024, 1300, 4096])
+    def test_tree_sizes_cover_every_shape(self):
+        # n > SZEGO_CROSSOVER >= SZEGO_LEAF gives at least two leaves, so the
+        # root merge always sees two blocks
+        assert cue.SZEGO_CROSSOVER >= LEAF
+        shapes = [_tree_shape(n, LEAF) for n in TREE_SIZES]
+        assert all(leaves >= 2 for leaves, _, _ in shapes)
+        assert any(pad > 0 for _, pad, _ in shapes)
+        assert any(carries >= 2 for _, _, carries in shapes)
+        assert any(leaves == 2 for leaves, _, _ in shapes)
+
+    @pytest.mark.parametrize("n", TREE_SIZES)
     def test_tree_matches_single_block_recursion(self, n, monkeypatch):
-        # partial last leaves (65, 101, 127, 129, 300, 1000, 1300), odd blocks
-        # carried up (129: three leaves; 300: five, then three; 1300: 21, then
-        # 11 and 3 blocks) and a root of two leaves (65, 101, 128); every
-        # n above the crossover has at least two leaves, so the root merge
-        # always sees two blocks
-        assert cue.SZEGO_CROSSOVER >= cue.SZEGO_LEAF
         alphas = sample_verblunsky(n, np.random.default_rng(n)).alphas
         plain = cue._szego_steps(alphas[None, :], np.array([[1.0, 1.0]]))[0][:, 0, 0]
         monkeypatch.setattr(cue, "SZEGO_CROSSOVER", 0)
@@ -191,9 +218,43 @@ class TestSynthesis:
         assert tree.shape == (n + 1,)
         assert np.max(np.abs(tree - plain)) <= 1e-13
 
+    def test_blocks_are_determined_by_row_zero(self):
+        # the full 2x2 product of d steps is [[A, B], [B#, A#]], with P# the
+        # reversed conjugate coefficients at degree d: checked for a batch of
+        # leaves and for the merge of two leaves, against the recursion run
+        # on both start columns over the concatenated steps
+        def full_product(alphas):
+            phi, star = cue._szego_steps(alphas, np.eye(2))
+            # [b, r, c, f]: row r, column c of block b, coefficients on f
+            return np.stack([phi, star]).transpose(2, 0, 3, 1)
+
+        def reflect(p):
+            return np.conj(p[..., ::-1])
+
+        alphas = cue.sample_alphas(4 * LEAF, np.random.default_rng(3)).reshape(4, LEAF)
+        leaves = full_product(alphas)
+        merged = full_product(alphas.reshape(2, 2 * LEAF))
+        for m in (leaves, merged):
+            a, b = m[:, 0, 0], m[:, 0, 1]
+            np.testing.assert_allclose(m[:, 1, 0], reflect(b), rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(m[:, 1, 1], reflect(a), rtol=0.0, atol=1e-14)
+        # _row0_product merges row 0 of each later leaf with the earlier leaf
+        got = cue._row0_product(leaves[1::2, 0], leaves[0::2, 0])
+        np.testing.assert_allclose(got, merged[:, 0], rtol=0.0, atol=1e-14)
+        # zero-padded to length 2d, fft(P#)[k] = (-1)^k conj(fft(P)[k])
+        rng = np.random.default_rng(4)
+        p = rng.standard_normal(LEAF + 1) + 1j * rng.standard_normal(LEAF + 1)
+        sign = (-1.0) ** np.arange(2 * LEAF)
+        np.testing.assert_allclose(
+            np.fft.fft(reflect(p), n=2 * LEAF),
+            sign * np.conj(np.fft.fft(p, n=2 * LEAF)),
+            rtol=0.0,
+            atol=1e-13,
+        )
+
     @pytest.mark.parametrize("n", [101, 300, 4096])
     def test_tree_against_long_double_recursion(self, n):
-        # 101: two leaves, pad 27; 300: five leaves, one carried up
+        # 101 and 300 end in a partial leaf, and 300 carries odd blocks up
         alphas = sample_verblunsky(n, np.random.default_rng(n + 7)).alphas
         ref = ld_phi_coefficients(alphas)
         err = np.max(np.abs(cue._phi_coefficient_vector(alphas) - ref)) / np.max(np.abs(ref))
@@ -365,6 +426,26 @@ class TestTracePowers:
             mean = float(sq[:, j].mean())
             se = float(sq[:, j].std(ddof=1) / math.sqrt(reps))
             assert abs(mean - min(k, n)) <= 5.0 * se
+
+    # The absolute error against a 60-digit Szego-plus-Newton recursion grows
+    # about linearly in k, and with n through the coefficients.  Largest seen
+    # over four seeds each (these and 1-3), for k <= 2n and up to kmax:
+    # n = 16, 4.1e-14 and 1.2e-12 (kmax the 64n guard); n = 64, 1.3e-13 and
+    # 5.9e-12 (the guard); n = 256, on the product tree, 2.3e-12 (kmax = 2n).
+    # Each budget is 3.8x to 5x that.
+    @pytest.mark.parametrize(
+        "n,kmax,budget_2n,budget",
+        [
+            (16, 16 * TRACE_COST_GUARD, 2e-13, 5e-12),
+            (64, 64 * TRACE_COST_GUARD, 5e-13, 3e-11),
+            (256, 512, 1e-11, 1e-11),
+        ],
+    )
+    def test_against_mpmath_newton(self, n, kmax, budget_2n, budget):
+        c = sample_verblunsky(n, np.random.default_rng(n + 23))
+        err = np.abs(trace_powers(c, kmax) - mp_trace_powers(c.alphas, kmax))
+        assert np.max(err[: 2 * n]) <= budget_2n
+        assert np.max(err) <= budget
 
     def test_cost_guard(self):
         rng = np.random.default_rng(18)

@@ -17,7 +17,7 @@ from thickpoints.measures import (
     l1_discrepancy,
     thick_measure_integral,
 )
-from thickpoints.special_fn import GammaConvention, fk_normalizer
+from thickpoints.special_fn import fk_normalizer
 
 
 def flat_field(m, value):

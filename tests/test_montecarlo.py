@@ -1,5 +1,4 @@
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -74,8 +73,6 @@ class TestConfigValidation:
             assert word in msg
 
     def test_gamma_range_depends_on_convention(self):
-        from thickpoints.special_fn import GammaConvention
-
         ok = ExperimentConfig(
             Experiment.FK_TEST, gamma=1.2, convention=GammaConvention.THEOREM
         )
