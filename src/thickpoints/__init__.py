@@ -8,12 +8,8 @@ from .special_fn import (
     GammaConvention,
     cue_abs_moment_exact,
     fk_normalizer,
-    frechet_cdf,
-    frechet_pdf,
-    frechet_ppf,
     log_barnes_g,
     log_psi,
-    psi,
     thickpoint_prob_asymptotic,
     to_theorem_scale,
 )
@@ -26,7 +22,7 @@ from .cue import (
     trace_powers,
     truncated_field,
 )
-from .gaussian import sample_circle_field, sample_mollified_field
+from .gaussian import sample_circle_field
 from .measures import (
     BarrierSpec,
     ThickPointSpec,
@@ -46,12 +42,8 @@ __all__ = [
     "GammaConvention",
     "cue_abs_moment_exact",
     "fk_normalizer",
-    "frechet_cdf",
-    "frechet_pdf",
-    "frechet_ppf",
     "log_barnes_g",
     "log_psi",
-    "psi",
     "thickpoint_prob_asymptotic",
     "to_theorem_scale",
     "FieldSample",
@@ -62,7 +54,6 @@ __all__ = [
     "trace_powers",
     "truncated_field",
     "sample_circle_field",
-    "sample_mollified_field",
     "BarrierSpec",
     "ThickPointSpec",
     "exp_measure_integral",

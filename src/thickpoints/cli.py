@@ -26,6 +26,7 @@ from .montecarlo import (
     derive_seed,
     replica_stream,
     run_experiment,
+    worker_count,
 )
 from .special_fn import GammaConvention
 
@@ -241,6 +242,10 @@ def main(argv: list[str] | None = None) -> int:
             path = _emit_sample(config, config.output_path or "sample")
             print(f"wrote {path}")
             return EXIT_OK
+        try:
+            worker_count()
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         records, summary = run_experiment(config)
         print(f"completed {config.replicas} replicas of {experiment.value}")
         base = config.output_path or experiment.value

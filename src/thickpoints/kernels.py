@@ -1,19 +1,15 @@
 """Deterministic covariance-kernel evaluations.
 
-Exact log kernels on the circle and on an interval, truncated Fourier kernels,
-real Fourier series on the uniform circle grid, and mollified kernels by
-Gauss-Legendre panel quadrature, together with numeric checks of the
-bounded-deviation estimates they are supposed to satisfy.
-
-Distances on the circle are always the chord 2|sin(delta/2)|, never arc length.
+Truncated Fourier kernels on the circle, real Fourier series on the uniform
+circle grid, and the doubly bump-mollified log kernel on an interval by
+Gauss-Legendre panel quadrature, together with a numeric check of the
+bounded-deviation estimate it is supposed to satisfy.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,56 +21,16 @@ TRUNCATED_BLOCK = 64
 # rounded double of the integral, 0.443993816168079437823... by mpmath.quad.
 BUMP_INTEGRAL = 0.4439938161680794
 
-# a smooth shift h(u, v) of the log kernel; the mollified kernels call it on
-# numpy arrays that broadcast against each other
-Shift = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-
-class MollifierProfile(enum.Enum):
-    BUMP = "bump"
-    TRIANGLE = "triangle"
-
-
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Compactly supported probability density on [-1, 1]."""
-
-    profile: MollifierProfile = MollifierProfile.BUMP
-
-    def density(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.profile is MollifierProfile.BUMP:
-            out = np.zeros_like(u)
-            inside = np.abs(u) < 1.0
-            ui = u[inside]
-            out[inside] = np.exp(-1.0 / (1.0 - ui * ui)) / BUMP_INTEGRAL
-            return out
-        return np.maximum(1.0 - np.abs(u), 0.0)
-
-    def scaled_density(self, u, delta: float, center: float):
-        """rho_{delta,center}(u) = delta^-1 rho((u - center)/delta)."""
-        return self.density((np.asarray(u, dtype=float) - center) / delta) / delta
-
-    @property
-    def kinks(self) -> tuple[float, ...]:
-        """Points of [-1, 1] where the profile is not smooth."""
-        return () if self.profile is MollifierProfile.BUMP else (-1.0, 0.0, 1.0)
-
-
-def circle_chord(x1: float, x2: float) -> float:
-    """|e^{ix1} - e^{ix2}| computed as 2|sin((x1-x2)/2)| to avoid cancellation."""
-    return 2.0 * abs(math.sin(0.5 * (x1 - x2)))
-
-
-def circle_log_kernel(theta: float, x: float) -> float:
-    """-log|e^{i theta} - e^{ix}| = -log(2|sin((theta-x)/2)|).
-
-    Returns +inf at coincident angles.
-    """
-    chord = circle_chord(theta, x)
-    if chord == 0.0:
-        return math.inf
-    return -math.log(chord)
+def bump_density(u) -> np.ndarray:
+    """The mollifier: exp(-1/(1-u^2)) / BUMP_INTEGRAL on (-1, 1), a
+    probability density, and zero outside."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - ui * ui)) / BUMP_INTEGRAL
+    return out
 
 
 def real_fourier_grid(modes: np.ndarray, grid_size: int) -> np.ndarray:
@@ -136,17 +92,7 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
     return out
 
 
-def euclid_kernel(x: float, y: float, h: Shift | None = None) -> float:
-    """-log|x - y| + h(x, y) on an interval; +inf at coincidence."""
-    d = abs(x - y)
-    shift = 0.0 if h is None else h(x, y)
-    if d == 0.0:
-        return math.inf
-    return -math.log(d) + shift
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL2_NODES = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
 # the bump's unit convolution density is tabulated on CONV_NODES points; its
 # lattice step divides that grid and puts CONV_MIN_POINTS on the narrower
@@ -156,8 +102,6 @@ CONV_MIN_POINTS = 2049
 CONV_MAX_REFINE = 512
 # zero nodes added on each side before the periodic spline solve
 CONV_PAD = 32
-# equal Gauss-Legendre panels of the h-term rule on [-1, 1]
-H_PANELS = 32
 
 
 def _uniform_spline(lo: float, step: float, values: np.ndarray):
@@ -195,40 +139,20 @@ def _uniform_spline(lo: float, step: float, values: np.ndarray):
     return spline
 
 
-def _triangle_conv(ratio: float, w) -> np.ndarray:
-    """S_r(w) = int rho(w - r s) rho(s) ds for the triangle rho, r = ratio.
-
-    Between consecutive kinks s in {-1, 0, 1, (w-1)/r, w/r, (w+1)/r} the
-    integrand is a product of two linear functions, so 2-point Gauss-Legendre
-    on each piece is exact and nothing cancels at small r.
-    """
-    tri = MollifierSpec(MollifierProfile.TRIANGLE).density
-    w = np.asarray(w, dtype=float)[..., None]
-    own = np.array([-1.0, 0.0, 1.0])
-    kinks = np.concatenate(np.broadcast_arrays(own, (w + own) / ratio), axis=-1)
-    cuts = np.sort(np.clip(kinks, -1.0, 1.0), axis=-1)
-    mid = 0.5 * (cuts[..., 1:] + cuts[..., :-1])
-    halfw = 0.5 * (cuts[..., 1:] - cuts[..., :-1])
-    s = mid[..., None] + halfw[..., None] * _GL2_NODES
-    return np.sum((tri(s) * tri(w[..., None] - ratio * s)).sum(axis=-1) * halfw, axis=-1)
-
-
 @functools.cache
-def _unit_conv_density(ratio: float, rho: MollifierSpec):
-    """S_r = rho * rho_r with rho_r(v) = rho(v/r)/r, r = ratio, as a function.
+def _unit_conv_density(ratio: float):
+    """S_r = rho * rho_r with rho the bump and rho_r(v) = rho(v/r)/r, r =
+    ratio, as a uniform cubic spline.
 
-    The triangle's is exact (_triangle_conv).  The bump's is a uniform cubic
-    spline: S_r is supported on [-(1+r), 1+r] and tabulated on CONV_NODES
-    points.  rho and rho_r are sampled on one lattice whose step h divides
-    that grid's step, each sample set is scaled to unit mass (h times its
-    sum), and the two are convolved by one numpy rfft/irfft product.  For
-    the smooth bump the lattice sum equals the integral to rounding.  The
-    mass scaling keeps S_r a probability density when r is so far from 1 that
-    the refinement cap leaves the narrower profile fewer than CONV_MIN_POINTS
-    samples.  Each (ratio, rho) is built once per process.
+    S_r is supported on [-(1+r), 1+r] and tabulated on CONV_NODES points.
+    rho and rho_r are sampled on one lattice whose step h divides that grid's
+    step, each sample set is scaled to unit mass (h times its sum), and the
+    two are convolved by one numpy rfft/irfft product.  For the smooth bump
+    the lattice sum equals the integral to rounding.  The mass scaling keeps
+    S_r a probability density when r is so far from 1 that the refinement cap
+    leaves the narrower profile fewer than CONV_MIN_POINTS samples.  Each
+    ratio is built once per process.
     """
-    if rho.profile is MollifierProfile.TRIANGLE:
-        return functools.partial(_triangle_conv, ratio)
     half_nodes = (CONV_NODES - 1) // 2
     grid_step = (1.0 + ratio) / half_nodes
     narrow = min(ratio, 1.0)
@@ -236,8 +160,8 @@ def _unit_conv_density(ratio: float, rho: MollifierSpec):
     step = grid_step / refine
     reach = math.floor(1.0 / step)
     reach_r = math.floor(ratio / step)
-    base = rho.density(np.arange(-reach, reach + 1) * step)
-    scaled = rho.density(np.arange(-reach_r, reach_r + 1) * (step / ratio))
+    base = bump_density(np.arange(-reach, reach + 1) * step)
+    scaled = bump_density(np.arange(-reach_r, reach_r + 1) * (step / ratio))
     base /= base.sum() * step
     scaled /= scaled.sum() * step
     size = base.size + scaled.size - 1
@@ -251,7 +175,7 @@ def _unit_conv_density(ratio: float, rho: MollifierSpec):
     return _uniform_spline(-(1.0 + ratio), grid_step, q)
 
 
-def _conv_density(delta: float, epsilon: float, rho: MollifierSpec):
+def _conv_density(delta: float, epsilon: float):
     """Convolution density of the two centered mollifiers and its half-width.
 
     q(w) = int rho_delta(w + v) rho_epsilon(v) dv is supported on
@@ -260,15 +184,14 @@ def _conv_density(delta: float, epsilon: float, rho: MollifierSpec):
     unit density S_r per ratio (see _unit_conv_density) serves every pair of
     scales with that ratio.
     """
-    unit = _unit_conv_density(epsilon / delta, rho)
+    unit = _unit_conv_density(epsilon / delta)
     return (lambda w: unit(w / delta) / delta), delta + epsilon
 
 
-def _refined_edges(lo: float, hi: float, special: float, knots: list[float]) -> np.ndarray:
-    """Panel edges on [lo, hi]: the knots inside it as plain edges, and edges
-    refined dyadically toward both ends and toward the special point if it
-    lies inside."""
-    edges = {lo, hi, *(k for k in knots if lo < k < hi)}
+def _refined_edges(lo: float, hi: float, special: float) -> np.ndarray:
+    """Panel edges on [lo, hi], refined dyadically toward both ends and toward
+    the special point if it lies inside."""
+    edges = {lo, hi}
     scale = hi - lo
     points = ([special] if lo < special < hi else []) + [lo, hi]
     for p in points:
@@ -284,68 +207,24 @@ def _refined_edges(lo: float, hi: float, special: float, knots: list[float]) -> 
     return np.array(sorted(edges))
 
 
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on the given panels, one row per panel, and the
-    panels' half-widths as a column."""
-    halfw = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return 0.5 * (edges[:-1] + edges[1:])[:, None] + halfw * _GL_NODES, halfw
-
-
 def _panel_quad(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> float:
     """Fixed-order Gauss-Legendre over the given panels, vectorized."""
-    x, halfw = _panel_nodes(edges)
+    halfw = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + halfw * _GL_NODES
     vals = f(x.ravel()).reshape(x.shape)
     return float(np.sum(vals @ _GL_WEIGHTS * halfw[:, 0]))
 
 
-def _log_integral(c: float, density, half: float, knots: list[float]) -> float:
+def _log_integral(c: float, density, half: float) -> float:
     """int -log|c + w| density(w) dw over [-half, half], on panels refined
-    dyadically toward the log singularity at w = -c.  The density's knots,
-    where it is only piecewise smooth, are added as plain panel edges."""
+    dyadically toward the log singularity at w = -c."""
 
     def integrand(w):
         with np.errstate(divide="ignore"):
             lg = np.log(np.abs(c + w))
         return -np.where(np.isfinite(lg), lg, 0.0) * density(w)
 
-    return _panel_quad(integrand, _refined_edges(-half, half, -c, knots))
-
-
-def _profile_rule(rho: MollifierSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s and weights of int g(s) rho(s) ds: H_PANELS equal panels on
-    [-1, 1], whose edges include the triangle's kinks, with the nodes where
-    the bump underflows to zero dropped."""
-    nodes, halfw = _panel_nodes(np.linspace(-1.0, 1.0, H_PANELS + 1))
-    weights = halfw * _GL_WEIGHTS * rho.density(nodes)
-    keep = weights > 0.0
-    return nodes[keep], weights[keep]
-
-
-def mollified_kernel(
-    x: float,
-    z: float,
-    delta: float,
-    rho: MollifierSpec,
-    h: Shift | None = None,
-    domain: tuple[float, float] | None = None,
-) -> float:
-    """Kernel of the field smoothed at x with scale delta against the point z:
-    int C(u, z) rho_{delta,x}(u) du.
-
-    The log part is the panel integral of -log|c + w| against rho_delta
-    (c = x - z); the h-term is a panel sum over rho_delta.
-    """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0,1], got {delta}")
-    if domain is not None and (x - delta < domain[0] or x + delta > domain[1]):
-        raise ValueError("mollifier support escapes the working domain")
-    out = _log_integral(
-        x - z, lambda w: rho.scaled_density(w, delta, 0.0), delta, [delta * a for a in rho.kinks]
-    )
-    if h is not None:
-        nodes, weights = _profile_rule(rho)
-        out += float(np.sum(weights * h(x + delta * nodes, z)))
-    return out
+    return _panel_quad(integrand, _refined_edges(-half, half, -c))
 
 
 def doubly_mollified_kernel(
@@ -353,26 +232,19 @@ def doubly_mollified_kernel(
     z: float,
     delta: float,
     epsilon: float,
-    rho: MollifierSpec,
-    h: Shift | None = None,
     domain: tuple[float, float] | None = None,
 ) -> float:
-    """Kernel smoothed at both arguments:
-    int int C(u, v) rho_{delta,x}(u) rho_{epsilon,z}(v) du dv.
+    """Kernel smoothed at both arguments with the bump:
+    int int -log|u - v| rho_{delta,x}(u) rho_{epsilon,z}(v) du dv.
 
     The double integral collapses to a single integral of -log|c + w| against
     the convolution density of the two mollifiers (c = x - z); the log
     singularity is handled by dyadically refined Gauss-Legendre panels.
     By the scale law q_{delta,epsilon}(w) = S_r(w/delta) / delta, r =
-    epsilon/delta, the density is a rescaled unit density: for the bump a
-    spline built by one FFT convolution per ratio r and cached, for the
-    triangle an exact piecewise evaluation whose knots
-    delta * {0, +-r, +-1, +-|1-r|, +-(1+r)} are panel edges.  The h-term is
-    the tensor product of the h-term rule of mollified_kernel.
-    Absolute accuracy of the log part against mpmath: about 3e-14 for the
-    bump, where the lattice convolution is exact to rounding and the spline
-    is what is left, and about 2e-15 for the triangle, on and off the
-    diagonal.
+    epsilon/delta, the density is a rescaled unit density, a spline built by
+    one FFT convolution per ratio r and cached.  Absolute accuracy against
+    mpmath: about 3e-14, where the lattice convolution is exact to rounding
+    and the spline is what is left.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0,1], got {delta}")
@@ -382,33 +254,14 @@ def doubly_mollified_kernel(
         raise ValueError("mollifier support escapes the working domain")
     if domain is not None and (z - epsilon < domain[0] or z + epsilon > domain[1]):
         raise ValueError("mollifier support escapes the working domain")
-    density, half = _conv_density(delta, epsilon, rho)
-    knots = [delta * a + epsilon * b for a in rho.kinks for b in rho.kinks]
-    out = _log_integral(x - z, density, half, knots)
-    if h is not None:
-        nodes, weights = _profile_rule(rho)
-        shift = h((x + delta * nodes)[:, None], (z + epsilon * nodes)[None, :])
-        out += float(np.sum(np.outer(weights, weights) * shift))
-    return out
-
-
-def kappa(x: float, rho: MollifierSpec, h: Shift | None = None) -> float:
-    """Diagonal constant of the doubly smoothed kernel:
-    -int int log|v - u| rho(du) rho(dv) + h(x, x).
-
-    The double integral does not depend on x: it is the doubly mollified
-    kernel at unit scales.
-    """
-    val = doubly_mollified_kernel(0.0, 0.0, 1.0, 1.0, rho)
-    return val if h is None else val + h(x, x)
+    density, half = _conv_density(delta, epsilon)
+    return _log_integral(x - z, density, half)
 
 
 def assumption1_check(
     grid,
     delta_list,
     epsilon_list,
-    rho: MollifierSpec,
-    h: Shift | None = None,
     domain: tuple[float, float] = (0.0, 1.0),
 ) -> float:
     """Max over grid pairs and scale pairs (epsilon <= delta) of
@@ -425,6 +278,6 @@ def assumption1_check(
                 continue
             for xi in grid:
                 for zj in grid:
-                    val = doubly_mollified_kernel(float(xi), float(zj), delta, eps, rho, h, domain)
+                    val = doubly_mollified_kernel(float(xi), float(zj), delta, eps, domain)
                     worst = max(worst, abs(val + math.log(max(abs(xi - zj), delta))))
     return worst

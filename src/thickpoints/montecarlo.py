@@ -19,12 +19,7 @@ import numpy as np
 
 from . import cue, measures
 from .gaussian import gaussian_exp_normalizer, harmonic_number, sample_circle_field
-from .kernels import (
-    MollifierProfile,
-    MollifierSpec,
-    assumption1_check,
-    circle_truncated_kernel_grid,
-)
+from .kernels import assumption1_check, circle_truncated_kernel_grid
 from .special_fn import GammaConvention, to_theorem_scale
 
 MASK64 = (1 << 64) - 1
@@ -251,12 +246,11 @@ def _kernel_check_values() -> dict[str, float]:
         chord = 2.0 * np.abs(np.sin(seps / 2.0))
         dev = np.abs(row + np.log(np.maximum(chord, 2.0**-j)))
         worst = max(worst, float(dev.max()))
-    rho = MollifierSpec(MollifierProfile.BUMP)
     deltas = [2.0**-j for j in range(3, 9)]
     return {
         "truncated_kernel_max_dev": worst,
         "assumption1_max_dev": assumption1_check(
-            np.linspace(0.15, 0.85, 5), deltas, deltas, rho, None, (0.0, 1.0)
+            np.linspace(0.15, 0.85, 5), deltas, deltas, (0.0, 1.0)
         ),
     }
 
@@ -283,13 +277,17 @@ def run_replica(config: ExperimentConfig, replica_index: int) -> ReplicaRecord:
 
 
 def worker_count() -> int:
+    """THICKPOINT_THREADS if set, else the core count capped at 8."""
     raw = os.environ.get("THICKPOINT_THREADS", "")
-    if raw.strip():
+    if not raw.strip():
+        return min(os.cpu_count() or 1, 8)
+    try:
         count = int(raw)
-        if count < 1:
-            raise ValueError(f"THICKPOINT_THREADS must be positive, got {raw!r}")
-        return count
-    return min(os.cpu_count() or 1, 8)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"THICKPOINT_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def _run_chunk(args) -> list[ReplicaRecord]:

@@ -1,6 +1,5 @@
 """Closed-form and asymptotic formulas: log-Gamma, Barnes G, CUE moments,
-moderate-deviation probabilities, the Fyodorov-Keating normalizer and the
-Frechet limit law.
+moderate-deviation probabilities and the Fyodorov-Keating normalizer.
 
 All moment products are assembled in log-space with compensated summation and
 exponentiated on demand, so they survive N = 10^4 at exponents up to 2.
@@ -18,8 +17,6 @@ import functools
 import math
 
 import numpy as np
-
-from .kernels import circle_chord, circle_truncated_kernel_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -151,14 +148,6 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
-def log_gamma(z: complex) -> complex:
-    """Principal-branch log Gamma(z); rejects the poles."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise ValueError(f"log_gamma pole at z={z}")
-    return complex(_loggamma(z)[()])
-
-
 def _log_barnes_g_asymptotic(z: complex) -> complex:
     # log G(1+w) for large |w|, any sector away from the negative real axis:
     # w^2/2 log w - 3w^2/4 + w/2 log(2pi) - 1/12 log w + (1/12 - log A)
@@ -207,17 +196,6 @@ def log_psi(zeta: complex) -> complex:
     if zeta.real <= -1.0 / SQRT2:
         raise ValueError(f"psi requires Re(zeta) > -1/sqrt(2), got {zeta}")
     return 2.0 * log_barnes_g(1.0 + zeta / SQRT2) - log_barnes_g(1.0 + SQRT2 * zeta)
-
-
-def psi(zeta: complex) -> complex:
-    """Microscopic-structure factor of the CUE exponential moments.
-
-    Real and strictly positive for real zeta >= 0.
-    """
-    value = np.exp(log_psi(zeta))
-    if complex(zeta).imag == 0.0 and complex(zeta).real >= 0.0:
-        return complex(value.real, 0.0)
-    return complex(value)
 
 
 @functools.cache
@@ -271,102 +249,3 @@ def fk_normalizer(n: int, gamma: float) -> float:
     """
     prob = thickpoint_prob_asymptotic(n, gamma, GammaConvention.CONJECTURE)
     return prob / math.gamma(1.0 - gamma * gamma)
-
-
-def frechet_pdf(x: float, gamma: float) -> float:
-    """Density of the limiting thick-point mass: gamma^-2 x^(-1-1/gamma^2) e^(-x^(-1/gamma^2))."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    if x <= 0.0:
-        return 0.0
-    a = 1.0 / (gamma * gamma)
-    return a * x ** (-1.0 - a) * math.exp(-(x ** (-a)))
-
-
-def frechet_cdf(x: float, gamma: float) -> float:
-    """CDF exp(-x^(-1/gamma^2)) for x > 0; equivalently Xi^(-1/gamma^2) ~ Exp(1)."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    if x <= 0.0:
-        return 0.0
-    return math.exp(-(x ** (-1.0 / (gamma * gamma))))
-
-
-def frechet_ppf(u: float, gamma: float) -> float:
-    """Inverse CDF; u in (0,1)."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0,1), got {u}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    return (-math.log(u)) ** (-gamma * gamma)
-
-
-def two_point_moment_asymptotic(
-    n: int, zeta1: complex, zeta2: complex, x1: float, x2: float
-) -> complex:
-    """Predicted E[e^{zeta1 X_N(x1) + zeta2 X_N(x2)}] for distinct angles:
-
-    Psi(zeta1) Psi(zeta2) N^{(zeta1^2+zeta2^2)/2} |e^{ix1}-e^{ix2}|^{-zeta1 zeta2},
-    the joint moment with no smoothed values.
-    """
-    return joint_moment_asymptotic(n, zeta1, zeta2, x1, x2, [], [], [])
-
-
-def joint_moment_asymptotic(
-    n: int,
-    zeta1: complex,
-    zeta2: complex,
-    x1: float,
-    x2: float,
-    xi,
-    delta,
-    z,
-) -> complex:
-    """Predicted joint exponential moment of the field at two points together
-    with Fourier-truncated values at scales delta_j and angles z_j.
-
-    The circle covariance integrals reduce to finite cosine sums: smoothing at
-    scale delta keeps Fourier modes k <= 1/delta, and the coarser scale wins
-    when two smoothed values are paired.  All of them come from one call of
-    circle_truncated_kernel_grid.
-    """
-    if n < 1:
-        raise ValueError(f"need N >= 1, got {n}")
-    chord = circle_chord(x1, x2)
-    if chord == 0.0:
-        raise ValueError("the moment asymptotics require x1 != x2 mod 2 pi")
-    xi = np.asarray(xi, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if not (xi.shape == delta.shape == z.shape):
-        raise ValueError("xi, delta, z must have matching shapes")
-    if np.any((delta <= 0.0) | (delta > 1.0)):
-        raise ValueError("all scales must lie in (0,1]")
-    zeta1 = complex(zeta1)
-    zeta2 = complex(zeta2)
-
-    logval = (
-        log_psi(zeta1)
-        + log_psi(zeta2)
-        + 0.5 * (zeta1 * zeta1 + zeta2 * zeta2) * math.log(n)
-        - zeta1 * zeta2 * math.log(chord)
-    )
-    if xi.size:
-        # ker[r, i, l]: the kernel at order orders[r] between the angle
-        # (x1, x2, z_0, z_1, ...)[i] and z_l; orders ascend, so the coarser of
-        # two scales has the smaller row
-        kmaxes = np.floor(1.0 / delta).astype(int)
-        orders = sorted(set(kmaxes.tolist()))
-        rows = np.searchsorted(orders, kmaxes)
-        seps = np.concatenate([[x1, x2], z])[:, None] - z
-        ker = circle_truncated_kernel_grid(seps.ravel(), orders).reshape(len(orders), *seps.shape)
-        # cross terms zeta_i * int C_X(x_i, .) f
-        for j, (xj, rj) in enumerate(zip(xi, rows)):
-            logval += zeta1 * xj * ker[rj, 0, j] + zeta2 * xj * ker[rj, 1, j]
-        # (1/2) E<X, f>^2, pairwise truncated kernels at the coarser scale
-        quad = 0.0
-        for j in range(len(xi)):
-            for l in range(len(xi)):
-                quad += xi[j] * xi[l] * ker[min(rows[j], rows[l]), 2 + j, l]
-        logval += 0.5 * quad
-    return complex(np.exp(logval))

@@ -5,12 +5,15 @@ Barnes G, a Monte Carlo field sampler over the library's batched Szego
 routines, an mpmath Szego recursion, mpmath power traces by the Szego
 coefficient recursion and Newton's identities, a long-double Szego
 coefficient recursion, the truncated circle kernel by one correctly rounded
-sum, a brute-force Simpson convolution density, a mollifier-profile sampler,
-the truncated field by one complex FFT per scale and its analytic variance,
-the nu-mu barrier columns from one barrier mask per start level, small-n
-dense oracles (a Gram-Schmidt Haar unitary, LU determinants, the CMV
-operator and its power traces), and Kolmogorov-Smirnov statistics with their
-asymptotic critical values.
+sum, the circle chord and log kernel, a brute-force Simpson convolution
+density, a bump sampler, the singly mollified kernel and the diagonal
+constant kappa, the truncated field by one complex FFT per scale and its
+analytic variance, the nu-mu barrier columns from one barrier mask per start
+level, small-n dense oracles (a Gram-Schmidt Haar unitary, LU determinants,
+the CMV operator and its power traces), Kolmogorov-Smirnov statistics with
+their asymptotic critical values, and the large-N laws the Monte Carlo
+checks compare with: log Gamma and Psi as values, the Frechet limit law and
+the two-point and joint moment asymptotics.
 """
 
 import math
@@ -32,9 +35,15 @@ from thickpoints.cue import (
     trace_powers,
     truncated_field,
 )
-from thickpoints.kernels import MollifierProfile, MollifierSpec
+from thickpoints.kernels import (
+    _log_integral,
+    bump_density,
+    circle_truncated_kernel_grid,
+    doubly_mollified_kernel,
+)
 from thickpoints.measures import BarrierSpec, ThickPointSpec, barrier_mask, thick_measure_integral
 from thickpoints.montecarlo import ExperimentConfig, replica_stream
+from thickpoints.special_fn import _is_nonpositive_integer, _loggamma, log_psi
 
 EULER_GAMMA = 0.57721566490153286060651209008240
 
@@ -180,30 +189,72 @@ def circle_truncated_kernel(theta: float, x: float, kmax: int) -> float:
     return float(math.fsum((np.cos(k * delta) / k).tolist()))
 
 
-def simpson_conv_density(delta: float, epsilon: float, rho):
-    """Cubic spline of q(w) = int rho_delta(w + v) rho_epsilon(v) dv and its
-    half-width delta + epsilon, by Simpson over v at every one of 4097 points w.
+def scaled_bump(u, delta: float, center: float) -> np.ndarray:
+    """rho_{delta,center}(u) = delta^-1 rho((u - center)/delta) for the bump rho."""
+    return bump_density((np.asarray(u, dtype=float) - center) / delta) / delta
+
+
+def simpson_conv_density(delta: float, epsilon: float):
+    """Cubic spline of q(w) = int rho_delta(w + v) rho_epsilon(v) dv for the
+    bump rho and its half-width delta + epsilon, by Simpson over v at every
+    one of 4097 points w.
     """
     v = np.linspace(-epsilon, epsilon, 2049)
-    rv = rho.scaled_density(v, epsilon, 0.0)
+    rv = scaled_bump(v, epsilon, 0.0)
     half = delta + epsilon
     w = np.linspace(-half, half, 4097)
-    vals = rho.scaled_density(w[:, None] + v[None, :], delta, 0.0) * rv[None, :]
+    vals = scaled_bump(w[:, None] + v[None, :], delta, 0.0) * rv[None, :]
     return CubicSpline(w, simpson(vals, x=v, axis=1)), half
 
 
-def sample_profile(rho: MollifierSpec, stream: np.random.Generator, size: int) -> np.ndarray:
-    """Draw from the profile: the triangle as a sum of two uniforms, the bump
-    by rejection."""
-    if rho.profile is MollifierProfile.TRIANGLE:
-        return stream.uniform(0, 1, size) + stream.uniform(0, 1, size) - 1.0
+def sample_profile(stream: np.random.Generator, size: int) -> np.ndarray:
+    """Draw from the bump by rejection."""
     out = np.empty(0)
-    peak = rho.density(np.array([0.0]))[0]
+    peak = bump_density(np.array([0.0]))[0]
     while out.size < size:
         cand = stream.uniform(-1, 1, 2 * (size - out.size) + 16)
-        acc = stream.uniform(0, peak, cand.size) < rho.density(cand)
+        acc = stream.uniform(0, peak, cand.size) < bump_density(cand)
         out = np.concatenate([out, cand[acc]])
     return out[:size]
+
+
+def mollified_kernel(
+    x: float,
+    z: float,
+    delta: float,
+    domain: tuple[float, float] | None = None,
+) -> float:
+    """Kernel of the field smoothed at x with scale delta against the point z:
+    int -log|u - z| rho_{delta,x}(u) du for the bump rho, the panel integral
+    of -log|c + w| against rho_delta (c = x - z)."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0,1], got {delta}")
+    if domain is not None and (x - delta < domain[0] or x + delta > domain[1]):
+        raise ValueError("mollifier support escapes the working domain")
+    return _log_integral(x - z, lambda w: scaled_bump(w, delta, 0.0), delta)
+
+
+def kappa() -> float:
+    """Diagonal constant of the doubly smoothed kernel,
+    -int int log|v - u| rho(du) rho(dv) for the bump rho: the doubly
+    mollified kernel at unit scales."""
+    return doubly_mollified_kernel(0.0, 0.0, 1.0, 1.0)
+
+
+def circle_chord(x1: float, x2: float) -> float:
+    """|e^{ix1} - e^{ix2}| computed as 2|sin((x1-x2)/2)| to avoid cancellation."""
+    return 2.0 * abs(math.sin(0.5 * (x1 - x2)))
+
+
+def circle_log_kernel(theta: float, x: float) -> float:
+    """-log|e^{i theta} - e^{ix}| = -log(2|sin((theta-x)/2)|).
+
+    Returns +inf at coincident angles.
+    """
+    chord = circle_chord(theta, x)
+    if chord == 0.0:
+        return math.inf
+    return -math.log(chord)
 
 
 # ---------------------------------------------------------------------------
@@ -390,3 +441,126 @@ def ks_critical_value(n: int, alpha: float = 0.01) -> float:
 
 def ks_two_sample_critical_value(n: int, m: int, alpha: float = 0.01) -> float:
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((n + m) / (n * m))
+
+
+# ---------------------------------------------------------------------------
+# large-N laws: log Gamma and Psi values, the Frechet limit law and the
+# two-point and joint moment asymptotics
+# ---------------------------------------------------------------------------
+
+def log_gamma(z: complex) -> complex:
+    """Principal-branch log Gamma(z); rejects the poles."""
+    z = complex(z)
+    if _is_nonpositive_integer(z):
+        raise ValueError(f"log_gamma pole at z={z}")
+    return complex(_loggamma(z)[()])
+
+
+def psi(zeta: complex) -> complex:
+    """Microscopic-structure factor of the CUE exponential moments.
+
+    Real and strictly positive for real zeta >= 0.
+    """
+    value = np.exp(log_psi(zeta))
+    if complex(zeta).imag == 0.0 and complex(zeta).real >= 0.0:
+        return complex(value.real, 0.0)
+    return complex(value)
+
+
+def frechet_pdf(x: float, gamma: float) -> float:
+    """Density of the limiting thick-point mass: gamma^-2 x^(-1-1/gamma^2) e^(-x^(-1/gamma^2))."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
+    if x <= 0.0:
+        return 0.0
+    a = 1.0 / (gamma * gamma)
+    return a * x ** (-1.0 - a) * math.exp(-(x ** (-a)))
+
+
+def frechet_cdf(x: float, gamma: float) -> float:
+    """CDF exp(-x^(-1/gamma^2)) for x > 0; equivalently Xi^(-1/gamma^2) ~ Exp(1)."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
+    if x <= 0.0:
+        return 0.0
+    return math.exp(-(x ** (-1.0 / (gamma * gamma))))
+
+
+def frechet_ppf(u: float, gamma: float) -> float:
+    """Inverse CDF; u in (0,1)."""
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"u must lie in (0,1), got {u}")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
+    return (-math.log(u)) ** (-gamma * gamma)
+
+
+def two_point_moment_asymptotic(
+    n: int, zeta1: complex, zeta2: complex, x1: float, x2: float
+) -> complex:
+    """Predicted E[e^{zeta1 X_N(x1) + zeta2 X_N(x2)}] for distinct angles:
+
+    Psi(zeta1) Psi(zeta2) N^{(zeta1^2+zeta2^2)/2} |e^{ix1}-e^{ix2}|^{-zeta1 zeta2},
+    the joint moment with no smoothed values.
+    """
+    return joint_moment_asymptotic(n, zeta1, zeta2, x1, x2, [], [], [])
+
+
+def joint_moment_asymptotic(
+    n: int,
+    zeta1: complex,
+    zeta2: complex,
+    x1: float,
+    x2: float,
+    xi,
+    delta,
+    z,
+) -> complex:
+    """Predicted joint exponential moment of the field at two points together
+    with Fourier-truncated values at scales delta_j and angles z_j.
+
+    The circle covariance integrals reduce to finite cosine sums: smoothing at
+    scale delta keeps Fourier modes k <= 1/delta, and the coarser scale wins
+    when two smoothed values are paired.  All of them come from one call of
+    circle_truncated_kernel_grid.
+    """
+    if n < 1:
+        raise ValueError(f"need N >= 1, got {n}")
+    chord = circle_chord(x1, x2)
+    if chord == 0.0:
+        raise ValueError("the moment asymptotics require x1 != x2 mod 2 pi")
+    xi = np.asarray(xi, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if not (xi.shape == delta.shape == z.shape):
+        raise ValueError("xi, delta, z must have matching shapes")
+    if np.any((delta <= 0.0) | (delta > 1.0)):
+        raise ValueError("all scales must lie in (0,1]")
+    zeta1 = complex(zeta1)
+    zeta2 = complex(zeta2)
+
+    logval = (
+        log_psi(zeta1)
+        + log_psi(zeta2)
+        + 0.5 * (zeta1 * zeta1 + zeta2 * zeta2) * math.log(n)
+        - zeta1 * zeta2 * math.log(chord)
+    )
+    if xi.size:
+        # ker[r, i, l]: the kernel at order orders[r] between the angle
+        # (x1, x2, z_0, z_1, ...)[i] and z_l; orders ascend, so the coarser of
+        # two scales has the smaller row
+        kmaxes = np.floor(1.0 / delta).astype(int)
+        orders = sorted(set(kmaxes.tolist()))
+        rows = np.searchsorted(orders, kmaxes)
+        seps = np.concatenate([[x1, x2], z])[:, None] - z
+        ker = circle_truncated_kernel_grid(seps.ravel(), orders).reshape(len(orders), *seps.shape)
+        # cross terms zeta_i * int C_X(x_i, .) f
+        for j, (xj, rj) in enumerate(zip(xi, rows)):
+            logval += zeta1 * xj * ker[rj, 0, j] + zeta2 * xj * ker[rj, 1, j]
+        # (1/2) E<X, f>^2, pairwise truncated kernels at the coarser scale
+        quad = 0.0
+        for j in range(len(xi)):
+            for l in range(len(xi)):
+                quad += xi[j] * xi[l] * ker[min(rows[j], rows[l]), 2 + j, l]
+        logval += 0.5 * quad
+    return complex(np.exp(logval))

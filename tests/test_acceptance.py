@@ -18,38 +18,28 @@ from conftest import (
     cmv_matrix,
     det_field_oracle,
     det_log_field,
+    frechet_cdf,
+    frechet_pdf,
+    frechet_ppf,
+    kappa,
     ks_critical_value,
     ks_statistic,
     ks_two_sample,
     ks_two_sample_critical_value,
     mc_field_at,
+    psi,
     sample_profile,
 )
 from thickpoints.cue import eval_field, sample_verblunsky
-from thickpoints.kernels import (
-    MollifierProfile,
-    MollifierSpec,
-    circle_truncated_kernel_grid,
-    doubly_mollified_kernel,
-    kappa,
-)
+from thickpoints.kernels import circle_truncated_kernel_grid, doubly_mollified_kernel
 from thickpoints.montecarlo import (
     Experiment,
     ExperimentConfig,
     run_experiment,
 )
-from thickpoints.special_fn import (
-    GammaConvention,
-    cue_abs_moment_exact,
-    frechet_cdf,
-    frechet_pdf,
-    frechet_ppf,
-    psi,
-)
+from thickpoints.special_fn import GammaConvention, cue_abs_moment_exact
 
 pytestmark = pytest.mark.acceptance
-
-BUMP = MollifierSpec(MollifierProfile.BUMP)
 
 
 def report(num, name, ok, detail):
@@ -161,14 +151,14 @@ def test_criterion_05_truncated_kernel_bound():
 
 def test_criterion_06_mollified_kernel_rates():
     started = time.monotonic()
-    kappa0 = kappa(0.5, BUMP)
+    kappa0 = kappa()
     xs = np.linspace(0.2, 0.8, 5)
     epsilons = [2.0**-j for j in range(4, 10)]
     errs = []
     for eps in epsilons:
         devs = [
             abs(
-                doubly_mollified_kernel(x, x, eps, eps, BUMP)
+                doubly_mollified_kernel(x, x, eps, eps)
                 - math.log(1.0 / eps)
                 - kappa0
             )
@@ -187,7 +177,7 @@ def test_criterion_06_mollified_kernel_rates():
         rate_note = f"log-log slope {slope:.2f} (limit 0.8)"
     rng = np.random.default_rng(106)
     draws = 10_000_000
-    vals = -np.log(np.abs(sample_profile(BUMP, rng, draws) - sample_profile(BUMP, rng, draws)))
+    vals = -np.log(np.abs(sample_profile(rng, draws) - sample_profile(rng, draws)))
     se = float(vals.std(ddof=1) / math.sqrt(draws))
     kappa_sigmas = abs(float(vals.mean()) - kappa0) / se
     elapsed = time.monotonic() - started

@@ -328,6 +328,19 @@ class TestMain:
         assert "category=config invalid config: g_shift must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["abc", " 2x", "0"])
+    def test_bad_thread_count_is_a_config_error(self, value, tmp_path, monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError("a replica ran with an invalid THICKPOINT_THREADS")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        monkeypatch.setenv("THICKPOINT_THREADS", value)
+        base = tmp_path / "x"
+        assert main(["verify-moments", "--set", "replicas=2", "-o", str(base)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "category=config THICKPOINT_THREADS must be a positive integer" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_value_error_while_running_is_a_runtime_error(self, monkeypatch, capsys):
         def failing_run(config):
             raise ValueError("replica blew up")
@@ -385,22 +398,11 @@ runs = [
 for argv in runs:
     assert cli.main([*argv, "-o", argv[0]]) == cli.EXIT_OK, argv
 
-import numpy as np
-from thickpoints.gaussian import CovarianceFactorization
-from thickpoints.kernels import (
-    MollifierProfile, MollifierSpec, doubly_mollified_kernel, kappa, mollified_kernel,
-)
+import math
+from thickpoints.kernels import doubly_mollified_kernel
 
-def h(u, v):
-    return np.cos(u - v)
-
-for profile in MollifierProfile:
-    rho = MollifierSpec(profile)
-    for shift in (None, h):
-        assert np.isfinite(kappa(0.5, rho, shift))
-        assert np.isfinite(mollified_kernel(0.5, 0.4, 0.125, rho, shift))
-        assert np.isfinite(doubly_mollified_kernel(0.5, 0.4, 0.125, 0.0625, rho, shift))
-    CovarianceFactorization(np.linspace(0.3, 0.7, 3), 0.125, rho, h)
+for domain in (None, (0.0, 1.0)):
+    assert math.isfinite(doubly_mollified_kernel(0.5, 0.4, 0.125, 0.0625, domain))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

@@ -4,17 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from thickpoints.gaussian import (
-    CovarianceFactorization,
-    gaussian_exp_normalizer,
-    harmonic_number,
-    sample_circle_field,
-    sample_mollified_field,
-)
+from thickpoints.gaussian import gaussian_exp_normalizer, harmonic_number, sample_circle_field
 from conftest import circle_truncated_kernel, ks_critical_value, ks_statistic
-from thickpoints.kernels import MollifierProfile, MollifierSpec, kappa
-
-BUMP = MollifierSpec(MollifierProfile.BUMP)
 
 
 class TestHarmonicNumber:
@@ -114,48 +105,6 @@ class TestSampleCircleField:
             sample_circle_field(0, 16, rng)
         with pytest.raises(ValueError):
             sample_circle_field(16, 16, rng)
-
-
-class TestMollifiedGaussianField:
-    def test_single_point_variance_is_log_scale_plus_kappa(self):
-        delta = 1.0 / 64.0
-        fac = CovarianceFactorization(np.array([0.5]), delta, BUMP)
-        assert fac.covariance[0, 0] == pytest.approx(math.log(1.0 / delta) + kappa(0.5, BUMP), abs=1e-8)
-
-    def test_halving_scale_adds_log_two_to_variance(self):
-        v1 = CovarianceFactorization(np.array([0.5]), 1.0 / 64.0, BUMP).covariance[0, 0]
-        v2 = CovarianceFactorization(np.array([0.5]), 1.0 / 128.0, BUMP).covariance[0, 0]
-        assert v2 - v1 == pytest.approx(math.log(2.0), abs=0.05)
-
-    def test_far_point_correlation_matches_log_kernel(self):
-        delta = 1.0 / 64.0
-        grid = np.array([0.3, 0.7])
-        fac = CovarianceFactorization(grid, delta, BUMP)
-        assert fac.covariance[0, 1] == pytest.approx(-math.log(0.4), abs=2e-3)
-
-    def test_draw_reproducible_and_gaussian(self):
-        grid = np.linspace(0.2, 0.8, 5)
-        fac = CovarianceFactorization(grid, 1.0 / 32.0, BUMP)
-        a = fac.draw(np.random.default_rng(7))
-        b = fac.draw(np.random.default_rng(7))
-        assert np.array_equal(a, b)
-        reps = 5000
-        rng = np.random.default_rng(8)
-        draws = np.array([fac.draw(rng)[2] for _ in range(reps)])
-        sd = math.sqrt(fac.covariance[2, 2])
-        d = ks_statistic(draws / sd, norm.cdf)
-        assert d < ks_critical_value(reps, 0.01)
-
-    def test_sample_helper_matches_factorization(self):
-        grid = np.array([0.4, 0.6])
-        direct = sample_mollified_field(grid, 1.0 / 16.0, BUMP, None, np.random.default_rng(9))
-        fac = CovarianceFactorization(grid, 1.0 / 16.0, BUMP)
-        again = fac.draw(np.random.default_rng(9))
-        assert np.allclose(direct, again)
-
-    def test_rejects_grid_leaving_domain(self):
-        with pytest.raises(ValueError):
-            CovarianceFactorization(np.array([0.01]), 1.0 / 16.0, BUMP)
 
 
 class TestGaussianExpNormalizer:

@@ -5,64 +5,42 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import circle_truncated_kernel, sample_profile, simpson_conv_density
+from conftest import (
+    circle_log_kernel,
+    circle_truncated_kernel,
+    kappa,
+    mollified_kernel,
+    sample_profile,
+    scaled_bump,
+    simpson_conv_density,
+)
 from thickpoints import kernels
 from thickpoints.kernels import (
     BUMP_INTEGRAL,
-    MollifierProfile,
-    MollifierSpec,
     _conv_density,
     _uniform_spline,
     assumption1_check,
-    circle_log_kernel,
+    bump_density,
     circle_truncated_kernel_grid,
     doubly_mollified_kernel,
-    euclid_kernel,
-    kappa,
-    mollified_kernel,
 )
 
-BUMP = MollifierSpec(MollifierProfile.BUMP)
-TRIANGLE = MollifierSpec(MollifierProfile.TRIANGLE)
 
-
-def smooth_shift(u, v):
-    return np.sin(3.0 * u) * np.cos(2.0 * v) + np.exp(-u * v)
-
-
-# h-terms of smooth_shift, pinned from scipy's adaptive quad (absolute
-# tolerance 1e-9) as kernel(h) - kernel(None); mollified_kernel takes
-# (x, z, delta), doubly_mollified_kernel (x, z, delta, epsilon)
-PINNED_H_TERMS = [
-    (mollified_kernel, BUMP, (0.5, 0.3, 1.0 / 16.0), 1.6817141388284085),
-    (mollified_kernel, BUMP, (0.4, 0.4, 1.0 / 8.0), 1.4944792464663976),
-    (mollified_kernel, TRIANGLE, (0.5, 0.3, 1.0 / 16.0), 1.6815922372323928),
-    (mollified_kernel, TRIANGLE, (0.4, 0.4, 1.0 / 8.0), 1.4941051364343858),
-    (doubly_mollified_kernel, BUMP, (0.4, 0.45, 1.0 / 16.0, 1.0 / 32.0), 1.412910503785492),
-    (doubly_mollified_kernel, BUMP, (0.5, 0.5, 1.0 / 8.0, 1.0 / 8.0), 1.309634850515589),
-    (doubly_mollified_kernel, TRIANGLE, (0.4, 0.45, 1.0 / 16.0, 1.0 / 32.0), 1.412817574974405),
-    (doubly_mollified_kernel, TRIANGLE, (0.5, 0.5, 1.0 / 8.0, 1.0 / 8.0), 1.309203342089544),
-]
-
-
-def mp_rho(profile: MollifierProfile):
-    """The profile's density in mpmath, at the working precision."""
-    if profile is MollifierProfile.BUMP:
-        mass = mpmath.quad(lambda u: mpmath.exp(-1 / (1 - u * u)), [-1, 0, 1])
-        return lambda u: mpmath.exp(-1 / (1 - u * u)) / mass if abs(u) < 1 else mpmath.mpf(0)
-    return lambda u: max(1 - abs(u), mpmath.mpf(0))
+def mp_rho():
+    """The bump density in mpmath, at the working precision."""
+    mass = mpmath.quad(lambda u: mpmath.exp(-1 / (1 - u * u)), [-1, 0, 1])
+    return lambda u: mpmath.exp(-1 / (1 - u * u)) / mass if abs(u) < 1 else mpmath.mpf(0)
 
 
 @functools.cache
-def mp_kappa(profile: MollifierProfile) -> float:
-    """-int int log|u - v| rho(u) rho(v) du dv by mpmath, in the one-dimensional
-    form -2 int_0^2 log(w) (rho * rho)(w) dw.  At 16 digits it agrees with a
-    20-digit run to 1e-16 (bump 1.1739085958938038615, triangle
-    1.1591370925867395874)."""
+def mp_kappa() -> float:
+    """-int int log|u - v| rho(u) rho(v) du dv for the bump by mpmath, in the
+    one-dimensional form -2 int_0^2 log(w) (rho * rho)(w) dw.  At 16 digits
+    it agrees with a 20-digit run to 1e-16 (1.1739085958938038615)."""
     with mpmath.workdps(16):
-        rho = mp_rho(profile)
+        rho = mp_rho()
 
-        # the triangle's kinks at u = 0 and u = w split the inner integral
+        # the inner integral is split at the two bumps' centres u = 0 and u = w
         def conv(w):
             edges = [w - 1, *(e for e in (0, w) if w - 1 < e < 1), 1]
             return mpmath.quad(lambda u: rho(u) * rho(u - w), edges)
@@ -70,70 +48,40 @@ def mp_kappa(profile: MollifierProfile) -> float:
         return float(-2 * mpmath.quad(lambda w: mpmath.log(w) * conv(w), [0, 1, 2]))
 
 
-def mp_mollified_kernel(x: float, z: float, delta: float, profile: MollifierProfile) -> float:
-    """int -log|u - z| rho_{delta,x}(u) du by mpmath in one dimension, split
-    at the profile's centre and at z."""
+def mp_mollified_kernel(x: float, z: float, delta: float) -> float:
+    """int -log|u - z| rho_{delta,x}(u) du for the bump by mpmath in one
+    dimension, split at the profile's centre and at z."""
     with mpmath.workdps(30):
-        rho = mp_rho(profile)
+        rho = mp_rho()
         x, z, delta = mpmath.mpf(x), mpmath.mpf(z), mpmath.mpf(delta)
         edges = sorted({x - delta, x, x + delta, *([z] if abs(z - x) < delta else [])})
         return float(mpmath.quad(lambda u: -mpmath.log(abs(u - z)) * rho((u - x) / delta) / delta,
                                  edges))
 
 
-def mp_triangle_doubly(c: float, delta: float, epsilon: float) -> float:
-    """int int -log|c + delta s - epsilon t| rho(s) rho(t) ds dt for the
-    triangle rho by mpmath: the s integral in closed form from the
-    antiderivatives of log|y| and y log|y|, the t integral by quadrature split
-    wherever c + delta s - epsilon t vanishes at a kink s in {-1, 0, 1}."""
-    with mpmath.workdps(30):
-        c, delta, epsilon = mpmath.mpf(c), mpmath.mpf(delta), mpmath.mpf(epsilon)
-
-        def g1(y):
-            return y * mpmath.log(abs(y)) - y if y else mpmath.mpf(0)
-
-        def g2(y):
-            return y * y * mpmath.log(abs(y)) / 2 - y * y / 4 if y else mpmath.mpf(0)
-
-        def inner(t):
-            a = c - epsilon * t
-            total = mpmath.mpf(0)
-            # weight 1 + beta s on s in [s0, s1], with y = a + delta s
-            for s0, s1, beta in ((-1, 0, 1), (0, 1, -1)):
-                y0, y1 = a + delta * s0, a + delta * s1
-                total -= ((1 - beta * a / delta) * (g1(y1) - g1(y0))
-                          + beta / delta * (g2(y1) - g2(y0))) / delta
-            return total * (1 - abs(t))
-
-        cuts = {mpmath.mpf(-1), mpmath.mpf(0), mpmath.mpf(1)}
-        cuts |= {t for t in ((c + delta * s) / epsilon for s in (-1, 0, 1)) if -1 < t < 1}
-        return float(mpmath.quad(inner, sorted(cuts)))
-
-
 class TestMollifierSpec:
-    @pytest.mark.parametrize("rho", [BUMP, TRIANGLE])
-    def test_density_integrates_to_one(self, rho):
+    """The mollifier: the bump density."""
+
+    def test_density_integrates_to_one(self):
         u = np.linspace(-1.0, 1.0, 200_001)
-        total = float(np.trapezoid(rho.density(u), u))
+        total = float(np.trapezoid(bump_density(u), u))
         assert total == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("rho", [BUMP, TRIANGLE])
-    def test_density_vanishes_outside_support(self, rho):
-        assert np.all(rho.density(np.array([-1.5, -1.0, 1.0, 2.0])) == 0.0)
+    def test_density_vanishes_outside_support(self):
+        assert np.all(bump_density(np.array([-1.5, -1.0, 1.0, 2.0])) == 0.0)
 
     def test_scaled_density_change_of_variables(self):
         u = np.linspace(0.2, 0.4, 1001)
-        scaled = BUMP.scaled_density(u, 0.1, 0.3)
+        scaled = scaled_bump(u, 0.1, 0.3)
         assert float(np.trapezoid(scaled, u)) == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("rho", [BUMP, TRIANGLE])
-    def test_sampler_matches_density(self, rho):
+    def test_sampler_matches_density(self):
         rng = np.random.default_rng(42)
-        draws = sample_profile(rho, rng, 200_000)
+        draws = sample_profile(rng, 200_000)
         assert np.all(np.abs(draws) <= 1.0)
         hist, edges = np.histogram(draws, bins=50, range=(-1, 1), density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        assert np.max(np.abs(hist - rho.density(centers))) < 0.05
+        assert np.max(np.abs(hist - bump_density(centers))) < 0.05
 
     def test_bump_normalization_constant(self):
         with mpmath.workdps(30):
@@ -215,44 +163,28 @@ class TestCircleTruncatedKernel:
         assert errs[-1] < 1e-3
 
 
-class TestEuclidKernel:
-    def test_unit_distance(self):
-        assert euclid_kernel(0.0, 1.0) == 0.0
-
-    def test_e_inverse_distance(self):
-        assert euclid_kernel(0.0, math.exp(-1.0)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_shift_term(self):
-        got = euclid_kernel(0.2, 0.3, h=lambda a, b: a + b)
-        assert got == pytest.approx(-math.log(0.1) + 0.5, abs=1e-12)
-
-    def test_coincidence_is_infinite(self):
-        assert euclid_kernel(0.4, 0.4) == math.inf
-
-
 class TestMollifiedKernel:
     def test_far_field_matches_log_kernel(self):
         for delta in (1.0 / 16.0, 1.0 / 32.0):
-            got = mollified_kernel(0.6, 0.3, delta, BUMP)
+            got = mollified_kernel(0.6, 0.3, delta)
             assert abs(got - (-math.log(0.3))) <= (delta / 0.3) ** 2
 
     def test_against_riemann_sum_oracle(self):
         delta = 1.0 / 16.0
-        got = mollified_kernel(0.5, 0.5, delta, BUMP)
+        got = mollified_kernel(0.5, 0.5, delta)
         u = (np.arange(2_000_000) + 0.5) / 2_000_000 * (2 * delta) - delta + 0.5
-        brute = float(np.mean(-np.log(np.abs(u - 0.5)) * BUMP.scaled_density(u, delta, 0.5)) * 2 * delta)
+        brute = float(np.mean(-np.log(np.abs(u - 0.5)) * scaled_bump(u, delta, 0.5)) * 2 * delta)
         assert got == pytest.approx(brute, abs=1e-5)
 
     def test_diagonal_bounded_by_log_scale(self):
         for delta in (1.0 / 8.0, 1.0 / 64.0):
-            got = mollified_kernel(0.5, 0.5, delta, BUMP)
+            got = mollified_kernel(0.5, 0.5, delta)
             assert got <= math.log(1.0 / delta) + 2.0
 
     def test_rejects_support_outside_domain(self):
         with pytest.raises(ValueError):
-            mollified_kernel(0.05, 0.5, 0.1, BUMP, domain=(0.0, 1.0))
+            mollified_kernel(0.05, 0.5, 0.1, domain=(0.0, 1.0))
 
-    @pytest.mark.parametrize("rho", [BUMP, TRIANGLE], ids=["bump", "triangle"])
     @pytest.mark.parametrize(
         "x, z, delta",
         [
@@ -264,10 +196,10 @@ class TestMollifiedKernel:
         ],
         ids=["centre", "inside", "inside-left", "edge", "far"],
     )
-    def test_against_mpmath(self, rho, x, z, delta):
+    def test_against_mpmath(self, x, z, delta):
         # measured at most 1.8e-15
-        reference = mp_mollified_kernel(x, z, delta, rho.profile)
-        assert abs(mollified_kernel(x, z, delta, rho) - reference) <= 1e-12
+        reference = mp_mollified_kernel(x, z, delta)
+        assert abs(mollified_kernel(x, z, delta) - reference) <= 1e-12
 
 
 class TestConvDensity:
@@ -275,32 +207,32 @@ class TestConvDensity:
         "delta, epsilon", [(1.0 / 16.0, 1.0 / 32.0), (1.0 / 16.0, 1e-4), (1.0 / 8.0, 1.0 / 256.0)]
     )
     def test_matches_simpson_oracle(self, delta, epsilon):
-        oracle, half = simpson_conv_density(delta, epsilon, BUMP)
-        density, got_half = _conv_density(delta, epsilon, BUMP)
+        oracle, half = simpson_conv_density(delta, epsilon)
+        density, got_half = _conv_density(delta, epsilon)
         assert got_half == half
         w = np.linspace(-half, half, 10_001)
         assert float(np.max(np.abs(density(w) - oracle(w)))) <= 1e-12
 
     def test_ratio_below_refinement_cap_matches_oracle(self):
         # epsilon/delta = 8e-6 leaves rho_r about 17 lattice points
-        oracle, half = simpson_conv_density(1.0 / 8.0, 1e-6, BUMP)
-        density, _ = _conv_density(1.0 / 8.0, 1e-6, BUMP)
+        oracle, half = simpson_conv_density(1.0 / 8.0, 1e-6)
+        density, _ = _conv_density(1.0 / 8.0, 1e-6)
         w = np.linspace(-half, half, 10_001)
         assert float(np.max(np.abs(density(w) - oracle(w)))) <= 1e-11
 
     def test_uniform_spline_interpolates_and_vanishes_outside(self):
         nodes = np.linspace(-1.0, 1.0, 257)
-        values = BUMP.density(nodes)
+        values = bump_density(nodes)
         spline = _uniform_spline(-1.0, 2.0 / 256, values)
         assert np.max(np.abs(spline(nodes[:-1]) - values[:-1])) <= 1e-15
         mids = nodes[:-1] + 1.0 / 256
-        assert np.max(np.abs(spline(mids) - BUMP.density(mids))) <= 1e-6
+        assert np.max(np.abs(spline(mids) - bump_density(mids))) <= 1e-6
         assert np.all(spline(np.array([-3.0, -1.0 - 1e-9, 1.0, 2.5])) == 0.0)
 
     def test_one_unit_density_per_ratio(self):
         kernels._unit_conv_density.cache_clear()
-        coarse, _ = _conv_density(1.0 / 8.0, 1.0 / 32.0, BUMP)
-        fine, _ = _conv_density(1.0 / 64.0, 1.0 / 256.0, BUMP)
+        coarse, _ = _conv_density(1.0 / 8.0, 1.0 / 32.0)
+        fine, _ = _conv_density(1.0 / 64.0, 1.0 / 256.0)
         assert kernels._unit_conv_density.cache_info().currsize == 1
         u = np.linspace(-1.25, 1.25, 101)
         # q_{delta,eps}(w) = delta^-1 S_{eps/delta}(w/delta)
@@ -309,65 +241,49 @@ class TestConvDensity:
 
 class TestDoublyMollifiedKernel:
     def test_point_mass_limit_recovers_single_mollification(self):
-        got = doubly_mollified_kernel(0.5, 0.3, 1.0 / 16.0, 1e-4, BUMP)
-        assert got == pytest.approx(mollified_kernel(0.5, 0.3, 1.0 / 16.0, BUMP), abs=1e-6)
+        got = doubly_mollified_kernel(0.5, 0.3, 1.0 / 16.0, 1e-4)
+        assert got == pytest.approx(mollified_kernel(0.5, 0.3, 1.0 / 16.0), abs=1e-6)
 
     def test_symmetric_in_points(self):
-        a = doubly_mollified_kernel(0.4, 0.55, 1.0 / 16.0, 1.0 / 16.0, BUMP)
-        b = doubly_mollified_kernel(0.55, 0.4, 1.0 / 16.0, 1.0 / 16.0, BUMP)
+        a = doubly_mollified_kernel(0.4, 0.55, 1.0 / 16.0, 1.0 / 16.0)
+        b = doubly_mollified_kernel(0.55, 0.4, 1.0 / 16.0, 1.0 / 16.0)
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_against_riemann_sum_oracle(self):
-        got = doubly_mollified_kernel(0.4, 0.45, 1.0 / 16.0, 1.0 / 32.0, BUMP)
+        got = doubly_mollified_kernel(0.4, 0.45, 1.0 / 16.0, 1.0 / 32.0)
         s = np.linspace(-1.0 / 16.0, 1.0 / 16.0, 2000)  # endpoints off-singularity
         t = np.linspace(-1.0 / 32.0, 1.0 / 32.0, 1999)
-        rs = BUMP.scaled_density(s, 1.0 / 16.0, 0.0)
-        rt = BUMP.scaled_density(t, 1.0 / 32.0, 0.0)
+        rs = scaled_bump(s, 1.0 / 16.0, 0.0)
+        rt = scaled_bump(t, 1.0 / 32.0, 0.0)
         grid = -np.log(np.abs((0.4 + s[:, None]) - (0.45 + t[None, :])))
         brute = float(np.trapezoid(np.trapezoid(grid * rs[:, None] * rt[None, :], t, axis=1), s))
         # the trapezoid oracle is singularity-limited near overlapping supports
         assert got == pytest.approx(brute, abs=5e-4)
 
     def test_against_riemann_sum_oracle_disjoint_supports(self):
-        got = doubly_mollified_kernel(0.2, 0.7, 1.0 / 16.0, 1.0 / 32.0, BUMP)
+        got = doubly_mollified_kernel(0.2, 0.7, 1.0 / 16.0, 1.0 / 32.0)
         s = np.linspace(-1.0 / 16.0, 1.0 / 16.0, 2000)
         t = np.linspace(-1.0 / 32.0, 1.0 / 32.0, 1999)
-        rs = BUMP.scaled_density(s, 1.0 / 16.0, 0.0)
-        rt = BUMP.scaled_density(t, 1.0 / 32.0, 0.0)
+        rs = scaled_bump(s, 1.0 / 16.0, 0.0)
+        rt = scaled_bump(t, 1.0 / 32.0, 0.0)
         grid = -np.log(np.abs((0.2 + s[:, None]) - (0.7 + t[None, :])))
         brute = float(np.trapezoid(np.trapezoid(grid * rs[:, None] * rt[None, :], t, axis=1), s))
         assert got == pytest.approx(brute, abs=1e-7)
 
-    def test_h_term_is_additive(self):
-        base = doubly_mollified_kernel(0.4, 0.45, 1.0 / 16.0, 1.0 / 32.0, BUMP)
-        shifted = doubly_mollified_kernel(
-            0.4, 0.45, 1.0 / 16.0, 1.0 / 32.0, BUMP, h=lambda a, b: a + b
-        )
-        assert shifted - base == pytest.approx(0.85, abs=1e-6)
-
     def test_diagonal_identity_with_kappa(self):
-        # C_{eps,eps}(x,x) = log(1/eps) + kappa(x) exactly when h = 0
-        k = kappa(0.5, BUMP)
+        # C_{eps,eps}(x,x) = log(1/eps) + kappa exactly
+        k = kappa()
         for eps in (1.0 / 8.0, 1.0 / 64.0, 1.0 / 512.0):
-            got = doubly_mollified_kernel(0.5, 0.5, eps, eps, BUMP)
+            got = doubly_mollified_kernel(0.5, 0.5, eps, eps)
             assert got == pytest.approx(math.log(1.0 / eps) + k, abs=1e-8)
 
-    # the bump's lattice convolution is exact to rounding (measured 3e-14);
-    # the triangle's convolution is evaluated exactly (measured 1.6e-15)
-    @pytest.mark.parametrize("rho", [BUMP, TRIANGLE], ids=["bump", "triangle"])
-    def test_diagonal_against_mpmath(self, rho):
+    # the lattice convolution is exact to rounding (measured 3e-14)
+    def test_diagonal_against_mpmath(self):
         # C_{delta,delta}(x,x) = log(1/delta) + kappa by scale invariance
-        reference = mp_kappa(rho.profile)
+        reference = mp_kappa()
         for delta in (1.0, 0.5, 0.125):
-            got = doubly_mollified_kernel(0.3, 0.3, delta, delta, rho)
+            got = doubly_mollified_kernel(0.3, 0.3, delta, delta)
             assert abs(got - math.log(1.0 / delta) - reference) <= 1e-12
-
-    @pytest.mark.parametrize("ratio", [1.0 / 32.0, 0.37, 0.5])
-    @pytest.mark.parametrize("c", [0.0, 0.03, 0.09, 0.3])
-    def test_triangle_off_diagonal_against_mpmath(self, ratio, c):
-        delta = 1.0 / 8.0
-        got = doubly_mollified_kernel(0.5 + c, 0.5, delta, ratio * delta, TRIANGLE)
-        assert abs(got - mp_triangle_doubly(c, delta, ratio * delta)) <= 1e-12
 
     def test_cross_scale_error_is_controlled(self):
         # |C_{delta,eps} - C_delta| <= C (eps/delta) log(1/delta) with C <= 10
@@ -375,40 +291,19 @@ class TestDoublyMollifiedKernel:
             for eps in (delta / 4.0, delta / 16.0):
                 for z, x in ((0.3, 0.5), (0.45, 0.5), (0.5, 0.52)):
                     diff = abs(
-                        doubly_mollified_kernel(z, x, delta, eps, BUMP)
-                        - mollified_kernel(z, x, delta, BUMP)
+                        doubly_mollified_kernel(z, x, delta, eps)
+                        - mollified_kernel(z, x, delta)
                     )
                     assert diff <= 10.0 * (eps / delta) * math.log(1.0 / delta)
 
 
-@pytest.mark.parametrize("kernel, rho, args, pinned", PINNED_H_TERMS)
-def test_h_term_against_pinned_quad(kernel, rho, args, pinned):
-    # measured at most 3.6e-15
-    got = kernel(*args, rho, smooth_shift) - kernel(*args, rho)
-    assert abs(got - pinned) <= 1e-9
-
-
 class TestKappa:
-    @pytest.mark.parametrize("rho", [BUMP, TRIANGLE], ids=["bump", "triangle"])
-    def test_against_mpmath(self, rho):
-        assert abs(kappa(0.5, rho) - mp_kappa(rho.profile)) <= 1e-12
-
-    def test_triangle_against_monte_carlo(self):
-        got = kappa(0.5, TRIANGLE)
-        rng = np.random.default_rng(2)
-        m = 10_000_000
-        u = rng.uniform(0, 1, m) + rng.uniform(0, 1, m) - 1.0
-        v = rng.uniform(0, 1, m) + rng.uniform(0, 1, m) - 1.0
-        vals = -np.log(np.abs(u - v))
-        se = float(vals.std() / math.sqrt(m))
-        assert abs(got - float(vals.mean())) <= 3.0 * se
-
-    def test_constant_h_shifts_exactly(self):
-        base = kappa(0.2, BUMP)
-        assert kappa(0.2, BUMP, h=lambda a, b: 3.25) == pytest.approx(base + 3.25, abs=1e-12)
+    def test_against_mpmath(self):
+        assert abs(kappa() - mp_kappa()) <= 1e-12
 
     def test_independent_of_position_when_h_absent(self):
-        assert kappa(0.2, BUMP) == pytest.approx(kappa(0.9, BUMP), abs=1e-12)
+        diagonal = [doubly_mollified_kernel(x, x, 1.0, 1.0) for x in (0.2, 0.9)]
+        assert diagonal == pytest.approx([kappa(), kappa()], abs=1e-12)
 
 
 class TestAssumption1Check:
@@ -423,7 +318,7 @@ class TestAssumption1Check:
         monkeypatch.setattr(kernels, "doubly_mollified_kernel", counted)
         deltas = [2.0**-j for j in range(3, 9)]
         worst = assumption1_check(
-            np.linspace(0.15, 0.85, 5), deltas, deltas, BUMP, None, (0.0, 1.0)
+            np.linspace(0.15, 0.85, 5), deltas, deltas, (0.0, 1.0)
         )
         assert math.isfinite(worst)
         assert worst <= 3.0
@@ -431,5 +326,5 @@ class TestAssumption1Check:
         assert len(calls) == 21 * 25
 
     def test_far_pair_has_small_deviation(self):
-        val = doubly_mollified_kernel(0.25, 0.75, 1.0 / 8.0, 1.0 / 8.0, BUMP, None, (0.0, 1.0))
+        val = doubly_mollified_kernel(0.25, 0.75, 1.0 / 8.0, 1.0 / 8.0, (0.0, 1.0))
         assert abs(val + math.log(0.5)) < 0.1
