@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import norm
 
 from thickpoints.gaussian import gaussian_exp_normalizer, harmonic_number, sample_circle_field
-from conftest import circle_truncated_kernel, ks_critical_value, ks_statistic
+from thickpoints.kernels import doubly_mollified_kernel
+from conftest import circle_truncated_kernel, kappa, ks_critical_value, ks_statistic
 
 
 class TestHarmonicNumber:
@@ -105,6 +106,33 @@ class TestSampleCircleField:
             sample_circle_field(0, 16, rng)
         with pytest.raises(ValueError):
             sample_circle_field(16, 16, rng)
+
+
+class TestMollifiedGaussianField:
+    """The covariance of the bump-mollified field on [0, 1]:
+    Cov(X_delta(x), X_delta(y)) = C_{delta,delta}(x, y)."""
+
+    @staticmethod
+    def covariance(x: float, y: float, delta: float) -> float:
+        return doubly_mollified_kernel(x, y, delta, delta, domain=(0.0, 1.0))
+
+    def test_single_point_variance_is_log_scale_plus_kappa(self):
+        delta = 1.0 / 64.0
+        assert self.covariance(0.5, 0.5, delta) == pytest.approx(
+            math.log(1.0 / delta) + kappa(), abs=1e-8
+        )
+
+    def test_halving_scale_adds_log_two_to_variance(self):
+        v1 = self.covariance(0.5, 0.5, 1.0 / 64.0)
+        v2 = self.covariance(0.5, 0.5, 1.0 / 128.0)
+        assert v2 - v1 == pytest.approx(math.log(2.0), abs=0.05)
+
+    def test_far_point_correlation_matches_log_kernel(self):
+        assert self.covariance(0.3, 0.7, 1.0 / 64.0) == pytest.approx(-math.log(0.4), abs=2e-3)
+
+    def test_rejects_grid_leaving_domain(self):
+        with pytest.raises(ValueError):
+            self.covariance(0.01, 0.01, 1.0 / 16.0)
 
 
 class TestGaussianExpNormalizer:

@@ -60,28 +60,32 @@ def mp_mollified_kernel(x: float, z: float, delta: float) -> float:
 
 
 class TestMollifierSpec:
-    """The mollifier: the bump density."""
+    """The mollifier: the bump density.  The density is a test parameter, so
+    the tests keep the ids ([rho0]) they had when a second profile existed."""
 
-    def test_density_integrates_to_one(self):
+    @pytest.mark.parametrize("rho", [bump_density], ids=["rho0"])
+    def test_density_integrates_to_one(self, rho):
         u = np.linspace(-1.0, 1.0, 200_001)
-        total = float(np.trapezoid(bump_density(u), u))
+        total = float(np.trapezoid(rho(u), u))
         assert total == pytest.approx(1.0, abs=1e-8)
 
-    def test_density_vanishes_outside_support(self):
-        assert np.all(bump_density(np.array([-1.5, -1.0, 1.0, 2.0])) == 0.0)
+    @pytest.mark.parametrize("rho", [bump_density], ids=["rho0"])
+    def test_density_vanishes_outside_support(self, rho):
+        assert np.all(rho(np.array([-1.5, -1.0, 1.0, 2.0])) == 0.0)
 
     def test_scaled_density_change_of_variables(self):
         u = np.linspace(0.2, 0.4, 1001)
         scaled = scaled_bump(u, 0.1, 0.3)
         assert float(np.trapezoid(scaled, u)) == pytest.approx(1.0, abs=1e-6)
 
-    def test_sampler_matches_density(self):
+    @pytest.mark.parametrize("rho", [bump_density], ids=["rho0"])
+    def test_sampler_matches_density(self, rho):
         rng = np.random.default_rng(42)
         draws = sample_profile(rng, 200_000)
         assert np.all(np.abs(draws) <= 1.0)
         hist, edges = np.histogram(draws, bins=50, range=(-1, 1), density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        assert np.max(np.abs(hist - bump_density(centers))) < 0.05
+        assert np.max(np.abs(hist - rho(centers))) < 0.05
 
     def test_bump_normalization_constant(self):
         with mpmath.workdps(30):
@@ -185,6 +189,8 @@ class TestMollifiedKernel:
         with pytest.raises(ValueError):
             mollified_kernel(0.05, 0.5, 0.1, domain=(0.0, 1.0))
 
+    # the kernel under test is a parameter whose id names its mollifier
+    @pytest.mark.parametrize("kernel", [mollified_kernel], ids=["bump"])
     @pytest.mark.parametrize(
         "x, z, delta",
         [
@@ -196,10 +202,10 @@ class TestMollifiedKernel:
         ],
         ids=["centre", "inside", "inside-left", "edge", "far"],
     )
-    def test_against_mpmath(self, x, z, delta):
+    def test_against_mpmath(self, kernel, x, z, delta):
         # measured at most 1.8e-15
         reference = mp_mollified_kernel(x, z, delta)
-        assert abs(mollified_kernel(x, z, delta) - reference) <= 1e-12
+        assert abs(kernel(x, z, delta) - reference) <= 1e-12
 
 
 class TestConvDensity:
@@ -278,11 +284,12 @@ class TestDoublyMollifiedKernel:
             assert got == pytest.approx(math.log(1.0 / eps) + k, abs=1e-8)
 
     # the lattice convolution is exact to rounding (measured 3e-14)
-    def test_diagonal_against_mpmath(self):
+    @pytest.mark.parametrize("kernel", [doubly_mollified_kernel], ids=["bump"])
+    def test_diagonal_against_mpmath(self, kernel):
         # C_{delta,delta}(x,x) = log(1/delta) + kappa by scale invariance
         reference = mp_kappa()
         for delta in (1.0, 0.5, 0.125):
-            got = doubly_mollified_kernel(0.3, 0.3, delta, delta)
+            got = kernel(0.3, 0.3, delta, delta)
             assert abs(got - math.log(1.0 / delta) - reference) <= 1e-12
 
     def test_cross_scale_error_is_controlled(self):
@@ -298,8 +305,9 @@ class TestDoublyMollifiedKernel:
 
 
 class TestKappa:
-    def test_against_mpmath(self):
-        assert abs(kappa() - mp_kappa()) <= 1e-12
+    @pytest.mark.parametrize("oracle", [kappa], ids=["bump"])
+    def test_against_mpmath(self, oracle):
+        assert abs(oracle() - mp_kappa()) <= 1e-12
 
     def test_independent_of_position_when_h_absent(self):
         diagonal = [doubly_mollified_kernel(x, x, 1.0, 1.0) for x in (0.2, 0.9)]
