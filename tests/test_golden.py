@@ -143,3 +143,74 @@ def test_nu_mu_tree_path(n):
         np.testing.assert_allclose(got, values, rtol=RTOL, atol=0.0, err_msg=name)
     for name, values in TREE_NU_MU_COUNTS[n].items():
         assert [r.scalars[name] for r in records] == values, name
+
+
+# Plain-recursion trace-cov (n <= cue.SZEGO_CROSSOVER), with kmax past n so
+# that Newton's identities run beyond the polynomial's degree.
+TRACE_COV = {
+    (16, 40): {
+        "abs_trace_sq_k1": [0.24780603982111513, 3.4625108829439637, 2.396179375520503],
+        "abs_trace_sq_k8": [4.4459406177129095, 2.23455213128145, 5.30877540968531],
+        "abs_trace_sq_k16": [0.363494453128414, 18.301317165440707, 6.296350003213955],
+        "abs_trace_sq_k32": [33.27824389613784, 14.53414863865061, 8.651181380739907],
+    },
+    (64, 128): {
+        "abs_trace_sq_k1": [1.8673975549097344, 0.8189158026200111, 1.9053121086616096],
+        "abs_trace_sq_k8": [2.5886003269766396, 1.575454666248529, 0.6607697726527708],
+        "abs_trace_sq_k64": [64.6905532871639, 17.795455733438107, 16.1743659994738],
+        "abs_trace_sq_k128": [66.29266883310235, 37.488526549370825, 31.545838423567314],
+    },
+}
+
+
+@pytest.mark.parametrize("n, kmax", list(TRACE_COV))
+def test_trace_cov(n, kmax):
+    config = ExperimentConfig(
+        Experiment.TRACE_COVARIANCE, n=n, kmax=kmax, replicas=3, master_seed=31
+    )
+    records, _ = run_experiment(config)
+    assert set(records[0].scalars) == set(TRACE_COV[n, kmax])
+    for name, values in TRACE_COV[n, kmax].items():
+        got = [r.scalars[name] for r in records]
+        np.testing.assert_allclose(got, values, rtol=RTOL, atol=0.0, err_msg=name)
+
+
+# 70 verify-moments and 40 gaussian-gmc replicas: more than one replica block
+# each; the pinned indices sit on both sides of the block edges.
+MOMENT_INDICES = [0, 1, 62, 63, 64, 65, 69]
+MOMENTS = {
+    "exp_moment": [
+        5.07460435592109, 0.6260670691566538, 0.967543541074886, 1.5425112510411305,
+        1.816334309909102, 2.1383930461052043, 1.5948296792771257,
+    ],
+    "field_at_0": [
+        2.7070809374407356, -0.7804962906552572, -0.05499141899310569, 0.722352951334518,
+        0.9947005909933404, 1.266757723203995, 0.777944910637837,
+    ],
+}
+
+
+def test_verify_moments_across_blocks():
+    config = ExperimentConfig(
+        Experiment.MOMENT_CHECK, n=64, gamma=0.6, replicas=70, master_seed=32
+    )
+    records, _ = run_experiment(config)
+    for name, values in MOMENTS.items():
+        got = [records[i].scalars[name] for i in MOMENT_INDICES]
+        np.testing.assert_allclose(got, values, rtol=RTOL, atol=0.0, err_msg=name)
+
+
+GMC_INDICES = [0, 14, 15, 16, 31, 32, 39]
+GMC_MASS = [
+    0.8000738127839679, 0.41248461966923944, 0.8315843271015726, 0.46870673187650447,
+    0.5697313975482167, 0.3975356119719911, 0.8478794943232927,
+]
+
+
+def test_gaussian_gmc_across_blocks():
+    config = ExperimentConfig(
+        Experiment.GAUSSIAN_GMC, kmax=512, gamma=1.0, replicas=40, master_seed=33
+    )
+    records, _ = run_experiment(config)
+    got = [records[i].scalars["gmc_mass"] for i in GMC_INDICES]
+    np.testing.assert_allclose(got, GMC_MASS, rtol=RTOL, atol=0.0)
