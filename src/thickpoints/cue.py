@@ -43,11 +43,7 @@ class VerblunskyCoeffs:
         object.__setattr__(self, "alphas", a)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("alphas must be a non-empty vector")
-        mod = np.abs(a)
-        if a.size > 1 and np.any(mod[:-1] >= 1.0):
-            raise ValueError("interior Verblunsky coefficients must satisfy |alpha| < 1")
-        if abs(mod[-1] - 1.0) > 1e-12:
-            raise ValueError("final Verblunsky coefficient must be unimodular")
+        _check_alphas(a)
 
     @property
     def n(self) -> int:
@@ -59,8 +55,7 @@ class VerblunskyCoeffs:
         synthesized on first use and shared read-only afterwards.  Where the
         coefficients overflow the double range the vector is non-finite, which
         eval_field checks for, so the overflow is not warned about."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = _phi_coefficient_vector(self.alphas)
+        c = szego_coefficients(self.alphas[None, :])[0]
         c.flags.writeable = False
         return c
 
@@ -89,6 +84,26 @@ class FieldSample:
         return bool(np.any(np.isneginf(self.values)))
 
 
+def _check_alphas(alphas: np.ndarray) -> None:
+    """Reject coefficients, Verblunsky along the last axis, that do not
+    give a CUE spectrum."""
+    mod = np.abs(alphas)
+    if np.any(mod[..., :-1] >= 1.0):
+        raise ValueError("interior Verblunsky coefficients must satisfy |alpha| < 1")
+    if np.any(np.abs(mod[..., -1] - 1.0) > 1e-12):
+        raise ValueError("final Verblunsky coefficient must be unimodular")
+
+
+def _alphas_from_uniforms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|alpha_k|^2 = 1 - u^{1/(n-k-1)} (Beta(1, n-k-1) by inverse CDF) with
+    phase 2 pi v, and the last coefficient e^{2 pi i v}; n is the last axis."""
+    n = u.shape[-1]
+    radii = np.ones(u.shape)
+    b = n - 1 - np.arange(n - 1, dtype=np.float64)
+    radii[..., :-1] = np.sqrt(1.0 - u[..., :-1] ** (1.0 / b))
+    return radii * np.exp(2j * np.pi * v)
+
+
 def sample_alphas(n: int, stream: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
     """Verblunsky coefficients of shape (*batch, n) whose Szego polynomial
     zeros are CUE along the last axis.
@@ -101,11 +116,22 @@ def sample_alphas(n: int, stream: np.random.Generator, batch: tuple[int, ...] = 
         raise ValueError(f"n must be >= 1, got {n}")
     shape = (*batch, n)
     u = stream.random(shape)
-    phase = np.exp(2j * np.pi * stream.random(shape))
-    radii = np.ones(shape)
-    b = n - 1 - np.arange(n - 1, dtype=np.float64)
-    radii[..., :-1] = np.sqrt(1.0 - u[..., :-1] ** (1.0 / b))
-    return radii * phase
+    return _alphas_from_uniforms(u, stream.random(shape))
+
+
+def sample_alphas_per_stream(n: int, streams) -> np.ndarray:
+    """One CUE spectrum's Verblunsky coefficients per stream, stacked to
+    shape (R, n): row r is what sample_verblunsky draws from the r-th
+    stream, and it is checked as VerblunskyCoeffs checks it.  The streams
+    are read one after another, so they may be one generator reseeded
+    between rows."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    # each stream's U block, then its phase block, as sample_alphas draws them
+    uniforms = np.array([stream.random(2 * n) for stream in streams])
+    alphas = _alphas_from_uniforms(uniforms[:, :n], uniforms[:, n:])
+    _check_alphas(alphas)
+    return alphas
 
 
 def sample_verblunsky(n: int, stream: np.random.Generator) -> VerblunskyCoeffs:
@@ -183,17 +209,35 @@ def _szego_steps(alphas: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.
     return phi, star
 
 
-def _phi_coefficient_vector(alphas: np.ndarray) -> np.ndarray:
-    """Monomial coefficients (ascending) of the degree-n Szego polynomial.
+def szego_coefficients(alphas: np.ndarray) -> np.ndarray:
+    """Monomial coefficients (ascending) of the degree-n Szego polynomial of
+    each row of alphas: shape (R, n) gives (R, n + 1).
 
     One recursion step is the polynomial transfer matrix
     T_k = [[z, -conj(alpha_k)], [-alpha_k z, 1]] acting on (Phi_k, Phi*_k), so
     Phi_n is row 0 of T_{n-1} ... T_0 applied to (1, 1).  For
     n <= SZEGO_CROSSOVER the recursion runs on that start vector directly,
-    O(n^2).  Above it the alphas are split into leaves of SZEGO_LEAF steps and
-    the leaf products are merged level by level with batched FFT polynomial
-    products, an odd block being carried up unchanged, until two blocks are
-    left (n > SZEGO_CROSSOVER >= SZEGO_LEAF makes at least two leaves).  That
+    O(n^2), batched over the rows; each row comes out as it does alone.
+    Above it each row goes through the product tree (_phi_coefficient_vector).
+    Where the coefficients overflow the double range the rows are non-finite,
+    which eval_field and trace_powers check for, so the overflow is not
+    warned about.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if alphas.shape[-1] <= SZEGO_CROSSOVER:
+            phi, _ = _szego_steps(alphas, np.array([[1.0, 1.0]]))
+            return phi[:, :, 0].T
+        return np.stack([_phi_coefficient_vector(row) for row in alphas])
+
+
+def _phi_coefficient_vector(alphas: np.ndarray) -> np.ndarray:
+    """Monomial coefficients (ascending) of the degree-n Szego polynomial by a
+    product tree of the transfer matrices, for n above SZEGO_CROSSOVER.
+
+    The alphas are split into leaves of SZEGO_LEAF steps and the leaf
+    products are merged level by level with batched FFT polynomial products,
+    an odd block being carried up unchanged, until two blocks are left
+    (n > SZEGO_CROSSOVER >= SZEGO_LEAF makes at least two leaves).  That
     costs O(n log^2 n) (von zur Gathen-Gerhard, Modern Computer Algebra
     ch. 10).
 
@@ -210,9 +254,6 @@ def _phi_coefficient_vector(alphas: np.ndarray) -> np.ndarray:
     the root's row 0 is z^pad times the true one.
     """
     n = alphas.size
-    if n <= SZEGO_CROSSOVER:
-        phi, _ = _szego_steps(alphas[None, :], np.array([[1.0, 1.0]]))
-        return phi[:, 0, 0]
     pad = -n % SZEGO_LEAF
     leaves = np.concatenate([alphas, np.zeros(pad, dtype=np.complex128)])
     a, b_star = _szego_steps(leaves.reshape(-1, SZEGO_LEAF), np.array([[1.0, 0.0]]))
@@ -294,31 +335,47 @@ def eval_field_at(coeffs: VerblunskyCoeffs, theta: np.ndarray) -> np.ndarray:
 TRACE_COST_GUARD = 64
 
 
-def trace_powers(coeffs: VerblunskyCoeffs, kmax: int) -> np.ndarray:
-    """p with p[k-1] = Tr U^k for k = 1..kmax, the power sums of the
-    characteristic polynomial roots, via Newton's identities on the Szego
-    coefficients; O(kmax^2) on top of the coefficient vector, which is
-    computed once per VerblunskyCoeffs and shared with eval_field.  The tests
-    cross-check it against powers of the dense CMV operator
-    (tests/conftest.py: trace_powers_cmv).  Raises ValueError when the
-    coefficient vector has overflowed."""
-    n = coeffs.n
+def trace_powers(coefficients: np.ndarray, kmax: int) -> np.ndarray:
+    """p with p[r, k-1] = Tr U^k for k = 1..kmax, the power sums of the roots
+    of the characteristic polynomial whose ascending monomial coefficients
+    are coefficients[r] (shape (R, n + 1), as szego_coefficients and
+    VerblunskyCoeffs.phi_coefficients give them), via Newton's identities;
+    O(kmax min(kmax, n)) per row.  The tests cross-check it against powers of
+    the dense CMV operator (tests/conftest.py: trace_powers_cmv).  Raises
+    ValueError when a coefficient vector has overflowed.
+
+    The traces are built reversed in one buffer, so the earlier traces that
+    step k reads are contiguous: one np.dot per step for one row, one stacked
+    np.matmul (a dot per row) for several.  Each row comes out bit for bit as
+    it does alone.
+    """
+    rows, n = coefficients.shape[0], coefficients.shape[1] - 1
     if not 1 <= kmax <= TRACE_COST_GUARD * n:
         raise ValueError(f"kmax must lie in [1, {TRACE_COST_GUARD * n}], got {kmax}")
-    a = coeffs.phi_coefficients[::-1]  # a[i] multiplies z^{n-i}
-    if not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(coefficients)):
         raise ValueError(
             f"characteristic polynomial coefficients overflow the double range at n={n}; "
             "Newton's identities cannot give its power traces"
         )
-    p = np.empty(kmax, dtype=np.complex128)
-    for k in range(1, kmax + 1):
-        m = min(k - 1, n)
-        s = np.complex128(-k * a[k]) if k <= n else np.complex128(0.0)
-        if m:
-            s -= np.dot(a[1 : m + 1], p[k - 2 :: -1][:m])
-        p[k - 1] = s
-    return p
+    a = np.ascontiguousarray(coefficients[:, ::-1])  # a[:, i] multiplies z^{n-i}
+    top = min(kmax, n)
+    # s[:, k-1] = -k a_k, the term of step k that reads no earlier trace
+    s = np.zeros((rows, kmax), dtype=np.complex128)
+    s[:, :top] = -np.arange(1, top + 1) * a[:, 1 : top + 1]
+    rev = np.empty((rows, kmax), dtype=np.complex128)  # rev[:, kmax-k] = Tr U^k
+    rev[:, kmax - 1] = s[:, 0]
+    # step k sums a_j Tr U^{k-j} over j = 1..min(k - 1, n)
+    if rows == 1:
+        a0, s0, rev0 = a[0], s[0], rev[0]
+        for k in range(2, kmax + 1):
+            m, at = min(k - 1, n), kmax - k
+            rev0[at] = s0[k - 1] - np.dot(a0[1 : m + 1], rev0[at + 1 : at + 1 + m])
+    else:
+        for k in range(2, kmax + 1):
+            m, at = min(k - 1, n), kmax - k
+            dots = np.matmul(a[:, None, 1 : m + 1], rev[:, at + 1 : at + 1 + m, None])
+            rev[:, at] = s[:, k - 1] - dots[:, 0, 0]
+    return rev[:, ::-1]
 
 
 def truncated_fields(traces: np.ndarray, deltas, grid_size: int) -> np.ndarray:
@@ -327,7 +384,7 @@ def truncated_fields(traces: np.ndarray, deltas, grid_size: int) -> np.ndarray:
 
     All rows come from one batched real inverse FFT of conj(Tr U^k)/k
     (kernels.real_fourier_grid), and each row is bit for bit the one its
-    delta gives alone.  traces[k-1] is Tr U^k, as trace_powers returns it.
+    delta gives alone.  traces[k-1] is Tr U^k, as in a row of trace_powers.
     Each delta must lie in (0, 1], with at least floor(1/delta) traces and a
     grid finer than that.
     """

@@ -17,21 +17,25 @@ def harmonic_number(k: int) -> float:
     return float(np.sum(1.0 / np.arange(1, k + 1)))
 
 
-def sample_circle_field(kmax: int, grid_size: int, stream: np.random.Generator) -> np.ndarray:
+def sample_circle_field(kmax: int, grid_size: int, streams) -> np.ndarray:
     """X(theta) = sum_{k<=kmax} k^{-1/2} (A_k cos k theta + B_k sin k theta)
     with A, B iid standard normal; its values on the uniform grid
-    theta_j = 2 pi j / grid_size, by one real inverse FFT.  Var X(theta) =
+    theta_j = 2 pi j / grid_size, by one real inverse FFT per row.  Row r of
+    the (R, grid_size) result is drawn from the r-th of the R streams, A
+    first, then B.  The streams are read one after another, so they may be
+    one generator reseeded between rows.  Var X(theta) =
     harmonic_number(kmax).
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     if grid_size <= kmax:
         raise ValueError(f"grid_size must exceed kmax for alias-free synthesis, got {grid_size}")
-    a = stream.standard_normal(kmax)
-    b = stream.standard_normal(kmax)
+    normals = np.array([stream.standard_normal(2 * kmax) for stream in streams])
     # A cos + B sin = Re((A - iB) e^{ik theta})
-    coeff = (a - 1j * b) / np.sqrt(np.arange(1, kmax + 1))
-    return real_fourier_grid(coeff, grid_size) * (0.5 * grid_size)
+    coeff = (normals[:, :kmax] - 1j * normals[:, kmax:]) / np.sqrt(np.arange(1, kmax + 1))
+    values = real_fourier_grid(coeff, grid_size)
+    values *= 0.5 * grid_size
+    return values
 
 
 def gaussian_exp_normalizer(variance: float, gamma: float) -> float:

@@ -3,7 +3,17 @@ summary estimators.
 
 Each replica owns an RNG stream derived from (master_seed, replica_index) by a
 SplitMix64-style avalanche, so results are independent of worker count and
-reproducible across platforms.
+reproducible across platforms.  The stream is the one
+np.random.Generator(np.random.PCG64(derived_seed)) gives.
+
+Replicas run in blocks of contiguous indices.  A block derives its seeds in
+one vectorised pass, hashes them to the PCG64 states numpy's SeedSequence
+would give (_pcg64_states), and assigns each state in turn to one reused
+generator, so that a replica's draws are those of its own fresh stream.
+verify-moments, trace-cov at n <= cue.SZEGO_CROSSOVER and gaussian-gmc
+evaluate a block with one batched call per stage, and each row comes out bit
+for bit as it does alone; the other experiments run one replica per
+run_replica call, which is the block of that one index.
 """
 
 from __future__ import annotations
@@ -22,17 +32,26 @@ from .gaussian import gaussian_exp_normalizer, harmonic_number, sample_circle_fi
 from .kernels import assumption1_check, circle_truncated_kernel_grid
 from .special_fn import GammaConvention, to_theorem_scale
 
+MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
+MASK128 = (1 << 128) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MULT1 = 0xBF58476D1CE4E5B9
 _SPLITMIX_MULT2 = 0x94D049BB133111EB
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64)
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def derive_seed(master_seed: int, replica_index: int) -> int:
+def derive_seed(master_seed: int, replica_index):
     """SplitMix64 avalanche of (master_seed, replica_index).
 
     The constants are fixed so that any implementation can reproduce the same
-    substreams bit for bit.
+    substreams bit for bit.  replica_index may be an int or a uint64 array of
+    indices; every product is masked, so both give the same seeds.
     """
     z = (master_seed + _SPLITMIX_GAMMA * (replica_index + 1)) & MASK64
     z = ((z ^ (z >> 30)) * _SPLITMIX_MULT1) & MASK64
@@ -40,8 +59,92 @@ def derive_seed(master_seed: int, replica_index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _seed_sequence_words(seeds):
+    """The four uint64 words of SeedSequence(seed).generate_state(4, uint64)
+    for an int seed below 2^64, or for each seed of a uint64 array.
+
+    A seed's entropy is its 32-bit words, low first, at most two; the pool of
+    four words hashes zeros past them, so every seed mixes as (low, high, 0,
+    0).  Every product is masked to 32 bits, which keeps a uint64 array's
+    arithmetic exact and equal to that of Python ints.
+    """
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _HASH_MULT_A & MASK32
+        value = value * hash_const & MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in (seeds & MASK32, seeds >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _HASH_INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _HASH_MULT_B & MASK32
+        value = value * hash_const & MASK32
+        words.append(value ^ value >> 16)
+    # little-endian pairs of 32-bit words
+    return [words[2 * j] | words[2 * j + 1] << 32 for j in range(4)]
+
+
+def _pcg64_states(seeds) -> list[dict]:
+    """The state np.random.PCG64(seed) starts from, for each seed of a uint64
+    array, or for one int seed.
+
+    PCG64 takes (initstate, initseq) from the four SeedSequence words, high
+    word first, sets inc = 2 initseq + 1 and runs its LCG step from 0, adds
+    initstate and steps again.  The 128-bit arithmetic is in Python ints.
+    """
+    words = [w.tolist() if isinstance(w, np.ndarray) else [w] for w in _seed_sequence_words(seeds)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*words):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def replica_stream(master_seed: int, replica_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, replica_index)))
+    """A fresh generator on the replica's stream."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = _pcg64_states(derive_seed(master_seed, replica_index))[0]
+    return np.random.Generator(bit_generator)
+
+
+@functools.cache
+def _reused_stream() -> np.random.Generator:
+    """The one generator a process reseeds for every replica of its blocks.
+    It is made on first use: numpy loads numpy.random lazily, and a parent
+    whose pool workers run every replica never needs it."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _block_streams(master_seed: int, indices: list[int]):
+    """The derived seeds of a block of replica indices, and an iterator that
+    yields the reused generator on each replica's stream in turn."""
+    # a block hashes its seeds as one uint64 array, one replica as Python ints
+    index = np.array(indices, dtype=np.uint64) if len(indices) > 1 else indices[0]
+    seeds = derive_seed(master_seed, index)
+    states = _pcg64_states(seeds)
+
+    def streams():
+        stream = _reused_stream()
+        for state in states:
+            stream.bit_generator.state = state
+            yield stream
+
+    return seeds.tolist() if isinstance(seeds, np.ndarray) else [seeds], streams()
 
 
 class Experiment(enum.Enum):
@@ -160,14 +263,17 @@ class Summary:
 
 
 # ---------------------------------------------------------------------------
-# per-replica work
+# replica blocks: each function takes the block's streams, one per replica,
+# and returns one scalar row per stream
 # ---------------------------------------------------------------------------
 
 
-def _replica_moment_check(config: ExperimentConfig, stream) -> dict[str, float]:
-    coeffs = cue.sample_verblunsky(config.n, stream)
-    x0 = float(cue.eval_field_at(coeffs, np.array([0.0]))[0])
-    return {"exp_moment": math.exp(config.gamma_theorem * x0), "field_at_0": x0}
+def _block_moment_check(config: ExperimentConfig, streams) -> list[dict[str, float]]:
+    alphas = cue.sample_alphas_per_stream(config.n, streams)
+    # the field at angle 0, where z = e^{i0} = 1
+    field_at_0 = cue.SQRT2 * cue.szego_log_abs(alphas, np.ones(1, dtype=np.complex128))[:, 0]
+    g = config.gamma_theorem
+    return [{"exp_moment": math.exp(g * x0), "field_at_0": x0} for x0 in field_at_0.tolist()]
 
 
 def _trace_ks(config: ExperimentConfig) -> list[int]:
@@ -175,10 +281,18 @@ def _trace_ks(config: ExperimentConfig) -> list[int]:
     return sorted({k for k in (1, 8, config.n, 2 * config.n) if k <= kmax})
 
 
-def _replica_trace_covariance(config: ExperimentConfig, stream) -> dict[str, float]:
-    coeffs = cue.sample_verblunsky(config.n, stream)
-    traces = cue.trace_powers(coeffs, config.effective_kmax)
-    return {f"abs_trace_sq_k{k}": float(np.abs(traces[k - 1]) ** 2) for k in _trace_ks(config)}
+def _block_trace_covariance(config: ExperimentConfig, streams) -> list[dict[str, float]]:
+    alphas = cue.sample_alphas_per_stream(config.n, streams)
+    traces = cue.trace_powers(cue.szego_coefficients(alphas), config.effective_kmax)
+    ks = _trace_ks(config)
+    # squared as scalars: squaring the array of moduli differs by an ulp on
+    # about 0.07% of values
+    return [{f"abs_trace_sq_k{k}": float(np.abs(row[k - 1]) ** 2) for k in ks} for row in traces]
+
+
+def _each(replica_fn):
+    """The block function that runs replica_fn(config, stream) per stream."""
+    return lambda config, streams: [replica_fn(config, stream) for stream in streams]
 
 
 def _replica_fk_test(config: ExperimentConfig, stream) -> dict[str, float]:
@@ -206,7 +320,8 @@ def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
         violations = [0.0]
         if levels:
             # validate keeps floor(e^L) within the trace guard and below the grid size
-            traces = cue.trace_powers(coeffs, int(math.floor(math.exp(levels[-1]))))
+            kmax = int(math.floor(math.exp(levels[-1])))
+            traces = cue.trace_powers(coeffs.phi_coefficients[None, :], kmax)[0]
             truncated = cue.truncated_fields(
                 traces, [barrier.scale(k) for k in levels], sample.grid_size
             )
@@ -224,12 +339,14 @@ def _gmc_normalizer(kmax: int, gamma: float) -> float:
     return gaussian_exp_normalizer(harmonic_number(kmax), gamma)
 
 
-def _replica_gaussian_gmc(config: ExperimentConfig, stream) -> dict[str, float]:
+def _block_gaussian_gmc(config: ExperimentConfig, streams) -> list[dict[str, float]]:
     kmax = config.effective_kmax
-    field = sample_circle_field(kmax, config.grid_factor * kmax, stream)
-    norm = _gmc_normalizer(kmax, config.gamma_theorem)
-    mass = float(np.mean(np.exp(config.gamma_theorem * field)) / norm)
-    return {"gmc_mass": mass}
+    g = config.gamma_theorem
+    field = sample_circle_field(kmax, config.grid_factor * kmax, streams)
+    norm = _gmc_normalizer(kmax, g)
+    field *= g
+    np.exp(field, out=field)
+    return [{"gmc_mass": float(mass / norm)} for mass in field.mean(axis=-1)]
 
 
 @functools.cache
@@ -259,21 +376,53 @@ def _replica_kernel_checks(config: ExperimentConfig, stream) -> dict[str, float]
     return dict(_kernel_check_values())
 
 
-_REPLICA_FNS = {
-    Experiment.MOMENT_CHECK: _replica_moment_check,
-    Experiment.TRACE_COVARIANCE: _replica_trace_covariance,
-    Experiment.FK_TEST: _replica_fk_test,
-    Experiment.NU_MU_DISCREPANCY: _replica_nu_mu,
-    Experiment.GAUSSIAN_GMC: _replica_gaussian_gmc,
-    Experiment.KERNEL_CHECKS: _replica_kernel_checks,
+_BLOCK_FNS = {
+    Experiment.MOMENT_CHECK: _block_moment_check,
+    Experiment.TRACE_COVARIANCE: _block_trace_covariance,
+    Experiment.FK_TEST: _each(_replica_fk_test),
+    Experiment.NU_MU_DISCREPANCY: _each(_replica_nu_mu),
+    Experiment.GAUSSIAN_GMC: _block_gaussian_gmc,
+    Experiment.KERNEL_CHECKS: _each(_replica_kernel_checks),
 }
+
+# Block limits: at most BLOCK_REPLICAS replicas, and at most BLOCK_BYTES in
+# the block's widest array.  On a 2-core Xeon VM, running the benchmark's
+# small-replicas steps at one worker, these kept the process at 43.1 MB peak
+# RSS.  With no replica cap (blocks of 512 trace-cov and 1024 verify-moments
+# replicas) it reached 47.5 MB, and with 2 MB (31 gaussian-gmc replicas at
+# kmax = 512) 46.8 MB; with 256 kB (3 replicas) a gaussian-gmc replica took
+# 278 us against 166 us.
+BLOCK_REPLICAS = 64
+BLOCK_BYTES = 1 << 20
+
+
+def _block_size(config: ExperimentConfig) -> int:
+    """Replicas per block.  The widest array of a block holds, per replica,
+    the uniforms (2n doubles) for verify-moments, the coefficient rows or
+    the traces (complex) for trace-cov, and the half spectrum (complex) for
+    gaussian-gmc.  nu-mu, fk-test, kernel-check and trace-cov above the
+    Szego crossover run one replica per run_replica call: batching the
+    product tree measured slower."""
+    n, kmax = config.n, config.effective_kmax
+    if config.experiment is Experiment.MOMENT_CHECK:
+        widest = 16 * n
+    elif config.experiment is Experiment.TRACE_COVARIANCE and n <= cue.SZEGO_CROSSOVER:
+        widest = 16 * max(n + 1, kmax)
+    elif config.experiment is Experiment.GAUSSIAN_GMC:
+        widest = 16 * (config.grid_factor * kmax // 2 + 1)
+    else:
+        return 1
+    return max(1, min(BLOCK_REPLICAS, BLOCK_BYTES // widest))
+
+
+def _run_block(config: ExperimentConfig, indices: list[int]) -> list[ReplicaRecord]:
+    seeds, streams = _block_streams(config.master_seed, indices)
+    rows = _BLOCK_FNS[config.experiment](config, streams)
+    return [ReplicaRecord(i, seed, row) for i, seed, row in zip(indices, seeds, rows)]
 
 
 def run_replica(config: ExperimentConfig, replica_index: int) -> ReplicaRecord:
-    seed = derive_seed(config.master_seed, replica_index)
-    stream = np.random.Generator(np.random.PCG64(seed))
-    scalars = _REPLICA_FNS[config.experiment](config, stream)
-    return ReplicaRecord(replica_index, seed, scalars)
+    return _run_block(config, [replica_index])[0]
 
 
 def worker_count() -> int:
@@ -291,8 +440,17 @@ def worker_count() -> int:
 
 
 def _run_chunk(args) -> list[ReplicaRecord]:
+    """The records of a contiguous run of replica indices, in index order:
+    blocks of _block_size(config) indices, or one run_replica call each."""
     config, indices = args
-    return [run_replica(config, i) for i in indices]
+    size = _block_size(config)
+    if size == 1:
+        return [run_replica(config, i) for i in indices]
+    return [
+        record
+        for lo in range(0, len(indices), size)
+        for record in _run_block(config, indices[lo : lo + size])
+    ]
 
 
 # Bytes of one block allocated and freed before the replicas run; see
@@ -302,8 +460,9 @@ HEAP_KEEP_BYTES = 8 << 20
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[ReplicaRecord], Summary]:
     """Execute all replicas; output is a pure function of the config,
-    independent of worker count.  Each worker runs one contiguous run of
-    replica indices, and the runs are joined in index order.
+    independent of worker count and block size.  Each worker runs one
+    contiguous run of replica indices, and the runs are joined in index
+    order.
 
     A replica allocates and frees arrays of a few hundred kB.  By default
     glibc serves such blocks by mmap, or trims them off the heap when they
@@ -318,7 +477,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ReplicaRecord], Summa
     workers = min(worker_count(), config.replicas)
     indices = list(range(config.replicas))
     if workers <= 1:
-        records = [run_replica(config, i) for i in indices]
+        records = _run_chunk((config, indices))
     else:
         # worker i takes the contiguous run of indices bounds[i]:bounds[i+1]
         bounds = [config.replicas * i // workers for i in range(workers + 1)]

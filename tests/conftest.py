@@ -169,7 +169,8 @@ def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[s
     levels = barrier.levels
     if not levels:
         return {f"nu_barrier_violation_l{config.ell}": 0.0}
-    traces = trace_powers(coeffs, int(math.floor(math.exp(levels[-1]))))
+    kmax = int(math.floor(math.exp(levels[-1])))
+    traces = trace_powers(coeffs.phi_coefficients[None], kmax)[0]
     truncated = {k: truncated_field(traces, barrier.scale(k), sample.grid_size) for k in levels}
     out = {}
     for start in levels:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thickpoints import __version__, cli
+from thickpoints import __version__, cli, montecarlo
 from thickpoints.cli import (
     ConfigError,
     EXIT_CONFIG_ERROR,
@@ -248,26 +248,33 @@ class TestMain:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify-moments", "--set", "n=16", "--set", "replicas=7"],
-            ["trace-cov", "--set", "n=16", "--set", "kmax=40", "--set", "replicas=7"],
-            ["fk-test", "--set", "n=32", "--set", "replicas=7"],
-            ["nu-mu", "--set", "n=64", "--set", "ell=1", "--set", "g_shift=0.2",
-             "--set", "replicas=7"],
-            ["gaussian-gmc", "--set", "kmax=16", "--set", "replicas=7"],
-            # each worker computes the kernel checks once, about 0.2 s
-            ["kernel-check", "--set", "replicas=5"],
+            ["verify-moments", "--set", "n=16"],
+            ["trace-cov", "--set", "n=16", "--set", "kmax=40"],
+            ["fk-test", "--set", "n=32"],
+            ["nu-mu", "--set", "n=64", "--set", "ell=1", "--set", "g_shift=0.2"],
+            ["gaussian-gmc", "--set", "kmax=16"],
+            # each worker process computes the kernel checks once, about 0.2 s
+            ["kernel-check"],
         ],
         ids=lambda argv: argv[0],
     )
     def test_csv_is_worker_count_independent(self, argv, tmp_path, monkeypatch):
-        # neither 2 nor 3 workers divide the replicas evenly
-        outputs = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("THICKPOINT_THREADS", threads)
-            base = tmp_path / f"t{threads}"
-            assert main([*argv, "--set", "master_seed=9", "-o", str(base)]) == EXIT_OK
-            outputs.append(open(f"{base}.csv", "rb").read())
-        assert outputs[0] == outputs[1] == outputs[2]
+        # 11 replicas: neither 2 nor 3 workers nor blocks of 3 or 5 divide them
+        # evenly, so some worker ends in a ragged block
+        argv = [*argv, "--set", "replicas=11", "--set", "master_seed=9"]
+        config = apply_overrides(ExperimentConfig(cli._SUBCOMMANDS[argv[0]][0]), argv[2::2])
+        records = [montecarlo.run_replica(config, i) for i in range(config.replicas)]
+        emit(records, summarize(records), config, str(tmp_path / "single"), 0.0)
+        expected = open(tmp_path / "single.csv", "rb").read()
+        blocked = argv[0] in ("verify-moments", "trace-cov", "gaussian-gmc")
+        for block in (3, 5):
+            monkeypatch.setattr(montecarlo, "BLOCK_REPLICAS", block)
+            assert montecarlo._block_size(config) == (block if blocked else 1)
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("THICKPOINT_THREADS", threads)
+                base = tmp_path / f"b{block}t{threads}"
+                assert main([*argv, "-o", str(base)]) == EXIT_OK
+                assert open(f"{base}.csv", "rb").read() == expected, (block, threads)
 
     def test_set_overrides_file(self, tmp_path):
         conf = tmp_path / "run.conf"

@@ -330,7 +330,11 @@ class TestPerPointSzego:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow"):
-                trace_powers(c, 8)
+                trace_powers(c.phi_coefficients[None], 8)
+            # one overflowing row fails a stacked call
+            fine = sample_verblunsky(n, np.random.default_rng(2)).phi_coefficients
+            with pytest.raises(ValueError, match="overflow"):
+                trace_powers(np.stack([fine, c.phi_coefficients]), 8)
 
 
 class TestDenseOracle:
@@ -394,7 +398,7 @@ class TestTracePowers:
     def test_single_phase(self):
         phi = 1.2
         c = VerblunskyCoeffs(np.array([np.exp(1j * phi)]))
-        tr = trace_powers(c, 5)
+        tr = trace_powers(c.phi_coefficients[None], 5)[0]
         for k in range(1, 6):
             assert tr[k - 1] == pytest.approx(np.exp(-1j * k * phi), abs=1e-12)
 
@@ -402,7 +406,7 @@ class TestTracePowers:
     def test_matches_cmv_reference(self, n, kmax):
         rng = np.random.default_rng(15)
         c = sample_verblunsky(n, rng)
-        fast = trace_powers(c, kmax)
+        fast = trace_powers(c.phi_coefficients[None], kmax)[0]
         slow = trace_powers_cmv(c, kmax)
         assert np.max(np.abs(fast - slow)) < 1e-10
 
@@ -410,7 +414,7 @@ class TestTracePowers:
         rng = np.random.default_rng(16)
         c = sample_verblunsky(4, rng)
         lam = np.linalg.eigvals(cmv_matrix(c))
-        tr = trace_powers(c, 12)
+        tr = trace_powers(c.phi_coefficients[None], 12)[0]
         for k in range(1, 13):
             assert tr[k - 1] == pytest.approx(complex(np.sum(lam**k)), abs=1e-10)
 
@@ -420,7 +424,7 @@ class TestTracePowers:
         ks = (1, 4, 16, 32)
         sq = np.empty((reps, len(ks)))
         for i in range(reps):
-            tr = trace_powers(sample_verblunsky(n, rng), 32)
+            tr = trace_powers(sample_verblunsky(n, rng).phi_coefficients[None], 32)[0]
             sq[i] = [abs(tr[k - 1]) ** 2 for k in ks]
         for j, k in enumerate(ks):
             mean = float(sq[:, j].mean())
@@ -443,22 +447,41 @@ class TestTracePowers:
     )
     def test_against_mpmath_newton(self, n, kmax, budget_2n, budget):
         c = sample_verblunsky(n, np.random.default_rng(n + 23))
-        err = np.abs(trace_powers(c, kmax) - mp_trace_powers(c.alphas, kmax))
-        assert np.max(err[: 2 * n]) <= budget_2n
-        assert np.max(err) <= budget
+        # one stacked call of two rows runs the batched loop; that rows of
+        # different draws do not mix is test_stacked_rows_match_single_rows
+        ref = mp_trace_powers(c.alphas, kmax)
+        for got in trace_powers(np.stack([c.phi_coefficients] * 2), kmax):
+            err = np.abs(got - ref)
+            assert np.max(err[: 2 * n]) <= budget_2n
+            assert np.max(err) <= budget
 
     def test_cost_guard(self):
         rng = np.random.default_rng(18)
         c = sample_verblunsky(2, rng)
         with pytest.raises(ValueError):
-            trace_powers(c, TRACE_COST_GUARD * 2 + 1)
+            trace_powers(c.phi_coefficients[None], TRACE_COST_GUARD * 2 + 1)
+        stacked = cue.szego_coefficients(cue.sample_alphas(2, rng, (3,)))
+        for kmax in (0, TRACE_COST_GUARD * 2 + 1):
+            with pytest.raises(ValueError, match="kmax must lie"):
+                trace_powers(stacked, kmax)
+
+    # n = 16 and 64 run the plain recursion, 256 the product tree; every
+    # kmax passes n, so the loop also runs the steps with no -k a_k term
+    @pytest.mark.parametrize("n, kmax", [(16, 40), (64, 200), (256, 300)])
+    def test_stacked_rows_match_single_rows(self, n, kmax):
+        alphas = cue.sample_alphas(n, np.random.default_rng(n + 5), (5,))
+        stacked = trace_powers(cue.szego_coefficients(alphas), kmax)
+        assert stacked.shape == (5, kmax)
+        for row, a in zip(stacked, alphas):
+            single = trace_powers(VerblunskyCoeffs(a).phi_coefficients[None], kmax)
+            assert np.array_equal(row, single[0])
 
 
 class TestTruncatedField:
     def test_single_term(self):
         rng = np.random.default_rng(19)
         c = sample_verblunsky(8, rng)
-        tr = trace_powers(c, 4)
+        tr = trace_powers(c.phi_coefficients[None], 4)[0]
         fs = truncated_field(tr, 1.0, 32)
         theta = fs.theta
         expected = -SQRT2 * np.real(tr[0] * np.exp(-1j * theta))
@@ -467,7 +490,7 @@ class TestTruncatedField:
     def test_rejects_insufficient_traces_or_grid(self):
         rng = np.random.default_rng(20)
         c = sample_verblunsky(8, rng)
-        tr = trace_powers(c, 4)
+        tr = trace_powers(c.phi_coefficients[None], 4)[0]
         with pytest.raises(ValueError):
             truncated_field(tr, 1.0 / 8.0, 64)
         with pytest.raises(ValueError):
@@ -485,7 +508,8 @@ class TestTruncatedField:
     def test_batched_rows_match_single_delta_and_complex_fft(self, n, grid_size, inverse_deltas):
         deltas = [1.0 / d for d in inverse_deltas]
         rng = np.random.default_rng(grid_size)
-        tr = trace_powers(sample_verblunsky(n, rng), int(max(inverse_deltas)))
+        coeffs = sample_verblunsky(n, rng).phi_coefficients[None]
+        tr = trace_powers(coeffs, int(max(inverse_deltas)))[0]
         rows = truncated_fields(tr, deltas, grid_size)
         assert rows.shape == (len(deltas), grid_size)
         for row, delta in zip(rows, deltas):
@@ -507,7 +531,7 @@ class TestTruncatedField:
             coeff[1:9] = fhat[1:9]
             coeff[-8:] = fhat[-8:]
             proj = np.real(np.fft.ifft(coeff) * m)
-            tf = truncated_field(trace_powers(c, 8), 1.0 / 8.0, m)
+            tf = truncated_field(trace_powers(c.phi_coefficients[None], 8)[0], 1.0 / 8.0, m)
             assert np.max(np.abs(proj - tf.values)) < 5e-2
 
     def test_projection_at_coarse_grid_pinned_draw(self):
@@ -520,7 +544,7 @@ class TestTruncatedField:
         coeff[1:9] = fhat[1:9]
         coeff[-8:] = fhat[-8:]
         proj = np.real(np.fft.ifft(coeff) * m)
-        tf = truncated_field(trace_powers(c, 8), 1.0 / 8.0, m)
+        tf = truncated_field(trace_powers(c.phi_coefficients[None], 8)[0], 1.0 / 8.0, m)
         assert np.max(np.abs(proj - tf.values)) < 5e-2
 
     def test_variance_matches_truncated_harmonic_sum(self):
@@ -528,7 +552,7 @@ class TestTruncatedField:
         n, reps, delta = 8, 20_000, 1.0 / 16.0
         vals = np.empty(reps)
         for i in range(reps):
-            tr = trace_powers(sample_verblunsky(n, rng), 16)
+            tr = trace_powers(sample_verblunsky(n, rng).phi_coefficients[None], 16)[0]
             vals[i] = truncated_field(tr, delta, 32).values[0]
         target = truncated_field_variance(n, delta)
         var = float(vals.var(ddof=1))

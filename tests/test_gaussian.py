@@ -18,7 +18,7 @@ class TestHarmonicNumber:
 class TestSampleCircleField:
     def test_single_mode_is_exact_cosine_combination(self):
         rng = np.random.default_rng(0)
-        field = sample_circle_field(1, 64, rng)
+        field = sample_circle_field(1, 64, [rng])[0]
         check = np.random.default_rng(0)
         a = check.standard_normal(1)[0]
         b = check.standard_normal(1)[0]
@@ -29,7 +29,7 @@ class TestSampleCircleField:
     @pytest.mark.parametrize("kmax, m", [(4, 8), (7, 8), (5, 6), (10, 11), (64, 80), (512, 8192)])
     def test_matches_direct_sum_with_aliased_modes(self, kmax, m):
         # modes at and above m/2 alias onto the grid; the sum is still exact there
-        field = sample_circle_field(kmax, m, np.random.default_rng(kmax))
+        field = sample_circle_field(kmax, m, [np.random.default_rng(kmax)])[0]
         check = np.random.default_rng(kmax)
         a = check.standard_normal(kmax)
         b = check.standard_normal(kmax)
@@ -44,7 +44,7 @@ class TestSampleCircleField:
         x0 = np.empty(reps)
         x1 = np.empty(reps)
         for i in range(reps):
-            f = sample_circle_field(1, 6, rng)  # grid step pi/3
+            f = sample_circle_field(1, 6, [rng])[0]  # grid step pi/3
             x0[i], x1[i] = f[0], f[1]
         assert float(x0.var(ddof=1)) == pytest.approx(1.0, abs=0.03)
         cov = float(np.mean(x0 * x1))
@@ -57,7 +57,7 @@ class TestSampleCircleField:
         x0 = np.empty(reps)
         xd = np.empty(reps)
         for i in range(reps):
-            f = sample_circle_field(kmax, m, rng)
+            f = sample_circle_field(kmax, m, [rng])[0]
             x0[i], xd[i] = f[0], f[86]
         target = circle_truncated_kernel(0.0, 2.0 * math.pi * 86 / m, kmax)
         cov = float(np.mean(x0 * xd))
@@ -69,7 +69,7 @@ class TestSampleCircleField:
         kmax, reps = 64, 10_000
         vals = np.empty(reps)
         for i in range(reps):
-            vals[i] = sample_circle_field(kmax, 80, rng)[0]
+            vals[i] = sample_circle_field(kmax, 80, [rng])[0, 0]
         vals /= math.sqrt(harmonic_number(kmax))
         d = ks_statistic(vals, norm.cdf)
         assert d < ks_critical_value(reps, 0.01)
@@ -79,9 +79,8 @@ class TestSampleCircleField:
         kmax, reps, m = 16, 40_000, 64
         step = 8  # common separation
         anchors = range(0, m, m // 8)
-        draws = np.empty((reps, m))
-        for i in range(reps):
-            draws[i] = sample_circle_field(kmax, m, rng)
+        # the rows read the one generator in turn
+        draws = sample_circle_field(kmax, m, [rng] * reps)
         covs = []
         ses = []
         for a in anchors:
@@ -95,7 +94,7 @@ class TestSampleCircleField:
         # Var X(theta) = H_kmax at every grid point
         rng = np.random.default_rng(6)
         kmax, reps = 8, 20_000
-        draws = np.array([sample_circle_field(kmax, 16, rng) for _ in range(reps)])
+        draws = sample_circle_field(kmax, 16, [rng] * reps)
         target = harmonic_number(kmax)
         se = target * math.sqrt(2.0 / (reps - 1))  # stderr of a variance estimate
         assert np.all(np.abs(draws.var(axis=0, ddof=1) - target) <= 5.0 * se)
@@ -103,9 +102,9 @@ class TestSampleCircleField:
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
-            sample_circle_field(0, 16, rng)
+            sample_circle_field(0, 16, [rng])
         with pytest.raises(ValueError):
-            sample_circle_field(16, 16, rng)
+            sample_circle_field(16, 16, [rng])
 
 
 class TestMollifiedGaussianField:
@@ -152,7 +151,7 @@ class TestGaussianExpNormalizer:
         kmax, reps, gamma = 64, 100_000, 0.5
         vals = np.empty(reps)
         for i in range(reps):
-            vals[i] = math.exp(gamma * sample_circle_field(kmax, 80, rng)[0])
+            vals[i] = math.exp(gamma * sample_circle_field(kmax, 80, [rng])[0, 0])
         target = gaussian_exp_normalizer(harmonic_number(kmax), gamma)
         se = float(vals.std(ddof=1) / math.sqrt(reps))
         assert abs(float(vals.mean()) - target) <= 4.0 * se

@@ -2,7 +2,9 @@
 
 perfbench/tracer.py wraps functions of `cue` and `measures` by name, and
 perfbench/child.py wraps `montecarlo.run_replica` and `montecarlo._run_chunk`;
-a missing name fails the traced run, not the test suite.  The tracer's name
+a missing name fails the traced run, not the test suite.  The experiments
+whose replica times set the benchmark's pace factors must keep calling
+`run_replica` once per replica.  The tracer's name
 lists are read from its source, which is parsed, not imported or changed.
 """
 
@@ -39,6 +41,41 @@ def test_traced_functions_exist(module, list_name):
 def test_replica_entry_points_exist():
     assert callable(montecarlo.run_replica)
     assert callable(montecarlo._run_chunk)
+
+
+# perfbench/child.py times each run_replica call, and its pace factors are
+# built from those times; these experiments must keep one call per replica
+@pytest.mark.parametrize(
+    "experiment, fields",
+    [
+        pytest.param(montecarlo.Experiment.NU_MU_DISCREPANCY, dict(n=64, ell=1), id="nu-mu"),
+        pytest.param(montecarlo.Experiment.FK_TEST, dict(n=32), id="fk-test"),
+        pytest.param(montecarlo.Experiment.KERNEL_CHECKS, {}, id="kernel-check"),
+        # above the Szego crossover trace-cov runs one replica at a time too
+        pytest.param(
+            montecarlo.Experiment.TRACE_COVARIANCE,
+            dict(n=cue.SZEGO_CROSSOVER + 1, kmax=70),
+            id="trace-cov-tree",
+        ),
+    ],
+)
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_replica_is_called_once_per_replica(experiment, fields, workers, tmp_path, monkeypatch):
+    log = tmp_path / "calls"
+    run_replica = montecarlo.run_replica
+
+    def counted(config, replica_index):
+        # pool workers are forked, so they append to the same file
+        with open(log, "a") as fh:
+            fh.write(f"{replica_index}\n")
+        return run_replica(config, replica_index)
+
+    monkeypatch.setattr(montecarlo, "run_replica", counted)
+    monkeypatch.setenv("THICKPOINT_THREADS", workers)
+    config = montecarlo.ExperimentConfig(experiment, replicas=5, **fields)
+    records, _ = montecarlo.run_experiment(config)
+    assert [r.replica_index for r in records] == list(range(5))
+    assert sorted(int(line) for line in log.read_text().split()) == list(range(5))
 
 
 def test_eval_field_reports_singular_points():

@@ -442,7 +442,7 @@ class TestJointMoment:
         for i in range(reps):
             c = cue.sample_verblunsky(64, rng)
             x = float(cue.eval_field_at(c, np.array([x1]))[0])
-            tr = cue.trace_powers(c, 8)
+            tr = cue.trace_powers(c.phi_coefficients[None], 8)[0]
             xdel = -SQRT2 * float(np.real(np.sum(tr / k * np.exp(-1j * k * z1))))
             vals[i] = math.exp(0.5 * x + 0.3 * xdel)
         pred = joint_moment_asymptotic(64, 0.5, 0.0, x1, x2, [0.3], [1.0 / 8.0], [z1]).real
