@@ -6,9 +6,10 @@ SplitMix64-style avalanche, so results are independent of worker count and
 reproducible across platforms.  The stream is the one
 np.random.Generator(np.random.PCG64(derived_seed)) gives.
 
-Replicas run in blocks of contiguous indices.  A block derives its seeds in
-one vectorised pass, hashes them to the PCG64 states numpy's SeedSequence
-would give (_pcg64_states), and assigns each state in turn to one reused
+Replicas run in blocks of contiguous indices.  A worker's run of indices
+derives its seeds and hashes them as numpy's SeedSequence does in one
+vectorised pass (_seed_sequence_words); each replica's PCG64 state follows
+from its four words (_pcg64_state) and is assigned in turn to one reused
 generator, so that a replica's draws are those of its own fresh stream.
 verify-moments, trace-cov at n <= cue.SZEGO_CROSSOVER and gaussian-gmc
 evaluate a block with one batched call per stage, and each row comes out bit
@@ -59,9 +60,10 @@ def derive_seed(master_seed: int, replica_index):
     return z ^ (z >> 31)
 
 
-def _seed_sequence_words(seeds):
+def _seed_sequence_words(seeds) -> list:
     """The four uint64 words of SeedSequence(seed).generate_state(4, uint64)
-    for an int seed below 2^64, or for each seed of a uint64 array.
+    for an int seed below 2^64 (four ints), or for each seed of a uint64
+    array (four arrays).
 
     A seed's entropy is its 32-bit words, low first, at most two; the pool of
     four words hashes zeros past them, so every seed mixes as (low, high, 0,
@@ -97,28 +99,25 @@ def _seed_sequence_words(seeds):
     return [words[2 * j] | words[2 * j + 1] << 32 for j in range(4)]
 
 
-def _pcg64_states(seeds) -> list[dict]:
-    """The state np.random.PCG64(seed) starts from, for each seed of a uint64
-    array, or for one int seed.
+def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
+    """The state np.random.PCG64(seed) starts from, given the four
+    SeedSequence words of the seed.
 
-    PCG64 takes (initstate, initseq) from the four SeedSequence words, high
-    word first, sets inc = 2 initseq + 1 and runs its LCG step from 0, adds
-    initstate and steps again.  The 128-bit arithmetic is in Python ints.
+    PCG64 takes (initstate, initseq) from the words, high word first, sets
+    inc = 2 initseq + 1 and runs its LCG step from 0, adds initstate and
+    steps again, in 128-bit arithmetic.
     """
-    words = [w.tolist() if isinstance(w, np.ndarray) else [w] for w in _seed_sequence_words(seeds)]
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*words):
-        inc = (i_hi << 65 | i_lo << 1 | 1) & MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    inc = (i_hi << 65 | i_lo << 1 | 1) & MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 def replica_stream(master_seed: int, replica_index: int) -> np.random.Generator:
     """A fresh generator on the replica's stream."""
     bit_generator = np.random.PCG64(0)
-    bit_generator.state = _pcg64_states(derive_seed(master_seed, replica_index))[0]
+    words = _seed_sequence_words(derive_seed(master_seed, replica_index))
+    bit_generator.state = _pcg64_state(*words)
     return np.random.Generator(bit_generator)
 
 
@@ -130,21 +129,13 @@ def _reused_stream() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-def _block_streams(master_seed: int, indices: list[int]):
-    """The derived seeds of a block of replica indices, and an iterator that
-    yields the reused generator on each replica's stream in turn."""
-    # a block hashes its seeds as one uint64 array, one replica as Python ints
-    index = np.array(indices, dtype=np.uint64) if len(indices) > 1 else indices[0]
-    seeds = derive_seed(master_seed, index)
-    states = _pcg64_states(seeds)
-
-    def streams():
-        stream = _reused_stream()
-        for state in states:
-            stream.bit_generator.state = state
-            yield stream
-
-    return seeds.tolist() if isinstance(seeds, np.ndarray) else [seeds], streams()
+def _streams(words):
+    """The reused generator on each replica's stream in turn, given the four
+    SeedSequence words of each replica's seed."""
+    stream = _reused_stream()
+    for replica_words in words:
+        stream.bit_generator.state = _pcg64_state(*replica_words)
+        yield stream
 
 
 class Experiment(enum.Enum):
@@ -415,14 +406,16 @@ def _block_size(config: ExperimentConfig) -> int:
     return max(1, min(BLOCK_REPLICAS, BLOCK_BYTES // widest))
 
 
-def _run_block(config: ExperimentConfig, indices: list[int]) -> list[ReplicaRecord]:
-    seeds, streams = _block_streams(config.master_seed, indices)
-    rows = _BLOCK_FNS[config.experiment](config, streams)
+def _run_block(config: ExperimentConfig, indices, seeds, words) -> list[ReplicaRecord]:
+    """The records of one block of replica indices, given their derived
+    seeds and the four SeedSequence words of each seed."""
+    rows = _BLOCK_FNS[config.experiment](config, _streams(words))
     return [ReplicaRecord(i, seed, row) for i, seed, row in zip(indices, seeds, rows)]
 
 
 def run_replica(config: ExperimentConfig, replica_index: int) -> ReplicaRecord:
-    return _run_block(config, [replica_index])[0]
+    seed = derive_seed(config.master_seed, replica_index)
+    return _run_block(config, [replica_index], [seed], [_seed_sequence_words(seed)])[0]
 
 
 def worker_count() -> int:
@@ -446,11 +439,14 @@ def _run_chunk(args) -> list[ReplicaRecord]:
     size = _block_size(config)
     if size == 1:
         return [run_replica(config, i) for i in indices]
-    return [
-        record
-        for lo in range(0, len(indices), size)
-        for record in _run_block(config, indices[lo : lo + size])
-    ]
+    # the seeds of every block are derived and hashed in one vectorised pass
+    seeds = derive_seed(config.master_seed, np.array(indices, dtype=np.uint64))
+    words = np.stack(_seed_sequence_words(seeds), axis=-1)
+    records = []
+    for lo in range(0, len(indices), size):
+        block = slice(lo, lo + size)
+        records += _run_block(config, indices[block], seeds[block].tolist(), words[block].tolist())
+    return records
 
 
 # Bytes of one block allocated and freed before the replicas run; see

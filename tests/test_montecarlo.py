@@ -59,23 +59,22 @@ class TestDeriveSeed:
 
 
 class TestReplicaStreams:
-    def test_block_states_match_fresh_generators(self):
-        # 10^5 replicas in blocks of 64, hashed as uint64 arrays
-        indices = list(range(100_000))
-        for lo in range(0, len(indices), 64):
-            block = indices[lo : lo + 64]
-            seeds, streams = montecarlo._block_streams(0, block)
-            for i, seed, stream in zip(block, seeds, streams):
-                assert seed == derive_seed(0, i)
-                assert stream.bit_generator.state == np.random.PCG64(seed).state, i
+    def test_vectorised_states_match_fresh_generators(self):
+        # 10^5 derived seeds, hashed as one uint64 array as a worker's run is
+        seeds = derive_seed(0, np.arange(100_000, dtype=np.uint64))
+        words = np.stack(montecarlo._seed_sequence_words(seeds), axis=-1).tolist()
+        for seed, replica_words in zip(seeds.tolist(), words):
+            fresh = np.random.PCG64(seed).state
+            assert montecarlo._pcg64_state(*replica_words) == fresh, seed
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_states_at_entropy_word_edges(self, seed):
         # below 2^32 a seed is one 32-bit entropy word, from 2^32 two
         fresh = np.random.PCG64(seed).state
-        assert montecarlo._pcg64_states(seed) == [fresh]
-        array = montecarlo._pcg64_states(np.array([seed, seed], dtype=np.uint64))
-        assert array == [fresh, fresh]
+        assert montecarlo._pcg64_state(*montecarlo._seed_sequence_words(seed)) == fresh
+        words = montecarlo._seed_sequence_words(np.array([seed, seed], dtype=np.uint64))
+        for replica_words in np.stack(words, axis=-1).tolist():
+            assert montecarlo._pcg64_state(*replica_words) == fresh
 
     def test_derive_seed_of_an_index_array(self):
         for master in (0, 1, 2**32, 2**64 - 1):
@@ -83,12 +82,14 @@ class TestReplicaStreams:
             assert got == [derive_seed(master, i) for i in range(1000)]
 
     def test_reused_generator_draws_as_a_fresh_one(self):
-        seeds, streams = montecarlo._block_streams(3, [7, 8])
+        seeds = [derive_seed(3, i) for i in (7, 8)]
+        streams = montecarlo._streams(montecarlo._seed_sequence_words(s) for s in seeds)
         first = next(streams)
         # leave a buffered half of a 64-bit draw behind
         first.integers(0, 10, size=3, dtype=np.uint32)
         first.standard_normal(5)
         reused = next(streams)
+        assert reused is first
         fresh = np.random.Generator(np.random.PCG64(seeds[1]))
         assert np.array_equal(reused.standard_normal(1000), fresh.standard_normal(1000))
 
