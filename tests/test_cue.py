@@ -305,6 +305,23 @@ class TestPerPointSzego:
         assert batched.shape == (1, n)
         assert np.array_equal(batched[0], single)
 
+    def test_per_stream_sampler_matches_sample_verblunsky_and_checks(self):
+        seeds = (1, 2, 3)
+        stacked = cue.sample_alphas_per_stream(16, [np.random.default_rng(s) for s in seeds])
+        assert stacked.shape == (3, 16)
+        for row, seed in zip(stacked, seeds):
+            assert np.array_equal(row, sample_verblunsky(16, np.random.default_rng(seed)).alphas)
+
+        class ZeroStream:
+            # U = 0 puts every interior coefficient on the unit circle
+            def random(self, size):
+                return np.zeros(size)
+
+        with pytest.raises(ValueError, match="interior"):
+            sample_verblunsky(4, ZeroStream())
+        with pytest.raises(ValueError, match="interior"):
+            cue.sample_alphas_per_stream(4, [ZeroStream()])
+
     def test_overflowing_coefficients_fall_back_to_the_recursion(self):
         # zeros crowded at z = 1 make the coefficients binomial-sized, so
         # the vector overflows from n of about 1100
