@@ -364,7 +364,10 @@ def trace_powers(coefficients: np.ndarray, kmax: int) -> np.ndarray:
     s[:, :top] = -np.arange(1, top + 1) * a[:, 1 : top + 1]
     rev = np.empty((rows, kmax), dtype=np.complex128)  # rev[:, kmax-k] = Tr U^k
     rev[:, kmax - 1] = s[:, 0]
-    # step k sums a_j Tr U^{k-j} over j = 1..min(k - 1, n)
+    # step k sums a_j Tr U^{k-j} over j = 1..min(k - 1, n).  One row takes
+    # the np.dot loop: at n = 1024, kmax = 148 (a barrier nu-mu replica) it
+    # ran in 0.37-0.39 ms against 0.78-0.81 ms for the matmul loop on one
+    # row (2-core Xeon VM, best 5 of 7 runs of 50 calls), with the same bits.
     if rows == 1:
         a0, s0, rev0 = a[0], s[0], rev[0]
         for k in range(2, kmax + 1):

@@ -11,10 +11,10 @@ derives its seeds and hashes them as numpy's SeedSequence does in one
 vectorised pass (_seed_sequence_words); each replica's PCG64 state follows
 from its four words (_pcg64_state) and is assigned in turn to one reused
 generator, so that a replica's draws are those of its own fresh stream.
-verify-moments, trace-cov at n <= cue.SZEGO_CROSSOVER and gaussian-gmc
-evaluate a block with one batched call per stage, and each row comes out bit
-for bit as it does alone; the other experiments run one replica per
-run_replica call, which is the block of that one index.
+verify-moments, trace-cov and gaussian-gmc evaluate a block with one batched
+call per stage, and each row comes out bit for bit as it does alone; the other
+experiments run one replica per run_replica call, which is the block of that
+one index.
 """
 
 from __future__ import annotations
@@ -115,10 +115,7 @@ def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
 
 def replica_stream(master_seed: int, replica_index: int) -> np.random.Generator:
     """A fresh generator on the replica's stream."""
-    bit_generator = np.random.PCG64(0)
-    words = _seed_sequence_words(derive_seed(master_seed, replica_index))
-    bit_generator.state = _pcg64_state(*words)
-    return np.random.Generator(bit_generator)
+    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, replica_index)))
 
 
 @functools.cache
@@ -391,13 +388,12 @@ def _block_size(config: ExperimentConfig) -> int:
     """Replicas per block.  The widest array of a block holds, per replica,
     the uniforms (2n doubles) for verify-moments, the coefficient rows or
     the traces (complex) for trace-cov, and the half spectrum (complex) for
-    gaussian-gmc.  nu-mu, fk-test, kernel-check and trace-cov above the
-    Szego crossover run one replica per run_replica call: batching the
-    product tree measured slower."""
+    gaussian-gmc.  nu-mu, fk-test and kernel-check run one replica per
+    run_replica call."""
     n, kmax = config.n, config.effective_kmax
     if config.experiment is Experiment.MOMENT_CHECK:
         widest = 16 * n
-    elif config.experiment is Experiment.TRACE_COVARIANCE and n <= cue.SZEGO_CROSSOVER:
+    elif config.experiment is Experiment.TRACE_COVARIANCE:
         widest = 16 * max(n + 1, kmax)
     elif config.experiment is Experiment.GAUSSIAN_GMC:
         widest = 16 * (config.grid_factor * kmax // 2 + 1)

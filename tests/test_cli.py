@@ -250,6 +250,8 @@ class TestMain:
         [
             ["verify-moments", "--set", "n=16"],
             ["trace-cov", "--set", "n=16", "--set", "kmax=40"],
+            # past cue.SZEGO_CROSSOVER: the product tree runs row by row
+            pytest.param(["trace-cov", "--set", "n=72", "--set", "kmax=80"], id="trace-cov-tree"),
             ["fk-test", "--set", "n=32"],
             ["nu-mu", "--set", "n=64", "--set", "ell=1", "--set", "g_shift=0.2"],
             ["gaussian-gmc", "--set", "kmax=16"],

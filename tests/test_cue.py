@@ -464,10 +464,13 @@ class TestTracePowers:
     )
     def test_against_mpmath_newton(self, n, kmax, budget_2n, budget):
         c = sample_verblunsky(n, np.random.default_rng(n + 23))
-        # one stacked call of two rows runs the batched loop; that rows of
-        # different draws do not mix is test_stacked_rows_match_single_rows
+        # one row runs the np.dot loop, a stacked call of two rows the batched
+        # one; that rows of different draws do not mix is
+        # test_stacked_rows_match_single_rows
         ref = mp_trace_powers(c.alphas, kmax)
-        for got in trace_powers(np.stack([c.phi_coefficients] * 2), kmax):
+        single = trace_powers(c.phi_coefficients[None], kmax)
+        stacked = trace_powers(np.stack([c.phi_coefficients] * 2), kmax)
+        for got in [*single, *stacked]:
             err = np.abs(got - ref)
             assert np.max(err[: 2 * n]) <= budget_2n
             assert np.max(err) <= budget

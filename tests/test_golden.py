@@ -145,8 +145,9 @@ def test_nu_mu_tree_path(n):
         assert [r.scalars[name] for r in records] == values, name
 
 
-# Plain-recursion trace-cov (n <= cue.SZEGO_CROSSOVER), with kmax past n so
-# that Newton's identities run beyond the polynomial's degree.
+# trace-cov on the plain recursion (n = 16, 64) and on the product tree
+# (n = 256, 300, past cue.SZEGO_CROSSOVER), with kmax past n so that Newton's
+# identities run beyond the polynomial's degree.
 TRACE_COV = {
     (16, 40): {
         "abs_trace_sq_k1": [0.24780603982111513, 3.4625108829439637, 2.396179375520503],
@@ -159,6 +160,17 @@ TRACE_COV = {
         "abs_trace_sq_k8": [2.5886003269766396, 1.575454666248529, 0.6607697726527708],
         "abs_trace_sq_k64": [64.6905532871639, 17.795455733438107, 16.1743659994738],
         "abs_trace_sq_k128": [66.29266883310235, 37.488526549370825, 31.545838423567314],
+    },
+    (256, 300): {
+        "abs_trace_sq_k1": [0.37437374458300676, 0.9533765572143283, 0.23225496266544235],
+        "abs_trace_sq_k8": [2.4279092610491904, 3.5332142870111185, 8.464468060017461],
+        "abs_trace_sq_k256": [989.1569573832556, 441.3502770107794, 335.51231133265],
+    },
+    (300, 600): {
+        "abs_trace_sq_k1": [1.3399387002913643, 0.1756394955285928, 0.9789054143380481],
+        "abs_trace_sq_k8": [3.9753770850245367, 5.319275467119774, 0.8703114434481282],
+        "abs_trace_sq_k300": [194.2567220141776, 119.19167868257736, 769.5837412373575],
+        "abs_trace_sq_k600": [14.28914927058356, 122.95487101905718, 1102.3406121032438],
     },
 }
 

@@ -93,10 +93,6 @@ class TestReplicaStreams:
         fresh = np.random.Generator(np.random.PCG64(seeds[1]))
         assert np.array_equal(reused.standard_normal(1000), fresh.standard_normal(1000))
 
-    def test_replica_stream_is_the_derived_stream(self):
-        fresh = np.random.Generator(np.random.PCG64(derive_seed(5, 3)))
-        assert np.array_equal(replica_stream(5, 3).random(100), fresh.random(100))
-
 
 class TestConfigValidation:
     def test_valid_config_passes(self):

@@ -51,12 +51,6 @@ def test_replica_entry_points_exist():
         pytest.param(montecarlo.Experiment.NU_MU_DISCREPANCY, dict(n=64, ell=1), id="nu-mu"),
         pytest.param(montecarlo.Experiment.FK_TEST, dict(n=32), id="fk-test"),
         pytest.param(montecarlo.Experiment.KERNEL_CHECKS, {}, id="kernel-check"),
-        # above the Szego crossover trace-cov runs one replica at a time too
-        pytest.param(
-            montecarlo.Experiment.TRACE_COVARIANCE,
-            dict(n=cue.SZEGO_CROSSOVER + 1, kmax=70),
-            id="trace-cov-tree",
-        ),
     ],
 )
 @pytest.mark.parametrize("workers", ["1", "2"])
