@@ -24,8 +24,6 @@ from .cue import (
 )
 from .gaussian import sample_circle_field
 from .measures import (
-    BarrierSpec,
-    ThickPointSpec,
     exp_measure_integral,
     fk_normalized_mass,
     l1_discrepancy,
@@ -54,8 +52,6 @@ __all__ = [
     "trace_powers",
     "truncated_field",
     "sample_circle_field",
-    "BarrierSpec",
-    "ThickPointSpec",
     "exp_measure_integral",
     "fk_normalized_mass",
     "l1_discrepancy",

@@ -24,7 +24,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -220,9 +220,10 @@ class ExperimentConfig:
 
     @property
     def barrier_depth(self) -> int:
+        """L, defaulting to the mesoscopic cap floor((1 - eta) log N)."""
         if self.L is not None:
             return self.L
-        return measures.BarrierSpec.auto_depth(self.n, self.eta)
+        return int(math.floor((1.0 - self.eta) * math.log(self.n)))
 
     @property
     def effective_kmax(self) -> int | None:
@@ -294,15 +295,13 @@ def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
     coeffs = cue.sample_verblunsky(config.n, stream)
     sample = cue.eval_field(coeffs, config.grid_factor * config.n)
     g = config.gamma_theorem
-    spec = measures.ThickPointSpec(g)
-    mu, nu, discrepancy = measures.l1_discrepancy(sample, spec, config.n)
+    mu, nu, discrepancy = measures.l1_discrepancy(sample, g, config.n)
     out = {"mu": mu, "nu": nu, "discrepancy": discrepancy}
     if config.g_shift != 0.0:
-        shifted = replace(spec, g=config.g_shift)
-        out["nu_shifted"] = measures.thick_measure_integral(sample, shifted, config.n)
+        out["nu_shifted"] = measures.thick_measure_integral(sample, g, config.n, config.g_shift)
     if config.ell is not None:
-        barrier = measures.BarrierSpec(g, config.eta, config.ell, config.barrier_depth)
-        levels = barrier.levels
+        # the barrier X_{N, e^{-k}} <= (g + eta) k for k in [ell, L]
+        levels = list(range(config.ell, config.barrier_depth + 1))
         # one violation column per start level ell' <= L; with no levels there
         # are no constraints, so the complement is empty
         violations = [0.0]
@@ -311,9 +310,11 @@ def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
             kmax = int(math.floor(math.exp(levels[-1])))
             traces = cue.trace_powers(coeffs.phi_coefficients[None, :], kmax)[0]
             truncated = cue.truncated_fields(
-                traces, [barrier.scale(k) for k in levels], sample.grid_size
+                traces, [math.exp(-k) for k in levels], sample.grid_size
             )
-            violations = measures.barrier_violations(sample, spec, config.n, barrier, truncated)
+            violations = measures.barrier_violations(
+                sample, g, config.n, config.eta, levels, truncated
+            )
         out["nu_barrier_violation"] = violations[0]
         for start, violation in zip(levels or [config.ell], violations):
             out[f"nu_barrier_violation_l{start}"] = violation

@@ -17,7 +17,6 @@ the two-point and joint moment asymptotics.
 """
 
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -41,9 +40,15 @@ from thickpoints.kernels import (
     circle_truncated_kernel_grid,
     doubly_mollified_kernel,
 )
-from thickpoints.measures import BarrierSpec, ThickPointSpec, barrier_mask, thick_measure_integral
+from thickpoints.measures import barrier_mask
 from thickpoints.montecarlo import ExperimentConfig, replica_stream
-from thickpoints.special_fn import _is_nonpositive_integer, _loggamma, log_psi
+from thickpoints.special_fn import (
+    GammaConvention,
+    _is_nonpositive_integer,
+    _loggamma,
+    log_psi,
+    thickpoint_prob_asymptotic,
+)
 
 EULER_GAMMA = 0.57721566490153286060651209008240
 
@@ -161,23 +166,24 @@ def truncated_field_fft(traces: np.ndarray, delta: float, grid_size: int) -> np.
 def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[str, float]:
     """The nu_barrier_violation_l* columns of one nu-mu replica, each start
     level's mask built afresh by barrier_mask over the per-scale truncated
-    fields and integrated by thick_measure_integral."""
+    fields, and its complement integrated against the thick points
+    X >= gamma log N as a float mean over the grid."""
     coeffs = sample_verblunsky(config.n, replica_stream(config.master_seed, replica_index))
     sample = eval_field(coeffs, config.grid_factor * config.n)
-    spec = ThickPointSpec(config.gamma_theorem)
-    barrier = BarrierSpec(spec.gamma, config.eta, config.ell, config.barrier_depth)
-    levels = barrier.levels
+    gamma = config.gamma_theorem
+    levels = list(range(config.ell, config.barrier_depth + 1))
     if not levels:
         return {f"nu_barrier_violation_l{config.ell}": 0.0}
     kmax = int(math.floor(math.exp(levels[-1])))
     traces = trace_powers(coeffs.phi_coefficients[None], kmax)[0]
-    truncated = {k: truncated_field(traces, barrier.scale(k), sample.grid_size) for k in levels}
+    truncated = {k: truncated_field(traces, math.exp(-k), sample.grid_size) for k in levels}
+    thick = (sample.values >= gamma * math.log(config.n)).astype(float)
+    denominator = thickpoint_prob_asymptotic(config.n, gamma, GammaConvention.THEOREM)
     out = {}
     for start in levels:
-        mask = barrier_mask(truncated, replace(barrier, ell=start))
-        out[f"nu_barrier_violation_l{start}"] = thick_measure_integral(
-            sample, spec, config.n, f=(~mask).astype(float)
-        )
+        mask = barrier_mask(truncated, gamma, config.eta, range(start, levels[-1] + 1))
+        complement = (~mask).astype(float)
+        out[f"nu_barrier_violation_l{start}"] = float(np.mean(complement * thick)) / denominator
     return out
 
 

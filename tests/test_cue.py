@@ -475,6 +475,17 @@ class TestTracePowers:
             assert np.max(err[: 2 * n]) <= budget_2n
             assert np.max(err) <= budget
 
+    # The pinned draw above sets the n = 64 budget for k <= 2n; the error
+    # spreads over draws.  Over 256 draws (default_rng(1000..1007), 32 each)
+    # the largest error for k <= 2n was 9.0e-13 and the median 1.1e-13; the
+    # budget is 4x the largest.
+    def test_against_mpmath_newton_over_draws(self):
+        n = 64
+        alphas = cue.sample_alphas(n, np.random.default_rng(n + 25), (32,))
+        traces = trace_powers(cue.szego_coefficients(alphas), 2 * n)
+        for got, a in zip(traces, alphas):
+            assert np.max(np.abs(got - mp_trace_powers(a, 2 * n))) <= 3.6e-12
+
     def test_cost_guard(self):
         rng = np.random.default_rng(18)
         c = sample_verblunsky(2, rng)
