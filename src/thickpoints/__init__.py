@@ -15,7 +15,6 @@ from .special_fn import (
 )
 from .cue import (
     FieldSample,
-    VerblunskyCoeffs,
     eval_field,
     eval_field_at,
     sample_verblunsky,
@@ -45,7 +44,6 @@ __all__ = [
     "thickpoint_prob_asymptotic",
     "to_theorem_scale",
     "FieldSample",
-    "VerblunskyCoeffs",
     "eval_field",
     "eval_field_at",
     "sample_verblunsky",

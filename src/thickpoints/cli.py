@@ -17,7 +17,6 @@ import time
 from dataclasses import fields, replace
 
 from . import __version__
-from .cue import eval_field, sample_verblunsky
 from .montecarlo import (
     Experiment,
     ExperimentConfig,
@@ -26,6 +25,7 @@ from .montecarlo import (
     derive_seed,
     replica_stream,
     run_experiment,
+    sample_field,
     worker_count,
 )
 from .special_fn import GammaConvention
@@ -181,8 +181,7 @@ def _emit_sample(config: ExperimentConfig, base_path: str) -> str:
         writer.writerow(["replica_index", "derived_seed", "theta", "value"])
         for i in range(config.replicas):
             seed = derive_seed(config.master_seed, i)
-            coeffs = sample_verblunsky(config.n, replica_stream(config.master_seed, i))
-            sample = eval_field(coeffs, config.grid_factor * config.n)
+            _, sample = sample_field(config, replica_stream(config.master_seed, i))
             for theta, value in zip(sample.theta, sample.values):
                 writer.writerow([i, seed, _fmt(theta), _fmt(value)])
     return csv_path

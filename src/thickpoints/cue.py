@@ -3,21 +3,19 @@ field, its Fourier truncations and power traces.
 
 No dense eigensolver anywhere: a Haar CUE spectrum is parametrized by random
 Verblunsky coefficients, whose Szego polynomial is synthesized once per
-sample as a coefficient vector by a product tree of transfer matrices.  Each
+sample as a coefficient row by a product tree of transfer matrices.  Each
 block of the tree carries only row 0 of its product, since row 1 is its
 reflection (Simon, Orthogonal Polynomials on the Unit Circle, sec. 1.5): a
 merge takes 4 forward FFTs and 2 inverse, the root 3 and 1.  The field on a
-uniform grid is one FFT of that vector, and power traces come from Newton's
-identities on the same coefficients.  At arbitrary angles, on grids
-too coarse to resolve the polynomial and wherever the coefficient vector
-overflows, one per-point Szego recursion (szego_log_abs), batched over
-replicas, evaluates the field in O(n) per point.  The dense determinant and
+uniform grid finer than the degree is one FFT of that row, and power traces
+come from Newton's identities on the same coefficients.  At arbitrary angles
+one per-point Szego recursion (szego_log_abs), batched over replicas,
+evaluates the field in O(n) per point.  The dense determinant and
 CMV-operator references live with the tests.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,38 +24,6 @@ import numpy as np
 from .kernels import real_fourier_grid
 
 SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class VerblunskyCoeffs:
-    """Verblunsky parametrization of a CUE spectrum.
-
-    |alpha_k| < 1 for k < n-1 and |alpha_{n-1}| = 1; the zeros of the induced
-    degree-n Szego polynomial follow the CUE eigenvalue law.
-    """
-
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.alphas, dtype=np.complex128)
-        object.__setattr__(self, "alphas", a)
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError("alphas must be a non-empty vector")
-        _check_alphas(a)
-
-    @property
-    def n(self) -> int:
-        return self.alphas.size
-
-    @functools.cached_property
-    def phi_coefficients(self) -> np.ndarray:
-        """Ascending monomial coefficients of the degree-n Szego polynomial,
-        synthesized on first use and shared read-only afterwards.  Where the
-        coefficients overflow the double range the vector is non-finite, which
-        eval_field checks for, so the overflow is not warned about."""
-        c = szego_coefficients(self.alphas[None, :])[0]
-        c.flags.writeable = False
-        return c
 
 
 @dataclass(frozen=True)
@@ -86,7 +52,7 @@ class FieldSample:
 
 def _check_alphas(alphas: np.ndarray) -> None:
     """Reject coefficients, Verblunsky along the last axis, that do not
-    give a CUE spectrum."""
+    give a CUE spectrum: |alpha_k| < 1 for k < n-1 and |alpha_{n-1}| = 1."""
     mod = np.abs(alphas)
     if np.any(mod[..., :-1] >= 1.0):
         raise ValueError("interior Verblunsky coefficients must satisfy |alpha| < 1")
@@ -104,39 +70,25 @@ def _alphas_from_uniforms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return radii * np.exp(2j * np.pi * v)
 
 
-def sample_alphas(n: int, stream: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
-    """Verblunsky coefficients of shape (*batch, n) whose Szego polynomial
-    zeros are CUE along the last axis.
-
-    |alpha_k|^2 = 1 - U^{1/(n-k-1)} (Beta(1, n-k-1) by inverse CDF) with an
-    independent uniform phase; the last coefficient is uniform on the circle.
-    The stream yields the whole U block first, then the whole phase block.
+def sample_alphas(n: int, streams) -> np.ndarray:
+    """One CUE spectrum's Verblunsky coefficients per stream (the transform
+    of _alphas_from_uniforms), stacked to shape (R, n) and checked.  Each
+    stream yields its n U draws first, then its n phases.  The streams are
+    read one after another, so they may be one generator reseeded between
+    rows.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    shape = (*batch, n)
-    u = stream.random(shape)
-    return _alphas_from_uniforms(u, stream.random(shape))
-
-
-def sample_alphas_per_stream(n: int, streams) -> np.ndarray:
-    """One CUE spectrum's Verblunsky coefficients per stream, stacked to
-    shape (R, n): row r is what sample_verblunsky draws from the r-th
-    stream, and it is checked as VerblunskyCoeffs checks it.  The streams
-    are read one after another, so they may be one generator reseeded
-    between rows."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    # each stream's U block, then its phase block, as sample_alphas draws them
     uniforms = np.array([stream.random(2 * n) for stream in streams])
     alphas = _alphas_from_uniforms(uniforms[:, :n], uniforms[:, n:])
     _check_alphas(alphas)
     return alphas
 
 
-def sample_verblunsky(n: int, stream: np.random.Generator) -> VerblunskyCoeffs:
-    """Draw one CUE spectrum's Verblunsky coefficients (see sample_alphas)."""
-    return VerblunskyCoeffs(sample_alphas(n, stream))
+def sample_verblunsky(n: int, stream: np.random.Generator) -> np.ndarray:
+    """Draw one CUE spectrum's Verblunsky coefficients, shape (n,) (see
+    sample_alphas)."""
+    return sample_alphas(n, [stream])[0]
 
 
 # Steps between renormalizations of the per-point recursion; 64 steps grow
@@ -301,31 +253,32 @@ def _row0_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     return np.concatenate([cyclic, top[..., None]], axis=-1)
 
 
-def eval_field(coeffs: VerblunskyCoeffs, grid_size: int) -> FieldSample:
-    """Evaluate X_N on the uniform grid.
-
-    When the grid resolves the polynomial (grid_size > n) the field is one FFT
-    of the Szego coefficient vector, which is computed once per
-    VerblunskyCoeffs and shared with trace_powers.  Otherwise, and when that
-    vector overflows, the Szego recursion runs per point (szego_log_abs).
+def eval_field(coefficients: np.ndarray, grid_size: int) -> FieldSample:
+    """X_N on the uniform grid by one inverse FFT of a characteristic
+    polynomial's ascending coefficients, shape (n + 1,), as in a row of
+    szego_coefficients.  Raises ValueError when the grid does not resolve the
+    polynomial (grid_size <= n) or the coefficients have overflowed; the
+    per-point recursion (eval_field_at) evaluates the field there.
     """
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-    if grid_size > coeffs.n:
-        c = coeffs.phi_coefficients
-        if np.all(np.isfinite(c)):
-            vals = np.fft.ifft(c, n=grid_size) * grid_size
-            with np.errstate(divide="ignore"):
-                logabs = np.log(np.abs(vals))
-            return FieldSample(SQRT2 * logabs)
-    z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    return FieldSample(SQRT2 * szego_log_abs(coeffs.alphas[None, :], z)[0])
+    n = coefficients.size - 1
+    if grid_size <= n:
+        raise ValueError(f"grid_size must exceed n={n}, got {grid_size}")
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError(
+            f"characteristic polynomial coefficients overflow the double range at n={n}; "
+            "one FFT cannot give the field"
+        )
+    vals = np.fft.ifft(coefficients, n=grid_size) * grid_size
+    with np.errstate(divide="ignore"):
+        logabs = np.log(np.abs(vals))
+    return FieldSample(SQRT2 * logabs)
 
 
-def eval_field_at(coeffs: VerblunskyCoeffs, theta: np.ndarray) -> np.ndarray:
-    """X_N at arbitrary angles by the per-point Szego recursion."""
+def eval_field_at(alphas: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """X_N at arbitrary angles by the per-point Szego recursion, given one
+    spectrum's Verblunsky coefficients, shape (n,)."""
     z = np.exp(1j * np.atleast_1d(np.asarray(theta, dtype=float)))
-    return SQRT2 * szego_log_abs(coeffs.alphas[None, :], z)[0]
+    return SQRT2 * szego_log_abs(alphas[None, :], z)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +291,8 @@ TRACE_COST_GUARD = 64
 def trace_powers(coefficients: np.ndarray, kmax: int) -> np.ndarray:
     """p with p[r, k-1] = Tr U^k for k = 1..kmax, the power sums of the roots
     of the characteristic polynomial whose ascending monomial coefficients
-    are coefficients[r] (shape (R, n + 1), as szego_coefficients and
-    VerblunskyCoeffs.phi_coefficients give them), via Newton's identities;
+    are coefficients[r] (shape (R, n + 1), as szego_coefficients gives
+    them), via Newton's identities;
     O(kmax min(kmax, n)) per row.  The tests cross-check it against powers of
     the dense CMV operator (tests/conftest.py: trace_powers_cmv).  Raises
     ValueError when a coefficient vector has overflowed.

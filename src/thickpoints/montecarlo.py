@@ -258,7 +258,7 @@ class Summary:
 
 
 def _block_moment_check(config: ExperimentConfig, streams) -> list[dict[str, float]]:
-    alphas = cue.sample_alphas_per_stream(config.n, streams)
+    alphas = cue.sample_alphas(config.n, streams)
     # the field at angle 0, where z = e^{i0} = 1
     field_at_0 = cue.SQRT2 * cue.szego_log_abs(alphas, np.ones(1, dtype=np.complex128))[:, 0]
     g = config.gamma_theorem
@@ -271,7 +271,7 @@ def _trace_ks(config: ExperimentConfig) -> list[int]:
 
 
 def _block_trace_covariance(config: ExperimentConfig, streams) -> list[dict[str, float]]:
-    alphas = cue.sample_alphas_per_stream(config.n, streams)
+    alphas = cue.sample_alphas(config.n, streams)
     traces = cue.trace_powers(cue.szego_coefficients(alphas), config.effective_kmax)
     ks = _trace_ks(config)
     # squared as scalars: squaring the array of moduli differs by an ulp on
@@ -284,16 +284,22 @@ def _each(replica_fn):
     return lambda config, streams: [replica_fn(config, stream) for stream in streams]
 
 
+def sample_field(config: ExperimentConfig, stream) -> tuple[np.ndarray, cue.FieldSample]:
+    """One CUE spectrum drawn from the stream: its Szego coefficient row,
+    shape (1, n + 1), and its field on the config's grid of grid_factor * n
+    points."""
+    coefficients = cue.szego_coefficients(cue.sample_verblunsky(config.n, stream)[None])
+    return coefficients, cue.eval_field(coefficients[0], config.grid_factor * config.n)
+
+
 def _replica_fk_test(config: ExperimentConfig, stream) -> dict[str, float]:
-    coeffs = cue.sample_verblunsky(config.n, stream)
-    sample = cue.eval_field(coeffs, config.grid_factor * config.n)
+    _, sample = sample_field(config, stream)
     gamma_conj = config.gamma_theorem / cue.SQRT2
     return {"fk_mass": measures.fk_normalized_mass(sample, gamma_conj, config.n)}
 
 
 def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
-    coeffs = cue.sample_verblunsky(config.n, stream)
-    sample = cue.eval_field(coeffs, config.grid_factor * config.n)
+    coefficients, sample = sample_field(config, stream)
     g = config.gamma_theorem
     mu, nu, discrepancy = measures.l1_discrepancy(sample, g, config.n)
     out = {"mu": mu, "nu": nu, "discrepancy": discrepancy}
@@ -308,7 +314,7 @@ def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
         if levels:
             # validate keeps floor(e^L) within the trace guard and below the grid size
             kmax = int(math.floor(math.exp(levels[-1])))
-            traces = cue.trace_powers(coeffs.phi_coefficients[None, :], kmax)[0]
+            traces = cue.trace_powers(coefficients, kmax)[0]
             truncated = cue.truncated_fields(
                 traces, [math.exp(-k) for k in levels], sample.grid_size
             )

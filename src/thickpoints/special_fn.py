@@ -62,21 +62,6 @@ def to_theorem_scale(gamma: float, convention: GammaConvention) -> float:
     return gamma
 
 
-def _log_sinpi(z: np.ndarray) -> np.ndarray:
-    """Principal log sin(pi z).  The real part is reduced exactly to [-1/2, 1/2]
-    first, so the value stays accurate next to the integers, and sin is scaled
-    by e^{-pi |Im z|} so that it cannot overflow."""
-    x = z.real - 2.0 * np.round(0.5 * z.real)  # sin(pi z) has period 2
-    sign = np.where(np.abs(x) > 0.5, -1.0, 1.0)  # sin(pi (x -+ 1)) = -sin(pi x)
-    x = np.where(x > 0.5, x - 1.0, np.where(x < -0.5, x + 1.0, x))
-    b = np.pi * np.abs(z.imag)
-    e = np.exp(-2.0 * b)
-    scaled = np.empty(z.shape, dtype=np.complex128)  # parts set apart, to keep the sign of a zero
-    scaled.real = 0.5 * sign * np.sin(np.pi * x) * (1.0 + e)
-    scaled.imag = -0.5 * sign * np.copysign(np.cos(np.pi * x), z.imag) * np.expm1(-2.0 * b)
-    return np.log(scaled) + b
-
-
 def _stirling_series(w: np.ndarray) -> np.ndarray:
     """sum_k B_2k / (2k (2k - 1) w^(2k - 1)), the tail of Stirling's log Gamma."""
     inv_w = 1.0 / w
@@ -87,20 +72,19 @@ def _stirling_series(w: np.ndarray) -> np.ndarray:
 
 
 def _loggamma(z) -> np.ndarray:
-    """Principal-branch log Gamma, elementwise; the poles give nan.
+    """Principal-branch log Gamma for Re z > 0, elementwise; other points
+    give nan.
 
-    Positive reals go through math.lgamma.  Other points with Re z >= 1/2 are
-    shifted up to Re >= _STIRLING_SHIFT by log Gamma(z) = log Gamma(z + m) -
-    sum_{k<m} log(z + k), which holds with principal logs off the cut, and
-    summed by the Stirling series.  Re z < 1/2 goes through the reflection
-    log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z) plus the branch
-    term 2 pi i sgn(Im z) floor(Re z / 2 + 1/4).
+    Positive reals go through math.lgamma.  Other points are shifted up to
+    Re >= _STIRLING_SHIFT by log Gamma(z) = log Gamma(z + m) -
+    sum_{k<m} log(z + k), which holds with principal logs in the right
+    half-plane, and summed by the Stirling series.
     """
     z = np.asarray(z, dtype=np.complex128)
     out = np.full(z.shape, complex(math.nan, math.nan))
     real = (z.imag == 0.0) & (z.real > 0.0)
     out[real] = [math.lgamma(x) for x in z.real[real].tolist()]
-    right = ~real & (z.real >= 0.5)
+    right = ~real & (z.real > 0.0)
     if right.any():
         zr = z[right]
         shift = np.maximum(np.ceil(_STIRLING_SHIFT - zr.real), 0.0)
@@ -109,11 +93,6 @@ def _loggamma(z) -> np.ndarray:
         for k in range(int(shift.max())):
             head -= np.where(k < shift, np.log(zr + k), 0.0)
         out[right] = head
-    left = ~real & (z.real < 0.5) & ~((z.imag == 0.0) & (z.real == np.round(z.real)))
-    if left.any():
-        zl = z[left]
-        branch = np.copysign(2.0 * np.pi, zl.imag) * np.floor(0.5 * zl.real + 0.25)
-        out[left] = math.log(math.pi) + 1j * branch - _log_sinpi(zl) - _loggamma(1.0 - zl)
     return out
 
 

@@ -1,19 +1,20 @@
 """Shared test oracles.
 
 Independent references used to pin the analytic code: a Weierstrass-product
-Barnes G, a Monte Carlo field sampler over the library's batched Szego
-routines, an mpmath Szego recursion, mpmath power traces by the Szego
-coefficient recursion and Newton's identities, a long-double Szego
-coefficient recursion, the truncated circle kernel by one correctly rounded
-sum, the circle chord and log kernel, a brute-force Simpson convolution
-density, a bump sampler, the singly mollified kernel and the diagonal
-constant kappa, the truncated field by one complex FFT per scale and its
-analytic variance, the nu-mu barrier columns from one barrier mask per start
-level, small-n dense oracles (a Gram-Schmidt Haar unitary, LU determinants,
-the CMV operator and its power traces), Kolmogorov-Smirnov statistics with
-their asymptotic critical values, and the large-N laws the Monte Carlo
-checks compare with: log Gamma and Psi as values, the Frechet limit law and
-the two-point and joint moment asymptotics.
+Barnes G, a one-stream batched Verblunsky sampler and a Monte Carlo field
+sampler over it and the library's batched Szego routine, an mpmath Szego
+recursion, mpmath power traces by the Szego coefficient recursion and
+Newton's identities, a long-double Szego coefficient recursion, the
+truncated circle kernel by one correctly rounded sum, the circle chord and
+log kernel, a brute-force Simpson convolution density, a bump sampler, the
+singly mollified kernel and the diagonal constant kappa, the truncated field
+by one complex FFT per scale and its analytic variance, the nu-mu barrier
+columns from one barrier mask per start level, small-n dense oracles (a
+Gram-Schmidt Haar unitary, LU determinants, the CMV operator and its power
+traces), Kolmogorov-Smirnov statistics with their asymptotic critical
+values, and the large-N laws the Monte Carlo checks compare with: log Gamma
+and Psi as values, the Frechet limit law and the two-point and joint moment
+asymptotics.
 """
 
 import math
@@ -26,10 +27,8 @@ from scipy.special import zeta
 
 from thickpoints.cue import (
     TRACE_COST_GUARD,
-    VerblunskyCoeffs,
-    eval_field,
-    sample_alphas,
-    sample_verblunsky,
+    _alphas_from_uniforms,
+    szego_coefficients,
     szego_log_abs,
     trace_powers,
     truncated_field,
@@ -41,10 +40,9 @@ from thickpoints.kernels import (
     doubly_mollified_kernel,
 )
 from thickpoints.measures import barrier_mask
-from thickpoints.montecarlo import ExperimentConfig, replica_stream
+from thickpoints.montecarlo import ExperimentConfig, replica_stream, sample_field
 from thickpoints.special_fn import (
     GammaConvention,
-    _is_nonpositive_integer,
     _loggamma,
     log_psi,
     thickpoint_prob_asymptotic,
@@ -85,6 +83,21 @@ def weierstrass_log_psi(z: float) -> float:
     return 2.0 * weierstrass_log_barnes_g1p(z / SQRT2) - weierstrass_log_barnes_g1p(SQRT2 * z)
 
 
+def sample_alphas_block(n: int, stream: np.random.Generator, batch: tuple[int, ...]) -> np.ndarray:
+    """Verblunsky coefficients of shape (*batch, n) from one stream, which
+    yields the whole U block first, then the whole phase block; CUE along the
+    last axis, as cue.sample_alphas draws them one row per stream."""
+    shape = (*batch, n)
+    u = stream.random(shape)
+    return _alphas_from_uniforms(u, stream.random(shape))
+
+
+def phi_coefficients(alphas: np.ndarray) -> np.ndarray:
+    """The ascending Szego coefficients of one spectrum's Verblunsky
+    coefficients, shape (n,) to (n + 1,)."""
+    return szego_coefficients(alphas[None])[0]
+
+
 def mc_field_at(
     n: int, thetas, reps: int, rng: np.random.Generator, chunk: int = 5000
 ) -> np.ndarray:
@@ -95,7 +108,7 @@ def mc_field_at(
     done = 0
     while done < reps:
         m = min(chunk, reps - done)
-        parts.append(SQRT2 * szego_log_abs(sample_alphas(n, rng, (m,)), z))
+        parts.append(SQRT2 * szego_log_abs(sample_alphas_block(n, rng, (m,)), z))
         done += m
     return np.concatenate(parts, axis=0)
 
@@ -168,14 +181,13 @@ def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[s
     level's mask built afresh by barrier_mask over the per-scale truncated
     fields, and its complement integrated against the thick points
     X >= gamma log N as a float mean over the grid."""
-    coeffs = sample_verblunsky(config.n, replica_stream(config.master_seed, replica_index))
-    sample = eval_field(coeffs, config.grid_factor * config.n)
+    coefficients, sample = sample_field(config, replica_stream(config.master_seed, replica_index))
     gamma = config.gamma_theorem
     levels = list(range(config.ell, config.barrier_depth + 1))
     if not levels:
         return {f"nu_barrier_violation_l{config.ell}": 0.0}
     kmax = int(math.floor(math.exp(levels[-1])))
-    traces = trace_powers(coeffs.phi_coefficients[None], kmax)[0]
+    traces = trace_powers(coefficients, kmax)[0]
     truncated = {k: truncated_field(traces, math.exp(-k), sample.grid_size) for k in levels}
     thick = (sample.values >= gamma * math.log(config.n)).astype(float)
     denominator = thickpoint_prob_asymptotic(config.n, gamma, GammaConvention.THEOREM)
@@ -336,15 +348,15 @@ def det_field_oracle(n: int, stream: np.random.Generator, grid_size: int) -> np.
 # CMV operator: a dense unitary whose characteristic polynomial is Phi_n
 # ---------------------------------------------------------------------------
 
-def _cmv_factors(coeffs: VerblunskyCoeffs):
+def _cmv_factors(alphas: np.ndarray):
     """Block structure of C = L M.
 
     L carries the 2x2 blocks Theta_j at even j, M the odd ones plus the 1x1
     identity cap in the corner; whichever factor runs out of room holds the
     truncated unimodular cap alpha_{n-1} conjugate.
     """
-    a = coeffs.alphas
-    n = coeffs.n
+    a = alphas
+    n = alphas.size
     rho = np.sqrt(np.clip(1.0 - np.abs(a) ** 2, 0.0, None))
 
     def theta_blocks(indices):
@@ -382,22 +394,22 @@ def _apply_blockdiag(v, blocks, start, cap_back):
     return out
 
 
-def cmv_matrix(coeffs: VerblunskyCoeffs) -> np.ndarray:
+def cmv_matrix(alphas: np.ndarray) -> np.ndarray:
     """Dense CMV operator; its characteristic polynomial is the Szego Phi_n."""
-    n = coeffs.n
-    l_blocks, l_cap, m_blocks, m_cap = _cmv_factors(coeffs)
+    n = alphas.size
+    l_blocks, l_cap, m_blocks, m_cap = _cmv_factors(alphas)
     lmat = _apply_blockdiag(np.eye(n, dtype=np.complex128), l_blocks, 0, l_cap)
     mmat = _apply_blockdiag(np.eye(n, dtype=np.complex128), m_blocks, 1, m_cap)
     return lmat @ mmat
 
 
-def trace_powers_cmv(coeffs: VerblunskyCoeffs, kmax: int) -> np.ndarray:
+def trace_powers_cmv(alphas: np.ndarray, kmax: int) -> np.ndarray:
     """traces[k-1] = Tr U^k by repeated application of the CMV factors to the full basis;
     O(n^2) per power.  Slow reference implementation."""
-    n = coeffs.n
+    n = alphas.size
     if not 1 <= kmax <= TRACE_COST_GUARD * n:
         raise ValueError(f"kmax must lie in [1, {TRACE_COST_GUARD * n}], got {kmax}")
-    l_blocks, l_cap, m_blocks, m_cap = _cmv_factors(coeffs)
+    l_blocks, l_cap, m_blocks, m_cap = _cmv_factors(alphas)
     v = np.eye(n, dtype=np.complex128)
     traces = np.empty(kmax, dtype=np.complex128)
     for k in range(kmax):
@@ -456,10 +468,10 @@ def ks_two_sample_critical_value(n: int, m: int, alpha: float = 0.01) -> float:
 # ---------------------------------------------------------------------------
 
 def log_gamma(z: complex) -> complex:
-    """Principal-branch log Gamma(z); rejects the poles."""
+    """Principal-branch log Gamma(z) for Re z > 0; rejects the rest."""
     z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise ValueError(f"log_gamma pole at z={z}")
+    if z.real <= 0.0:
+        raise ValueError(f"log_gamma requires Re z > 0, got z={z}")
     return complex(_loggamma(z)[()])
 
 

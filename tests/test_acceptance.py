@@ -27,6 +27,7 @@ from conftest import (
     ks_two_sample,
     ks_two_sample_critical_value,
     mc_field_at,
+    phi_coefficients,
     psi,
     sample_profile,
 )
@@ -94,7 +95,7 @@ def test_criterion_03_determinant_oracle_equivalence():
     for _ in range(100):
         n = int(rng.integers(1, 9))
         coeffs = sample_verblunsky(n, rng)
-        direct = eval_field(coeffs, 64).values
+        direct = eval_field(phi_coefficients(coeffs), 64).values
         oracle = det_log_field(cmv_matrix(coeffs), theta)
         worst = max(worst, float(np.max(np.abs(direct - oracle))))
     reps = 10_000

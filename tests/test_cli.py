@@ -394,6 +394,9 @@ class TestMain:
 _COLD_START = """
 import sys
 from thickpoints import cli
+# the replica generator is made on first use, so importing the CLI does not
+# load numpy.random
+assert "numpy.random" not in sys.modules
 
 runs = [
     ["sample", "--set", "n=4"],

@@ -19,6 +19,8 @@ from conftest import (
     mc_field_at,
     mp_field_on_grid,
     mp_trace_powers,
+    phi_coefficients,
+    sample_alphas_block,
     sample_haar_unitary_dense,
     trace_powers_cmv,
     truncated_field_fft,
@@ -28,10 +30,8 @@ from thickpoints import cue
 from thickpoints.cue import (
     TRACE_COST_GUARD,
     FieldSample,
-    VerblunskyCoeffs,
     eval_field,
     eval_field_at,
-    sample_alphas,
     sample_verblunsky,
     trace_powers,
     truncated_field,
@@ -43,38 +43,30 @@ from thickpoints.special_fn import cue_abs_moment_exact
 class TestVerblunskyCoeffs:
     def test_rejects_interior_on_boundary(self):
         with pytest.raises(ValueError):
-            VerblunskyCoeffs(np.array([1.0 + 0.0j, 1.0 + 0.0j]))
+            cue._check_alphas(np.array([1.0 + 0.0j, 1.0 + 0.0j]))
 
     def test_rejects_non_unimodular_last(self):
         with pytest.raises(ValueError):
-            VerblunskyCoeffs(np.array([0.1 + 0.0j, 0.5 + 0.0j]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            VerblunskyCoeffs(np.array([]))
+            cue._check_alphas(np.array([0.1 + 0.0j, 0.5 + 0.0j]))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), data=st.data())
     def test_accepts_sampled_draws_and_rejects_bad_input(self, seed, n, data):
-        alphas = sample_alphas(n, np.random.default_rng(seed))
-        assert np.array_equal(VerblunskyCoeffs(alphas).alphas, alphas)
-        with pytest.raises(ValueError):
-            VerblunskyCoeffs(alphas[None, :])
-        with pytest.raises(ValueError):
-            VerblunskyCoeffs(alphas[:0])
+        alphas = sample_verblunsky(n, np.random.default_rng(seed))
+        cue._check_alphas(alphas)
         phase = np.exp(2j * np.pi * data.draw(st.floats(0.0, 1.0)))
         off = data.draw(st.floats(2e-12, 0.5) | st.floats(-0.5, -2e-12))
         bad_last = alphas.copy()
         bad_last[-1] = (1.0 + off) * phase
         with pytest.raises(ValueError):
-            VerblunskyCoeffs(bad_last)
+            cue._check_alphas(bad_last)
         if n > 1:
             bad_interior = alphas.copy()
             # a unimodular phase that is exact, so |alpha| >= 1 holds down to 1 itself
             exact_phase = data.draw(st.sampled_from([1.0, -1.0, 1j, -1j]))
             bad_interior[data.draw(st.integers(0, n - 2))] = data.draw(st.floats(1.0, 2.0)) * exact_phase
             with pytest.raises(ValueError):
-                VerblunskyCoeffs(bad_interior)
+                cue._check_alphas(bad_interior)
 
 
 class TestSampleVerblunsky:
@@ -82,14 +74,14 @@ class TestSampleVerblunsky:
         rng = np.random.default_rng(0)
         for _ in range(100):
             c = sample_verblunsky(1, rng)
-            assert abs(abs(c.alphas[0]) - 1.0) < 1e-12
+            assert abs(abs(c[0]) - 1.0) < 1e-12
 
     def test_moduli_match_beta_means(self):
         rng = np.random.default_rng(1)
         n, reps = 32, 20_000
         sq = np.empty((reps, n))
         for i in range(reps):
-            sq[i] = np.abs(sample_verblunsky(n, rng).alphas) ** 2
+            sq[i] = np.abs(sample_verblunsky(n, rng)) ** 2
         for k in (0, 15, 30):
             mean = float(sq[:, k].mean())
             se = float(sq[:, k].std(ddof=1) / math.sqrt(reps))
@@ -100,22 +92,21 @@ class TestSampleVerblunsky:
         n, reps = 16, 5000
         sq = np.empty((reps, n))
         for i in range(reps):
-            sq[i] = np.abs(sample_verblunsky(n, rng).alphas) ** 2
+            sq[i] = np.abs(sample_verblunsky(n, rng)) ** 2
         for k in (0, 7, 14):
             res = kstest(sq[:, k], beta_dist(1, n - k - 1).cdf)
             assert res.pvalue > 1e-4
 
     def test_phases_cover_the_circle(self):
         rng = np.random.default_rng(3)
-        phases = np.angle([sample_verblunsky(1, rng).alphas[0] for _ in range(5000)])
+        phases = np.angle([sample_verblunsky(1, rng)[0] for _ in range(5000)])
         res = kstest((phases + np.pi) / (2.0 * np.pi), "uniform")
         assert res.pvalue > 1e-4
 
 
 class TestEvalField:
     def test_single_root_at_minus_one(self):
-        c = VerblunskyCoeffs(np.array([-1.0 + 0.0j]))
-        got = float(eval_field_at(c, np.array([0.0]))[0])
+        got = float(eval_field_at(np.array([-1.0 + 0.0j]), np.array([0.0]))[0])
         assert got == pytest.approx(SQRT2 * math.log(2.0), abs=1e-13)
 
     def test_matches_determinant_oracle_small_n(self):
@@ -126,7 +117,7 @@ class TestEvalField:
         for _ in range(100):
             n = int(rng.integers(1, 9))
             c = sample_verblunsky(n, rng)
-            direct = eval_field(c, 64).values
+            direct = eval_field(phi_coefficients(c), 64).values
             oracle = det_log_field(cmv_matrix(c), theta)
             assert np.max(np.abs(direct - oracle)) < 1e-9
 
@@ -134,7 +125,7 @@ class TestEvalField:
         rng = np.random.default_rng(5)
         for n in (2, 16, 100):
             c = sample_verblunsky(n, rng)
-            fs = eval_field(c, 16 * n)
+            fs = eval_field(phi_coefficients(c), 16 * n)
             ref = eval_field_at(c, fs.theta)
             assert np.max(np.abs(fs.values - ref)) < 1e-9
 
@@ -143,12 +134,9 @@ class TestEvalField:
         c = sample_verblunsky(200, rng)
         theta = np.linspace(0.0, 2.0 * np.pi, 37, endpoint=False)
         b = eval_field_at(c, theta)
-        fb = eval_field(c, 128).values
         monkeypatch.setattr(cue, "RESCALE_CADENCE", 16)
         a = eval_field_at(c, theta)
         assert np.max(np.abs(a - b)) <= 1e-10
-        fa = eval_field(c, 128).values
-        assert np.max(np.abs(fa - fb)) <= 1e-10
 
     def test_zero_mean_at_origin(self):
         rng = np.random.default_rng(7)
@@ -157,15 +145,16 @@ class TestEvalField:
         assert abs(float(x0.mean())) <= 4.0 * se
 
     def test_singular_grid_point_flagged(self):
-        c = VerblunskyCoeffs(np.array([-1.0 + 0.0j]))
-        fs = eval_field(c, 2)  # grid contains the eigenvalue at angle pi
+        # the grid contains the eigenvalue at angle pi
+        fs = eval_field(phi_coefficients(np.array([-1.0 + 0.0j])), 2)
         assert fs.has_singular_points
         assert np.isneginf(fs.values[1])
 
     def test_rejects_bad_grid(self):
-        c = VerblunskyCoeffs(np.array([-1.0 + 0.0j]))
-        with pytest.raises(ValueError):
-            eval_field(c, 0)
+        row = phi_coefficients(np.array([-1.0 + 0.0j]))
+        for grid_size in (0, 1):  # 1 = n does not resolve the polynomial
+            with pytest.raises(ValueError, match="grid_size"):
+                eval_field(row, grid_size)
 
     def test_rotation_invariance_two_sample_ks(self):
         rng = np.random.default_rng(8)
@@ -211,7 +200,7 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("n", TREE_SIZES)
     def test_tree_matches_single_block_recursion(self, n, monkeypatch):
-        alphas = sample_verblunsky(n, np.random.default_rng(n)).alphas
+        alphas = sample_verblunsky(n, np.random.default_rng(n))
         plain = cue._szego_steps(alphas[None, :], np.array([[1.0, 1.0]]))[0][:, 0, 0]
         monkeypatch.setattr(cue, "SZEGO_CROSSOVER", 0)
         tree = cue._phi_coefficient_vector(alphas)
@@ -231,7 +220,7 @@ class TestSynthesis:
         def reflect(p):
             return np.conj(p[..., ::-1])
 
-        alphas = cue.sample_alphas(4 * LEAF, np.random.default_rng(3)).reshape(4, LEAF)
+        alphas = sample_verblunsky(4 * LEAF, np.random.default_rng(3)).reshape(4, LEAF)
         leaves = full_product(alphas)
         merged = full_product(alphas.reshape(2, 2 * LEAF))
         for m in (leaves, merged):
@@ -255,25 +244,18 @@ class TestSynthesis:
     @pytest.mark.parametrize("n", [101, 300, 4096])
     def test_tree_against_long_double_recursion(self, n):
         # 101 and 300 end in a partial leaf, and 300 carries odd blocks up
-        alphas = sample_verblunsky(n, np.random.default_rng(n + 7)).alphas
+        alphas = sample_verblunsky(n, np.random.default_rng(n + 7))
         ref = ld_phi_coefficients(alphas)
         err = np.max(np.abs(cue._phi_coefficient_vector(alphas) - ref)) / np.max(np.abs(ref))
         assert float(err) <= 4e-15
-
-    def test_coefficients_are_cached_read_only(self):
-        c = sample_verblunsky(300, np.random.default_rng(1))
-        first = c.phi_coefficients
-        assert c.phi_coefficients is first
-        with pytest.raises(ValueError):
-            first[0] = 0.0
 
     @pytest.mark.parametrize("n", [4096, 16384])
     def test_field_against_mpmath(self, n):
         c = sample_verblunsky(n, np.random.default_rng(n + 1))
         m = 16 * n
         indices = [1, m // 7, m // 3, (5 * m) // 11]
-        got = eval_field(c, m).values[indices]
-        ref = mp_field_on_grid(c.alphas, m, indices)
+        got = eval_field(phi_coefficients(c), m).values[indices]
+        ref = mp_field_on_grid(c, m, indices)
         assert np.max(np.abs(got - ref)) <= 1e-11
         # the per-point recursion has the looser budget: it loses about an
         # order of magnitude to the FFT path near zeros
@@ -290,27 +272,29 @@ class TestPerPointSzego:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_batched_rows_match_single_replica(self, reps, n, theta, seed):
-        alphas = cue.sample_alphas(n, np.random.default_rng(seed), (reps,))
+        alphas = cue.sample_alphas(n, [np.random.default_rng(seed)] * reps)
         z = np.exp(1j * np.array(theta))
         batched = SQRT2 * cue.szego_log_abs(alphas, z)
         assert batched.shape == (reps, len(theta))
         for r in range(reps):
-            assert np.array_equal(batched[r], eval_field_at(VerblunskyCoeffs(alphas[r]), theta))
+            assert np.array_equal(batched[r], eval_field_at(alphas[r], theta))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
     def test_batched_sampler_matches_sample_verblunsky(self, n, seed):
-        batched = cue.sample_alphas(n, np.random.default_rng(seed), (1,))
-        single = sample_verblunsky(n, np.random.default_rng(seed)).alphas
+        # the whole U block, then the whole phase block, as the one-stream
+        # batched sampler of the tests draws them
+        batched = sample_alphas_block(n, np.random.default_rng(seed), (1,))
+        single = sample_verblunsky(n, np.random.default_rng(seed))
         assert batched.shape == (1, n)
         assert np.array_equal(batched[0], single)
 
     def test_per_stream_sampler_matches_sample_verblunsky_and_checks(self):
         seeds = (1, 2, 3)
-        stacked = cue.sample_alphas_per_stream(16, [np.random.default_rng(s) for s in seeds])
+        stacked = cue.sample_alphas(16, [np.random.default_rng(s) for s in seeds])
         assert stacked.shape == (3, 16)
         for row, seed in zip(stacked, seeds):
-            assert np.array_equal(row, sample_verblunsky(16, np.random.default_rng(seed)).alphas)
+            assert np.array_equal(row, sample_verblunsky(16, np.random.default_rng(seed)))
 
         class ZeroStream:
             # U = 0 puts every interior coefficient on the unit circle
@@ -320,38 +304,37 @@ class TestPerPointSzego:
         with pytest.raises(ValueError, match="interior"):
             sample_verblunsky(4, ZeroStream())
         with pytest.raises(ValueError, match="interior"):
-            cue.sample_alphas_per_stream(4, [ZeroStream()])
+            cue.sample_alphas(4, [ZeroStream()])
 
-    def test_overflowing_coefficients_fall_back_to_the_recursion(self):
+    def test_overflowing_coefficients_make_eval_field_raise(self):
         # zeros crowded at z = 1 make the coefficients binomial-sized, so
-        # the vector overflows from n of about 1100
+        # the row overflows from n of about 1100; the per-point recursion
+        # still evaluates the field on the same grid
         n = 1200
         alphas = np.full(n, 0.999 + 0.0j)
         alphas[-1] = 1.0
-        c = VerblunskyCoeffs(alphas)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert not np.all(np.isfinite(c.phi_coefficients))
-            fs = eval_field(c, 2048)
-            per_point = eval_field_at(c, fs.theta)
-        assert np.array_equal(fs.values, per_point)
-        assert fs.has_singular_points
-        assert np.isneginf(fs.values[0])
-
+            row = phi_coefficients(alphas)
+            assert not np.all(np.isfinite(row))
+            with pytest.raises(ValueError, match="overflow"):
+                eval_field(row, 2048)
+            per_point = eval_field_at(alphas, 2.0 * np.pi * np.arange(2048) / 2048)
+        assert np.isneginf(per_point[0])
 
     def test_overflowing_coefficients_make_trace_powers_raise(self):
         n = 1200
         alphas = np.full(n, 0.999 + 0.0j)
         alphas[-1] = 1.0
-        c = VerblunskyCoeffs(alphas)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            row = phi_coefficients(alphas)
             with pytest.raises(ValueError, match="overflow"):
-                trace_powers(c.phi_coefficients[None], 8)
+                trace_powers(row[None], 8)
             # one overflowing row fails a stacked call
-            fine = sample_verblunsky(n, np.random.default_rng(2)).phi_coefficients
+            fine = phi_coefficients(sample_verblunsky(n, np.random.default_rng(2)))
             with pytest.raises(ValueError, match="overflow"):
-                trace_powers(np.stack([fine, c.phi_coefficients]), 8)
+                trace_powers(np.stack([fine, row]), 8)
 
 
 class TestDenseOracle:
@@ -388,8 +371,7 @@ class TestDenseOracle:
 class TestCmvMatrix:
     def test_one_by_one_is_conjugate_alpha(self):
         phi = 0.83
-        c = VerblunskyCoeffs(np.array([np.exp(1j * phi)]))
-        m = cmv_matrix(c)
+        m = cmv_matrix(np.array([np.exp(1j * phi)]))
         assert m.shape == (1, 1)
         assert m[0, 0] == pytest.approx(np.exp(-1j * phi), abs=1e-14)
 
@@ -414,8 +396,7 @@ class TestCmvMatrix:
 class TestTracePowers:
     def test_single_phase(self):
         phi = 1.2
-        c = VerblunskyCoeffs(np.array([np.exp(1j * phi)]))
-        tr = trace_powers(c.phi_coefficients[None], 5)[0]
+        tr = trace_powers(cue.szego_coefficients(np.array([[np.exp(1j * phi)]])), 5)[0]
         for k in range(1, 6):
             assert tr[k - 1] == pytest.approx(np.exp(-1j * k * phi), abs=1e-12)
 
@@ -423,7 +404,7 @@ class TestTracePowers:
     def test_matches_cmv_reference(self, n, kmax):
         rng = np.random.default_rng(15)
         c = sample_verblunsky(n, rng)
-        fast = trace_powers(c.phi_coefficients[None], kmax)[0]
+        fast = trace_powers(cue.szego_coefficients(c[None]), kmax)[0]
         slow = trace_powers_cmv(c, kmax)
         assert np.max(np.abs(fast - slow)) < 1e-10
 
@@ -431,7 +412,7 @@ class TestTracePowers:
         rng = np.random.default_rng(16)
         c = sample_verblunsky(4, rng)
         lam = np.linalg.eigvals(cmv_matrix(c))
-        tr = trace_powers(c.phi_coefficients[None], 12)[0]
+        tr = trace_powers(cue.szego_coefficients(c[None]), 12)[0]
         for k in range(1, 13):
             assert tr[k - 1] == pytest.approx(complex(np.sum(lam**k)), abs=1e-10)
 
@@ -441,7 +422,7 @@ class TestTracePowers:
         ks = (1, 4, 16, 32)
         sq = np.empty((reps, len(ks)))
         for i in range(reps):
-            tr = trace_powers(sample_verblunsky(n, rng).phi_coefficients[None], 32)[0]
+            tr = trace_powers(cue.szego_coefficients(sample_verblunsky(n, rng)[None]), 32)[0]
             sq[i] = [abs(tr[k - 1]) ** 2 for k in ks]
         for j, k in enumerate(ks):
             mean = float(sq[:, j].mean())
@@ -467,9 +448,9 @@ class TestTracePowers:
         # one row runs the np.dot loop, a stacked call of two rows the batched
         # one; that rows of different draws do not mix is
         # test_stacked_rows_match_single_rows
-        ref = mp_trace_powers(c.alphas, kmax)
-        single = trace_powers(c.phi_coefficients[None], kmax)
-        stacked = trace_powers(np.stack([c.phi_coefficients] * 2), kmax)
+        ref = mp_trace_powers(c, kmax)
+        single = trace_powers(cue.szego_coefficients(c[None]), kmax)
+        stacked = trace_powers(cue.szego_coefficients(np.stack([c] * 2)), kmax)
         for got in [*single, *stacked]:
             err = np.abs(got - ref)
             assert np.max(err[: 2 * n]) <= budget_2n
@@ -481,7 +462,7 @@ class TestTracePowers:
     # budget is 4x the largest.
     def test_against_mpmath_newton_over_draws(self):
         n = 64
-        alphas = cue.sample_alphas(n, np.random.default_rng(n + 25), (32,))
+        alphas = sample_alphas_block(n, np.random.default_rng(n + 25), (32,))
         traces = trace_powers(cue.szego_coefficients(alphas), 2 * n)
         for got, a in zip(traces, alphas):
             assert np.max(np.abs(got - mp_trace_powers(a, 2 * n))) <= 3.6e-12
@@ -490,8 +471,8 @@ class TestTracePowers:
         rng = np.random.default_rng(18)
         c = sample_verblunsky(2, rng)
         with pytest.raises(ValueError):
-            trace_powers(c.phi_coefficients[None], TRACE_COST_GUARD * 2 + 1)
-        stacked = cue.szego_coefficients(cue.sample_alphas(2, rng, (3,)))
+            trace_powers(cue.szego_coefficients(c[None]), TRACE_COST_GUARD * 2 + 1)
+        stacked = cue.szego_coefficients(sample_alphas_block(2, rng, (3,)))
         for kmax in (0, TRACE_COST_GUARD * 2 + 1):
             with pytest.raises(ValueError, match="kmax must lie"):
                 trace_powers(stacked, kmax)
@@ -500,11 +481,11 @@ class TestTracePowers:
     # kmax passes n, so the loop also runs the steps with no -k a_k term
     @pytest.mark.parametrize("n, kmax", [(16, 40), (64, 200), (256, 300)])
     def test_stacked_rows_match_single_rows(self, n, kmax):
-        alphas = cue.sample_alphas(n, np.random.default_rng(n + 5), (5,))
+        alphas = sample_alphas_block(n, np.random.default_rng(n + 5), (5,))
         stacked = trace_powers(cue.szego_coefficients(alphas), kmax)
         assert stacked.shape == (5, kmax)
         for row, a in zip(stacked, alphas):
-            single = trace_powers(VerblunskyCoeffs(a).phi_coefficients[None], kmax)
+            single = trace_powers(cue.szego_coefficients(a[None]), kmax)
             assert np.array_equal(row, single[0])
 
 
@@ -512,7 +493,7 @@ class TestTruncatedField:
     def test_single_term(self):
         rng = np.random.default_rng(19)
         c = sample_verblunsky(8, rng)
-        tr = trace_powers(c.phi_coefficients[None], 4)[0]
+        tr = trace_powers(cue.szego_coefficients(c[None]), 4)[0]
         fs = truncated_field(tr, 1.0, 32)
         theta = fs.theta
         expected = -SQRT2 * np.real(tr[0] * np.exp(-1j * theta))
@@ -521,7 +502,7 @@ class TestTruncatedField:
     def test_rejects_insufficient_traces_or_grid(self):
         rng = np.random.default_rng(20)
         c = sample_verblunsky(8, rng)
-        tr = trace_powers(c.phi_coefficients[None], 4)[0]
+        tr = trace_powers(cue.szego_coefficients(c[None]), 4)[0]
         with pytest.raises(ValueError):
             truncated_field(tr, 1.0 / 8.0, 64)
         with pytest.raises(ValueError):
@@ -539,7 +520,7 @@ class TestTruncatedField:
     def test_batched_rows_match_single_delta_and_complex_fft(self, n, grid_size, inverse_deltas):
         deltas = [1.0 / d for d in inverse_deltas]
         rng = np.random.default_rng(grid_size)
-        coeffs = sample_verblunsky(n, rng).phi_coefficients[None]
+        coeffs = cue.szego_coefficients(sample_verblunsky(n, rng)[None])
         tr = trace_powers(coeffs, int(max(inverse_deltas)))[0]
         rows = truncated_fields(tr, deltas, grid_size)
         assert rows.shape == (len(deltas), grid_size)
@@ -556,26 +537,26 @@ class TestTruncatedField:
         for seed in (0, 3, 5):
             rng = np.random.default_rng(seed)
             c = sample_verblunsky(16, rng)
-            fs = eval_field(c, m)
+            fs = eval_field(phi_coefficients(c), m)
             fhat = np.fft.fft(fs.values) / m
             coeff = np.zeros(m, dtype=np.complex128)
             coeff[1:9] = fhat[1:9]
             coeff[-8:] = fhat[-8:]
             proj = np.real(np.fft.ifft(coeff) * m)
-            tf = truncated_field(trace_powers(c.phi_coefficients[None], 8)[0], 1.0 / 8.0, m)
+            tf = truncated_field(trace_powers(cue.szego_coefficients(c[None]), 8)[0], 1.0 / 8.0, m)
             assert np.max(np.abs(proj - tf.values)) < 5e-2
 
     def test_projection_at_coarse_grid_pinned_draw(self):
         m = 1024
         rng = np.random.default_rng(1)
         c = sample_verblunsky(16, rng)
-        fs = eval_field(c, m)
+        fs = eval_field(phi_coefficients(c), m)
         fhat = np.fft.fft(fs.values) / m
         coeff = np.zeros(m, dtype=np.complex128)
         coeff[1:9] = fhat[1:9]
         coeff[-8:] = fhat[-8:]
         proj = np.real(np.fft.ifft(coeff) * m)
-        tf = truncated_field(trace_powers(c.phi_coefficients[None], 8)[0], 1.0 / 8.0, m)
+        tf = truncated_field(trace_powers(cue.szego_coefficients(c[None]), 8)[0], 1.0 / 8.0, m)
         assert np.max(np.abs(proj - tf.values)) < 5e-2
 
     def test_variance_matches_truncated_harmonic_sum(self):
@@ -583,7 +564,7 @@ class TestTruncatedField:
         n, reps, delta = 8, 20_000, 1.0 / 16.0
         vals = np.empty(reps)
         for i in range(reps):
-            tr = trace_powers(sample_verblunsky(n, rng).phi_coefficients[None], 16)[0]
+            tr = trace_powers(cue.szego_coefficients(sample_verblunsky(n, rng)[None]), 16)[0]
             vals[i] = truncated_field(tr, delta, 32).values[0]
         target = truncated_field_variance(n, delta)
         var = float(vals.var(ddof=1))

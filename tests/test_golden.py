@@ -33,21 +33,25 @@ def test_mc_field_at():
 
 
 def test_eval_field_grids():
-    c = sample_verblunsky(24, np.random.default_rng(11))
-    # grid_size <= n: the per-point Szego recursion
+    alphas = sample_verblunsky(24, np.random.default_rng(11))
+    # a 16-point grid, too coarse to resolve the polynomial: the per-point
+    # Szego recursion
     per_point = [
         -0.2792260907988022, -1.355378192268603, 1.4220871401223831, 3.1144744238702424,
         -0.22989986228373774, 3.292465821752468, -0.2609144255633822, 4.19810033713891,
         0.12407329251888607, -0.22451861715343407, -1.889445907878397, -1.6700592409469,
         -3.8245005261310823, -0.17060996036912304, 1.4578286285026305, -2.753177493599117,
     ]
-    np.testing.assert_allclose(eval_field(c, 16).values, per_point, rtol=RTOL, atol=0.0)
+    z = np.exp(2j * np.pi * np.arange(16) / 16)
+    got = cue.SQRT2 * cue.szego_log_abs(alphas[None], z)[0]
+    np.testing.assert_allclose(got, per_point, rtol=RTOL, atol=0.0)
     # grid_size > n: one FFT of the synthesized coefficients
     fft = [
         -0.2792260907988026, 1.4220871401223834, -0.22989986228373588, -0.2609144255633714,
         0.12407329251888004, -1.8894459078784005, -3.824500526131065, 1.457828628502635,
     ]
-    np.testing.assert_allclose(eval_field(c, 128).values[::16], fft, rtol=RTOL, atol=0.0)
+    row = cue.szego_coefficients(alphas[None])[0]
+    np.testing.assert_allclose(eval_field(row, 128).values[::16], fft, rtol=RTOL, atol=0.0)
 
 
 def test_nu_mu_barrier_columns():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mc_field_at
+from conftest import mc_field_at, phi_coefficients
 from thickpoints.cue import SQRT2, FieldSample, eval_field, sample_verblunsky
 from thickpoints.measures import (
     barrier_mask,
@@ -50,7 +50,7 @@ class TestExpMeasureIntegral:
         norm = cue_exp_normalizer(n, gamma)
         vals = np.empty(reps)
         for i in range(reps):
-            field = eval_field(sample_verblunsky(n, rng), 16 * n)
+            field = eval_field(phi_coefficients(sample_verblunsky(n, rng)), 16 * n)
             vals[i] = exp_measure_integral(field, gamma, norm)
         se = float(vals.std(ddof=1) / math.sqrt(reps))
         assert abs(float(vals.mean()) - 1.0) <= 4.0 * se
@@ -58,7 +58,7 @@ class TestExpMeasureIntegral:
     def test_positive_and_finite_every_replica(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            field = eval_field(sample_verblunsky(8, rng), 128)
+            field = eval_field(phi_coefficients(sample_verblunsky(8, rng)), 128)
             v = exp_measure_integral(field, 1.2, cue_exp_normalizer(8, 1.2))
             assert 0.0 < v < math.inf
 
@@ -78,7 +78,7 @@ class TestThickMeasureIntegral:
 
     def test_nonincreasing_in_g(self):
         rng = np.random.default_rng(3)
-        field = eval_field(sample_verblunsky(32, rng), 512)
+        field = eval_field(phi_coefficients(sample_verblunsky(32, rng)), 512)
         vals = [thick_measure_integral(field, 0.5, 32, shift) for shift in (-1.0, 0.0, 1.0)]
         assert vals[0] >= vals[1] >= vals[2]
 
@@ -95,7 +95,7 @@ class TestThickMeasureIntegral:
         reps = 3000
         vals = np.empty(reps)
         for i in range(reps):
-            field = eval_field(sample_verblunsky(n, rng), 16 * n)
+            field = eval_field(phi_coefficients(sample_verblunsky(n, rng)), 16 * n)
             vals[i] = thick_measure_integral(field, gamma, n) * rescale
         se = float(vals.std(ddof=1) / math.sqrt(reps))
         assert abs(float(vals.mean()) - 1.0) <= 4.0 * se + 0.01
@@ -108,7 +108,7 @@ class TestThickMeasureIntegral:
         n, gamma, reps = 256, 0.6, 3000
         vals = np.empty(reps)
         for i in range(reps):
-            field = eval_field(sample_verblunsky(n, rng), 16 * n)
+            field = eval_field(phi_coefficients(sample_verblunsky(n, rng)), 16 * n)
             vals[i] = thick_measure_integral(field, gamma, n)
         assert float(vals.mean()) == pytest.approx(1.0, rel=0.25)
 
@@ -191,12 +191,12 @@ class TestL1Discrepancy:
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
-        field = eval_field(sample_verblunsky(16, rng), 256)
+        field = eval_field(phi_coefficients(sample_verblunsky(16, rng)), 256)
         assert l1_discrepancy(field, 0.5, 16) == l1_discrepancy(field, 0.5, 16)
 
     def test_discrepancy_is_absolute_difference(self):
         rng = np.random.default_rng(8)
-        field = eval_field(sample_verblunsky(16, rng), 256)
+        field = eval_field(phi_coefficients(sample_verblunsky(16, rng)), 256)
         mu, nu, discrepancy = l1_discrepancy(field, 0.5, 16)
         assert discrepancy == pytest.approx(abs(nu - mu), abs=1e-15)
         assert mu >= 0.0 and nu >= 0.0

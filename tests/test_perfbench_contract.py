@@ -73,8 +73,8 @@ def test_run_replica_is_called_once_per_replica(experiment, fields, workers, tmp
 
 
 def test_eval_field_reports_singular_points():
-    coeffs = cue.sample_verblunsky(8, np.random.default_rng(0))
-    assert cue.eval_field(coeffs, 64).has_singular_points is False
+    row = cue.szego_coefficients(cue.sample_verblunsky(8, np.random.default_rng(0))[None])[0]
+    assert cue.eval_field(row, 64).has_singular_points is False
     # the grid holds the eigenvalue at angle pi
-    singular = cue.eval_field(cue.VerblunskyCoeffs(np.array([-1.0 + 0.0j])), 2)
+    singular = cue.eval_field(cue.szego_coefficients(np.array([[-1.0 + 0.0j]]))[0], 2)
     assert singular.has_singular_points is True
