@@ -1,12 +1,12 @@
-"""Golden values: fixed-seed outputs pinned to 1e-12 relative, so that a
-refactor of the Szego evaluators, the samplers or the grid synthesis cannot
-drift silently."""
+"""Golden values: fixed-seed outputs pinned to 1e-12 relative, and the
+kernel-check scalars bit for bit, so that a refactor of the Szego evaluators,
+the samplers, the grid synthesis or the kernels cannot drift silently."""
 
 import numpy as np
 import pytest
 
 from conftest import mc_field_at
-from thickpoints import cue
+from thickpoints import cue, montecarlo
 from thickpoints.cue import eval_field, sample_verblunsky
 from thickpoints.montecarlo import Experiment, ExperimentConfig, run_experiment
 from thickpoints.special_fn import GammaConvention
@@ -230,3 +230,14 @@ def test_gaussian_gmc_across_blocks():
     records, _ = run_experiment(config)
     got = [records[i].scalars["gmc_mass"] for i in GMC_INDICES]
     np.testing.assert_allclose(got, GMC_MASS, rtol=RTOL, atol=0.0)
+
+
+def test_kernel_check_values_bitwise():
+    # the kernel-check scalars are pinned bit for bit, as float.hex(), since
+    # slicing the truncated-kernel separations and evaluating each distinct
+    # assumption-1 separation once must not move them at all
+    got = {name: value.hex() for name, value in montecarlo._kernel_check_values().items()}
+    assert got == {
+        "truncated_kernel_max_dev": "0x1.64e24232cd516p-1",
+        "assumption1_max_dev": "0x1.71339c4a1e73ap+0",
+    }
