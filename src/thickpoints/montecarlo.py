@@ -353,9 +353,9 @@ def _kernel_check_values() -> dict[str, float]:
     js = list(range(2, 13))
     kmaxes = [2**j for j in js]
     grid_vals = circle_truncated_kernel_grid(seps, kmaxes)
+    chord = 2.0 * np.abs(np.sin(seps / 2.0))
     worst = 0.0
     for j, row in zip(js, grid_vals):
-        chord = 2.0 * np.abs(np.sin(seps / 2.0))
         dev = np.abs(row + np.log(np.maximum(chord, 2.0**-j)))
         worst = max(worst, float(dev.max()))
     deltas = [2.0**-j for j in range(3, 9)]

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -157,6 +158,38 @@ class TestCircleTruncatedKernel:
         for row, kmax in zip(rows, kmaxes):
             dev = np.abs(row + np.log(np.maximum(chord, 1.0 / kmax)))
             assert float(dev.max()) <= 2.0
+
+    def test_slices_join_bit_for_bit(self):
+        # a separation count that is not a multiple of the slice length, cut
+        # into pieces that straddle the slice boundaries
+        n = 2 * kernels.TRUNCATED_SLICE + 37
+        seps = np.random.default_rng(8).uniform(1e-4, math.pi, n)
+        kmaxes = [3, 64, 100, 1000]
+        whole = circle_truncated_kernel_grid(seps, kmaxes)
+        cuts = [0, 5, 300, kernels.TRUNCATED_SLICE + 100, n]
+        pieces = [circle_truncated_kernel_grid(seps[a:b], kmaxes) for a, b in zip(cuts, cuts[1:])]
+        assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
+
+    def test_lone_last_separation_joins_bit_for_bit(self):
+        # a last slice of one separation would be a matrix-vector product
+        n = 2 * kernels.TRUNCATED_SLICE + 1
+        seps = np.random.default_rng(9).uniform(1e-4, math.pi, n)
+        kmaxes = [4**j for j in range(1, 7)]
+        whole = circle_truncated_kernel_grid(seps, kmaxes)
+        pieces = [circle_truncated_kernel_grid(part, kmaxes) for part in (seps[:3], seps[3:])]
+        assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
+
+    def test_work_memory_is_bounded(self):
+        # in one piece the work arrays of this call peak at 31.5 MB
+        seps = np.random.default_rng(5).uniform(1e-4, math.pi, 10_000)
+        kmaxes = [4 ** (j + 1) for j in range(6)]
+        tracemalloc.start()
+        try:
+            circle_truncated_kernel_grid(seps, kmaxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_pointwise_convergence_to_log_kernel(self):
         sep = math.pi / 5.0
@@ -330,8 +363,35 @@ class TestAssumption1Check:
         )
         assert math.isfinite(worst)
         assert worst <= 3.0
-        # 21 scale pairs with epsilon <= delta, 25 grid pairs each
-        assert len(calls) == 21 * 25
+        # 21 scale pairs with epsilon <= delta, one call for each of the 15
+        # distinct separations x - z among the 25 grid pairs
+        assert len(calls) == 21 * 15
+
+    def test_worst_matches_all_pairs_bit_for_bit(self):
+        grid = np.linspace(0.15, 0.85, 5)
+        deltas = [2.0**-j for j in range(3, 9)]
+        worst = 0.0
+        for delta in deltas:
+            for eps in deltas:
+                if eps > delta:
+                    continue
+                for x in grid:
+                    for z in grid:
+                        val = doubly_mollified_kernel(float(x), float(z), delta, eps, (0.0, 1.0))
+                        worst = max(worst, abs(val + math.log(max(abs(x - z), delta))))
+        assert assumption1_check(grid, deltas, deltas, (0.0, 1.0)) == worst
+
+    @pytest.mark.parametrize("grid", [[0.05, 0.3, 0.5], [0.5, 0.7, 0.95]], ids=["first", "last"])
+    @pytest.mark.parametrize(
+        "epsilon",
+        # scale pairs have epsilon <= delta, so an escaping epsilon support
+        # comes with an escaping delta support
+        [0.01, 0.1],
+        ids=["delta", "epsilon"],
+    )
+    def test_rejects_support_outside_domain(self, grid, epsilon):
+        with pytest.raises(ValueError, match="escapes the working domain"):
+            assumption1_check(grid, [0.1], [epsilon], (0.0, 1.0))
 
     def test_far_pair_has_small_deviation(self):
         val = doubly_mollified_kernel(0.25, 0.75, 1.0 / 8.0, 1.0 / 8.0, (0.0, 1.0))

@@ -1,8 +1,10 @@
 """The names the benchmark's traced pass looks up in the package.
 
-perfbench/tracer.py wraps functions of `cue` and `measures` by name, and
-perfbench/child.py wraps `montecarlo.run_replica` and `montecarlo._run_chunk`;
-a missing name fails the traced run, not the test suite.  The experiments
+perfbench/tracer.py wraps functions of `cue` and `measures` by name, the
+`kernels` functions where `montecarlo` binds them and
+`kernels.doubly_mollified_kernel` in `kernels` itself, and perfbench/child.py
+wraps `montecarlo.run_replica` and `montecarlo._run_chunk`; a missing name
+fails the traced run, not the test suite.  The experiments
 whose replica times set the benchmark's pace factors must keep calling
 `run_replica` once per replica.  The tracer's name
 lists are read from its source, which is parsed, not imported or changed.
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thickpoints import cue, measures, montecarlo
+from thickpoints import cue, kernels, measures, montecarlo
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,6 +38,30 @@ def test_traced_functions_exist(module, list_name):
     assert names
     missing = [name for name in names if not callable(getattr(module, name, None))]
     assert not missing, f"{module.__name__} lacks {missing}"
+
+
+def _tracer_wraps(owner: str) -> list[str]:
+    """The names install() wraps with tracer.wrap(<owner>, "<name>", ...)."""
+    return [
+        node.args[1].value
+        for node in ast.walk(ast.parse(TRACER.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "wrap"
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == owner
+    ]
+
+
+def test_traced_kernel_names_exist():
+    assert _tracer_wraps("kernels") == ["doubly_mollified_kernel"]
+    assert callable(kernels.doubly_mollified_kernel)
+    # assumption1_check reaches the kernel through the module global, the
+    # name the tracer replaces
+    assert "doubly_mollified_kernel" in kernels.assumption1_check.__code__.co_names
+    # the kernel-check layers are wrapped where montecarlo binds them
+    for name in ("assumption1_check", "circle_truncated_kernel_grid"):
+        assert getattr(montecarlo, name) is getattr(kernels, name)
 
 
 def test_replica_entry_points_exist():
