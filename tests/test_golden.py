@@ -1,12 +1,15 @@
-"""Golden values: fixed-seed outputs pinned to 1e-12 relative, and the
-kernel-check scalars bit for bit, so that a refactor of the Szego evaluators,
-the samplers, the grid synthesis or the kernels cannot drift silently."""
+"""Golden values: fixed-seed outputs pinned to 1e-12 relative, the
+kernel-check scalars bit for bit and the CSV bytes of every subcommand by
+digest, so that a refactor of the Szego evaluators, the samplers, the grid
+synthesis, the kernels or the replica glue cannot drift silently."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from conftest import mc_field_at
-from thickpoints import cue, montecarlo
+from thickpoints import cli, cue, montecarlo
 from thickpoints.cue import eval_field, sample_verblunsky
 from thickpoints.montecarlo import Experiment, ExperimentConfig, run_experiment
 from thickpoints.special_fn import GammaConvention
@@ -241,3 +244,59 @@ def test_kernel_check_values_bitwise():
         "truncated_kernel_max_dev": "0x1.64e24232cd516p-1",
         "assumption1_max_dev": "0x1.71339c4a1e73ap+0",
     }
+
+
+# The sha256 of each CSV that `thickpoints` writes for small fixed-seed
+# configs at two workers: every byte of every row (replica index, derived
+# seed and the repr of each scalar) is pinned, not only the values.
+CSV_DIGESTS = {
+    "verify-moments": (
+        ["verify-moments", "n=16", "gamma=0.6", "replicas=70", "master_seed=32"],
+        "6518525f6b5fac608ecf05e7bf800358bb0e45382c0c5060706bee004516d445",
+    ),
+    "trace-cov": (
+        ["trace-cov", "n=64", "kmax=128", "replicas=9", "master_seed=31"],
+        "5482199c019ee78ba9a86848833e8c58b6d37307c836130b2f5569ddc081e133",
+    ),
+    "trace-cov-tree": (
+        ["trace-cov", "n=300", "kmax=600", "replicas=3", "master_seed=31"],
+        "7e0c47022cf5ecb14dd357d18eb9da3b3eda04d39e495b85e3065ac61384dc03",
+    ),
+    "gaussian-gmc-even": (
+        ["gaussian-gmc", "kmax=16", "gamma=1.0", "replicas=40", "master_seed=33"],
+        "aa1da4f073324fcfdf6cd34daea4c7178afacd63b3134dd00acf09cc46d095c1",
+    ),
+    "gaussian-gmc-odd": (
+        ["gaussian-gmc", "kmax=7", "grid_factor=5", "replicas=5", "master_seed=33"],
+        "b589c8854595d10b4cf60f28637262f440db261a8b243fec5f5581a1a11dde7f",
+    ),
+    "fk-test": (
+        ["fk-test", "n=64", "gamma=0.3", "convention=conjecture", "replicas=5", "master_seed=11"],
+        "241033189a18950afeb29dd2be0cd1ac0b898b226bcb93c8589d9c5f283de2c1",
+    ),
+    "nu-mu-ell": (
+        ["nu-mu", "n=64", "ell=1", "replicas=5", "master_seed=4"],
+        "54c3ba9d1625fe8e01a638624a82c6301c719ceeecd787ae7ccf39b8c4e4a4b8",
+    ),
+    "nu-mu-g-shift": (
+        ["nu-mu", "n=32", "g_shift=0.2", "replicas=5", "master_seed=4"],
+        "916f2ffc8220d54c18a1e2bad2be2057ca034429a5865c8cd7d52a94d7f9c73e",
+    ),
+    "kernel-check": (
+        ["kernel-check", "replicas=2"],
+        "4477dd226271677813ce6c786478f5f58a3f5827d85082f97118f6939bb373aa",
+    ),
+    "sample": (
+        ["sample", "n=8", "replicas=3", "master_seed=5"],
+        "3338db9ab7cec630a26104f79e8f79d043bed5c1384cea469d29bf41e82169f1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_DIGESTS))
+def test_csv_digests(name, tmp_path, monkeypatch):
+    (subcommand, *settings), digest = CSV_DIGESTS[name]
+    monkeypatch.setenv("THICKPOINT_THREADS", "2")
+    argv = [subcommand, *(arg for item in settings for arg in ("--set", item))]
+    assert cli.main([*argv, "-o", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
