@@ -1,7 +1,7 @@
 """Command-line front end: flat key=value configs, experiment dispatch and
 CSV/JSON emission.
 
-One config describes one experiment.  Outputs are a CSV of per-replica records
+One config describes one experiment.  Outputs are a CSV of per-replica rows
 (byte-identical across reruns of the same config) plus a JSON summary.
 """
 
@@ -14,21 +14,22 @@ import json
 import math
 import sys
 import time
+import typing
 from dataclasses import fields, replace
+
+import numpy as np
 
 from . import __version__
 from .montecarlo import (
     Experiment,
     ExperimentConfig,
-    ReplicaRecord,
-    Summary,
+    _seed_sequence_words,
+    _streams,
     derive_seed,
-    replica_stream,
     run_experiment,
     sample_field,
     worker_count,
 )
-from .special_fn import GammaConvention
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -69,18 +70,12 @@ _KEY_HELP = {
     "output_path": "basename for <base>.csv and <base>.json outputs",
 }
 
+# config key -> the type its value parses as: the field's type, X for a
+# field typed X | None
 _PARSERS = {
-    "n": int,
-    "grid_factor": int,
-    "gamma": float,
-    "eta": float,
-    "ell": int,
-    "L": int,
-    "kmax": int,
-    "replicas": int,
-    "master_seed": int,
-    "g_shift": float,
-    "output_path": str,
+    key: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for key, hint in typing.get_type_hints(ExperimentConfig).items()
+    if key != "experiment"
 }
 
 
@@ -89,15 +84,18 @@ class ConfigError(ValueError):
 
 
 def _parse_value(key: str, raw: str, where: str):
-    if key == "convention":
-        try:
-            return GammaConvention(raw.strip().lower())
-        except ValueError:
-            raise ConfigError(f"{where}: convention must be 'theorem' or 'conjecture', got {raw!r}")
     if key not in _PARSERS:
         raise ConfigError(f"{where}: unknown key {key!r}")
+    kind = _PARSERS[key]
+    if issubclass(kind, enum.Enum):
+        # an enum parses by its lower-cased value
+        try:
+            return kind(raw.strip().lower())
+        except ValueError:
+            members = " or ".join(repr(member.value) for member in kind)
+            raise ConfigError(f"{where}: {key} must be {members}, got {raw!r}")
     try:
-        return _PARSERS[key](raw.strip())
+        return kind(raw.strip())
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {key} value {raw!r}")
 
@@ -140,29 +138,26 @@ def _json_number(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def emit(records: list[ReplicaRecord], summary: Summary, config: ExperimentConfig,
-         base_path: str, wallclock: float) -> tuple[str, str]:
-    """Write <base>.csv (records) and <base>.json (summary); returns the paths."""
+def emit(rows: list[dict[str, float]], summary: dict[str, dict[str, float]],
+         config: ExperimentConfig, base_path: str, wallclock: float) -> tuple[str, str]:
+    """Write <base>.csv (one line per row, the row's position its replica
+    index) and <base>.json (the summary); returns the paths."""
     csv_path = f"{base_path}.csv"
     json_path = f"{base_path}.json"
-    names = list(records[0].scalars) if records else []
+    names = list(rows[0]) if rows else []
+    seeds = derive_seed(config.master_seed, np.arange(len(rows), dtype=np.uint64)).tolist()
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replica_index", "derived_seed", *names])
-        for rec in records:
-            writer.writerow(
-                [rec.replica_index, rec.derived_seed, *(_fmt(rec.scalars[k]) for k in names)]
-            )
+        for i, (seed, row) in enumerate(zip(seeds, rows)):
+            writer.writerow([i, seed, *(_fmt(row[k]) for k in names)])
     echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "output_path"}
     config_echo = {k: v.value if isinstance(v, enum.Enum) else v for k, v in echo.items()}
     payload = {
         "config_echo": config_echo,
         "estimates": {
-            name: {
-                "mean": _json_number(summary.mean[name]),
-                "stderr": _json_number(summary.stderr[name]),
-            }
-            for name in summary.mean
+            name: {stat: _json_number(value) for stat, value in estimate.items()}
+            for name, estimate in summary.items()
         },
         "wallclock_seconds": wallclock,
         "version": __version__,
@@ -181,7 +176,9 @@ def _emit_sample(config: ExperimentConfig, base_path: str) -> str:
         writer.writerow(["replica_index", "derived_seed", "theta", "value"])
         for i in range(config.replicas):
             seed = derive_seed(config.master_seed, i)
-            _, sample = sample_field(config, replica_stream(config.master_seed, i))
+            # the replica's stream, taken as run_replica takes it
+            stream = next(_streams([_seed_sequence_words(seed)]))
+            _, sample = sample_field(config, stream)
             for theta, value in zip(sample.theta, sample.values):
                 writer.writerow([i, seed, _fmt(theta), _fmt(value)])
     return csv_path
@@ -245,12 +242,10 @@ def main(argv: list[str] | None = None) -> int:
             worker_count()
         except ValueError as exc:
             raise ConfigError(str(exc))
-        records, summary = run_experiment(config)
+        rows, summary = run_experiment(config)
         print(f"completed {config.replicas} replicas of {experiment.value}")
         base = config.output_path or experiment.value
-        csv_path, json_path = emit(
-            records, summary, config, base, time.monotonic() - started
-        )
+        csv_path, json_path = emit(rows, summary, config, base, time.monotonic() - started)
         print(f"wrote {csv_path} and {json_path}")
         return EXIT_OK
     except ConfigError as exc:

@@ -18,12 +18,7 @@ import math
 import numpy as np
 
 from .cue import FieldSample, SQRT2
-from .special_fn import (
-    GammaConvention,
-    cue_abs_moment_exact,
-    fk_normalizer,
-    thickpoint_prob_asymptotic,
-)
+from .special_fn import cue_abs_moment_exact, fk_normalizer, thickpoint_prob_asymptotic
 
 
 def cue_exp_normalizer(n: int, gamma_theorem: float) -> float:
@@ -49,7 +44,7 @@ def thick_measure_integral(field: FieldSample, gamma: float, n: int, shift: floa
     X >= gamma log N + shift over the moderate-deviation asymptotic of
     P(X >= gamma log N)."""
     thick = thick_indicator(field, gamma, n, shift)
-    denominator = thickpoint_prob_asymptotic(n, gamma, GammaConvention.THEOREM)
+    denominator = thickpoint_prob_asymptotic(n, gamma)
     return np.count_nonzero(thick) / field.grid_size / denominator
 
 
@@ -95,7 +90,7 @@ def barrier_violations(
     is read once, and the thick-point indicator is formed once.
     """
     thick = thick_indicator(field, gamma, n)
-    denominator = thickpoint_prob_asymptotic(n, gamma, GammaConvention.THEOREM)
+    denominator = thickpoint_prob_asymptotic(n, gamma)
     mask = np.ones(field.grid_size, dtype=bool)
     out = [0.0] * len(levels)
     for i in reversed(range(len(levels))):

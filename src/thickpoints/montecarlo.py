@@ -14,7 +14,8 @@ generator, so that a replica's draws are those of its own fresh stream.
 verify-moments, trace-cov and gaussian-gmc evaluate a block with one batched
 call per stage, and each row comes out bit for bit as it does alone; the other
 experiments run one replica per run_replica call, which is the block of that
-one index.
+one index.  A replica's result is its row of named scalars; rows are returned
+in index order, so a row's position is its replica index.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,11 +112,6 @@ def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
     state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & MASK128
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
-
-
-def replica_stream(master_seed: int, replica_index: int) -> np.random.Generator:
-    """A fresh generator on the replica's stream."""
-    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, replica_index)))
 
 
 @functools.cache
@@ -236,19 +232,6 @@ class ExperimentConfig:
         if self.experiment is Experiment.GAUSSIAN_GMC:
             return self.n
         return None
-
-
-@dataclass(frozen=True)
-class ReplicaRecord:
-    replica_index: int
-    derived_seed: int
-    scalars: dict[str, float] = dc_field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Summary:
-    mean: dict[str, float]
-    stderr: dict[str, float]
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +392,10 @@ def _block_size(config: ExperimentConfig) -> int:
     return max(1, min(BLOCK_REPLICAS, BLOCK_BYTES // widest))
 
 
-def _run_block(config: ExperimentConfig, indices, seeds, words) -> list[ReplicaRecord]:
-    """The records of one block of replica indices, given their derived
-    seeds and the four SeedSequence words of each seed."""
-    rows = _BLOCK_FNS[config.experiment](config, _streams(words))
-    return [ReplicaRecord(i, seed, row) for i, seed, row in zip(indices, seeds, rows)]
-
-
-def run_replica(config: ExperimentConfig, replica_index: int) -> ReplicaRecord:
-    seed = derive_seed(config.master_seed, replica_index)
-    return _run_block(config, [replica_index], [seed], [_seed_sequence_words(seed)])[0]
+def run_replica(config: ExperimentConfig, replica_index: int) -> dict[str, float]:
+    """The scalar row of one replica: its experiment's block of one index."""
+    words = _seed_sequence_words(derive_seed(config.master_seed, replica_index))
+    return _BLOCK_FNS[config.experiment](config, _streams([words]))[0]
 
 
 def worker_count() -> int:
@@ -435,8 +412,8 @@ def worker_count() -> int:
     return count
 
 
-def _run_chunk(args) -> list[ReplicaRecord]:
-    """The records of a contiguous run of replica indices, in index order:
+def _run_chunk(args) -> list[dict[str, float]]:
+    """The rows of a contiguous run of replica indices, in index order:
     blocks of _block_size(config) indices, or one run_replica call each."""
     config, indices = args
     size = _block_size(config)
@@ -444,12 +421,11 @@ def _run_chunk(args) -> list[ReplicaRecord]:
         return [run_replica(config, i) for i in indices]
     # the seeds of every block are derived and hashed in one vectorised pass
     seeds = derive_seed(config.master_seed, np.array(indices, dtype=np.uint64))
-    words = np.stack(_seed_sequence_words(seeds), axis=-1)
-    records = []
-    for lo in range(0, len(indices), size):
-        block = slice(lo, lo + size)
-        records += _run_block(config, indices[block], seeds[block].tolist(), words[block].tolist())
-    return records
+    words = np.stack(_seed_sequence_words(seeds), axis=-1).tolist()
+    rows = []
+    for lo in range(0, len(words), size):
+        rows += _BLOCK_FNS[config.experiment](config, _streams(words[lo:lo + size]))
+    return rows
 
 
 # Bytes of one block allocated and freed before the replicas run; see
@@ -457,8 +433,11 @@ def _run_chunk(args) -> list[ReplicaRecord]:
 HEAP_KEEP_BYTES = 8 << 20
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[list[ReplicaRecord], Summary]:
-    """Execute all replicas; output is a pure function of the config,
+def run_experiment(
+    config: ExperimentConfig,
+) -> tuple[list[dict[str, float]], dict[str, dict[str, float]]]:
+    """Execute all replicas and return their rows, in index order, with
+    their summary.  The output is a pure function of the config,
     independent of worker count and block size.  Each worker runs one
     contiguous run of replica indices, and the runs are joined in index
     order.
@@ -476,14 +455,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ReplicaRecord], Summa
     workers = min(worker_count(), config.replicas)
     indices = list(range(config.replicas))
     if workers <= 1:
-        records = _run_chunk((config, indices))
+        rows = _run_chunk((config, indices))
     else:
         # worker i takes the contiguous run of indices bounds[i]:bounds[i+1]
         bounds = [config.replicas * i // workers for i in range(workers + 1)]
         chunks = [(config, indices[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [rec for part in pool.map(_run_chunk, chunks) for rec in part]
-    return records, summarize(records)
+            rows = [row for part in pool.map(_run_chunk, chunks) for row in part]
+    return rows, summarize(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +470,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ReplicaRecord], Summa
 # ---------------------------------------------------------------------------
 
 
-def summarize(records: list[ReplicaRecord]) -> Summary:
-    """Mean and stderr (= sample sd / sqrt(R)) for every scalar."""
-    if not records:
-        raise ValueError("cannot summarize zero records")
-    mean, stderr = {}, {}
-    for name in records[0].scalars:
-        vals = np.array([r.scalars[name] for r in records], dtype=float)
-        mean[name] = float(vals.mean())
-        stderr[name] = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
-    return Summary(mean, stderr)
+def summarize(rows: list[dict[str, float]]) -> dict[str, dict[str, float]]:
+    """{name: {"mean": m, "stderr": s}} for every scalar, where stderr is the
+    sample sd / sqrt(R)."""
+    if not rows:
+        raise ValueError("cannot summarize zero rows")
+    estimates = {}
+    for name in rows[0]:
+        vals = np.array([row[name] for row in rows], dtype=float)
+        stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
+        estimates[name] = {"mean": float(vals.mean()), "stderr": stderr}
+    return estimates

@@ -3,11 +3,12 @@ moderate-deviation probabilities and the Fyodorov-Keating normalizer.
 
 All moment products are assembled in log-space with compensated summation and
 exponentiated on demand, so they survive N = 10^4 at exponents up to 2.
-Every public gamma parameter carries an explicit scale convention; internal
-math is always on the theorem scale (critical value sqrt(2)).  The normalizers
-that depend only on a run's config (the exact CUE moment, the thick-point
-probability and the Fyodorov-Keating normalizer) are cached, so a Monte Carlo
-run computes each once rather than once per replica.
+A gamma is on the theorem scale (critical value sqrt(2)) unless its docstring
+says otherwise; to_theorem_scale converts one given with an explicit
+GammaConvention.  The normalizers that depend only on a run's config (the
+exact CUE moment, the thick-point probability and the Fyodorov-Keating
+normalizer) are cached, so a Monte Carlo run computes each once rather than
+once per replica.
 """
 
 from __future__ import annotations
@@ -205,13 +206,13 @@ def cue_abs_moment_exact(n: int, zeta: complex) -> complex:
 
 
 @functools.cache
-def thickpoint_prob_asymptotic(n: int, gamma: float, convention: GammaConvention) -> float:
-    """Asymptotic P(X_N(theta) >= gamma' log N) on the theorem scale:
-    N^{-gamma'^2/2} Psi(gamma') / (gamma' sqrt(2 pi log N)).
+def thickpoint_prob_asymptotic(n: int, gamma: float) -> float:
+    """Asymptotic P(X_N(theta) >= gamma log N) at theorem-scale gamma:
+    N^{-gamma^2/2} Psi(gamma) / (gamma sqrt(2 pi log N)).
     """
     if n < 2:
         raise ValueError(f"need N >= 2 so that log N is bounded away from 0, got {n}")
-    g = to_theorem_scale(gamma, convention)
+    g = to_theorem_scale(gamma, GammaConvention.THEOREM)
     logn = math.log(n)
     logp = -0.5 * g * g * logn + log_psi(g).real - math.log(g) - 0.5 * math.log(2.0 * math.pi * logn)
     return math.exp(logp)
@@ -226,5 +227,6 @@ def fk_normalizer(n: int, gamma: float) -> float:
     Psi(sqrt(2) gamma) = G(1+gamma)^2 / G(1+2 gamma), this is the thick-point
     probability at conjecture-scale gamma over Gamma(1-gamma^2).
     """
-    prob = thickpoint_prob_asymptotic(n, gamma, GammaConvention.CONJECTURE)
-    return prob / math.gamma(1.0 - gamma * gamma)
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"conjecture-scale gamma must lie in (0,1), got {gamma}")
+    return thickpoint_prob_asymptotic(n, SQRT2 * gamma) / math.gamma(1.0 - gamma * gamma)

@@ -1,20 +1,20 @@
 """Shared test oracles.
 
 Independent references used to pin the analytic code: a Weierstrass-product
-Barnes G, a one-stream batched Verblunsky sampler and a Monte Carlo field
-sampler over it and the library's batched Szego routine, an mpmath Szego
-recursion, mpmath power traces by the Szego coefficient recursion and
-Newton's identities, a long-double Szego coefficient recursion, the
-truncated circle kernel by one correctly rounded sum, the circle chord and
-log kernel, a brute-force Simpson convolution density, a bump sampler, the
-singly mollified kernel and the diagonal constant kappa, the truncated field
-by one complex FFT per scale and its analytic variance, the nu-mu barrier
-columns from one barrier mask per start level, small-n dense oracles (a
-Gram-Schmidt Haar unitary, LU determinants, the CMV operator and its power
-traces), Kolmogorov-Smirnov statistics with their asymptotic critical
-values, and the large-N laws the Monte Carlo checks compare with: log Gamma
-and Psi as values, the Frechet limit law and the two-point and joint moment
-asymptotics.
+Barnes G, a fresh generator on a replica's stream, a one-stream batched
+Verblunsky sampler and a Monte Carlo field sampler over it and the library's
+batched Szego routine, an mpmath Szego recursion, mpmath power traces by the
+Szego coefficient recursion and Newton's identities, a long-double Szego
+coefficient recursion, the truncated circle kernel by one correctly rounded
+sum, the circle chord and log kernel, a brute-force Simpson convolution
+density, a bump sampler, the singly mollified kernel and the diagonal
+constant kappa, the truncated field by one complex FFT per scale and its
+analytic variance, the nu-mu barrier columns from one barrier mask per start
+level, small-n dense oracles (a Gram-Schmidt Haar unitary, LU determinants,
+the CMV operator and its power traces), Kolmogorov-Smirnov statistics with
+their asymptotic critical values, and the large-N laws the Monte Carlo
+checks compare with: log Gamma and Psi as values, the Frechet limit law and
+the two-point and joint moment asymptotics.
 """
 
 import math
@@ -40,9 +40,8 @@ from thickpoints.kernels import (
     doubly_mollified_kernel,
 )
 from thickpoints.measures import barrier_mask
-from thickpoints.montecarlo import ExperimentConfig, replica_stream, sample_field
+from thickpoints.montecarlo import ExperimentConfig, derive_seed, sample_field
 from thickpoints.special_fn import (
-    GammaConvention,
     _loggamma,
     log_psi,
     thickpoint_prob_asymptotic,
@@ -81,6 +80,12 @@ def weierstrass_log_barnes_g1p(w: float, terms: int = 100_000) -> float:
 def weierstrass_log_psi(z: float) -> float:
     """log Psi(z) = 2 log G(1 + z/sqrt 2) - log G(1 + sqrt 2 z), product oracle."""
     return 2.0 * weierstrass_log_barnes_g1p(z / SQRT2) - weierstrass_log_barnes_g1p(SQRT2 * z)
+
+
+def replica_stream(master_seed: int, replica_index: int) -> np.random.Generator:
+    """A fresh generator on the replica's stream, the reference for the
+    reused generator the library reseeds for each replica."""
+    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, replica_index)))
 
 
 def sample_alphas_block(n: int, stream: np.random.Generator, batch: tuple[int, ...]) -> np.ndarray:
@@ -190,7 +195,7 @@ def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[s
     traces = trace_powers(coefficients, kmax)[0]
     truncated = {k: truncated_field(traces, math.exp(-k), sample.grid_size) for k in levels}
     thick = (sample.values >= gamma * math.log(config.n)).astype(float)
-    denominator = thickpoint_prob_asymptotic(config.n, gamma, GammaConvention.THEOREM)
+    denominator = thickpoint_prob_asymptotic(config.n, gamma)
     out = {}
     for start in levels:
         mask = barrier_mask(truncated, gamma, config.eta, range(start, levels[-1] + 1))

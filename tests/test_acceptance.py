@@ -121,7 +121,7 @@ def test_criterion_04_trace_covariance():
         name = f"abs_trace_sq_k{k}"
         target = float(min(k, 64))
         worst_sigmas = max(
-            worst_sigmas, abs(summary.mean[name] - target) / summary.stderr[name]
+            worst_sigmas, abs(summary[name]["mean"] - target) / summary[name]["stderr"]
         )
     elapsed = time.monotonic() - started
     ok = worst_sigmas <= 5.0 and elapsed < 300.0
@@ -203,7 +203,7 @@ def test_criterion_07_thick_point_mass_law_trend():
             master_seed=107,
         )
         records, _ = run_experiment(cfg)
-        masses = [r.scalars["fk_mass"] for r in records]
+        masses = [r["fk_mass"] for r in records]
         distances.append(ks_statistic(masses, lambda x: frechet_cdf(x, gamma)))
     ok = distances[0] > distances[1] > distances[2]
     assert report(
@@ -226,9 +226,9 @@ def test_criterion_08_measure_discrepancy_trend():
             g_shift=c if n == 2048 else 0.0,
         )
         _, summary = run_experiment(cfg)
-        means.append(summary.mean["discrepancy"])
+        means.append(summary["discrepancy"]["mean"])
         if n == 2048:
-            shift_ratio = summary.mean["nu_shifted"] / summary.mean["nu"]
+            shift_ratio = summary["nu_shifted"]["mean"] / summary["nu"]["mean"]
     trend_ok = means[0] > means[1] > means[2]
     target = math.exp(-0.5 * c)
     shift_ok = abs(shift_ratio / target - 1.0) <= 0.10
@@ -244,11 +244,11 @@ def test_criterion_09_barrier_decay_trend():
     base = dict(n=1024, gamma=0.5, eta=0.2, replicas=2000, master_seed=109)
     cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, ell=2, **base)
     _, summary = run_experiment(cfg)
-    m2 = summary.mean["nu_barrier_violation_l2"]
-    m4 = summary.mean["nu_barrier_violation_l4"]
+    m2 = summary["nu_barrier_violation_l2"]["mean"]
+    m4 = summary["nu_barrier_violation_l4"]["mean"]
     cfg6 = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, ell=6, **base)
     _, summary6 = run_experiment(cfg6)
-    m6 = summary6.mean["nu_barrier_violation"]
+    m6 = summary6["nu_barrier_violation"]["mean"]
     ok = m2 >= m4 >= m6
     assert report(
         9, "barrier decay trend", ok,
@@ -270,7 +270,7 @@ def test_criterion_10_gaussian_chaos_mass():
             _, summary = run_experiment(cfg)
             worst_sigmas = max(
                 worst_sigmas,
-                abs(summary.mean["gmc_mass"] - 1.0) / summary.stderr["gmc_mass"],
+                abs(summary["gmc_mass"]["mean"] - 1.0) / summary["gmc_mass"]["stderr"],
             )
     samples = {}
     for kmax in (512, 2048):
@@ -282,7 +282,7 @@ def test_criterion_10_gaussian_chaos_mass():
             master_seed=1100 + kmax,
         )
         records, _ = run_experiment(cfg)
-        samples[kmax] = [r.scalars["gmc_mass"] for r in records]
+        samples[kmax] = [r["gmc_mass"] for r in records]
     d = ks_two_sample(samples[512], samples[2048])
     ok = worst_sigmas <= 4.0 and d < 0.1
     assert report(

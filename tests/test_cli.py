@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -22,13 +23,7 @@ from thickpoints.cli import (
     main,
     parse_config,
 )
-from thickpoints.montecarlo import (
-    Experiment,
-    ExperimentConfig,
-    ReplicaRecord,
-    derive_seed,
-    summarize,
-)
+from thickpoints.montecarlo import Experiment, ExperimentConfig, derive_seed, summarize
 from thickpoints.special_fn import GammaConvention
 
 
@@ -86,6 +81,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("convention = folklore\n", Experiment.MOMENT_CHECK)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("convention = Foo\n",
+             "line 1 key 'convention': convention must be 'theorem' or 'conjecture', got 'Foo'"),
+            ("experiment = fk-test\n", "line 1 key 'experiment': unknown key 'experiment'"),
+            ("n = abc\n", "line 1 key 'n': cannot parse n value 'abc'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, Experiment.MOMENT_CHECK)
+        assert str(err.value) == message
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(ExperimentConfig(Experiment.MOMENT_CHECK), [text.strip()])
+        assert str(err.value) == message.replace("line 1 key", "override")
+
+    def test_every_config_key_has_a_parser_and_help(self):
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment"}
+        assert set(cli._PARSERS) == keys
+        assert set(cli._KEY_HELP) == set(cli._PARSERS)
+
 
 class TestApplyOverrides:
     def test_override_wins_over_file_value(self):
@@ -113,10 +130,7 @@ class TestApplyOverrides:
 
 class TestEmit:
     def _records(self):
-        recs = [
-            ReplicaRecord(0, derive_seed(0, 0), {"stat": 0.1}),
-            ReplicaRecord(1, derive_seed(0, 1), {"stat": 0.30000000000000004}),
-        ]
+        recs = [{"stat": 0.1}, {"stat": 0.30000000000000004}]
         return recs, summarize(recs)
 
     def test_csv_shape_and_roundtrip(self, tmp_path):
@@ -130,7 +144,8 @@ class TestEmit:
         assert len(rows) == 3
         # shortest-repr floats must round-trip exactly
         assert float(rows[2][2]) == 0.30000000000000004
-        assert int(rows[1][1]) == derive_seed(0, 0)
+        assert [int(row[0]) for row in rows[1:]] == [0, 1]
+        assert [int(row[1]) for row in rows[1:]] == [derive_seed(0, 0), derive_seed(0, 1)]
 
     def test_json_contents(self, tmp_path):
         recs, summary = self._records()
@@ -140,8 +155,7 @@ class TestEmit:
             payload = json.load(fh)
         assert payload["config_echo"]["experiment"] == "moment-check"
         assert payload["config_echo"]["master_seed"] == 5
-        assert payload["estimates"]["stat"]["mean"] == summary.mean["stat"]
-        assert payload["estimates"]["stat"]["stderr"] == summary.stderr["stat"]
+        assert payload["estimates"] == summary
         assert payload["wallclock_seconds"] == 2.25
         assert payload["version"] == __version__
 
@@ -184,8 +198,7 @@ def test_config_echo_parses_back_to_the_config(tmp_path_factory, experiment, **f
             raise
         assume(False)
     base = tmp_path_factory.mktemp("echo") / "run"
-    record = ReplicaRecord(0, derive_seed(config.master_seed, 0), {"x": 1.0})
-    emit([record], summarize([record]), config, str(base), 0.0)
+    emit([{"x": 1.0}], summarize([{"x": 1.0}]), config, str(base), 0.0)
     echo = json.load(open(f"{base}.json"))["config_echo"]
     assert Experiment(echo.pop("experiment")) is experiment
     text = "".join(f"{key} = {value}\n" for key, value in echo.items() if value is not None)
@@ -198,11 +211,9 @@ class TestMain:
             main(["verify-moments", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for key in (
-            "n", "grid_factor", "gamma", "convention", "eta", "ell", "L",
-            "kmax", "replicas", "master_seed", "g_shift", "output_path",
-        ):
-            assert key in out
+        for field in dataclasses.fields(ExperimentConfig):
+            if field.name != "experiment":
+                assert f"\n  {field.name:<12} " in out
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):

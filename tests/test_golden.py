@@ -20,7 +20,7 @@ RTOL = 1e-12
 def test_verify_moments_field_at_0():
     config = ExperimentConfig(Experiment.MOMENT_CHECK, n=64, replicas=4, master_seed=2024)
     records, _ = run_experiment(config)
-    got = [r.scalars["field_at_0"] for r in records]
+    got = [r["field_at_0"] for r in records]
     want = [1.7878775447480715, 0.6355750396277267, 4.146642984615555, 0.45810215800742904]
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
@@ -78,7 +78,7 @@ def test_nu_mu_barrier_columns():
         "mu": [0.9844461903002463, 1.0679825836131673, 1.0148320742038146, 0.9436980039421252],
     }
     for name, values in want.items():
-        got = [r.scalars[name] for r in records]
+        got = [r[name] for r in records]
         np.testing.assert_allclose(got, values, rtol=RTOL, atol=0.0, err_msg=name)
 
 
@@ -86,7 +86,7 @@ def test_gaussian_gmc_mass_odd_grid():
     # kmax=7 on an odd grid of 35 points: no Nyquist mode
     config = ExperimentConfig(Experiment.GAUSSIAN_GMC, kmax=7, grid_factor=5, replicas=4)
     records, _ = run_experiment(config)
-    got = [r.scalars["gmc_mass"] for r in records]
+    got = [r["gmc_mass"] for r in records]
     want = [1.0488756890702826, 0.8553437029853983, 1.0514988129775775, 0.9961558698838396]
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
@@ -135,7 +135,7 @@ def test_fk_mass_tree_path(n):
     )
     assert n > cue.SZEGO_CROSSOVER
     records, _ = run_experiment(config)
-    got = [r.scalars["fk_mass"] for r in records]
+    got = [r["fk_mass"] for r in records]
     np.testing.assert_allclose(got, TREE_FK_MASS[n], rtol=RTOL, atol=0.0)
 
 
@@ -146,10 +146,10 @@ def test_nu_mu_tree_path(n):
     assert n > cue.SZEGO_CROSSOVER
     records, _ = run_experiment(config)
     for name, values in TREE_NU_MU_FLOATS[n].items():
-        got = [r.scalars[name] for r in records]
+        got = [r[name] for r in records]
         np.testing.assert_allclose(got, values, rtol=RTOL, atol=0.0, err_msg=name)
     for name, values in TREE_NU_MU_COUNTS[n].items():
-        assert [r.scalars[name] for r in records] == values, name
+        assert [r[name] for r in records] == values, name
 
 
 # trace-cov on the plain recursion (n = 16, 64) and on the product tree
@@ -188,9 +188,9 @@ def test_trace_cov(n, kmax):
         Experiment.TRACE_COVARIANCE, n=n, kmax=kmax, replicas=3, master_seed=31
     )
     records, _ = run_experiment(config)
-    assert set(records[0].scalars) == set(TRACE_COV[n, kmax])
+    assert set(records[0]) == set(TRACE_COV[n, kmax])
     for name, values in TRACE_COV[n, kmax].items():
-        got = [r.scalars[name] for r in records]
+        got = [r[name] for r in records]
         np.testing.assert_allclose(got, values, rtol=RTOL, atol=0.0, err_msg=name)
 
 
@@ -215,7 +215,7 @@ def test_verify_moments_across_blocks():
     )
     records, _ = run_experiment(config)
     for name, values in MOMENTS.items():
-        got = [records[i].scalars[name] for i in MOMENT_INDICES]
+        got = [records[i][name] for i in MOMENT_INDICES]
         np.testing.assert_allclose(got, values, rtol=RTOL, atol=0.0, err_msg=name)
 
 
@@ -231,7 +231,7 @@ def test_gaussian_gmc_across_blocks():
         Experiment.GAUSSIAN_GMC, kmax=512, gamma=1.0, replicas=40, master_seed=33
     )
     records, _ = run_experiment(config)
-    got = [records[i].scalars["gmc_mass"] for i in GMC_INDICES]
+    got = [records[i]["gmc_mass"] for i in GMC_INDICES]
     np.testing.assert_allclose(got, GMC_MASS, rtol=RTOL, atol=0.0)
 
 

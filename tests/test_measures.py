@@ -16,7 +16,7 @@ from thickpoints.measures import (
     thick_indicator,
     thick_measure_integral,
 )
-from thickpoints.special_fn import GammaConvention, fk_normalizer, thickpoint_prob_asymptotic
+from thickpoints.special_fn import fk_normalizer, thickpoint_prob_asymptotic
 
 
 def flat_field(m, value):
@@ -24,7 +24,7 @@ def flat_field(m, value):
 
 
 def asymptotic_prob(n, gamma):
-    return thickpoint_prob_asymptotic(n, gamma, GammaConvention.THEOREM)
+    return thickpoint_prob_asymptotic(n, gamma)
 
 
 class TestExpMeasureIntegral:

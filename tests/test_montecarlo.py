@@ -11,14 +11,13 @@ from conftest import (
     ks_two_sample,
     ks_two_sample_critical_value,
     nu_mu_barrier_oracle,
+    replica_stream,
 )
 from thickpoints import cue, montecarlo
 from thickpoints.montecarlo import (
     Experiment,
     ExperimentConfig,
-    ReplicaRecord,
     derive_seed,
-    replica_stream,
     run_experiment,
     run_replica,
     summarize,
@@ -159,9 +158,8 @@ class TestRunExperiment:
     def test_replica_count_and_sorted_indices(self):
         cfg = ExperimentConfig(Experiment.MOMENT_CHECK, n=4, replicas=17, master_seed=1)
         records, summary = run_experiment(cfg)
-        assert [r.replica_index for r in records] == list(range(17))
-        assert all(r.derived_seed == derive_seed(1, r.replica_index) for r in records)
-        assert set(summary.mean) == {"exp_moment", "field_at_0"}
+        assert records == [run_replica(cfg, i) for i in range(17)]
+        assert set(summary) == {"exp_moment", "field_at_0"}
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         cfg = ExperimentConfig(Experiment.MOMENT_CHECK, n=8, replicas=12, master_seed=3)
@@ -169,7 +167,7 @@ class TestRunExperiment:
         one, _ = run_experiment(cfg)
         monkeypatch.setenv("THICKPOINT_THREADS", "2")
         two, _ = run_experiment(cfg)
-        assert [r.scalars for r in one] == [r.scalars for r in two]
+        assert one == two
 
     def test_moment_check_matches_exact_moment(self):
         cfg = ExperimentConfig(
@@ -177,8 +175,8 @@ class TestRunExperiment:
         )
         _, summary = run_experiment(cfg)
         exact = float(cue_abs_moment_exact(2, 0.4 * math.sqrt(2)).real)
-        dev = abs(summary.mean["exp_moment"] - exact)
-        assert dev <= 4.0 * summary.stderr["exp_moment"]
+        dev = abs(summary["exp_moment"]["mean"] - exact)
+        assert dev <= 4.0 * summary["exp_moment"]["stderr"]
 
     def test_kernel_check_runs_once_per_process(self, monkeypatch):
         calls = []
@@ -191,11 +189,12 @@ class TestRunExperiment:
         monkeypatch.setattr(montecarlo, "assumption1_check", counted)
         monkeypatch.setenv("THICKPOINT_THREADS", "1")
         montecarlo._kernel_check_values.cache_clear()
-        records, _ = run_experiment(ExperimentConfig(Experiment.KERNEL_CHECKS, replicas=3))
+        cfg = ExperimentConfig(Experiment.KERNEL_CHECKS, replicas=3)
+        records, _ = run_experiment(cfg)
         assert len(calls) == 1
-        assert [r.replica_index for r in records] == [0, 1, 2]
-        assert records[0].scalars == records[1].scalars == records[2].scalars
-        assert set(records[0].scalars) == {"truncated_kernel_max_dev", "assumption1_max_dev"}
+        assert records == [run_replica(cfg, i) for i in range(3)]
+        assert records[0] == records[1] == records[2]
+        assert set(records[0]) == {"truncated_kernel_max_dev", "assumption1_max_dev"}
 
     def test_worker_count_env_parsing(self, monkeypatch):
         monkeypatch.setenv("THICKPOINT_THREADS", "3")
@@ -209,32 +208,28 @@ class TestRunExperiment:
 
 class TestSummarize:
     def test_constant_records(self):
-        recs = [ReplicaRecord(i, i, {"a": 2.0}) for i in range(5)]
-        s = summarize(recs)
-        assert s.mean["a"] == 2.0
-        assert s.stderr["a"] == 0.0
+        s = summarize([{"a": 2.0}] * 5)
+        assert s == {"a": {"mean": 2.0, "stderr": 0.0}}
 
     def test_two_records(self):
-        recs = [ReplicaRecord(0, 0, {"a": 1.0}), ReplicaRecord(1, 1, {"a": 3.0})]
-        s = summarize(recs)
-        assert s.mean["a"] == 2.0
+        s = summarize([{"a": 1.0}, {"a": 3.0}])
+        assert s["a"]["mean"] == 2.0
         # sd = sqrt(2), stderr = sd / sqrt(2) = 1
-        assert s.stderr["a"] == pytest.approx(1.0, abs=1e-14)
+        assert s["a"]["stderr"] == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_streaming_oracle(self):
         # Welford one-pass mean/variance as an independent reference
         rng = np.random.default_rng(0)
         vals = rng.random(997)
-        recs = [ReplicaRecord(i, i, {"a": float(v)}) for i, v in enumerate(vals)]
-        s = summarize(recs)
+        s = summarize([{"a": float(v)} for v in vals])
         mean, m2 = 0.0, 0.0
         for k, v in enumerate(vals, start=1):
             d = v - mean
             mean += d / k
             m2 += d * (v - mean)
         stderr = math.sqrt(m2 / (len(vals) - 1)) / math.sqrt(len(vals))
-        assert s.mean["a"] == pytest.approx(mean, abs=1e-12)
-        assert s.stderr["a"] == pytest.approx(stderr, abs=1e-12)
+        assert s["a"]["mean"] == pytest.approx(mean, abs=1e-12)
+        assert s["a"]["stderr"] == pytest.approx(stderr, abs=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -296,8 +291,8 @@ class TestCriticalValues:
 class TestPerReplicaColumns:
     def test_trace_covariance_columns(self):
         cfg = ExperimentConfig(Experiment.TRACE_COVARIANCE, n=8, kmax=16, replicas=1)
-        rec = run_replica(cfg, 0)
-        assert set(rec.scalars) == {
+        row = run_replica(cfg, 0)
+        assert set(row) == {
             "abs_trace_sq_k1",
             "abs_trace_sq_k8",
             "abs_trace_sq_k16",
@@ -312,12 +307,12 @@ class TestPerReplicaColumns:
             eta=0.2,
             g_shift=0.5,
         )
-        rec = run_replica(cfg, 0)
+        row = run_replica(cfg, 0)
         depth = cfg.barrier_depth
         expected = {"mu", "nu", "discrepancy", "nu_shifted", "nu_barrier_violation"}
         expected |= {f"nu_barrier_violation_l{k}" for k in range(2, depth + 1)}
-        assert set(rec.scalars) == expected
-        assert rec.scalars["nu_barrier_violation"] == rec.scalars["nu_barrier_violation_l2"]
+        assert set(row) == expected
+        assert row["nu_barrier_violation"] == row["nu_barrier_violation_l2"]
 
     def test_nu_mu_barrier_synthesizes_once(self, monkeypatch):
         calls = {"synthesis": 0, "traces": 0}
@@ -349,18 +344,17 @@ class TestPerReplicaColumns:
         cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, eta=0.2, master_seed=5, **fields)
         monkeypatch.setenv("THICKPOINT_THREADS", "1")
         records, _ = run_experiment(cfg)
-        for rec in records:
-            expected = nu_mu_barrier_oracle(cfg, rec.replica_index)
-            got = {k: v for k, v in rec.scalars.items() if k.startswith("nu_barrier_violation_l")}
+        for index, row in enumerate(records):
+            expected = nu_mu_barrier_oracle(cfg, index)
+            got = {k: v for k, v in row.items() if k.startswith("nu_barrier_violation_l")}
             assert got == expected
-            assert rec.scalars["nu_barrier_violation"] == expected[f"nu_barrier_violation_l{cfg.ell}"]
+            assert row["nu_barrier_violation"] == expected[f"nu_barrier_violation_l{cfg.ell}"]
 
     def test_nu_mu_empty_barrier_range_is_zero(self):
         cfg = ExperimentConfig(
             Experiment.NU_MU_DISCREPANCY, n=64, replicas=1, ell=9, eta=0.2
         )
-        rec = run_replica(cfg, 0)
-        assert rec.scalars["nu_barrier_violation"] == 0.0
+        assert run_replica(cfg, 0)["nu_barrier_violation"] == 0.0
 
     def test_fk_mass_convention_equivalence(self):
         # the same threshold expressed in either scale gives the same mass
@@ -374,8 +368,8 @@ class TestPerReplicaColumns:
             convention=GammaConvention.CONJECTURE,
             replicas=1,
         )
-        a = run_replica(theorem, 0).scalars["fk_mass"]
-        b = run_replica(conjecture, 0).scalars["fk_mass"]
+        a = run_replica(theorem, 0)["fk_mass"]
+        b = run_replica(conjecture, 0)["fk_mass"]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_gmc_normalizer_once_per_config(self, monkeypatch):
@@ -395,4 +389,4 @@ class TestPerReplicaColumns:
     def test_gmc_mass_positive(self):
         cfg = ExperimentConfig(Experiment.GAUSSIAN_GMC, kmax=16, replicas=3)
         records, _ = run_experiment(cfg)
-        assert all(r.scalars["gmc_mass"] > 0.0 for r in records)
+        assert all(row["gmc_mass"] > 0.0 for row in records)

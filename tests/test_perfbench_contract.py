@@ -6,8 +6,12 @@ perfbench/tracer.py wraps functions of `cue` and `measures` by name, the
 wraps `montecarlo.run_replica` and `montecarlo._run_chunk`; a missing name
 fails the traced run, not the test suite.  The experiments
 whose replica times set the benchmark's pace factors must keep calling
-`run_replica` once per replica.  The tracer's name
-lists are read from its source, which is parsed, not imported or changed.
+`run_replica` once per replica.  `run_experiment` must return one row per
+replica, in index order, since perfbench/child.py counts `len(records)` as
+the replicas behind `replicas_per_s`; and `cli.emit` must return
+`(csv_path, json_path)`, the files the tracer's `cli.emit` extra sizes.  The
+tracer's name lists are read from its source, which is parsed, not imported
+or changed.
 """
 
 import ast
@@ -16,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thickpoints import cue, kernels, measures, montecarlo
+from thickpoints import cli, cue, kernels, measures, montecarlo
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -81,6 +85,10 @@ def test_replica_entry_points_exist():
 )
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_run_replica_is_called_once_per_replica(experiment, fields, workers, tmp_path, monkeypatch):
+    config = montecarlo.ExperimentConfig(experiment, replicas=5, **fields)
+    # computed before run_replica is patched, so that the call log holds
+    # only the calls run_experiment makes
+    expected = [montecarlo.run_replica(config, i) for i in range(5)]
     log = tmp_path / "calls"
     run_replica = montecarlo.run_replica
 
@@ -92,10 +100,19 @@ def test_run_replica_is_called_once_per_replica(experiment, fields, workers, tmp
 
     monkeypatch.setattr(montecarlo, "run_replica", counted)
     monkeypatch.setenv("THICKPOINT_THREADS", workers)
-    config = montecarlo.ExperimentConfig(experiment, replicas=5, **fields)
     records, _ = montecarlo.run_experiment(config)
-    assert [r.replica_index for r in records] == list(range(5))
+    # one row per replica, in index order
+    assert records == expected
     assert sorted(int(line) for line in log.read_text().split()) == list(range(5))
+
+
+def test_emit_returns_the_paths_it_writes(tmp_path):
+    config = montecarlo.ExperimentConfig(montecarlo.Experiment.MOMENT_CHECK, n=4, replicas=3)
+    rows, summary = montecarlo.run_experiment(config)
+    base = str(tmp_path / "out")
+    paths = cli.emit(rows, summary, config, base, 0.0)
+    assert paths == (f"{base}.csv", f"{base}.json")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "out.json"]
 
 
 def test_eval_field_reports_singular_points():

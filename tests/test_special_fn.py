@@ -240,7 +240,7 @@ class TestCueMomentExact:
     def test_normalizers_are_cached(self):
         for fn, args in (
             (log_cue_abs_moment_exact, (96, 0.75)),
-            (thickpoint_prob_asymptotic, (96, 0.5, GammaConvention.THEOREM)),
+            (thickpoint_prob_asymptotic, (96, 0.5)),
             (fk_normalizer, (96, 0.25)),
         ):
             fn.cache_clear()
@@ -260,7 +260,7 @@ class TestThickpointProbAsymptotic:
         expected = 3.0 ** (-0.5) * math.exp(weierstrass_log_psi(1.0)) / math.sqrt(
             2.0 * math.pi * math.log(3.0)
         )
-        got = thickpoint_prob_asymptotic(3, 1.0, GammaConvention.THEOREM)
+        got = thickpoint_prob_asymptotic(3, 1.0)
         assert got == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("convention", list(GammaConvention))
@@ -271,17 +271,14 @@ class TestThickpointProbAsymptotic:
         with mpmath.workdps(30):
             for fraction in BUDGET_FRACTIONS:
                 gamma = fraction * top
-                g = mpmath.mpf(to_theorem_scale(gamma, convention))
+                g = to_theorem_scale(gamma, convention)
                 for n in BUDGET_NS:
-                    reference = mp_thickpoint_prob(n, g)
-                    worst = max(worst, abs(thickpoint_prob_asymptotic(n, gamma, convention) / reference - 1))
+                    reference = mp_thickpoint_prob(n, mpmath.mpf(g))
+                    worst = max(worst, abs(thickpoint_prob_asymptotic(n, g) / reference - 1))
         assert worst <= 3e-13
 
     def test_diverges_as_gamma_vanishes(self):
-        vals = [
-            thickpoint_prob_asymptotic(100, g, GammaConvention.THEOREM)
-            for g in (0.05, 0.02, 0.01)
-        ]
+        vals = [thickpoint_prob_asymptotic(100, g) for g in (0.05, 0.02, 0.01)]
         assert vals[0] < vals[1] < vals[2]
 
     @pytest.mark.slow
@@ -289,7 +286,7 @@ class TestThickpointProbAsymptotic:
         rng = np.random.default_rng(99)
         x0 = mc_field_at(4096, [0.0], 20_000, rng, chunk=2000)[:, 0]
         freq = float(np.mean(x0 >= 0.6 * math.log(4096)))
-        pred = thickpoint_prob_asymptotic(4096, 0.6, GammaConvention.THEOREM)
+        pred = thickpoint_prob_asymptotic(4096, 0.6)
         # the sqrt(log N) asymptotic still carries a ~13% bias at N=4096
         assert freq == pytest.approx(pred, rel=0.15)
 
@@ -297,7 +294,7 @@ class TestThickpointProbAsymptotic:
 class TestFkNormalizer:
     def test_identity_with_thickpoint_prob(self):
         gamma = 0.5
-        expected = thickpoint_prob_asymptotic(100, gamma, GammaConvention.CONJECTURE) / math.exp(
+        expected = thickpoint_prob_asymptotic(100, SQRT2 * gamma) / math.exp(
             log_gamma(1.0 - gamma * gamma).real
         )
         assert fk_normalizer(100, gamma) == pytest.approx(expected, rel=1e-12)
@@ -319,7 +316,7 @@ class TestFkNormalizer:
 
     @pytest.mark.parametrize("gamma", [0.0, -0.2, 1.0, 1.4])
     def test_rejects_out_of_range_gamma(self, gamma):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"conjecture-scale gamma must lie in \(0,1\)"):
             fk_normalizer(1024, gamma)
 
     def test_positive_and_small(self):
