@@ -178,8 +178,9 @@ def _emit_sample(config: ExperimentConfig, base_path: str) -> str:
             seed = derive_seed(config.master_seed, i)
             # the replica's stream, taken as run_replica takes it
             stream = next(_streams([_seed_sequence_words(seed)]))
-            _, sample = sample_field(config, stream)
-            for theta, value in zip(sample.theta, sample.values):
+            _, field = sample_field(config, stream)
+            thetas = 2.0 * np.pi * np.arange(field.size) / field.size
+            for theta, value in zip(thetas, field):
                 writer.writerow([i, seed, _fmt(theta), _fmt(value)])
     return csv_path
 

@@ -28,22 +28,16 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Field values on the uniform angular grid theta_i = 2 pi i / M.
+    """eval_field's result: the field values, the plain (M,) array on the
+    uniform grid theta_i = 2 pi i / M that everything downstream takes.
 
     Values are on the theorem scale: X_N = sqrt(2) log|p_N|.  A grid point
     falling on an eigenvalue to machine precision yields a -inf sentinel,
-    which has_singular_points reports.
+    which has_singular_points reports.  The wrapper survives only because the
+    benchmark's tracer reads has_singular_points from eval_field's result.
     """
 
     values: np.ndarray
-
-    @property
-    def grid_size(self) -> int:
-        return self.values.size
-
-    @property
-    def theta(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
 
     @property
     def has_singular_points(self) -> bool:
@@ -362,9 +356,9 @@ def truncated_fields(traces: np.ndarray, deltas, grid_size: int) -> np.ndarray:
     return values
 
 
-def truncated_field(traces: np.ndarray, delta: float, grid_size: int) -> FieldSample:
+def truncated_field(traces: np.ndarray, delta: float, grid_size: int) -> np.ndarray:
     """Fourier-truncated field X_{N,delta} on the uniform grid:
     -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}; the one row of
     truncated_fields for this delta.
     """
-    return FieldSample(truncated_fields(traces, [delta], grid_size)[0])
+    return truncated_fields(traces, [delta], grid_size)[0]

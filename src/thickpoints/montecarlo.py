@@ -267,27 +267,26 @@ def _each(replica_fn):
     return lambda config, streams: [replica_fn(config, stream) for stream in streams]
 
 
-def sample_field(config: ExperimentConfig, stream) -> tuple[np.ndarray, cue.FieldSample]:
+def sample_field(config: ExperimentConfig, stream) -> tuple[np.ndarray, np.ndarray]:
     """One CUE spectrum drawn from the stream: its Szego coefficient row,
-    shape (1, n + 1), and its field on the config's grid of grid_factor * n
-    points."""
+    shape (1, n + 1), and its field values on the config's grid of
+    grid_factor * n points, shape (grid_factor * n,)."""
     coefficients = cue.szego_coefficients(cue.sample_verblunsky(config.n, stream)[None])
-    return coefficients, cue.eval_field(coefficients[0], config.grid_factor * config.n)
+    return coefficients, cue.eval_field(coefficients[0], config.grid_factor * config.n).values
 
 
 def _replica_fk_test(config: ExperimentConfig, stream) -> dict[str, float]:
-    _, sample = sample_field(config, stream)
-    gamma_conj = config.gamma_theorem / cue.SQRT2
-    return {"fk_mass": measures.fk_normalized_mass(sample, gamma_conj, config.n)}
+    _, field = sample_field(config, stream)
+    return {"fk_mass": measures.fk_normalized_mass(field, config.gamma_theorem, config.n)}
 
 
 def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
-    coefficients, sample = sample_field(config, stream)
+    coefficients, field = sample_field(config, stream)
     g = config.gamma_theorem
-    mu, nu, discrepancy = measures.l1_discrepancy(sample, g, config.n)
+    mu, nu, discrepancy = measures.l1_discrepancy(field, g, config.n)
     out = {"mu": mu, "nu": nu, "discrepancy": discrepancy}
     if config.g_shift != 0.0:
-        out["nu_shifted"] = measures.thick_measure_integral(sample, g, config.n, config.g_shift)
+        out["nu_shifted"] = measures.thick_measure_integral(field, g, config.n, config.g_shift)
     if config.ell is not None:
         # the barrier X_{N, e^{-k}} <= (g + eta) k for k in [ell, L]
         levels = list(range(config.ell, config.barrier_depth + 1))
@@ -298,11 +297,9 @@ def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
             # validate keeps floor(e^L) within the trace guard and below the grid size
             kmax = int(math.floor(math.exp(levels[-1])))
             traces = cue.trace_powers(coefficients, kmax)[0]
-            truncated = cue.truncated_fields(
-                traces, [math.exp(-k) for k in levels], sample.grid_size
-            )
+            truncated = cue.truncated_fields(traces, [math.exp(-k) for k in levels], field.size)
             violations = measures.barrier_violations(
-                sample, g, config.n, config.eta, levels, truncated
+                field, g, config.n, config.eta, levels, truncated
             )
         out["nu_barrier_violation"] = violations[0]
         for start, violation in zip(levels or [config.ell], violations):

@@ -124,10 +124,6 @@ def _loggamma_difference(x: np.ndarray, a: complex, b: complex) -> np.ndarray:
     return out
 
 
-def _is_nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
-
-
 def _log_barnes_g_asymptotic(z: complex) -> complex:
     # log G(1+w) for large |w|, any sector away from the negative real axis:
     # w^2/2 log w - 3w^2/4 + w/2 log(2pi) - 1/12 log w + (1/12 - log A)
@@ -155,8 +151,6 @@ def log_barnes_g(z: complex) -> complex:
     the Glaisher constant term.
     """
     z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise ValueError(f"log_barnes_g not defined at non-positive integer z={z}")
     if z.real <= 0.0:
         raise ValueError(f"log_barnes_g requires Re(z) > 0, got {z}")
     shift = 0

@@ -186,15 +186,15 @@ def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[s
     level's mask built afresh by barrier_mask over the per-scale truncated
     fields, and its complement integrated against the thick points
     X >= gamma log N as a float mean over the grid."""
-    coefficients, sample = sample_field(config, replica_stream(config.master_seed, replica_index))
+    coefficients, field = sample_field(config, replica_stream(config.master_seed, replica_index))
     gamma = config.gamma_theorem
     levels = list(range(config.ell, config.barrier_depth + 1))
     if not levels:
         return {f"nu_barrier_violation_l{config.ell}": 0.0}
     kmax = int(math.floor(math.exp(levels[-1])))
     traces = trace_powers(coefficients, kmax)[0]
-    truncated = {k: truncated_field(traces, math.exp(-k), sample.grid_size) for k in levels}
-    thick = (sample.values >= gamma * math.log(config.n)).astype(float)
+    truncated = {k: truncated_field(traces, math.exp(-k), field.size) for k in levels}
+    thick = (field >= gamma * math.log(config.n)).astype(float)
     denominator = thickpoint_prob_asymptotic(config.n, gamma)
     out = {}
     for start in levels:

@@ -8,6 +8,7 @@ they exercise the same code paths as the CLI.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,7 +321,7 @@ def test_criterion_12_reproducibility(tmp_path, monkeypatch):
         monkeypatch.setenv("THICKPOINT_THREADS", threads)
         base = tmp_path / name
         assert main(["verify-moments", str(conf), "-o", str(base)]) == 0
-        blobs.append(open(f"{base}.csv", "rb").read())
+        blobs.append(Path(f"{base}.csv").read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2]
     assert report(
         12, "reproducibility", ok,

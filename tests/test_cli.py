@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -164,7 +165,7 @@ class TestEmit:
         cfg = ExperimentConfig(Experiment.MOMENT_CHECK, replicas=2)
         p1, _ = emit(recs, summary, cfg, str(tmp_path / "a"), 1.0)
         p2, _ = emit(recs, summary, cfg, str(tmp_path / "b"), 9.0)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 _OPTIONAL_INT = st.none() | st.integers(1, 64)
@@ -199,7 +200,7 @@ def test_config_echo_parses_back_to_the_config(tmp_path_factory, experiment, **f
         assume(False)
     base = tmp_path_factory.mktemp("echo") / "run"
     emit([{"x": 1.0}], summarize([{"x": 1.0}]), config, str(base), 0.0)
-    echo = json.load(open(f"{base}.json"))["config_echo"]
+    echo = json.loads(Path(f"{base}.json").read_text())["config_echo"]
     assert Experiment(echo.pop("experiment")) is experiment
     text = "".join(f"{key} = {value}\n" for key, value in echo.items() if value is not None)
     assert parse_config(text, experiment) == config
@@ -230,7 +231,7 @@ class TestMain:
             rows = list(csv.reader(fh))
         assert rows[0][:2] == ["replica_index", "derived_seed"]
         assert len(rows) == 6
-        payload = json.load(open(f"{base}.json"))
+        payload = json.loads(Path(f"{base}.json").read_text())
         assert payload["config_echo"]["n"] == 4
 
     def test_rerun_is_byte_identical_and_thread_independent(self, tmp_path, monkeypatch):
@@ -241,7 +242,7 @@ class TestMain:
             monkeypatch.setenv("THICKPOINT_THREADS", threads)
             base = tmp_path / name
             assert main(["verify-moments", str(conf), "-o", str(base)]) == EXIT_OK
-            outputs.append(open(f"{base}.csv", "rb").read())
+            outputs.append(Path(f"{base}.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
     def test_nu_mu_barrier_csv_is_worker_independent(self, tmp_path, monkeypatch):
@@ -252,7 +253,7 @@ class TestMain:
             argv = ["nu-mu", "--set", "n=256", "--set", "ell=1", "--set", "replicas=6",
                     "--set", "master_seed=4", "-o", str(base)]
             assert main(argv) == EXIT_OK
-            outputs.append(open(f"{base}.csv", "rb").read())
+            outputs.append(Path(f"{base}.csv").read_bytes())
         assert outputs[0] == outputs[1]
         assert b"nu_barrier_violation_l4" in outputs[0]
 
@@ -278,7 +279,7 @@ class TestMain:
         config = apply_overrides(ExperimentConfig(cli._SUBCOMMANDS[argv[0]][0]), argv[2::2])
         records = [montecarlo.run_replica(config, i) for i in range(config.replicas)]
         emit(records, summarize(records), config, str(tmp_path / "single"), 0.0)
-        expected = open(tmp_path / "single.csv", "rb").read()
+        expected = (tmp_path / "single.csv").read_bytes()
         blocked = argv[0] in ("verify-moments", "trace-cov", "gaussian-gmc")
         for block in (3, 5):
             monkeypatch.setattr(montecarlo, "BLOCK_REPLICAS", block)
@@ -287,7 +288,7 @@ class TestMain:
                 monkeypatch.setenv("THICKPOINT_THREADS", threads)
                 base = tmp_path / f"b{block}t{threads}"
                 assert main([*argv, "-o", str(base)]) == EXIT_OK
-                assert open(f"{base}.csv", "rb").read() == expected, (block, threads)
+                assert Path(f"{base}.csv").read_bytes() == expected, (block, threads)
 
     def test_set_overrides_file(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -297,7 +298,7 @@ class TestMain:
             ["verify-moments", str(conf), "--set", "replicas=3", "-o", str(base)]
         )
         assert code == EXIT_OK
-        rows = list(csv.reader(open(f"{base}.csv")))
+        rows = list(csv.reader(Path(f"{base}.csv").read_text().splitlines()))
         assert len(rows) == 4
 
     def test_sample_subcommand_long_format(self, tmp_path):
@@ -306,7 +307,7 @@ class TestMain:
             ["sample", "--set", "n=4", "--set", "replicas=2", "-o", str(base)]
         )
         assert code == EXIT_OK
-        rows = list(csv.reader(open(f"{base}.csv")))
+        rows = list(csv.reader(Path(f"{base}.csv").read_text().splitlines()))
         assert rows[0] == ["replica_index", "derived_seed", "theta", "value"]
         assert len(rows) == 1 + 2 * 16 * 4
         assert float(rows[1][2]) == 0.0
@@ -384,7 +385,7 @@ class TestMain:
         base = tmp_path / "kc"
         code = main(["kernel-check", "-o", str(base)])
         assert code == EXIT_OK
-        payload = json.load(open(f"{base}.json"))
+        payload = json.loads(Path(f"{base}.json").read_text())
         assert payload["estimates"]["truncated_kernel_max_dev"]["mean"] <= 2.0
         assert payload["estimates"]["assumption1_max_dev"]["mean"] <= 3.0
 

@@ -125,8 +125,9 @@ class TestEvalField:
         rng = np.random.default_rng(5)
         for n in (2, 16, 100):
             c = sample_verblunsky(n, rng)
-            fs = eval_field(phi_coefficients(c), 16 * n)
-            ref = eval_field_at(c, fs.theta)
+            m = 16 * n
+            fs = eval_field(phi_coefficients(c), m)
+            ref = eval_field_at(c, 2.0 * np.pi * np.arange(m) / m)
             assert np.max(np.abs(fs.values - ref)) < 1e-9
 
     def test_rescaling_cadence_does_not_change_values(self, monkeypatch):
@@ -494,10 +495,10 @@ class TestTruncatedField:
         rng = np.random.default_rng(19)
         c = sample_verblunsky(8, rng)
         tr = trace_powers(cue.szego_coefficients(c[None]), 4)[0]
-        fs = truncated_field(tr, 1.0, 32)
-        theta = fs.theta
+        row = truncated_field(tr, 1.0, 32)
+        theta = 2.0 * np.pi * np.arange(32) / 32
         expected = -SQRT2 * np.real(tr[0] * np.exp(-1j * theta))
-        assert np.max(np.abs(fs.values - expected)) < 1e-12
+        assert np.max(np.abs(row - expected)) < 1e-12
 
     def test_rejects_insufficient_traces_or_grid(self):
         rng = np.random.default_rng(20)
@@ -525,7 +526,7 @@ class TestTruncatedField:
         rows = truncated_fields(tr, deltas, grid_size)
         assert rows.shape == (len(deltas), grid_size)
         for row, delta in zip(rows, deltas):
-            assert np.array_equal(row, truncated_field(tr, delta, grid_size).values)
+            assert np.array_equal(row, truncated_field(tr, delta, grid_size))
             kmax = int(math.floor(1.0 / delta))
             scale = np.sum(np.abs(tr[:kmax]) / np.arange(1, kmax + 1))
             assert np.max(np.abs(row - truncated_field_fft(tr, delta, grid_size))) <= 1e-13 * scale
@@ -544,7 +545,7 @@ class TestTruncatedField:
             coeff[-8:] = fhat[-8:]
             proj = np.real(np.fft.ifft(coeff) * m)
             tf = truncated_field(trace_powers(cue.szego_coefficients(c[None]), 8)[0], 1.0 / 8.0, m)
-            assert np.max(np.abs(proj - tf.values)) < 5e-2
+            assert np.max(np.abs(proj - tf)) < 5e-2
 
     def test_projection_at_coarse_grid_pinned_draw(self):
         m = 1024
@@ -557,7 +558,7 @@ class TestTruncatedField:
         coeff[-8:] = fhat[-8:]
         proj = np.real(np.fft.ifft(coeff) * m)
         tf = truncated_field(trace_powers(cue.szego_coefficients(c[None]), 8)[0], 1.0 / 8.0, m)
-        assert np.max(np.abs(proj - tf.values)) < 5e-2
+        assert np.max(np.abs(proj - tf)) < 5e-2
 
     def test_variance_matches_truncated_harmonic_sum(self):
         rng = np.random.default_rng(21)
@@ -565,7 +566,7 @@ class TestTruncatedField:
         vals = np.empty(reps)
         for i in range(reps):
             tr = trace_powers(cue.szego_coefficients(sample_verblunsky(n, rng)[None]), 16)[0]
-            vals[i] = truncated_field(tr, delta, 32).values[0]
+            vals[i] = truncated_field(tr, delta, 32)[0]
         target = truncated_field_variance(n, delta)
         var = float(vals.var(ddof=1))
         se = var * math.sqrt(2.0 / (reps - 1))  # stderr of a variance estimate
@@ -577,11 +578,6 @@ class TestTruncatedField:
 
 
 class TestFieldSample:
-    def test_theta_grid(self):
-        fs = FieldSample(np.zeros(8))
-        assert fs.grid_size == 8
-        assert fs.theta[1] == pytest.approx(math.pi / 4.0)
-
     def test_singular_points_read_from_values(self):
         assert not FieldSample(np.array([0.0, np.inf, -1e308])).has_singular_points
         assert FieldSample(np.array([0.0, -np.inf])).has_singular_points
