@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
 
 import numpy as np
 
-# modes per block in circle_truncated_kernel_grid
+# modes per block in circle_truncated_kernel_grid; its phase tables are
+# factored as 8 x 8, so this stays 64
 TRUNCATED_BLOCK = 64
 # separations per slice in circle_truncated_kernel_grid.  On a 2-core Xeon VM
-# at one OpenBLAS thread, the kernel-check grid (10 000 separations, orders
-# 4..4096) took a process from 37.3 MB RSS after its imports to 42.0 MB in
-# slices of 512, 39.5 MB in slices of 128, 44.5 MB in slices of 1024 and
-# 73.2 MB in one piece.  The best of 8 calls took 66 ms in slices of 512,
-# 76 ms in slices of 128 and 72 ms in one piece.
+# at one OpenBLAS thread, with the heap kept as run_experiment keeps it, the
+# kernel-check grid (10 000 separations, orders 4..4096) took a process from
+# 36.0 MB RSS after its imports to 39.6 MB in slices of 512, 37.8 MB in
+# slices of 128, 41.9 MB in slices of 1024 and 80.2 MB in one piece.  The
+# best of 15 calls took 29 ms in slices of 512, 37 ms in slices of 128,
+# 27-37 ms in slices of 1024 and 36 ms in one piece.
 TRUNCATED_SLICE = 512
 
 # Normalization of the standard bump exp(-1/(1-u^2)) on (-1,1): the correctly
@@ -75,6 +76,14 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
     once per slice and every block's weighted sum over j is one row of a
     single matrix product.  The block sums are Kahan-accumulated.
 
+    The phases are factored so that a separation costs about 32 complex
+    exponentials, not one per table row and block: table row j = 8d + c is
+    q[d] p[c] with p[c] = e^{icx} and q[d] = e^{i8dx}, and the phase of the
+    block starting at k0 = 512a + 64b + r is v[a] u[b] table[r] with
+    u[b] = e^{i64bx} and v[a] = e^{i512ax}.  Each phase is then a product of
+    at most three exponentials, a few roundings; at orders 4..4096 the grid
+    is within 2e-15 of a 30-digit sum (measured 8.9e-16 over 20 separations).
+
     The separations are taken TRUNCATED_SLICE at a time, so the work arrays
     hold (blocks, TRUNCATED_SLICE) values whatever the number of separations.
     Every step is columnwise, so the slices give the bits of one call over
@@ -86,7 +95,7 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
         raise ValueError(f"every kmax must be >= 1, got {kmaxes}")
     deltas = np.asarray(deltas, dtype=float)
     ends = sorted(set(range(TRUNCATED_BLOCK, max(kmaxes), TRUNCATED_BLOCK)) | {*kmaxes})
-    starts = [1, *(end + 1 for end in ends[:-1])]
+    starts = np.array([1, *(end + 1 for end in ends[:-1])])
     inverse_k = np.zeros((len(ends), TRUNCATED_BLOCK))
     for row, (start, end) in enumerate(zip(starts, ends)):
         inverse_k[row, : end - start + 1] = 1.0 / np.arange(start, end + 1)
@@ -96,21 +105,38 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
         hi = lo + TRUNCATED_SLICE
         if deltas.size - hi == 1:
             hi += 1
-        part = deltas[lo:hi]
-        table = np.exp(1j * np.outer(np.arange(TRUNCATED_BLOCK), part))
-        block_sums = (np.exp(1j * np.outer(starts, part)) * (inverse_k @ table)).real
-        acc = np.zeros_like(part)
-        comp = np.zeros_like(part)  # Kahan compensation
-        for end, block in zip(ends, block_sums):
-            term = block - comp
-            total = acc + term
-            comp = (total - acc) - term
-            acc = total
-            for row, kmax in enumerate(kmaxes):
-                if kmax == end:
-                    out[row, lo:hi] = acc
+        out[:, lo:hi] = _truncated_slice(deltas[lo:hi], starts, ends, inverse_k, kmaxes)
         lo = hi
     return out
+
+
+def _truncated_slice(part, starts, ends, inverse_k, kmaxes) -> np.ndarray:
+    """circle_truncated_kernel_grid on one slice of separations.  Its work
+    arrays are freed on return, before the next slice's are made."""
+    # table row j = 8d + c is q[d] p[c]; the block starting at
+    # k0 = 512a + 64b + r has the phase v[a] u[b] table[r]
+    a, b, r = starts // 512, starts % 512 // 64, starts % 64
+    digit = np.arange(8)
+    orders = np.concatenate([digit, 8 * digit, 64 * digit, 512 * np.arange(a[-1] + 1)])
+    p, q, u, v = np.split(np.exp(1j * np.outer(orders, part)), [8, 16, 24])
+    table = (q[:, None] * p).reshape(TRUNCATED_BLOCK, part.size)
+    phase = v[a]
+    phase *= u[b]
+    phase *= table[r]
+    block_sums = inverse_k @ table
+    block_sums *= phase
+    rows = np.empty((len(kmaxes), part.size))
+    acc = np.zeros_like(part)
+    comp = np.zeros_like(part)  # Kahan compensation
+    for end, block in zip(ends, block_sums.real):
+        term = block - comp
+        total = acc + term
+        comp = (total - acc) - term
+        acc = total
+        for row, kmax in enumerate(kmaxes):
+            if kmax == end:
+                rows[row] = acc
+    return rows
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -151,11 +177,18 @@ def _uniform_spline(lo: float, step: float, values: np.ndarray):
     ]
 
     def spline(w):
-        t = (np.asarray(w, dtype=float) - lo) / step
-        j = np.clip(np.floor(t), -1.0, last)
-        u = t - j
-        a0, a1, a2, a3 = table.take(j.astype(np.intp) + 1, axis=1)
-        return ((a3 * u + a2) * u + a1) * u + a0
+        # ((a3 u + a2) u + a1) u + a0 in place, with u the offset in the interval
+        u = (np.asarray(w, dtype=float) - lo) / step
+        j = np.floor(u)
+        np.clip(j, -1.0, last, out=j)
+        u -= j
+        index = j.astype(np.intp)
+        index += 1
+        out = table[3].take(index)
+        for row in table[2::-1]:
+            out *= u
+            out += row.take(index)
+        return out
 
     return spline
 
@@ -209,60 +242,76 @@ def _conv_density(delta: float, epsilon: float):
     return (lambda w: unit(w / delta) / delta), delta + epsilon
 
 
+# 2^-j for j = 0..63, the rungs of a dyadic ladder in _refined_edges
+_HALVINGS = np.ldexp(1.0, -np.arange(64))
+
+
 def _refined_edges(lo: float, hi: float, special: float) -> np.ndarray:
     """Panel edges on [lo, hi], refined dyadically toward both ends and toward
-    the special point if it lies inside."""
-    edges = {lo, hi}
-    scale = hi - lo
-    points = ([special] if lo < special < hi else []) + [lo, hi]
-    for p in points:
-        for side in (lo, hi):
-            gap = abs(side - p)
-            while gap > 1e-13 * scale:
-                gap *= 0.5
-                e = p + gap if side > p else p - gap
-                if lo < e < hi:
-                    edges.add(e)
-        if lo < p < hi:
-            edges.add(p)
-    return np.array(sorted(edges))
+    the special point if it lies inside.
+
+    From each of those points p a ladder of edges p +- gap 2^-j, gap =
+    |side - p|, runs toward each side while the rung before it is wider than
+    1e-13 (hi - lo).  Halving is exact, so each ladder is formed whole, and
+    the edges strictly inside (lo, hi) are sorted and their repeats dropped.
+    """
+    points = np.array(([special] if lo < special < hi else []) + [lo, hi])
+    # p + (side - p) 2^-j is p +- |side - p| 2^-j to the bit
+    steps = (np.array([lo, hi]) - points[:, None])[..., None] * _HALVINGS
+    rungs = (points[:, None, None] + steps[..., 1:])[np.abs(steps[..., :-1]) > 1e-13 * (hi - lo)]
+    edges = np.concatenate([points, rungs])
+    edges = np.sort(edges[(lo < edges) & (edges < hi)])
+    fresh = np.ones(edges.size, dtype=bool)
+    fresh[1:] = edges[1:] != edges[:-1]
+    return np.concatenate([[lo], edges[fresh], [hi]])
 
 
-def _panel_quad(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> float:
-    """Fixed-order Gauss-Legendre over the given panels, vectorized."""
-    halfw = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + halfw * _GL_NODES
-    vals = f(x.ravel()).reshape(x.shape)
-    return float(np.sum(vals @ _GL_WEIGHTS * halfw[:, 0]))
+def _log_integral(seps: np.ndarray, density, half: float) -> np.ndarray:
+    """int -log|c + w| density(w) dw over [-half, half] for each c in seps,
+    by fixed-order Gauss-Legendre on panels refined dyadically toward the log
+    singularity at w = -c.
+
+    The panels of every separation go through one density call, one log and
+    one matrix-vector product; each separation's panels are then summed by
+    their own np.sum, so each value has the bits of a call on that
+    separation alone.
+    """
+    edges = [_refined_edges(-half, half, -c) for c in seps.tolist()]
+    counts = [e.size - 1 for e in edges]
+    left = np.concatenate([e[:-1] for e in edges])
+    right = np.concatenate([e[1:] for e in edges])
+    halfw = 0.5 * (right - left)
+    w = (0.5 * (left + right))[:, None] + halfw[:, None] * _GL_NODES
+    shift = np.repeat(seps, counts)[:, None]
+    with np.errstate(divide="ignore"):
+        lg = np.log(np.abs(shift + w))
+    lg[~np.isfinite(lg)] = 0.0
+    np.negative(lg, out=lg)
+    lg *= density(w)
+    panels = lg @ _GL_WEIGHTS * halfw
+    bounds = np.cumsum([0, *counts])
+    return np.array([np.sum(panels[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
-def _log_integral(c: float, density, half: float) -> float:
-    """int -log|c + w| density(w) dw over [-half, half], on panels refined
-    dyadically toward the log singularity at w = -c."""
-
-    def integrand(w):
-        with np.errstate(divide="ignore"):
-            lg = np.log(np.abs(c + w))
-        return -np.where(np.isfinite(lg), lg, 0.0) * density(w)
-
-    return _panel_quad(integrand, _refined_edges(-half, half, -c))
-
-
-def _check_support(point: float, scale: float, domain: tuple[float, float] | None) -> None:
-    """Refuse a mollifier at point with half-width scale that leaves the domain."""
-    if domain is not None and (point - scale < domain[0] or point + scale > domain[1]):
+def _check_support(point, scale: float, domain: tuple[float, float] | None) -> None:
+    """Refuse a mollifier at point (a float or an array of points) with
+    half-width scale that leaves the domain."""
+    if domain is not None and (np.any(point - scale < domain[0]) or np.any(point + scale > domain[1])):
         raise ValueError("mollifier support escapes the working domain")
 
 
 def doubly_mollified_kernel(
-    x: float,
-    z: float,
+    x: float | np.ndarray,
+    z: float | np.ndarray,
     delta: float,
     epsilon: float,
     domain: tuple[float, float] | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Kernel smoothed at both arguments with the bump:
     int int -log|u - v| rho_{delta,x}(u) rho_{epsilon,z}(v) du dv.
+
+    x and z are floats, giving a float, or equal-length 1-D arrays, giving
+    the kernel at each pair (x[i], z[i]), each bit for bit the float call's.
 
     The double integral collapses to a single integral of -log|c + w| against
     the convolution density of the two mollifiers (c = x - z); the log
@@ -280,7 +329,9 @@ def doubly_mollified_kernel(
     _check_support(x, delta, domain)
     _check_support(z, epsilon, domain)
     density, half = _conv_density(delta, epsilon)
-    return _log_integral(x - z, density, half)
+    seps = np.asarray(x, dtype=float) - np.asarray(z, dtype=float)
+    values = _log_integral(np.atleast_1d(seps), density, half)
+    return float(values[0]) if seps.ndim == 0 else values
 
 
 def assumption1_check(
@@ -294,28 +345,29 @@ def assumption1_check(
 
     Once the supports lie in the domain, the kernel and the log term depend
     on the pair only through the float c = x - z, so each scale pair takes
-    one quadrature per distinct c, at the first pair (x, z) that gives it,
-    and the worst deviation is the one over all pairs, to the bit.  A
-    separation and its mirror -c are evaluated apart, since they can differ
-    in the last bits.  Every grid point's supports are still checked.
+    one kernel call on the distinct separations, each at the first pair
+    (x, z) that gives it, and the worst deviation is the one over all pairs,
+    to the bit.  A separation and its mirror -c are evaluated apart, since
+    they can differ in the last bits.  Every grid point's supports are still
+    checked.
 
     The bounded constant here is an empirical regression target, not a value
     supplied by theory.
     """
-    points = [float(g) for g in np.asarray(grid, dtype=float)]
+    points = np.asarray(grid, dtype=float)
     pairs: dict[float, tuple[float, float]] = {}
-    for x in points:
-        for z in points:
+    for x in points.tolist():
+        for z in points.tolist():
             pairs.setdefault(x - z, (x, z))
+    xs, zs = (np.array(column) for column in zip(*pairs.values()))
     worst = 0.0
     for delta in delta_list:
         for eps in epsilon_list:
             if eps > delta:
                 continue
             # the epsilon support of a point lies inside its delta support
-            for g in points:
-                _check_support(g, delta, domain)
-            for c, (x, z) in pairs.items():
-                val = doubly_mollified_kernel(x, z, delta, eps, domain)
+            _check_support(points, delta, domain)
+            values = doubly_mollified_kernel(xs, zs, delta, eps, domain)
+            for c, val in zip(pairs, values.tolist()):
                 worst = max(worst, abs(val + math.log(max(abs(c), delta))))
     return worst

@@ -24,7 +24,6 @@ import enum
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -457,6 +456,9 @@ def run_experiment(
         # worker i takes the contiguous run of indices bounds[i]:bounds[i+1]
         bounds = [config.replicas * i // workers for i in range(workers + 1)]
         chunks = [(config, indices[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        # imported here, so that a one-worker run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [row for part in pool.map(_run_chunk, chunks) for row in part]
     return rows, summarize(rows)

@@ -6,8 +6,9 @@ Verblunsky sampler and a Monte Carlo field sampler over it and the library's
 batched Szego routine, an mpmath Szego recursion, mpmath power traces by the
 Szego coefficient recursion and Newton's identities, a long-double Szego
 coefficient recursion, the truncated circle kernel by one correctly rounded
-sum, the circle chord and log kernel, a brute-force Simpson convolution
-density, a bump sampler, the singly mollified kernel and the diagonal
+sum and from a direct table of complex exponentials, the circle chord and
+log kernel, a brute-force Simpson convolution density, a bump sampler, the
+looped dyadic panel edges, the singly mollified kernel and the diagonal
 constant kappa, the truncated field by one complex FFT per scale and its
 analytic variance, the nu-mu barrier columns from one barrier mask per start
 level, small-n dense oracles (a Gram-Schmidt Haar unitary, LU determinants,
@@ -204,6 +205,15 @@ def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[s
     return out
 
 
+def direct_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.ndarray:
+    """circle_truncated_kernel_grid from one direct table np.exp(1j * k * x),
+    k = 1..max(kmaxes), with Re e^{ikx} / k summed over k in long double."""
+    k = np.arange(1, max(kmaxes) + 1)
+    terms = np.exp(1j * np.outer(k, deltas)).real / k[:, None]
+    partial = np.cumsum(terms.astype(np.longdouble), axis=0)
+    return np.array([partial[kmax - 1] for kmax in kmaxes], dtype=float)
+
+
 def circle_truncated_kernel(theta: float, x: float, kmax: int) -> float:
     """Fourier-truncated circle kernel sum_{k=1}^{kmax} cos(k(theta-x))/k."""
     if kmax < 1:
@@ -242,6 +252,26 @@ def sample_profile(stream: np.random.Generator, size: int) -> np.ndarray:
     return out[:size]
 
 
+def looped_refined_edges(lo: float, hi: float, special: float) -> np.ndarray:
+    """Panel edges on [lo, hi], refined dyadically toward both ends and toward
+    the special point if it lies inside, one halving at a time into a set:
+    the reference for kernels._refined_edges."""
+    edges = {lo, hi}
+    scale = hi - lo
+    points = ([special] if lo < special < hi else []) + [lo, hi]
+    for p in points:
+        for side in (lo, hi):
+            gap = abs(side - p)
+            while gap > 1e-13 * scale:
+                gap *= 0.5
+                e = p + gap if side > p else p - gap
+                if lo < e < hi:
+                    edges.add(e)
+        if lo < p < hi:
+            edges.add(p)
+    return np.array(sorted(edges))
+
+
 def mollified_kernel(
     x: float,
     z: float,
@@ -255,7 +285,7 @@ def mollified_kernel(
         raise ValueError(f"delta must lie in (0,1], got {delta}")
     if domain is not None and (x - delta < domain[0] or x + delta > domain[1]):
         raise ValueError("mollifier support escapes the working domain")
-    return _log_integral(x - z, lambda w: scaled_bump(w, delta, 0.0), delta)
+    return float(_log_integral(np.array([x - z]), lambda w: scaled_bump(w, delta, 0.0), delta)[0])
 
 
 def kappa() -> float:

@@ -406,9 +406,12 @@ class TestMain:
 _COLD_START = """
 import sys
 from thickpoints import cli
-# the replica generator is made on first use, so importing the CLI does not
-# load numpy.random
+# the replica generator is made on first use, and the worker pool only for
+# more than one worker, so importing the CLI loads neither numpy.random nor
+# multiprocessing
 assert "numpy.random" not in sys.modules
+assert "concurrent.futures.process" not in sys.modules
+assert "multiprocessing" not in sys.modules
 
 runs = [
     ["sample", "--set", "n=4"],

@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -9,7 +12,9 @@ import pytest
 from conftest import (
     circle_log_kernel,
     circle_truncated_kernel,
+    direct_truncated_kernel_grid,
     kappa,
+    looped_refined_edges,
     mollified_kernel,
     sample_profile,
     scaled_bump,
@@ -19,6 +24,7 @@ from thickpoints import kernels
 from thickpoints.kernels import (
     BUMP_INTEGRAL,
     _conv_density,
+    _refined_edges,
     _uniform_spline,
     assumption1_check,
     bump_density,
@@ -47,6 +53,25 @@ def mp_kappa() -> float:
             return mpmath.quad(lambda u: rho(u) * rho(u - w), edges)
 
         return float(-2 * mpmath.quad(lambda w: mpmath.log(w) * conv(w), [0, 1, 2]))
+
+
+@functools.cache
+def mp_truncated_kernel(deltas: tuple[float, ...], kmaxes: tuple[int, ...]) -> np.ndarray:
+    """sum_{k <= kmax} cos(kx) / k at each separation x (the double as an
+    exact binary number) and order, by mpmath at 30 digits; shape
+    (len(kmaxes), len(deltas))."""
+    out = np.empty((len(kmaxes), len(deltas)))
+    with mpmath.workdps(30):
+        for col, delta in enumerate(deltas):
+            x = mpmath.mpf(delta)
+            partial = mpmath.mpf(0)
+            k = 0
+            for row, kmax in enumerate(kmaxes):
+                while k < kmax:
+                    k += 1
+                    partial += mpmath.cos(k * x) / k
+                out[row, col] = float(partial)
+    return out
 
 
 def mp_mollified_kernel(x: float, z: float, delta: float) -> float:
@@ -145,6 +170,27 @@ class TestCircleTruncatedKernel:
         for got, d in zip(grid, deltas):
             assert abs(got - circle_truncated_kernel(float(d), 0.0, 4096)) <= 1e-12
 
+    def test_against_mpmath_sum(self):
+        # the factored phase tables: measured 8.9e-16, and 1.6e-15 with one
+        # complex exponential per table row and block
+        deltas = np.linspace(1e-4, math.pi, 20)
+        kmaxes = [4**j for j in range(1, 7)]  # 4 .. 4096
+        reference = mp_truncated_kernel(tuple(deltas.tolist()), tuple(kmaxes))
+        got = circle_truncated_kernel_grid(deltas, kmaxes)
+        assert float(np.max(np.abs(got - reference))) <= 2e-15
+
+    def test_against_direct_exponential_table(self):
+        # every block offset mod 64 and 512, separations of both signs, zero
+        # and past pi, over more than two slices; the direct table rounds
+        # k x before its exponential, so it differs by up to 4.5e-14 at
+        # these orders, with factored and unfactored phases alike
+        seps = np.random.default_rng(3).uniform(-4.0, 4.0, 2 * kernels.TRUNCATED_SLICE + 5)
+        seps[:4] = [0.0, -0.0, math.pi, 2.0 * math.pi]
+        kmaxes = [1, 7, 64, 65, 100, 513, 1000, 4096]
+        got = circle_truncated_kernel_grid(seps, kmaxes)
+        reference = direct_truncated_kernel_grid(seps, kmaxes)
+        assert float(np.max(np.abs(got - reference))) <= 1e-13
+
     def test_grid_variant_rejects_order_below_one(self):
         with pytest.raises(ValueError):
             circle_truncated_kernel_grid(np.array([0.5]), [0, 4])
@@ -180,7 +226,8 @@ class TestCircleTruncatedKernel:
         assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
 
     def test_work_memory_is_bounded(self):
-        # in one piece the work arrays of this call peak at 31.5 MB
+        # measured 2.35 MB; 2.62 MB with a complex exponential per table row
+        # and block, and 31.5 MB with all separations in one piece
         seps = np.random.default_rng(5).uniform(1e-4, math.pi, 10_000)
         kmaxes = [4 ** (j + 1) for j in range(6)]
         tracemalloc.start()
@@ -189,7 +236,7 @@ class TestCircleTruncatedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        assert peak <= 3 * 2**20
 
     def test_pointwise_convergence_to_log_kernel(self):
         sep = math.pi / 5.0
@@ -278,7 +325,55 @@ class TestConvDensity:
         assert np.allclose(coarse(u / 8.0) / 8.0, fine(u / 64.0) / 64.0, rtol=1e-14, atol=0.0)
 
 
+class TestRefinedEdges:
+    @pytest.mark.parametrize("half", [1.0, 0.25, 0.125 + 0.00390625, 2.0**-8 + 2.0**-9, 0.3])
+    def test_matches_looped_oracle(self, half):
+        specials = [
+            -half, half,  # at either end
+            0.0, -0.0,
+            -1.5 * half, half + 1.0, 7.0,  # outside [lo, hi]
+            1e-9, -1e-9, 1e-12, -3e-15, 5e-324,  # |c| <= 1e-9
+            0.5 * half, -0.3 * half, half * (1.0 - 2.0**-40),
+            *np.random.default_rng(11).uniform(-half, half, 8),
+        ]
+        for special in specials:
+            want = looped_refined_edges(-half, half, float(special))
+            got = _refined_edges(-half, half, float(special))
+            assert got.size == want.size, special
+            np.testing.assert_array_equal(got, want)
+
+    def test_kernel_check_loads_no_masked_arrays(self, tmp_path):
+        # np.unique loads numpy.ma, about 1.7 MB of RSS on numpy 2.4
+        script = (
+            "import sys\n"
+            "from thickpoints import cli\n"
+            "assert cli.main(['kernel-check', '-o', 'kc']) == cli.EXIT_OK\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, THICKPOINT_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+
 class TestDoublyMollifiedKernel:
+    def test_arrays_match_float_calls_bit_for_bit(self):
+        x = np.array([0.5, 0.5, 0.3, 0.55, 0.4, 0.2])
+        z = np.array([0.5, 0.52, 0.55, 0.3, 0.4 + 1e-10, 0.8])
+        for delta, eps in ((1.0 / 8.0, 1.0 / 8.0), (1.0 / 16.0, 1.0 / 64.0), (0.2, 1e-4)):
+            got = doubly_mollified_kernel(x, z, delta, eps, (0.0, 1.0))
+            want = [doubly_mollified_kernel(float(a), float(b), delta, eps) for a, b in zip(x, z)]
+            assert isinstance(want[0], float)
+            assert got.tolist() == want
+
+    def test_arrays_check_every_support(self):
+        with pytest.raises(ValueError, match="escapes the working domain"):
+            doubly_mollified_kernel(np.array([0.5, 0.95]), np.array([0.5, 0.5]), 0.1, 0.1, (0.0, 1.0))
+        with pytest.raises(ValueError, match="escapes the working domain"):
+            doubly_mollified_kernel(np.array([0.5, 0.5]), np.array([0.5, 0.02]), 0.1, 0.05, (0.0, 1.0))
+
     def test_point_mass_limit_recovers_single_mollification(self):
         got = doubly_mollified_kernel(0.5, 0.3, 1.0 / 16.0, 1e-4)
         assert got == pytest.approx(mollified_kernel(0.5, 0.3, 1.0 / 16.0), abs=1e-6)
@@ -363,9 +458,10 @@ class TestAssumption1Check:
         )
         assert math.isfinite(worst)
         assert worst <= 3.0
-        # 21 scale pairs with epsilon <= delta, one call for each of the 15
-        # distinct separations x - z among the 25 grid pairs
-        assert len(calls) == 21 * 15
+        # one call for each of the 21 scale pairs with epsilon <= delta, on
+        # the 15 distinct separations x - z among the 25 grid pairs
+        assert len(calls) == 21
+        assert all(len(x) == len(z) == 15 for x, z, *_ in calls)
 
     def test_worst_matches_all_pairs_bit_for_bit(self):
         grid = np.linspace(0.15, 0.85, 5)
@@ -380,6 +476,19 @@ class TestAssumption1Check:
                         val = doubly_mollified_kernel(float(x), float(z), delta, eps, (0.0, 1.0))
                         worst = max(worst, abs(val + math.log(max(abs(x - z), delta))))
         assert assumption1_check(grid, deltas, deltas, (0.0, 1.0)) == worst
+
+    def test_memory_with_cold_splines(self):
+        # the unit densities are built inside the call; measured 3.39 MB,
+        # and 3.41 MB with one quadrature per separation
+        kernels._unit_conv_density.cache_clear()
+        deltas = [2.0**-j for j in range(3, 9)]
+        tracemalloc.start()
+        try:
+            assumption1_check(np.linspace(0.15, 0.85, 5), deltas, deltas, (0.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20
 
     @pytest.mark.parametrize("grid", [[0.05, 0.3, 0.5], [0.5, 0.7, 0.95]], ids=["first", "last"])
     @pytest.mark.parametrize(
