@@ -14,12 +14,9 @@ from .special_fn import (
     to_theorem_scale,
 )
 from .cue import (
-    FieldSample,
     eval_field,
-    eval_field_at,
     sample_verblunsky,
     trace_powers,
-    truncated_field,
 )
 from .gaussian import sample_circle_field
 from .measures import (
@@ -43,12 +40,9 @@ __all__ = [
     "log_psi",
     "thickpoint_prob_asymptotic",
     "to_theorem_scale",
-    "FieldSample",
     "eval_field",
-    "eval_field_at",
     "sample_verblunsky",
     "trace_powers",
-    "truncated_field",
     "sample_circle_field",
     "exp_measure_integral",
     "fk_normalized_mass",

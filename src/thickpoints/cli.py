@@ -23,9 +23,8 @@ from . import __version__
 from .montecarlo import (
     Experiment,
     ExperimentConfig,
-    _seed_sequence_words,
-    _streams,
     derive_seed,
+    replica_stream,
     run_experiment,
     sample_field,
     worker_count,
@@ -176,9 +175,7 @@ def _emit_sample(config: ExperimentConfig, base_path: str) -> str:
         writer.writerow(["replica_index", "derived_seed", "theta", "value"])
         for i in range(config.replicas):
             seed = derive_seed(config.master_seed, i)
-            # the replica's stream, taken as run_replica takes it
-            stream = next(_streams([_seed_sequence_words(seed)]))
-            _, field = sample_field(config, stream)
+            _, field = sample_field(config, replica_stream(config.master_seed, i))
             thetas = 2.0 * np.pi * np.arange(field.size) / field.size
             for theta, value in zip(thetas, field):
                 writer.writerow([i, seed, _fmt(theta), _fmt(value)])
@@ -235,14 +232,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         experiment, _ = _SUBCOMMANDS[args.subcommand]
         config = _load_config(args, experiment)
-        if args.subcommand == "sample":
-            path = _emit_sample(config, config.output_path or "sample")
-            print(f"wrote {path}")
-            return EXIT_OK
         try:
             worker_count()
         except ValueError as exc:
             raise ConfigError(str(exc))
+        if args.subcommand == "sample":
+            path = _emit_sample(config, config.output_path or "sample")
+            print(f"wrote {path}")
+            return EXIT_OK
         rows, summary = run_experiment(config)
         print(f"completed {config.replicas} replicas of {experiment.value}")
         base = config.output_path or experiment.value

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import real_fourier_grid
-
-SQRT2 = math.sqrt(2.0)
+from .special_fn import SQRT2
 
 
 @dataclass(frozen=True)
@@ -67,9 +66,7 @@ def _alphas_from_uniforms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def sample_alphas(n: int, streams) -> np.ndarray:
     """One CUE spectrum's Verblunsky coefficients per stream (the transform
     of _alphas_from_uniforms), stacked to shape (R, n) and checked.  Each
-    stream yields its n U draws first, then its n phases.  The streams are
-    read one after another, so they may be one generator reseeded between
-    rows.
+    stream yields its n U draws first, then its n phases.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -22,9 +22,7 @@ def sample_circle_field(kmax: int, grid_size: int, streams) -> np.ndarray:
     with A, B iid standard normal; its values on the uniform grid
     theta_j = 2 pi j / grid_size, by one real inverse FFT per row.  Row r of
     the (R, grid_size) result is drawn from the r-th of the R streams, A
-    first, then B.  The streams are read one after another, so they may be
-    one generator reseeded between rows.  Var X(theta) =
-    harmonic_number(kmax).
+    first, then B.  Var X(theta) = harmonic_number(kmax).
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")

@@ -3,19 +3,18 @@ summary estimators.
 
 Each replica owns an RNG stream derived from (master_seed, replica_index) by a
 SplitMix64-style avalanche, so results are independent of worker count and
-reproducible across platforms.  The stream is the one
-np.random.Generator(np.random.PCG64(derived_seed)) gives.
+reproducible across platforms.  The stream is
+np.random.Generator(np.random.PCG64(derived_seed)) (replica_stream).
 
 Replicas run in blocks of contiguous indices.  A worker's run of indices
 derives its seeds and hashes them as numpy's SeedSequence does in one
-vectorised pass (_seed_sequence_words); each replica's PCG64 state follows
-from its four words (_pcg64_state) and is assigned in turn to one reused
-generator, so that a replica's draws are those of its own fresh stream.
+vectorised pass (_seed_sequence_words); each replica's PCG64 is seeded from
+its own four words, so its draws are those of its own fresh stream.
 verify-moments, trace-cov and gaussian-gmc evaluate a block with one batched
 call per stage, and each row comes out bit for bit as it does alone; the other
-experiments run one replica per run_replica call, which is the block of that
-one index.  A replica's result is its row of named scalars; rows are returned
-in index order, so a row's position is its replica index.
+experiments run one replica per run_replica call.  A replica's result is its
+row of named scalars; rows are returned in index order, so a row's position
+is its replica index.
 """
 
 from __future__ import annotations
@@ -35,16 +34,13 @@ from .special_fn import GammaConvention, to_theorem_scale
 
 MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
-MASK128 = (1 << 128) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MULT1 = 0xBF58476D1CE4E5B9
 _SPLITMIX_MULT2 = 0x94D049BB133111EB
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def derive_seed(master_seed: int, replica_index):
@@ -62,8 +58,7 @@ def derive_seed(master_seed: int, replica_index):
 
 def _seed_sequence_words(seeds) -> list:
     """The four uint64 words of SeedSequence(seed).generate_state(4, uint64)
-    for an int seed below 2^64 (four ints), or for each seed of a uint64
-    array (four arrays).
+    for each seed of a uint64 array, as four arrays.
 
     A seed's entropy is its 32-bit words, low first, at most two; the pool of
     four words hashes zeros past them, so every seed mixes as (low, high, 0,
@@ -99,35 +94,40 @@ def _seed_sequence_words(seeds) -> list:
     return [words[2 * j] | words[2 * j + 1] << 32 for j in range(4)]
 
 
-def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
-    """The state np.random.PCG64(seed) starts from, given the four
-    SeedSequence words of the seed.
+def replica_stream(master_seed: int, replica_index: int) -> np.random.Generator:
+    """The generator on one replica's stream."""
+    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, replica_index)))
 
-    PCG64 takes (initstate, initseq) from the words, high word first, sets
-    inc = 2 initseq + 1 and runs its LCG step from 0, adds initstate and
-    steps again, in 128-bit arithmetic.
-    """
-    inc = (i_hi << 65 | i_lo << 1 | 1) & MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+
+class _SeedWords:
+    """numpy's ISeedSequence interface over the four SeedSequence words of
+    one seed: PCG64 seeded from it starts where PCG64(seed) starts.  PCG64
+    reads the words' buffer directly, so generate_state gives exactly four
+    C-contiguous uint64 words and refuses any other request."""
+
+    def __init__(self, words):
+        self.words = np.ascontiguousarray(words, dtype=np.uint64).reshape(4)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return self.words
 
 
 @functools.cache
-def _reused_stream() -> np.random.Generator:
-    """The one generator a process reseeds for every replica of its blocks.
-    It is made on first use: numpy loads numpy.random lazily, and a parent
-    whose pool workers run every replica never needs it."""
-    return np.random.Generator(np.random.PCG64(0))
+def _register_seed_words() -> None:
+    """Register _SeedWords as an ISeedSequence on first use, so that
+    importing this module loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
 
 
-def _streams(words):
-    """The reused generator on each replica's stream in turn, given the four
-    SeedSequence words of each replica's seed."""
-    stream = _reused_stream()
-    for replica_words in words:
-        stream.bit_generator.state = _pcg64_state(*replica_words)
-        yield stream
+def _streams(words) -> list[np.random.Generator]:
+    """A fresh generator on each replica's stream, given the four
+    SeedSequence words of each replica's seed as the rows of words."""
+    _register_seed_words()
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
 
 
 class Experiment(enum.Enum):
@@ -390,8 +390,8 @@ def _block_size(config: ExperimentConfig) -> int:
 
 def run_replica(config: ExperimentConfig, replica_index: int) -> dict[str, float]:
     """The scalar row of one replica: its experiment's block of one index."""
-    words = _seed_sequence_words(derive_seed(config.master_seed, replica_index))
-    return _BLOCK_FNS[config.experiment](config, _streams([words]))[0]
+    stream = replica_stream(config.master_seed, replica_index)
+    return _BLOCK_FNS[config.experiment](config, [stream])[0]
 
 
 def worker_count() -> int:
@@ -417,7 +417,7 @@ def _run_chunk(args) -> list[dict[str, float]]:
         return [run_replica(config, i) for i in indices]
     # the seeds of every block are derived and hashed in one vectorised pass
     seeds = derive_seed(config.master_seed, np.array(indices, dtype=np.uint64))
-    words = np.stack(_seed_sequence_words(seeds), axis=-1).tolist()
+    words = np.stack(_seed_sequence_words(seeds), axis=-1)
     rows = []
     for lo in range(0, len(words), size):
         rows += _BLOCK_FNS[config.experiment](config, _streams(words[lo:lo + size]))

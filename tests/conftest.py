@@ -84,8 +84,9 @@ def weierstrass_log_psi(z: float) -> float:
 
 
 def replica_stream(master_seed: int, replica_index: int) -> np.random.Generator:
-    """A fresh generator on the replica's stream, the reference for the
-    reused generator the library reseeds for each replica."""
+    """A fresh generator on the replica's stream, as the README defines it:
+    the reference for the generators the library seeds from each replica's
+    hashed seed words."""
     return np.random.Generator(np.random.PCG64(derive_seed(master_seed, replica_index)))
 
 
@@ -180,6 +181,26 @@ def truncated_field_fft(traces: np.ndarray, delta: float, grid_size: int) -> np.
     coeff = np.zeros(grid_size, dtype=np.complex128)
     coeff[1 : kmax + 1] = traces[:kmax] / np.arange(1, kmax + 1)
     return -SQRT2 * np.real(np.fft.fft(coeff))
+
+
+def mp_fourier_sum(modes: np.ndarray, weight, grid_size: int, indices, dps: int = 30) -> np.ndarray:
+    """Re sum_k weight(k) modes[k-1] e^{ik theta} at theta = 2 pi j / grid_size
+    for j in indices, summed directly in mpmath at dps digits.  weight(k) is
+    evaluated at that precision, and each angle is reduced exactly, to
+    2 pi (k j mod grid_size) / grid_size."""
+    out = []
+    with mpmath.workdps(dps):
+        terms = [(weight(k), mpmath.mpc(complex(m))) for k, m in enumerate(modes, start=1)]
+        unit = {}
+        for j in indices:
+            total = mpmath.mpf(0)
+            for k, (w, m) in enumerate(terms, start=1):
+                r = k * j % grid_size
+                if r not in unit:
+                    unit[r] = mpmath.expjpi(mpmath.mpf(2 * r) / grid_size)
+                total += w * (m * unit[r]).real
+            out.append(float(total))
+    return np.array(out)
 
 
 def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[str, float]:

@@ -362,6 +362,13 @@ class TestMain:
         assert "category=config THICKPOINT_THREADS must be a positive integer" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_sample_rejects_a_bad_thread_count(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("THICKPOINT_THREADS", "abc")
+        assert main(["sample", "--set", "n=4", "-o", str(tmp_path / "x")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "category=config THICKPOINT_THREADS must be a positive integer" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_value_error_while_running_is_a_runtime_error(self, monkeypatch, capsys):
         def failing_run(config):
             raise ValueError("replica blew up")

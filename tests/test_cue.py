@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from conftest import (
     ld_phi_coefficients,
     mc_field_at,
     mp_field_on_grid,
+    mp_fourier_sum,
     mp_trace_powers,
     phi_coefficients,
     sample_alphas_block,
@@ -530,6 +532,30 @@ class TestTruncatedField:
             kmax = int(math.floor(1.0 / delta))
             scale = np.sum(np.abs(tr[:kmax]) / np.arange(1, kmax + 1))
             assert np.max(np.abs(row - truncated_field_fft(tr, delta, grid_size))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize(
+        "n, grid_size, inverse_deltas, step",
+        [
+            # every 61st point of the barrier's grid at n = 1024
+            (1024, 16 * 1024, [math.exp(k) for k in range(2, 6)], 61),
+            (8, 32, [1, 4, 15, 16, 17, 31], 1),  # folded modes and the Nyquist mode
+            (9, 45, [1, 22, 23, 44], 1),  # odd grid, folded modes
+        ],
+    )
+    def test_rows_against_mpmath_direct_sum(self, n, grid_size, inverse_deltas, step):
+        # budget 1e-15 of sum_k |Tr U^k| / k; measured at most 4.4e-16 of it
+        rng = np.random.default_rng(n)
+        coeffs = cue.szego_coefficients(sample_verblunsky(n, rng)[None])
+        tr = trace_powers(coeffs, int(max(inverse_deltas)))[0]
+        deltas = [1.0 / (math.floor(d) + 0.5) for d in inverse_deltas]
+        indices = range(0, grid_size, step)
+        rows = truncated_fields(tr, deltas, grid_size)
+        for row, inverse_delta in zip(rows, inverse_deltas):
+            kmax = math.floor(inverse_delta)
+            modes = np.conj(tr[:kmax])
+            ref = mp_fourier_sum(modes, lambda k: -mpmath.sqrt(2) / k, grid_size, indices)
+            scale = np.sum(np.abs(tr[:kmax]) / np.arange(1, kmax + 1))
+            assert np.max(np.abs(row[::step] - ref)) <= 1e-15 * scale
 
     def test_projection_of_full_field(self):
         # DFT of the full field restricted to modes k <= 8 must reproduce the

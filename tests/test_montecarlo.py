@@ -61,36 +61,46 @@ class TestReplicaStreams:
     def test_vectorised_states_match_fresh_generators(self):
         # 10^5 derived seeds, hashed as one uint64 array as a worker's run is
         seeds = derive_seed(0, np.arange(100_000, dtype=np.uint64))
-        words = np.stack(montecarlo._seed_sequence_words(seeds), axis=-1).tolist()
-        for seed, replica_words in zip(seeds.tolist(), words):
-            fresh = np.random.PCG64(seed).state
-            assert montecarlo._pcg64_state(*replica_words) == fresh, seed
+        words = np.stack(montecarlo._seed_sequence_words(seeds), axis=-1)
+        for lo in range(0, seeds.size, 1000):
+            streams = montecarlo._streams(words[lo : lo + 1000])
+            for seed, stream in zip(seeds[lo : lo + 1000].tolist(), streams):
+                assert stream.bit_generator.state == np.random.PCG64(seed).state, seed
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_states_at_entropy_word_edges(self, seed):
         # below 2^32 a seed is one 32-bit entropy word, from 2^32 two
         fresh = np.random.PCG64(seed).state
-        assert montecarlo._pcg64_state(*montecarlo._seed_sequence_words(seed)) == fresh
         words = montecarlo._seed_sequence_words(np.array([seed, seed], dtype=np.uint64))
-        for replica_words in np.stack(words, axis=-1).tolist():
-            assert montecarlo._pcg64_state(*replica_words) == fresh
+        for stream in montecarlo._streams(np.stack(words, axis=-1)):
+            assert stream.bit_generator.state == fresh
+
+    def test_seed_words_refuse_other_requests(self):
+        words = montecarlo._SeedWords([1, 2, 3, 4])
+        assert words.generate_state(4, np.uint64).tolist() == [1, 2, 3, 4]
+        for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64)):
+            with pytest.raises(ValueError):
+                words.generate_state(n_words, dtype)
+        with pytest.raises(ValueError):
+            montecarlo._SeedWords([1, 2, 3])
 
     def test_derive_seed_of_an_index_array(self):
         for master in (0, 1, 2**32, 2**64 - 1):
             got = derive_seed(master, np.arange(1000, dtype=np.uint64)).tolist()
             assert got == [derive_seed(master, i) for i in range(1000)]
 
-    def test_reused_generator_draws_as_a_fresh_one(self):
-        seeds = [derive_seed(3, i) for i in (7, 8)]
-        streams = montecarlo._streams(montecarlo._seed_sequence_words(s) for s in seeds)
-        first = next(streams)
-        # leave a buffered half of a 64-bit draw behind
-        first.integers(0, 10, size=3, dtype=np.uint32)
-        first.standard_normal(5)
-        reused = next(streams)
-        assert reused is first
-        fresh = np.random.Generator(np.random.PCG64(seeds[1]))
-        assert np.array_equal(reused.standard_normal(1000), fresh.standard_normal(1000))
+    def test_block_streams_draw_as_fresh_ones_when_interleaved(self):
+        seeds = [derive_seed(3, i) for i in (7, 8, 9)]
+        words = np.stack(montecarlo._seed_sequence_words(np.array(seeds, dtype=np.uint64)), -1)
+        # a block's generators are all collected before any of them draws
+        streams = list(montecarlo._streams(words.tolist()))
+        fresh = [replica_stream(3, i) for i in (7, 8, 9)]
+        for _ in range(3):
+            for stream, ref in zip(streams, fresh):
+                # three 32-bit draws leave a buffered half of a 64-bit draw behind
+                got = stream.integers(0, 10, size=3, dtype=np.uint32)
+                assert np.array_equal(got, ref.integers(0, 10, size=3, dtype=np.uint32))
+                assert np.array_equal(stream.standard_normal(5), ref.standard_normal(5))
 
 
 class TestConfigValidation:
