@@ -19,11 +19,9 @@ import math
 
 import numpy as np
 
-SQRT2 = math.sqrt(2.0)
+from .kernels import _GL_NODES, _GL_WEIGHTS
 
-# Glaisher-Kinkelin constant, 30 significant digits.
-GLAISHER_A = 1.28242712910062263687534256887
-LOG_GLAISHER_A = math.log(GLAISHER_A)
+SQRT2 = math.sqrt(2.0)
 
 # Stirling series of log Gamma: B_2k / (2k (2k - 1)) for k = 1..8.  Applied at
 # Re(w) >= _STIRLING_SHIFT, the first omitted term is below 8e-16 absolute;
@@ -34,11 +32,6 @@ _STIRLING_COEFFS = (
 )
 _STIRLING_SHIFT = 7.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Switch point between the upward functional equation and the asymptotic
-# expansion of log G.  With Bernoulli corrections through z^-6 the truncation
-# error at |z| = 12 is below 1e-12.
-_BARNES_ASYMPTOTIC_RADIUS = 12.0
 
 
 class GammaConvention(enum.Enum):
@@ -124,44 +117,23 @@ def _loggamma_difference(x: np.ndarray, a: complex, b: complex) -> np.ndarray:
     return out
 
 
-def _log_barnes_g_asymptotic(z: complex) -> complex:
-    # log G(1+w) for large |w|, any sector away from the negative real axis:
-    # w^2/2 log w - 3w^2/4 + w/2 log(2pi) - 1/12 log w + (1/12 - log A)
-    # - 1/(240 w^2) + 1/(1008 w^4) - 1/(1440 w^6) + 1/(1056 w^8) + O(w^-10).
-    w = z - 1.0
-    lw = np.log(w)
-    out = (
-        0.5 * w * w * lw
-        - 0.75 * w * w
-        + 0.5 * w * math.log(2.0 * math.pi)
-        - lw / 12.0
-        + (1.0 / 12.0 - LOG_GLAISHER_A)
-    )
-    w2 = w * w
-    w4 = w2 * w2
-    out += -1.0 / (240.0 * w2) + 1.0 / (1008.0 * w4) - 1.0 / (1440.0 * w4 * w2) + 1.0 / (1056.0 * w4 * w4)
-    return complex(out)
-
-
 def log_barnes_g(z: complex) -> complex:
     """log G(z) on the principal branch for Re(z) > 0.
 
-    Computed by the upward functional equation G(z+1) = Gamma(z) G(z) until
-    |z| reaches the asymptotic radius, then the large-z expansion including
-    the Glaisher constant term.
+    With w = z - 1, log G(1 + w) = (w/2) log 2 pi - w (w + 1)/2
+    + w log Gamma(1 + w) - int_0^w log Gamma(1 + t) dt (DLMF 5.17.4).  The
+    integral runs along the straight path from 0 to w, on which
+    Re(1 + t) > 0, in ceil(|w|/2) equal panels of 16-point Gauss-Legendre.
     """
     z = complex(z)
     if z.real <= 0.0:
         raise ValueError(f"log_barnes_g requires Re(z) > 0, got {z}")
-    shift = 0
-    w = z
-    while abs(w - 1.0) < _BARNES_ASYMPTOTIC_RADIUS:
-        shift += 1
-        w = z + shift
-    # log G(z) = log G(z+m) - sum_{j=0}^{m-1} log Gamma(z+j)
-    tail = _loggamma(z + np.arange(shift))
-    head = _log_barnes_g_asymptotic(w)
-    return complex(head.real - math.fsum(tail.real.tolist()), head.imag - math.fsum(tail.imag.tolist()))
+    w = z - 1.0
+    panels = max(math.ceil(abs(w) / 2.0), 1)
+    h = w / panels
+    t = h * (np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1.0))
+    integral = 0.5 * h * complex(np.sum(_loggamma(1.0 + t) @ _GL_WEIGHTS))
+    return w * _LOG_SQRT_2PI - 0.5 * w * (w + 1.0) + w * complex(_loggamma(z)) - integral
 
 
 def log_psi(zeta: complex) -> complex:

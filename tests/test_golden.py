@@ -111,18 +111,18 @@ TREE_NU_MU_FLOATS = {
 }
 TREE_NU_MU_COUNTS = {
     256: {
-        "nu": [0.979206652191888, 0.886136140403904, 0.7262121624020159],
-        "nu_barrier_violation": [0.6999951168279359, 0.651493582515888, 0.503367275022336],
-        "nu_barrier_violation_l2": [0.6999951168279359, 0.651493582515888, 0.503367275022336],
-        "nu_barrier_violation_l3": [0.605613752761248, 0.5898835254168, 0.407675058676944],
-        "nu_barrier_violation_l4": [0.433892104251024, 0.48108278628436796, 0.256927046625984],
+        "nu": [0.979206652191882, 0.8861361404038985, 0.7262121624020115],
+        "nu_barrier_violation": [0.6999951168279317, 0.651493582515884, 0.5033672750223329],
+        "nu_barrier_violation_l2": [0.6999951168279317, 0.651493582515884, 0.5033672750223329],
+        "nu_barrier_violation_l3": [0.6056137527612443, 0.5898835254167963, 0.4076750586769415],
+        "nu_barrier_violation_l4": [0.4338921042510213, 0.481082786284365, 0.2569270466259824],
     },
     300: {
-        "nu": [0.8667387154218626, 0.8736818827016106, 0.9419563609524649],
-        "nu_barrier_violation": [0.6596008915760504, 0.6086843315245658, 0.7614340116790196],
-        "nu_barrier_violation_l2": [0.6596008915760504, 0.6086843315245658, 0.7614340116790196],
-        "nu_barrier_violation_l3": [0.6040555533380672, 0.5542961878332072, 0.6572865024828011],
-        "nu_barrier_violation_l4": [0.5045368223283473, 0.3726166440131372, 0.4640350131964846],
+        "nu": [0.8667387154218573, 0.8736818827016052, 0.9419563609524592],
+        "nu_barrier_violation": [0.6596008915760463, 0.608684331524562, 0.7614340116790149],
+        "nu_barrier_violation_l2": [0.6596008915760463, 0.608684331524562, 0.7614340116790149],
+        "nu_barrier_violation_l3": [0.6040555533380635, 0.5542961878332039, 0.6572865024827971],
+        "nu_barrier_violation_l4": [0.5045368223283442, 0.37261664401313493, 0.4640350131964817],
     },
 }
 
@@ -272,15 +272,15 @@ CSV_DIGESTS = {
     ),
     "fk-test": (
         ["fk-test", "n=64", "gamma=0.3", "convention=conjecture", "replicas=5", "master_seed=11"],
-        "241033189a18950afeb29dd2be0cd1ac0b898b226bcb93c8589d9c5f283de2c1",
+        "b75789f165d1c1c688630bd09b440960f99bc71f27a86a750812cf9890ab6fc2",
     ),
     "nu-mu-ell": (
         ["nu-mu", "n=64", "ell=1", "replicas=5", "master_seed=4"],
-        "54c3ba9d1625fe8e01a638624a82c6301c719ceeecd787ae7ccf39b8c4e4a4b8",
+        "171ee4e38ff1697dced2b64f6a9d89106c7bf0bc0632f515597f7b6c15745454",
     ),
     "nu-mu-g-shift": (
         ["nu-mu", "n=32", "g_shift=0.2", "replicas=5", "master_seed=4"],
-        "916f2ffc8220d54c18a1e2bad2be2057ca034429a5865c8cd7d52a94d7f9c73e",
+        "6313096025b11889c8e503bf63742451875583b4064dcd31a4daaa27a65436c5",
     ),
     "kernel-check": (
         ["kernel-check", "replicas=2"],

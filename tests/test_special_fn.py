@@ -114,8 +114,8 @@ class TestLogBarnesG:
         assert log_barnes_g(4.0).real == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_asymptotic_consistent_with_recursion_path(self):
-        # two routes to the same value: direct evaluation at 12.5 versus
-        # climbing the functional equation from 2.5
+        # two routes to the same value: the log-Gamma integral taken straight
+        # to 12.5 versus climbing the functional equation from 2.5
         via_recursion = log_barnes_g(2.5).real + math.fsum(
             log_gamma(2.5 + j).real for j in range(10)
         )
@@ -137,12 +137,12 @@ class TestLogBarnesG:
             assert abs(lhs - rhs) <= 1e-11
 
     def test_error_budget_against_mpmath(self):
-        # measured at most 7.8e-14, at z = 1.075
+        # measured at most 2.1e-15, at z = 2.685
         zs = np.linspace(1.0, 3.0, 401)
         with mpmath.workdps(30):
             reference = [float(mpmath.log(mpmath.barnesg(mpmath.mpf(z)))) for z in zs.tolist()]
         errors = [abs(log_barnes_g(z).real - r) for z, r in zip(zs.tolist(), reference)]
-        assert max(errors) <= 2e-13
+        assert max(errors) <= 1e-14
 
     def test_rejects_left_half_plane_and_poles(self):
         with pytest.raises(ValueError):
@@ -169,6 +169,18 @@ class TestPsi:
     def test_positive_on_implemented_range(self):
         for g in np.arange(0.0, 2.0 + 1e-9, 0.01):
             assert psi(float(g)).real > 0.0
+
+    def test_error_budget_against_mpmath(self):
+        # theorem-scale gamma over 0.01..0.99 of sqrt(2); measured at most 2.0e-15
+        root2 = mpmath.sqrt(2)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for fraction in BUDGET_FRACTIONS:
+                g = mpmath.mpf(fraction * SQRT2)
+                reference = (2 * mpmath.log(mpmath.barnesg(1 + g / root2))
+                             - mpmath.log(mpmath.barnesg(1 + root2 * g)))
+                worst = max(worst, abs(log_psi(float(g)).real - reference))
+        assert worst <= 1e-14
 
 
 class TestCueMomentExact:
@@ -265,7 +277,7 @@ class TestThickpointProbAsymptotic:
 
     @pytest.mark.parametrize("convention", list(GammaConvention))
     def test_error_budget_against_mpmath(self, convention):
-        # measured at most 1.23e-13 relative under either convention
+        # measured at most 3.2e-15 relative under either convention
         top = SQRT2 if convention is GammaConvention.THEOREM else 1.0
         worst = 0.0
         with mpmath.workdps(30):
@@ -275,7 +287,7 @@ class TestThickpointProbAsymptotic:
                 for n in BUDGET_NS:
                     reference = mp_thickpoint_prob(n, mpmath.mpf(g))
                     worst = max(worst, abs(thickpoint_prob_asymptotic(n, g) / reference - 1))
-        assert worst <= 3e-13
+        assert worst <= 2e-14
 
     def test_diverges_as_gamma_vanishes(self):
         vals = [thickpoint_prob_asymptotic(100, g) for g in (0.05, 0.02, 0.01)]
@@ -301,7 +313,7 @@ class TestFkNormalizer:
 
     def test_error_budget_against_mpmath(self):
         # N^{-gamma^2} (pi log N)^{-1/2} G(1+gamma)^2 / (2 gamma G(1+2 gamma))
-        # / Gamma(1-gamma^2); measured at most 1.21e-13 relative
+        # / Gamma(1-gamma^2); measured at most 4.0e-15 relative
         worst = 0.0
         with mpmath.workdps(30):
             for gamma in BUDGET_FRACTIONS:
@@ -312,7 +324,7 @@ class TestFkNormalizer:
                     logn = mpmath.log(n)
                     reference = mpmath.exp(head - g * g * logn - mpmath.log(mpmath.pi * logn) / 2)
                     worst = max(worst, abs(fk_normalizer(n, gamma) / reference - 1))
-        assert worst <= 3e-13
+        assert worst <= 2e-14
 
     @pytest.mark.parametrize("gamma", [0.0, -0.2, 1.0, 1.4])
     def test_rejects_out_of_range_gamma(self, gamma):
