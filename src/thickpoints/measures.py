@@ -33,7 +33,7 @@ def exp_measure_integral(field: np.ndarray, gamma: float, normalizer: float) -> 
     (1/M) sum e^{gamma X(theta_i)} / normalizer."""
     if not normalizer > 0.0:
         raise ValueError(f"normalizer must be strictly positive, got {normalizer}")
-    return float(np.mean(np.exp(gamma * field) / normalizer))
+    return float(np.mean(np.exp(gamma * field))) / normalizer
 
 
 def thick_indicator(field: np.ndarray, gamma: float, n: int, shift: float = 0.0) -> np.ndarray:

@@ -280,7 +280,7 @@ CSV_DIGESTS = {
     ),
     "nu-mu-g-shift": (
         ["nu-mu", "n=32", "g_shift=0.2", "replicas=5", "master_seed=4"],
-        "6313096025b11889c8e503bf63742451875583b4064dcd31a4daaa27a65436c5",
+        "6c846451a04f584f1e5de32b4b74971bff91b07e9601e3eb0312a7b402409045",
     ),
     "kernel-check": (
         ["kernel-check", "replicas=2"],
