@@ -12,6 +12,7 @@ import csv
 import enum
 import json
 import math
+import os
 import sys
 import time
 import typing
@@ -240,9 +241,13 @@ def main(argv: list[str] | None = None) -> int:
             path = _emit_sample(config, config.output_path or "sample")
             print(f"wrote {path}")
             return EXIT_OK
+        base = config.output_path or experiment.value
+        directory = os.path.dirname(base) or "."
+        if not os.path.isdir(directory):
+            # refused before any replica runs, not after the whole run
+            raise FileNotFoundError(f"output directory {directory!r} does not exist")
         rows, summary = run_experiment(config)
         print(f"completed {config.replicas} replicas of {experiment.value}")
-        base = config.output_path or experiment.value
         csv_path, json_path = emit(rows, summary, config, base, time.monotonic() - started)
         print(f"wrote {csv_path} and {json_path}")
         return EXIT_OK

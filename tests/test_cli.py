@@ -381,12 +381,18 @@ class TestMain:
         code = main(["verify-moments", "/nonexistent/path.conf"])
         assert code == EXIT_CONFIG_ERROR
 
-    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a missing output directory is refused before any replica runs
+        def unreachable(config):
+            raise AssertionError("run_experiment reached with a missing output directory")
+
+        monkeypatch.setattr(cli, "run_experiment", unreachable)
         code = main(
             ["verify-moments", "--set", "n=2", "-o", "/nonexistent-dir/out"]
         )
         assert code == EXIT_IO_ERROR
-        assert "category=io" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "category=io" in err and "/nonexistent-dir" in err
 
     def test_kernel_check_subcommand_runs(self, tmp_path):
         base = tmp_path / "kc"
