@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mc_field_at, phi_coefficients
+from conftest import exact_thickpoint_prob, mc_field_at, phi_coefficients
 from thickpoints.cue import SQRT2, eval_field, sample_verblunsky
 from thickpoints.measures import (
     barrier_mask,
@@ -87,19 +87,24 @@ class TestThickMeasureIntegral:
     def test_replica_mean_with_supplied_exact_probability(self):
         # rescaled from the asymptotic denominator to an independent estimate
         # of the true finite-N probability, the mean of nu(1) must be 1 up to
-        # MC noise
+        # MC noise; so must it when rescaled by the exact probability, which
+        # every grid point shares by rotation invariance
         rng = np.random.default_rng(5)
         n, gamma = 256, 0.6
-        x0 = mc_field_at(n, [0.0], 200_000, rng)[:, 0]
-        p_exact = float(np.mean(x0 >= gamma * math.log(n)))
-        rescale = asymptotic_prob(n, gamma) / p_exact
+        draws = 200_000
+        x0 = mc_field_at(n, [0.0], draws, rng)[:, 0]
+        p_freq = float(np.mean(x0 >= gamma * math.log(n)))
+        p_exact = exact_thickpoint_prob(n, gamma)
+        assert abs(p_freq - p_exact) <= 4.0 * math.sqrt(p_exact * (1.0 - p_exact) / draws)
         reps = 3000
-        vals = np.empty(reps)
+        nu = np.empty(reps)
         for i in range(reps):
             field = eval_field(phi_coefficients(sample_verblunsky(n, rng)), 16 * n).values
-            vals[i] = thick_measure_integral(field, gamma, n) * rescale
-        se = float(vals.std(ddof=1) / math.sqrt(reps))
-        assert abs(float(vals.mean()) - 1.0) <= 4.0 * se + 0.01
+            nu[i] = thick_measure_integral(field, gamma, n)
+        for p in (p_freq, p_exact):
+            vals = nu * (asymptotic_prob(n, gamma) / p)
+            se = float(vals.std(ddof=1) / math.sqrt(reps))
+            assert abs(float(vals.mean()) - 1.0) <= 4.0 * se + 0.01
 
     @pytest.mark.slow
     def test_replica_mean_with_asymptotic_denominator(self):
