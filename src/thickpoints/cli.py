@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         base = config.output_path or experiment.value
         directory = os.path.dirname(base) or "."
         if not os.path.isdir(directory):
-            # refused before any replica runs, not after the whole run
+            # refused here, before any replica runs
             raise FileNotFoundError(f"output directory {directory!r} does not exist")
         rows, summary = run_experiment(config)
         print(f"completed {config.replicas} replicas of {experiment.value}")
