@@ -74,15 +74,19 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
     ends at each requested order.  The block starting at k0 sums
     Re(e^{i k0 x} e^{i j x}) / k over k = k0 + j; the e^{i j x} table is built
     once per slice and every block's weighted sum over j is one row of a
-    single matrix product.  The block sums are Kahan-accumulated.
+    single matrix product.  The block sums are Kahan-accumulated, and the
+    rows to snapshot after each block are looked up in a map from block end
+    to rows, built once per call.
 
-    The phases are factored so that a separation costs about 32 complex
+    The phases are factored so that a separation costs about 28 complex
     exponentials, not one per table row and block: table row j = 8d + c is
     q[d] p[c] with p[c] = e^{icx} and q[d] = e^{i8dx}, and the phase of the
     block starting at k0 = 512a + 64b + r is v[a] u[b] table[r] with
-    u[b] = e^{i64bx} and v[a] = e^{i512ax}.  Each phase is then a product of
-    at most three exponentials, a few roundings; at orders 4..4096 the grid
-    is within 2e-15 of a 30-digit sum (measured 8.9e-16 over 20 separations).
+    u[b] = e^{i64bx} and v[a] = e^{i512ax}.  The zero order of each of the
+    four factors is 1 exactly and takes no exponential.  Each phase is then
+    a product of at most three exponentials, a few roundings; at orders
+    4..4096 the grid is within 2e-15 of a 30-digit sum (measured 8.9e-16
+    over 20 separations).
 
     The separations are taken TRUNCATED_SLICE at a time, so the work arrays
     hold (blocks, TRUNCATED_SLICE) values whatever the number of separations.
@@ -99,33 +103,41 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
     inverse_k = np.zeros((len(ends), TRUNCATED_BLOCK))
     for row, (start, end) in enumerate(zip(starts, ends)):
         inverse_k[row, : end - start + 1] = 1.0 / np.arange(start, end + 1)
+    snapshots: dict[int, list[int]] = {}
+    for row, kmax in enumerate(kmaxes):
+        snapshots.setdefault(kmax, []).append(row)
     out = np.empty((len(kmaxes), deltas.size))
     lo = 0
     while lo < deltas.size:
         hi = lo + TRUNCATED_SLICE
         if deltas.size - hi == 1:
             hi += 1
-        out[:, lo:hi] = _truncated_slice(deltas[lo:hi], starts, ends, inverse_k, kmaxes)
+        _truncated_slice(deltas[lo:hi], starts, ends, inverse_k, snapshots, out[:, lo:hi])
         lo = hi
     return out
 
 
-def _truncated_slice(part, starts, ends, inverse_k, kmaxes) -> np.ndarray:
-    """circle_truncated_kernel_grid on one slice of separations.  Its work
-    arrays are freed on return, before the next slice's are made."""
+def _truncated_slice(part, starts, ends, inverse_k, snapshots, rows) -> None:
+    """circle_truncated_kernel_grid on one slice of separations, written into
+    rows; snapshots maps a block end to the rows that take the running sum
+    there.  Its work arrays are freed on return, before the next slice's are
+    made."""
     # table row j = 8d + c is q[d] p[c]; the block starting at
     # k0 = 512a + 64b + r has the phase v[a] u[b] table[r]
     a, b, r = starts // 512, starts % 512 // 64, starts % 64
     digit = np.arange(8)
     orders = np.concatenate([digit, 8 * digit, 64 * digit, 512 * np.arange(a[-1] + 1)])
-    p, q, u, v = np.split(np.exp(1j * np.outer(orders, part)), [8, 16, 24])
+    # e^{i0x} = 1: the zero orders, rows 0, 8, 16 and 24, take no exponential
+    factors = np.ones((orders.size, part.size), dtype=np.complex128)
+    moving = orders != 0
+    factors[moving] = np.exp(1j * np.outer(orders[moving], part))
+    p, q, u, v = np.split(factors, [8, 16, 24])
     table = (q[:, None] * p).reshape(TRUNCATED_BLOCK, part.size)
     phase = v[a]
     phase *= u[b]
     phase *= table[r]
     block_sums = inverse_k @ table
     block_sums *= phase
-    rows = np.empty((len(kmaxes), part.size))
     acc = np.zeros_like(part)
     comp = np.zeros_like(part)  # Kahan compensation
     for end, block in zip(ends, block_sums.real):
@@ -133,10 +145,8 @@ def _truncated_slice(part, starts, ends, inverse_k, kmaxes) -> np.ndarray:
         total = acc + term
         comp = (total - acc) - term
         acc = total
-        for row, kmax in enumerate(kmaxes):
-            if kmax == end:
-                rows[row] = acc
-    return rows
+        for row in snapshots.get(end, ()):
+            rows[row] = acc
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -193,6 +203,20 @@ def _uniform_spline(lo: float, step: float, values: np.ndarray):
     return spline
 
 
+def _smooth_length(size: int) -> int:
+    """The smallest 2^a 3^b 5^c at or above size, a length numpy's FFT
+    transforms with radix-2, -3 and -5 passes only."""
+    best = 1 << (size - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << ((size - 1) // odd).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 @functools.cache
 def _unit_conv_density(ratio: float):
     """S_r = rho * rho_r with rho the bump and rho_r(v) = rho(v/r)/r, r =
@@ -201,9 +225,11 @@ def _unit_conv_density(ratio: float):
     S_r is supported on [-(1+r), 1+r] and tabulated on CONV_NODES points.
     rho and rho_r are sampled on one lattice whose step h divides that grid's
     step, each sample set is scaled to unit mass (h times its sum), and the
-    two are convolved by one numpy rfft/irfft product.  For the smooth bump
-    the lattice sum equals the integral to rounding.  The mass scaling keeps
-    S_r a probability density when r is so far from 1 that the refinement cap
+    two are convolved by one numpy rfft/irfft product, padded only to the
+    smallest 2^a 3^b 5^c length that holds the linear convolution (69 984
+    points at r = 1/32, not 131 072).  For the smooth bump the lattice sum
+    equals the integral to rounding.  The mass scaling keeps S_r a
+    probability density when r is so far from 1 that the refinement cap
     leaves the narrower profile fewer than CONV_MIN_POINTS samples.  Each
     ratio is built once per process.
     """
@@ -219,7 +245,7 @@ def _unit_conv_density(ratio: float):
     base /= base.sum() * step
     scaled /= scaled.sum() * step
     size = base.size + scaled.size - 1
-    nfft = 1 << (size - 1).bit_length()
+    nfft = _smooth_length(size)
     conv = np.fft.irfft(np.fft.rfft(base, nfft) * np.fft.rfft(scaled, nfft), nfft)[:size] * step
     # lattice offset t sits at index t + reach + reach_r of the linear convolution
     index = np.arange(-half_nodes, half_nodes + 1) * refine + (reach + reach_r)
@@ -244,42 +270,66 @@ def _conv_density(delta: float, epsilon: float):
 
 # 2^-j for j = 0..63, the rungs of a dyadic ladder in _refined_edges
 _HALVINGS = np.ldexp(1.0, -np.arange(64))
+# The ladders toward the two ends of [lo, hi] stop at the rung (hi - lo)
+# 2^-END_RUNGS.  The density there is the convolution of two bumps of
+# half-widths delta and epsilon, and hi - lo = 2 (delta + epsilon) is at most
+# four times the wider half-width, so within (hi - lo) 2^-9 of an end the
+# wider bump is within 1/128 of its own end.  Its factor exp(-1/(1-u^2))
+# drops below 2^-53 once 1 - |u| < 1/74, so there the density is below 2^-53
+# of its peak, and finer panels cannot change a bit of the integral.  The
+# ladders go one rung past 2^-9: at 2^-9 the kernel-check bound moves by its
+# last bit (a rounding of the panel sum), at 2^-10 it keeps every bit.
+END_RUNGS = 10
 
 
-def _refined_edges(lo: float, hi: float, special: float) -> np.ndarray:
-    """Panel edges on [lo, hi], refined dyadically toward both ends and toward
-    the special point if it lies inside.
+def _refined_edges(lo: float, hi: float, specials: np.ndarray) -> np.ndarray:
+    """Panel edges on [lo, hi] for each special point, one row per point,
+    refined dyadically toward both ends and toward the special point if it
+    lies inside.
 
     From each of those points p a ladder of edges p +- gap 2^-j, gap =
-    |side - p|, runs toward each side while the rung before it is wider than
-    1e-13 (hi - lo).  Halving is exact, so each ladder is formed whole, and
-    the edges strictly inside (lo, hi) are sorted and their repeats dropped.
+    |side - p|, runs toward each side.  The special point's ladders run
+    while the rung before is wider than 1e-13 (hi - lo); the ends' ladders
+    stop at the rung (hi - lo) 2^-END_RUNGS, where the density has vanished
+    to the bit.  Halving is exact, so each ladder is formed whole, for every
+    point at once.  Each row holds lo, then its edges strictly inside
+    (lo, hi) in ascending order, then hi, repeated to the common width; an
+    edge can appear more than once, and a panel between equal edges is empty.
     """
-    points = np.array(([special] if lo < special < hi else []) + [lo, hi])
     # p + (side - p) 2^-j is p +- |side - p| 2^-j to the bit
-    steps = (np.array([lo, hi]) - points[:, None])[..., None] * _HALVINGS
-    rungs = (points[:, None, None] + steps[..., 1:])[np.abs(steps[..., :-1]) > 1e-13 * (hi - lo)]
-    edges = np.concatenate([points, rungs])
-    edges = np.sort(edges[(lo < edges) & (edges < hi)])
-    fresh = np.ones(edges.size, dtype=bool)
-    fresh[1:] = edges[1:] != edges[:-1]
-    return np.concatenate([[lo], edges[fresh], [hi]])
+    halvings = _HALVINGS[1 : END_RUNGS + 1]
+    end_rungs = np.concatenate([lo + (hi - lo) * halvings, hi + (lo - hi) * halvings])
+    points = np.asarray(specials, dtype=float)[:, None]
+    steps = (np.array([lo, hi]) - points)[..., None] * _HALVINGS
+    rungs = points[..., None] + steps[..., 1:]
+    rungs[np.abs(steps[..., :-1]) <= 1e-13 * (hi - lo)] = hi
+    # a special point outside (lo, hi) adds neither itself nor its ladders
+    rungs[~((lo < points[:, 0]) & (points[:, 0] < hi))] = hi
+    count = points.shape[0]
+    ladders = np.broadcast_to(end_rungs, (count, end_rungs.size))
+    edges = np.concatenate([ladders, points, rungs.reshape(count, -1)], axis=1)
+    edges[~((lo < edges) & (edges < hi))] = hi
+    edges.sort(axis=1)
+    return np.concatenate([np.full_like(points, lo), edges, np.full_like(points, hi)], axis=1)
 
 
 def _log_integral(seps: np.ndarray, density, half: float) -> np.ndarray:
     """int -log|c + w| density(w) dw over [-half, half] for each c in seps,
     by fixed-order Gauss-Legendre on panels refined dyadically toward the log
-    singularity at w = -c.
+    singularity at w = -c and, down to the rung where the density vanishes
+    to the bit, toward the two ends.
 
-    The panels of every separation go through one density call, one log and
-    one matrix-vector product; each separation's panels are then summed by
-    their own np.sum, so each value has the bits of a call on that
-    separation alone.
+    The edges of every separation are formed in one pass, and the panels of
+    every separation go through one density call, one log and one
+    matrix-vector product; each separation's panels are then summed by their
+    own np.sum, so each value has the bits of a call on that separation
+    alone.
     """
-    edges = [_refined_edges(-half, half, -c) for c in seps.tolist()]
-    counts = [e.size - 1 for e in edges]
-    left = np.concatenate([e[:-1] for e in edges])
-    right = np.concatenate([e[1:] for e in edges])
+    edges = _refined_edges(-half, half, -seps)
+    left, right = edges[:, :-1], edges[:, 1:]
+    full = right > left
+    counts = full.sum(axis=1)
+    left, right = left[full], right[full]
     halfw = 0.5 * (right - left)
     w = (0.5 * (left + right))[:, None] + halfw[:, None] * _GL_NODES
     shift = np.repeat(seps, counts)[:, None]
@@ -289,7 +339,7 @@ def _log_integral(seps: np.ndarray, density, half: float) -> np.ndarray:
     np.negative(lg, out=lg)
     lg *= density(w)
     panels = lg @ _GL_WEIGHTS * halfw
-    bounds = np.cumsum([0, *counts])
+    bounds = np.cumsum([0, *counts.tolist()])
     return np.array([np.sum(panels[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 

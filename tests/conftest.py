@@ -36,6 +36,7 @@ from thickpoints.cue import (
     truncated_field,
 )
 from thickpoints.kernels import (
+    END_RUNGS,
     _log_integral,
     bump_density,
     circle_truncated_kernel_grid,
@@ -278,14 +279,17 @@ def sample_profile(stream: np.random.Generator, size: int) -> np.ndarray:
 def looped_refined_edges(lo: float, hi: float, special: float) -> np.ndarray:
     """Panel edges on [lo, hi], refined dyadically toward both ends and toward
     the special point if it lies inside, one halving at a time into a set:
-    the reference for kernels._refined_edges."""
+    the reference for kernels._refined_edges.  The special point's ladders
+    halve down to 1e-13 (hi - lo), the ends' ladders to (hi - lo)
+    2^-END_RUNGS."""
     edges = {lo, hi}
     scale = hi - lo
-    points = ([special] if lo < special < hi else []) + [lo, hi]
-    for p in points:
+    end_floor = scale * 2.0**-END_RUNGS
+    ladders = ([(special, 1e-13 * scale)] if lo < special < hi else []) + [(lo, end_floor), (hi, end_floor)]
+    for p, floor in ladders:
         for side in (lo, hi):
             gap = abs(side - p)
-            while gap > 1e-13 * scale:
+            while gap > floor:
                 gap *= 0.5
                 e = p + gap if side > p else p - gap
                 if lo < e < hi:

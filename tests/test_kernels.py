@@ -336,9 +336,13 @@ class TestRefinedEdges:
             0.5 * half, -0.3 * half, half * (1.0 - 2.0**-40),
             *np.random.default_rng(11).uniform(-half, half, 8),
         ]
-        for special in specials:
+        rows = _refined_edges(-half, half, np.array(specials))
+        assert rows.shape[0] == len(specials)
+        for special, row in zip(specials, rows):
             want = looped_refined_edges(-half, half, float(special))
-            got = _refined_edges(-half, half, float(special))
+            # each row is sorted, starts at lo, ends at hi and may repeat edges
+            assert row[0] == -half and row[-1] == half and np.all(row[1:] >= row[:-1])
+            got = row[np.r_[True, row[1:] != row[:-1]]]
             assert got.size == want.size, special
             np.testing.assert_array_equal(got, want)
 
