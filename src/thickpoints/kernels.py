@@ -270,54 +270,64 @@ def _conv_density(delta: float, epsilon: float):
 
 # 2^-j for j = 0..63, the rungs of a dyadic ladder in _refined_edges
 _HALVINGS = np.ldexp(1.0, -np.arange(64))
-# The ladders toward the two ends of [lo, hi] stop at the rung (hi - lo)
-# 2^-END_RUNGS.  The density there is the convolution of two bumps of
-# half-widths delta and epsilon, and hi - lo = 2 (delta + epsilon) is at most
-# four times the wider half-width, so within (hi - lo) 2^-9 of an end the
-# wider bump is within 1/128 of its own end.  Its factor exp(-1/(1-u^2))
-# drops below 2^-53 once 1 - |u| < 1/74, so there the density is below 2^-53
-# of its peak, and finer panels cannot change a bit of the integral.  The
-# ladders go one rung past 2^-9: at 2^-9 the kernel-check bound moves by its
-# last bit (a rounding of the panel sum), at 2^-10 it keeps every bit.
-END_RUNGS = 10
+# The density of two bumps of half-widths delta and epsilon is smooth but not
+# analytic at the ends of its support and at its knots +-(delta - epsilon),
+# where the end of one bump's support crosses the end of the other's; one
+# Gauss-Legendre panel across a knot is off by up to 2.5e-9.  The ladders
+# toward the ends and the knots stop at the rung (hi - lo) 2^-END_RUNGS.  As
+# hi - lo = 2 (delta + epsilon) is at most four times the wider half-width,
+# within (hi - lo) 2^-9 of an end or a knot the wider bump is within 1/128 of
+# its own end, and its factor exp(-1/(1-u^2)) drops below 2^-53 once
+# 1 - |u| < 1/74.  So what the density does nearer in is below 2^-53 of its
+# peak, and finer panels there cannot change a bit of the integral.
+END_RUNGS = 9
 
 
-def _refined_edges(lo: float, hi: float, specials: np.ndarray) -> np.ndarray:
+def _refined_edges(lo: float, hi: float, specials: np.ndarray, knots=()) -> np.ndarray:
     """Panel edges on [lo, hi] for each special point, one row per point,
-    refined dyadically toward both ends and toward the special point if it
-    lies inside.
+    refined dyadically toward both ends, toward the knots (points inside
+    (lo, hi) shared by every row) and toward the special point if it lies
+    inside.
 
     From each of those points p a ladder of edges p +- gap 2^-j, gap =
-    |side - p|, runs toward each side.  The special point's ladders run
-    while the rung before is wider than 1e-13 (hi - lo); the ends' ladders
-    stop at the rung (hi - lo) 2^-END_RUNGS, where the density has vanished
-    to the bit.  Halving is exact, so each ladder is formed whole, for every
-    point at once.  Each row holds lo, then its edges strictly inside
-    (lo, hi) in ascending order, then hi, repeated to the common width; an
-    edge can appear more than once, and a panel between equal edges is empty.
+    |side - p|, runs toward each side while the rung before it is wider
+    than a floor: 1e-13 (hi - lo) for the special point, (hi - lo)
+    2^-END_RUNGS for the ends and the knots.  Halving is exact, so each
+    ladder is formed whole, for every point at once.  Each row holds lo,
+    then its edges strictly inside (lo, hi) in ascending order, then hi,
+    repeated to the common width; an edge can appear more than once, and a
+    panel between equal edges is empty.
     """
-    # p + (side - p) 2^-j is p +- |side - p| 2^-j to the bit
-    halvings = _HALVINGS[1 : END_RUNGS + 1]
-    end_rungs = np.concatenate([lo + (hi - lo) * halvings, hi + (lo - hi) * halvings])
-    points = np.asarray(specials, dtype=float)[:, None]
-    steps = (np.array([lo, hi]) - points)[..., None] * _HALVINGS
-    rungs = points[..., None] + steps[..., 1:]
-    rungs[np.abs(steps[..., :-1]) <= 1e-13 * (hi - lo)] = hi
+
+    def ladders(points, floor):
+        # p + (side - p) 2^-j is p +- |side - p| 2^-j to the bit
+        steps = (np.array([lo, hi]) - points[..., None])[..., None] * _HALVINGS
+        rungs = points[..., None, None] + steps[..., 1:]
+        return rungs, np.abs(steps[..., :-1]) > floor * (hi - lo)
+
+    fixed = np.array([lo, hi, *knots])
+    rungs, keep = ladders(fixed, 2.0**-END_RUNGS)
+    shared = np.concatenate([fixed, rungs[keep]])
+    points = np.asarray(specials, dtype=float)
+    rungs, keep = ladders(points, 1e-13)
+    rungs[~keep] = hi
     # a special point outside (lo, hi) adds neither itself nor its ladders
-    rungs[~((lo < points[:, 0]) & (points[:, 0] < hi))] = hi
-    count = points.shape[0]
-    ladders = np.broadcast_to(end_rungs, (count, end_rungs.size))
-    edges = np.concatenate([ladders, points, rungs.reshape(count, -1)], axis=1)
+    rungs[~((lo < points) & (points < hi))] = hi
+    count = points.size
+    edges = np.concatenate(
+        [np.broadcast_to(shared, (count, shared.size)), points[:, None], rungs.reshape(count, -1)],
+        axis=1,
+    )
     edges[~((lo < edges) & (edges < hi))] = hi
     edges.sort(axis=1)
-    return np.concatenate([np.full_like(points, lo), edges, np.full_like(points, hi)], axis=1)
+    return np.concatenate([np.full((count, 1), lo), edges, np.full((count, 1), hi)], axis=1)
 
 
-def _log_integral(seps: np.ndarray, density, half: float) -> np.ndarray:
+def _log_integral(seps: np.ndarray, density, half: float, knots=()) -> np.ndarray:
     """int -log|c + w| density(w) dw over [-half, half] for each c in seps,
     by fixed-order Gauss-Legendre on panels refined dyadically toward the log
-    singularity at w = -c and, down to the rung where the density vanishes
-    to the bit, toward the two ends.
+    singularity at w = -c and, down to the rung past which the density
+    cannot change a bit, toward the two ends and the density's knots.
 
     The edges of every separation are formed in one pass, and the panels of
     every separation go through one density call, one log and one
@@ -325,7 +335,7 @@ def _log_integral(seps: np.ndarray, density, half: float) -> np.ndarray:
     own np.sum, so each value has the bits of a call on that separation
     alone.
     """
-    edges = _refined_edges(-half, half, -seps)
+    edges = _refined_edges(-half, half, -seps, knots)
     left, right = edges[:, :-1], edges[:, 1:]
     full = right > left
     counts = full.sum(axis=1)
@@ -365,8 +375,9 @@ def doubly_mollified_kernel(
 
     The double integral collapses to a single integral of -log|c + w| against
     the convolution density of the two mollifiers (c = x - z); the log
-    singularity is handled by dyadically refined Gauss-Legendre panels.
-    By the scale law q_{delta,epsilon}(w) = S_r(w/delta) / delta, r =
+    singularity, the ends of the density's support and its knots
+    +-(delta - epsilon) are handled by dyadically refined Gauss-Legendre
+    panels (see END_RUNGS).  By the scale law q_{delta,epsilon}(w) = S_r(w/delta) / delta, r =
     epsilon/delta, the density is a rescaled unit density, a spline built by
     one FFT convolution per ratio r and cached.  Absolute accuracy against
     mpmath: about 3e-14, where the lattice convolution is exact to rounding
@@ -380,7 +391,7 @@ def doubly_mollified_kernel(
     _check_support(z, epsilon, domain)
     density, half = _conv_density(delta, epsilon)
     seps = np.asarray(x, dtype=float) - np.asarray(z, dtype=float)
-    values = _log_integral(np.atleast_1d(seps), density, half)
+    values = _log_integral(np.atleast_1d(seps), density, half, (epsilon - delta, delta - epsilon))
     return float(values[0]) if seps.ndim == 0 else values
 
 

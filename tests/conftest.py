@@ -276,16 +276,18 @@ def sample_profile(stream: np.random.Generator, size: int) -> np.ndarray:
     return out[:size]
 
 
-def looped_refined_edges(lo: float, hi: float, special: float) -> np.ndarray:
-    """Panel edges on [lo, hi], refined dyadically toward both ends and toward
-    the special point if it lies inside, one halving at a time into a set:
-    the reference for kernels._refined_edges.  The special point's ladders
-    halve down to 1e-13 (hi - lo), the ends' ladders to (hi - lo)
-    2^-END_RUNGS."""
+def looped_refined_edges(lo: float, hi: float, special: float, knots=()) -> np.ndarray:
+    """Panel edges on [lo, hi], refined dyadically toward both ends, toward
+    the knots and toward the special point if it lies inside, one halving
+    at a time into a set: the reference for kernels._refined_edges.  The
+    special point's ladders halve down to 1e-13 (hi - lo), those of the ends
+    and the knots to (hi - lo) 2^-END_RUNGS."""
     edges = {lo, hi}
     scale = hi - lo
-    end_floor = scale * 2.0**-END_RUNGS
-    ladders = ([(special, 1e-13 * scale)] if lo < special < hi else []) + [(lo, end_floor), (hi, end_floor)]
+    coarse = scale * 2.0**-END_RUNGS
+    ladders = [(p, coarse) for p in (lo, hi, *knots)]
+    if lo < special < hi:
+        ladders.append((special, 1e-13 * scale))
     for p, floor in ladders:
         for side in (lo, hi):
             gap = abs(side - p)

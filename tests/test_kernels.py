@@ -85,6 +85,30 @@ def mp_mollified_kernel(x: float, z: float, delta: float) -> float:
                                  edges))
 
 
+@functools.cache
+def mp_doubly_mollified_kernel(c: float, delta: float, epsilon: float) -> float:
+    """int int -log|c + s - t| rho_delta(s) rho_epsilon(t) ds dt for the bump
+    by mpmath at 30 digits, c (the double as an exact binary number) at or
+    near an end of the support, |c| > (delta + epsilon) tanh(7/2).
+
+    s = delta tanh(sigma) and t = epsilon tanh(tau) make each bump factor
+    exp(-cosh^2) sech^2, which decays doubly exponentially and is analytic
+    in the strip |Im| < pi/4, and for such c the log has no singularity on
+    the nodes; so the trapezoid rule at step 1/16 on [-7/2, 7/2] converges
+    to 30 digits (step 1/32 on [-4, 4] agrees to 4e-31).  The bump's mass
+    is summed by the same rule.
+    """
+    with mpmath.workdps(30):
+        c, delta, epsilon = mpmath.mpf(c), mpmath.mpf(delta), mpmath.mpf(epsilon)
+        assert abs(c) > (delta + epsilon) * mpmath.tanh(3.5)
+        nodes = [mpmath.mpf(k) / 16 for k in range(-56, 57)]
+        u = [mpmath.tanh(x) for x in nodes]
+        weights = [mpmath.exp(-mpmath.cosh(x) ** 2) / mpmath.cosh(x) ** 2 for x in nodes]
+        total = mpmath.fsum(-mpmath.log(abs(c + delta * us - epsilon * ut)) * ws * wt
+                            for us, ws in zip(u, weights) for ut, wt in zip(u, weights))
+        return float(total / mpmath.fsum(weights) ** 2)
+
+
 class TestMollifierSpec:
     """The mollifier: the bump density.  The density is a test parameter, so
     the tests keep the ids ([rho0]) they had when a second profile existed."""
@@ -326,8 +350,14 @@ class TestConvDensity:
 
 
 class TestRefinedEdges:
+    # knots as doubly_mollified_kernel places them, at +-(delta - epsilon):
+    # none, both at zero (epsilon = delta) and at a third of half
+    # (epsilon = delta / 2)
+    @pytest.mark.parametrize("knots", [(), (-0.0, 0.0), (-1.0 / 3.0, 1.0 / 3.0)],
+                             ids=["none", "equal", "half-ratio"])
     @pytest.mark.parametrize("half", [1.0, 0.25, 0.125 + 0.00390625, 2.0**-8 + 2.0**-9, 0.3])
-    def test_matches_looped_oracle(self, half):
+    def test_matches_looped_oracle(self, half, knots):
+        knots = tuple(k * half for k in knots)
         specials = [
             -half, half,  # at either end
             0.0, -0.0,
@@ -336,10 +366,10 @@ class TestRefinedEdges:
             0.5 * half, -0.3 * half, half * (1.0 - 2.0**-40),
             *np.random.default_rng(11).uniform(-half, half, 8),
         ]
-        rows = _refined_edges(-half, half, np.array(specials))
+        rows = _refined_edges(-half, half, np.array(specials), knots)
         assert rows.shape[0] == len(specials)
         for special, row in zip(specials, rows):
-            want = looped_refined_edges(-half, half, float(special))
+            want = looped_refined_edges(-half, half, float(special), knots)
             # each row is sorted, starts at lo, ends at hi and may repeat edges
             assert row[0] == -half and row[-1] == half and np.all(row[1:] >= row[:-1])
             got = row[np.r_[True, row[1:] != row[:-1]]]
@@ -424,6 +454,21 @@ class TestDoublyMollifiedKernel:
             got = kernel(0.3, 0.3, delta, delta)
             assert abs(got - math.log(1.0 / delta) - reference) <= 1e-12
 
+    # the log singularity at an end of the density's support, where the
+    # panels stop refining, and a hair outside and inside it.  At ratio 1 the
+    # end ladders are finest relative to the bumps; at ratio 1/2 the knots
+    # +-(delta - epsilon) lie inside the support, and a panel across them
+    # was 1.3e-9 off here.  Measured at most 1.3e-15.
+    @pytest.mark.parametrize("delta, epsilon", [(1.0 / 8.0, 1.0 / 8.0), (1.0 / 16.0, 1.0 / 32.0)],
+                             ids=["ratio-1", "ratio-1/2"])
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 1.0 + 2.0**-40, 1.0 - 2.0**-40],
+                             ids=["end", "other-end", "outside", "inside"])
+    def test_singularity_at_support_end_against_mpmath(self, delta, epsilon, scale):
+        c = scale * (delta + epsilon)
+        # the kernel is even in c
+        reference = mp_doubly_mollified_kernel(abs(c), delta, epsilon)
+        assert abs(doubly_mollified_kernel(c, 0.0, delta, epsilon) - reference) <= 1e-12
+
     def test_cross_scale_error_is_controlled(self):
         # |C_{delta,eps} - C_delta| <= C (eps/delta) log(1/delta) with C <= 10
         for delta in (1.0 / 8.0, 1.0 / 32.0):
@@ -493,6 +538,37 @@ class TestAssumption1Check:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * 2**20
+
+    def test_memory_with_warm_splines(self):
+        # measured 1.34 MB, and 1.95 MB with the ends refined to 1e-13 of
+        # the width and no knots
+        deltas = [2.0**-j for j in range(3, 9)]
+        grid = np.linspace(0.15, 0.85, 5)
+        assumption1_check(grid, deltas, deltas, (0.0, 1.0))
+        tracemalloc.start()
+        try:
+            assumption1_check(grid, deltas, deltas, (0.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
+
+    def test_panel_count(self, monkeypatch):
+        # the panels at the kernel-check config: 30 498 with the ends
+        # refined to 1e-13 of the width, 9 078 at 2^-10 with no knots
+        counts = []
+        edges = kernels._refined_edges
+
+        def counted(*args):
+            rows = edges(*args)
+            counts.append(int(np.count_nonzero(rows[:, 1:] > rows[:, :-1])))
+            return rows
+
+        monkeypatch.setattr(kernels, "_refined_edges", counted)
+        deltas = [2.0**-j for j in range(3, 9)]
+        assumption1_check(np.linspace(0.15, 0.85, 5), deltas, deltas, (0.0, 1.0))
+        assert len(counts) == 21
+        assert sum(counts) == 16_274
 
     @pytest.mark.parametrize("grid", [[0.05, 0.3, 0.5], [0.5, 0.7, 0.95]], ids=["first", "last"])
     @pytest.mark.parametrize(
