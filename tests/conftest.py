@@ -63,9 +63,21 @@ def weierstrass_log_barnes_g1p(w: float, terms: int = 100_000) -> float:
                  + sum_k [w^2/(2k) - w + k log(1+w/k)],
     the truncated sum completed with the series
     sum_{k>K} = sum_{m>=3} (-1)^{m+1} w^m/m zeta(m-1, K+1).
+
+    The three terms of a summand cancel to about w x^2 / 3, x = w/k, so
+    past k = 4|w|, where |x| <= 1/4, a summand is taken from its series
+    w x^2 sum_{m>=3} (-1)^{m+1} x^(m-3) / m, cut after m = 32, where the
+    next term is below 1e-19 of the first.
     """
     k = np.arange(1, terms + 1, dtype=np.float64)
-    partial = math.fsum((w * w / (2.0 * k) - w + k * np.log1p(w / k)).tolist())
+    near = k[k <= 4.0 * abs(w)]
+    x = w / k[k > 4.0 * abs(w)]
+    series = np.zeros_like(x)
+    for m in range(32, 2, -1):
+        series = series * x + (-1.0) ** (m + 1) / m
+    partial = math.fsum(
+        (w * w / (2.0 * near) - w + near * np.log1p(w / near)).tolist() + (w * x * x * series).tolist()
+    )
     tail = 0.0
     for m in range(3, 30):
         term = (-1.0) ** (m + 1) * w**m / m * float(zeta(m - 1, terms + 1))
@@ -534,13 +546,15 @@ def exact_thickpoint_prob(n: int, gamma: float) -> float:
     phi(t) = E|p_N|^{i sqrt(2) t} (log_cue_abs_moment_exact), on t in (0, 8]
     with 16 panels of 64-point Gauss-Legendre.  |phi(8)| is below 1e-17
     from N = 16 on, so the cut tail is negligible there; smaller N need a
-    longer range.
+    longer range.  The moments go through the uncached function, so the
+    1024 exponents of a call stay out of the process-wide moment cache.
     """
     x = gamma * math.log(n)
     nodes, weights = np.polynomial.legendre.leggauss(64)
     half = 0.25  # half a panel
     t = np.arange(half, 8.0, 2.0 * half)[:, None] + half * nodes
-    log_phi = [log_cue_abs_moment_exact(n, 1j * SQRT2 * s) for s in t.ravel().tolist()]
+    moment = log_cue_abs_moment_exact.__wrapped__
+    log_phi = [moment(n, 1j * SQRT2 * s) for s in t.ravel().tolist()]
     phi = np.exp(log_phi).reshape(t.shape)
     integrand = (np.exp(-1j * t * x) * phi).imag / t
     return 0.5 + half * math.fsum((integrand @ weights).tolist()) / math.pi

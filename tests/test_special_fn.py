@@ -124,9 +124,10 @@ class TestLogBarnesG:
 
     @pytest.mark.parametrize("z", [1.5, 2.5, 4.0, 7.25, 12.5, 30.0])
     def test_against_weierstrass_product(self, z):
-        assert log_barnes_g(z).real == pytest.approx(
-            weierstrass_log_barnes_g1p(z - 1.0), rel=1e-13, abs=5e-12
-        )
+        # the product oracle is within 1.2e-15 relative of 30-digit mpmath
+        # at these points; measured at most 1.1e-14 relative
+        want = weierstrass_log_barnes_g1p(z - 1.0)
+        assert log_barnes_g(z).real == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_functional_equation_random_arguments(self):
         rng = np.random.default_rng(20240817)
@@ -305,6 +306,11 @@ class TestThickpointProbAsymptotic:
 
 
 class TestExactThickpointProb:
+    def test_leaves_the_moment_cache_alone(self):
+        before = log_cue_abs_moment_exact.cache_info().currsize
+        exact_thickpoint_prob(16, 0.6)
+        assert log_cue_abs_moment_exact.cache_info().currsize == before
+
     def test_error_budget_against_mpmath(self):
         # Gil-Pelaez inversion of the exact product formula in mpmath; the
         # range [0, 8] gives the same 20 digits as [0, 1, 2, 4, 8, 16].
