@@ -273,17 +273,20 @@ _HALVINGS = np.ldexp(1.0, -np.arange(64))
 # The density of two bumps of half-widths delta and epsilon is smooth but not
 # analytic at the ends of its support and at its knots +-(delta - epsilon),
 # where the end of one bump's support crosses the end of the other's; one
-# Gauss-Legendre panel across a knot is off by up to 2.5e-9.  The ladders
-# toward the ends and the knots stop at the rung (hi - lo) 2^-END_RUNGS.  As
-# hi - lo = 2 (delta + epsilon) is at most four times the wider half-width,
-# within (hi - lo) 2^-9 of an end or a knot the wider bump is within 1/128 of
-# its own end, and its factor exp(-1/(1-u^2)) drops below 2^-53 once
-# 1 - |u| < 1/74.  So what the density does nearer in is below 2^-53 of its
-# peak, and finer panels there cannot change a bit of the integral.
+# Gauss-Legendre panel across a knot put the kernel 2.5e-9 off at
+# epsilon = 3 delta / 4.  The ladders toward the ends and the knots stop at
+# the rung (hi - lo) 2^-END_RUNGS.  As hi - lo = 2 (delta + epsilon) is at
+# most four times the wider half-width, within (hi - lo) 2^-9 of an end or a
+# knot the wider bump is within 1/128 of its own end, and its factor
+# exp(-1/(1-u^2)) drops below 2^-53 once 1 - |u| < 1/74.  So what the density
+# does nearer in is below 2^-53 of its peak, and finer panels there cannot
+# change a bit of the integral.
 END_RUNGS = 9
 
 
-def _refined_edges(lo: float, hi: float, specials: np.ndarray, knots=()) -> np.ndarray:
+def _refined_edges(
+    lo: float, hi: float, specials: np.ndarray, knots: tuple[float, ...] = ()
+) -> np.ndarray:
     """Panel edges on [lo, hi] for each special point, one row per point,
     refined dyadically toward both ends, toward the knots (points inside
     (lo, hi) shared by every row) and toward the special point if it lies
@@ -323,7 +326,9 @@ def _refined_edges(lo: float, hi: float, specials: np.ndarray, knots=()) -> np.n
     return np.concatenate([np.full((count, 1), lo), edges, np.full((count, 1), hi)], axis=1)
 
 
-def _log_integral(seps: np.ndarray, density, half: float, knots=()) -> np.ndarray:
+def _log_integral(
+    seps: np.ndarray, density, half: float, knots: tuple[float, ...] = ()
+) -> np.ndarray:
     """int -log|c + w| density(w) dw over [-half, half] for each c in seps,
     by fixed-order Gauss-Legendre on panels refined dyadically toward the log
     singularity at w = -c and, down to the rung past which the density
@@ -377,9 +382,10 @@ def doubly_mollified_kernel(
     the convolution density of the two mollifiers (c = x - z); the log
     singularity, the ends of the density's support and its knots
     +-(delta - epsilon) are handled by dyadically refined Gauss-Legendre
-    panels (see END_RUNGS).  By the scale law q_{delta,epsilon}(w) = S_r(w/delta) / delta, r =
-    epsilon/delta, the density is a rescaled unit density, a spline built by
-    one FFT convolution per ratio r and cached.  Absolute accuracy against
+    panels (see END_RUNGS).  By the scale law q_{delta,epsilon}(w) =
+    S_r(w/delta) / delta, r = epsilon/delta, the density is a rescaled unit
+    density, a spline built by one FFT convolution per ratio r and cached.
+    Absolute accuracy against
     mpmath: about 3e-14, where the lattice convolution is exact to rounding
     and the spline is what is left.
     """
