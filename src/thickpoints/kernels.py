@@ -149,7 +149,20 @@ def _truncated_slice(part, starts, ends, inverse_k, snapshots, rows) -> None:
             rows[row] = acc
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-point Gauss-Legendre rule on [-1, 1], bit for bit the output of
+# np.polynomial.legendre.leggauss(16), written out so that no process loads
+# numpy.polynomial for it.  That output is exactly symmetric, so the positive
+# nodes and their weights, ascending, are mirrored.
+_GL_HALF_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 
 # the bump's unit convolution density is tabulated on CONV_NODES points; its
 # lattice step divides that grid and puts CONV_MIN_POINTS on the narrower

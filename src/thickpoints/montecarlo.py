@@ -1,10 +1,13 @@
 """Experiment driver: deterministic seeded replication and the
 summary estimators.
 
-Each replica owns an RNG stream derived from (master_seed, replica_index) by a
-SplitMix64-style avalanche, so results are independent of worker count and
-reproducible across platforms.  The stream is
+Each replica that draws owns an RNG stream derived from (master_seed,
+replica_index) by a SplitMix64-style avalanche, so results are independent of
+worker count and reproducible across platforms.  The stream is
 np.random.Generator(np.random.PCG64(derived_seed)) (replica_stream).
+kernel-check draws nothing: its separations come from the same avalanche, not
+from a generator, and run_replica returns its cached row without making a
+stream, so a kernel-check process never loads numpy.random.
 
 Replicas run in blocks of contiguous indices.  A worker's run of indices
 derives its seeds and hashes them as numpy's SeedSequence does in one
@@ -323,12 +326,20 @@ def _block_gaussian_gmc(config: ExperimentConfig, streams) -> list[dict[str, flo
     return [{"gmc_mass": float(mass / norm)} for mass in field.mean(axis=-1)]
 
 
+def _kernel_check_separations() -> np.ndarray:
+    """The 10 000 kernel-check separations, 1e-4 + (pi - 1e-4) u_i in
+    [1e-4, pi).  u_i is the top 53 bits of derive_seed(12345, i) over 2^53,
+    a uniform on [0, 1) drawn from no generator, which any platform
+    reproduces bit for bit."""
+    seeds = derive_seed(12345, np.arange(10_000, dtype=np.uint64))
+    return 1e-4 + (math.pi - 1e-4) * ((seeds >> 11) * 2.0**-53)
+
+
 @functools.cache
 def _kernel_check_values() -> dict[str, float]:
     """The kernel-check scalars.  They depend on neither the config nor the
-    replica stream, so each process computes them once."""
-    rng = np.random.Generator(np.random.PCG64(12345))
-    seps = rng.uniform(1e-4, math.pi, 10_000)
+    replica index, so each process computes them once."""
+    seps = _kernel_check_separations()
     js = list(range(2, 13))
     kmaxes = [2**j for j in js]
     grid_vals = circle_truncated_kernel_grid(seps, kmaxes)
@@ -346,17 +357,12 @@ def _kernel_check_values() -> dict[str, float]:
     }
 
 
-def _replica_kernel_checks(config: ExperimentConfig, stream) -> dict[str, float]:
-    return dict(_kernel_check_values())
-
-
 _BLOCK_FNS = {
     Experiment.MOMENT_CHECK: _block_moment_check,
     Experiment.TRACE_COVARIANCE: _block_trace_covariance,
     Experiment.FK_TEST: _each(_replica_fk_test),
     Experiment.NU_MU_DISCREPANCY: _each(_replica_nu_mu),
     Experiment.GAUSSIAN_GMC: _block_gaussian_gmc,
-    Experiment.KERNEL_CHECKS: _each(_replica_kernel_checks),
 }
 
 # Block limits: at most BLOCK_REPLICAS replicas, and at most BLOCK_BYTES in
@@ -389,7 +395,10 @@ def _block_size(config: ExperimentConfig) -> int:
 
 
 def run_replica(config: ExperimentConfig, replica_index: int) -> dict[str, float]:
-    """The scalar row of one replica: its experiment's block of one index."""
+    """The scalar row of one replica: its experiment's block of one index.
+    kernel-check draws nothing, so its row is returned with no stream made."""
+    if config.experiment is Experiment.KERNEL_CHECKS:
+        return dict(_kernel_check_values())
     stream = replica_stream(config.master_seed, replica_index)
     return _BLOCK_FNS[config.experiment](config, [stream])[0]
 

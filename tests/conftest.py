@@ -12,7 +12,8 @@ looped dyadic panel edges, the singly mollified kernel and the diagonal
 constant kappa, the truncated field by one complex FFT per scale and its
 analytic variance, the nu-mu barrier columns from one barrier mask per start
 level, small-n dense oracles (a Gram-Schmidt Haar unitary, LU determinants,
-the CMV operator and its power traces), Kolmogorov-Smirnov statistics with
+the CMV operator and its power traces), the Bourgade-Hughes-Nikeghbali-Yor
+product law of the field at one point, Kolmogorov-Smirnov statistics with
 their asymptotic critical values, the exact finite-N thick-point
 probability by Gil-Pelaez inversion, and the large-N laws the Monte Carlo
 checks compare with: log Gamma and Psi as values, the Frechet limit law and
@@ -418,6 +419,29 @@ def det_field_oracle(n: int, stream: np.random.Generator, grid_size: int) -> np.
     u = sample_haar_unitary_dense(n, stream)
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
     return det_log_field(u, theta)
+
+
+def product_law_field_at_one(n: int, reps: int, rng: np.random.Generator, chunk: int = 2000) -> np.ndarray:
+    """reps draws of X_N(0) = sqrt(2) log|det(I - U)| by the product law of
+    Bourgade, Hughes, Nikeghbali and Yor (Duke Math. J. 145, 2008):
+    det(I - U) has the law of prod_{k<n} (1 - gamma_k), with independent
+    gamma_k of uniform phase, |gamma_0| = 1 and |gamma_k|^2 ~ Beta(1, k).
+    O(n) per draw and no code shared with the Szego path; chunked to bound
+    memory."""
+    k = np.arange(n)
+    parts = []
+    done = 0
+    while done < reps:
+        m = min(chunk, reps - done)
+        # Beta(1, k) by inversion: 1 - U^{1/k}, and 1 at k = 0
+        with np.errstate(divide="ignore"):
+            log_u = np.log(rng.random((m, n)))
+        radius_sq = -np.expm1(log_u / np.maximum(k, 1))
+        radius_sq[:, 0] = 1.0
+        gammas = np.sqrt(radius_sq) * np.exp(2j * np.pi * rng.random((m, n)))
+        parts.append(SQRT2 * np.log(np.abs(1.0 - gammas)).sum(axis=1))
+        done += m
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,30 @@ def test_cli_runs_every_subcommand_without_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+_KERNEL_CHECK_COLD_START = """
+import sys
+from thickpoints import cli
+# the Gauss-Legendre table is literal
+assert "numpy.polynomial" not in sys.modules
+# kernel-check draws nothing, so it makes no generator, and numpy.random's
+# seeding never pulls in secrets and OpenSSL
+assert cli.main(["kernel-check", "-o", "kc"]) == cli.EXIT_OK
+unloaded = ("numpy.random", "numpy.polynomial", "secrets", "_hashlib")
+assert not [m for m in unloaded if m in sys.modules], [m for m in unloaded if m in sys.modules]
+# a run that draws does load numpy.random, so the checks above can fail
+assert cli.main(["nu-mu", "--set", "n=16", "-o", "nm"]) == cli.EXIT_OK
+assert "numpy.random" in sys.modules
+"""
+
+
+def test_kernel_check_loads_neither_numpy_random_nor_polynomial(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, THICKPOINT_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _KERNEL_CHECK_COLD_START], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 class TestParser:
     def test_all_subcommands_registered(self):
         parser = build_parser()

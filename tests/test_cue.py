@@ -14,6 +14,7 @@ from conftest import (
     cmv_matrix,
     det_field_oracle,
     det_log_field,
+    exact_thickpoint_prob,
     ks_two_sample,
     ks_two_sample_critical_value,
     ld_phi_coefficients,
@@ -22,6 +23,7 @@ from conftest import (
     mp_fourier_sum,
     mp_trace_powers,
     phi_coefficients,
+    product_law_field_at_one,
     sample_alphas_block,
     sample_haar_unitary_dense,
     trace_powers_cmv,
@@ -166,6 +168,20 @@ class TestEvalField:
         b = mc_field_at(32, [2.1], reps, rng)[:, 0]
         d = ks_two_sample(a, b)
         assert d < ks_two_sample_critical_value(reps, reps, 0.01)
+
+    @pytest.mark.slow
+    def test_field_at_one_against_the_product_law(self):
+        # X_N(0) from the Szego path against the Bourgade-Hughes-Nikeghbali-Yor
+        # product law, which shares no code with it, and the thick-point
+        # frequency of the product law against the exact probability
+        rng = np.random.default_rng(23)
+        n, gamma, reps = 256, 0.6, 20_000
+        product = product_law_field_at_one(n, reps, rng)
+        szego = mc_field_at(n, [0.0], reps, rng)[:, 0]
+        assert ks_two_sample(product, szego) < ks_two_sample_critical_value(reps, reps, 0.01)
+        p_exact = exact_thickpoint_prob(n, gamma)
+        p_freq = float(np.mean(product >= gamma * math.log(n)))
+        assert abs(p_freq - p_exact) <= 4.0 * math.sqrt(p_exact * (1.0 - p_exact) / reps)
 
 
 def _tree_shape(n: int, leaf: int) -> tuple[int, int, int]:

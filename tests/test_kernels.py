@@ -583,3 +583,10 @@ class TestAssumption1Check:
     def test_far_pair_has_small_deviation(self):
         val = doubly_mollified_kernel(0.25, 0.75, 1.0 / 8.0, 1.0 / 8.0, (0.0, 1.0))
         assert abs(val + math.log(0.5)) < 0.1
+
+
+def test_gauss_legendre_table_is_leggauss():
+    # the literal 16-point table is numpy's, bit for bit
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert [x.hex() for x in kernels._GL_NODES.tolist()] == [x.hex() for x in nodes.tolist()]
+    assert [w.hex() for w in kernels._GL_WEIGHTS.tolist()] == [w.hex() for w in weights.tolist()]
