@@ -3,10 +3,11 @@ field, its Fourier truncations and power traces.
 
 No dense eigensolver anywhere: a Haar CUE spectrum is parametrized by random
 Verblunsky coefficients, whose Szego polynomial is synthesized once per
-sample as a coefficient row by a product tree of transfer matrices.  Each
-block of the tree carries only row 0 of its product, since row 1 is its
-reflection (Simon, Orthogonal Polynomials on the Unit Circle, sec. 1.5): a
-merge takes 4 forward FFTs and 2 inverse, the root 3 and 1.  The field on a
+sample as a coefficient row by one product tree of transfer matrices over
+every row of a block (szego_coefficients).  Each block of the tree carries
+only row 0 of its product, since row 1 is its reflection (Simon, Orthogonal
+Polynomials on the Unit Circle, sec. 1.5): a merge takes 4 forward FFTs and
+2 inverse, the root 3 and 1.  The field on a
 uniform grid finer than the degree is one FFT of that row, and power traces
 come from Newton's identities on the same coefficients.  At arbitrary angles
 one per-point Szego recursion (szego_log_abs), batched over replicas,
@@ -120,12 +121,6 @@ def szego_log_abs(alphas: np.ndarray, z: np.ndarray) -> np.ndarray:
 # leaves of 32 beat leaves of 64 at n = 1024 (0.72 ms against 1.03 ms) and at
 # n = 16384 (16.9 ms against 18.3 ms), and matched them at n = 4096.
 SZEGO_LEAF = 32
-# Degree at or below which the plain recursion runs in place of the tree.
-# Padding to whole leaves makes the tree lose below n of about 48 (0.29 ms
-# against 0.22 ms at n = 33); from there to 64 it wins by at most 0.1 ms
-# (0.29 ms against 0.38 ms at n = 64), so the n <= 64 runs keep the plain
-# recursion and their bits.
-SZEGO_CROSSOVER = 64
 
 
 def _szego_steps(alphas: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,67 +149,59 @@ def _szego_steps(alphas: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.
 
 def szego_coefficients(alphas: np.ndarray) -> np.ndarray:
     """Monomial coefficients (ascending) of the degree-n Szego polynomial of
-    each row of alphas: shape (R, n) gives (R, n + 1).
+    each row of alphas: shape (R, n) gives (R, n + 1).  Each row comes out
+    bit for bit as it does alone.
 
     One recursion step is the polynomial transfer matrix
     T_k = [[z, -conj(alpha_k)], [-alpha_k z, 1]] acting on (Phi_k, Phi*_k), so
-    Phi_n is row 0 of T_{n-1} ... T_0 applied to (1, 1).  For
-    n <= SZEGO_CROSSOVER the recursion runs on that start vector directly,
-    O(n^2), batched over the rows; each row comes out as it does alone.
-    Above it each row goes through the product tree (_phi_coefficient_vector).
-    Where the coefficients overflow the double range the rows are non-finite,
-    which eval_field and trace_powers check for, so the overflow is not
-    warned about.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if alphas.shape[-1] <= SZEGO_CROSSOVER:
-            phi, _ = _szego_steps(alphas, np.array([[1.0, 1.0]]))
-            return phi[:, :, 0].T
-        return np.stack([_phi_coefficient_vector(row) for row in alphas])
-
-
-def _phi_coefficient_vector(alphas: np.ndarray) -> np.ndarray:
-    """Monomial coefficients (ascending) of the degree-n Szego polynomial by a
-    product tree of the transfer matrices, for n above SZEGO_CROSSOVER.
-
-    The alphas are split into leaves of SZEGO_LEAF steps and the leaf
-    products are merged level by level with batched FFT polynomial products,
-    an odd block being carried up unchanged, until two blocks are left
-    (n > SZEGO_CROSSOVER >= SZEGO_LEAF makes at least two leaves).  That
-    costs O(n log^2 n) (von zur Gathen-Gerhard, Modern Computer Algebra
-    ch. 10).
+    Phi_n is row 0 of T_{n-1} ... T_0 applied to (1, 1).  Up to one leaf
+    (n <= SZEGO_LEAF) the recursion runs on that start vector directly,
+    O(n^2).  Above it every row goes through one product tree: the alphas are
+    split into leaves of SZEGO_LEAF steps and the leaf products are merged
+    level by level with batched FFT polynomial products, an odd block being
+    carried up unchanged, until two blocks are left.  That costs
+    O(n log^2 n) (von zur Gathen-Gerhard, Modern Computer Algebra ch. 10).
 
     Every product of d steps has the form [[A, B], [B#, A#]] with
     P#(z) = z^d conj(P(1/conj(z))), the coefficients of P reversed and
     conjugated (Simon, Orthogonal Polynomials on the Unit Circle, AMS 2005,
     sec. 1.5), so each block carries only its row 0, (A, B).  A leaf runs the
     recursion on the one start column (1, 0), which yields A and B#, batched
-    over leaves.  Merging a later block (A2, B2) with an earlier (A1, B1)
-    gives A = A2 A1 + B2 B1# and B = A2 B1 + B2 A1#, and the root gives
-    Phi_n = A2 S + B2 S# with S = A1 + B1 (_row0_product).  A merge takes 4
-    forward transforms and 2 inverse, the root 3 and 1.  The last leaf is
-    completed with alpha = 0 steps, each of which only multiplies Phi by z, so
-    the root's row 0 is z^pad times the true one.
+    over the leaves of every row.  Merging a later block (A2, B2) with an
+    earlier (A1, B1) gives A = A2 A1 + B2 B1# and B = A2 B1 + B2 A1#, and the
+    root gives Phi_n = A2 S + B2 S# with S = A1 + B1 (_row0_product).  A
+    merge takes 4 forward transforms and 2 inverse, the root 3 and 1.  The
+    last leaf is completed with alpha = 0 steps, each of which only
+    multiplies Phi by z, so the root's row 0 is z^pad times the true one.
+
+    Where the coefficients overflow the double range the rows are non-finite,
+    which eval_field and trace_powers check for, so the overflow is not
+    warned about.
     """
-    n = alphas.size
-    pad = -n % SZEGO_LEAF
-    leaves = np.concatenate([alphas, np.zeros(pad, dtype=np.complex128)])
-    a, b_star = _szego_steps(leaves.reshape(-1, SZEGO_LEAF), np.array([[1.0, 0.0]]))
-    # level[b, 0] and level[b, 1] hold A and B of block b's product
-    level = np.stack([a[:, :, 0], np.conj(b_star[::-1, :, 0])]).transpose(2, 0, 1)
-    while level.shape[0] > 2:
-        pairs = level.shape[0] // 2
-        # the later block multiplies from the left; only the earlier one is
-        # reflected, and it always fills its storage degree, since only the
-        # last block can have been carried up
-        merged = _row0_product(level[1 : 2 * pairs : 2], level[0 : 2 * pairs : 2])
-        if level.shape[0] % 2:
-            carried = np.zeros((1, *merged.shape[1:]), dtype=np.complex128)
-            carried[..., : level.shape[-1]] = level[-1]
-            merged = np.concatenate([merged, carried])
-        level = merged
-    root = _row0_product(level[1], level[0, :1] + level[0, 1:])[0]
-    return root[pad : pad + n + 1]
+    rows, n = alphas.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n <= SZEGO_LEAF:
+            phi, _ = _szego_steps(alphas, np.array([[1.0, 1.0]]))
+            return phi[:, :, 0].T
+        pad = -n % SZEGO_LEAF
+        leaves = np.concatenate([alphas, np.zeros((rows, pad), dtype=np.complex128)], axis=1)
+        a, b_star = _szego_steps(leaves.reshape(-1, SZEGO_LEAF), np.array([[1.0, 0.0]]))
+        # level[r, b, 0] and level[r, b, 1] hold A and B of row r's block b
+        level = np.stack([a[:, :, 0], np.conj(b_star[::-1, :, 0])]).transpose(2, 0, 1)
+        level = level.reshape(rows, -1, *level.shape[1:])
+        while level.shape[1] > 2:
+            pairs = level.shape[1] // 2
+            # the later block multiplies from the left; only the earlier one is
+            # reflected, and it always fills its storage degree, since only the
+            # last block can have been carried up
+            merged = _row0_product(level[:, 1 : 2 * pairs : 2], level[:, 0 : 2 * pairs : 2])
+            if level.shape[1] % 2:
+                carried = np.zeros((rows, 1, *merged.shape[2:]), dtype=np.complex128)
+                carried[..., : level.shape[-1]] = level[:, -1:]
+                merged = np.concatenate([merged, carried], axis=1)
+            level = merged
+        root = _row0_product(level[:, 1], level[:, 0, :1] + level[:, 0, 1:])[:, 0]
+        return root[:, pad : pad + n + 1]
 
 
 def _row0_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:

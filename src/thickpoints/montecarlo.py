@@ -338,7 +338,7 @@ def _kernel_check_separations() -> np.ndarray:
 @functools.cache
 def _kernel_check_values() -> dict[str, float]:
     """The kernel-check scalars.  They depend on neither the config nor the
-    replica index, so each process computes them once."""
+    replica index, so a run computes them once, before any worker forks."""
     seps = _kernel_check_separations()
     js = list(range(2, 13))
     kmaxes = [2**j for j in js]
@@ -378,15 +378,16 @@ BLOCK_BYTES = 1 << 20
 
 def _block_size(config: ExperimentConfig) -> int:
     """Replicas per block.  The widest array of a block holds, per replica,
-    the uniforms (2n doubles) for verify-moments, the coefficient rows or
-    the traces (complex) for trace-cov, and the half spectrum (complex) for
-    gaussian-gmc.  nu-mu, fk-test and kernel-check run one replica per
-    run_replica call."""
+    the uniforms (2n doubles) for verify-moments, the half spectrum
+    (complex) for gaussian-gmc, and for trace-cov the traces or the product
+    tree's top-level spectra: the root's two polynomials of degree d < n at
+    length 2d, under 4n complex values.  nu-mu, fk-test and kernel-check run
+    one replica per run_replica call."""
     n, kmax = config.n, config.effective_kmax
     if config.experiment is Experiment.MOMENT_CHECK:
         widest = 16 * n
     elif config.experiment is Experiment.TRACE_COVARIANCE:
-        widest = 16 * max(n + 1, kmax)
+        widest = 16 * max(4 * n, kmax)
     elif config.experiment is Experiment.GAUSSIAN_GMC:
         widest = 16 * (config.grid_factor * kmax // 2 + 1)
     else:
@@ -465,6 +466,9 @@ def run_experiment(
         # worker i takes the contiguous run of indices bounds[i]:bounds[i+1]
         bounds = [config.replicas * i // workers for i in range(workers + 1)]
         chunks = [(config, indices[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        if config.experiment is Experiment.KERNEL_CHECKS:
+            # filled before the fork, so the workers inherit the cached scalars
+            _kernel_check_values()
         # imported here, so that a one-worker run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -262,12 +263,16 @@ class TestMain:
         [
             ["verify-moments", "--set", "n=16"],
             ["trace-cov", "--set", "n=16", "--set", "kmax=40"],
-            # past cue.SZEGO_CROSSOVER: the product tree runs row by row
+            # past cue.SZEGO_LEAF: each block's rows go through one product
+            # tree, with a partial last leaf at n = 40 and odd blocks carried
+            # up at n = 72
+            pytest.param(["trace-cov", "--set", "n=40", "--set", "kmax=80"], id="trace-cov-two-leaves"),
             pytest.param(["trace-cov", "--set", "n=72", "--set", "kmax=80"], id="trace-cov-tree"),
             ["fk-test", "--set", "n=32"],
             ["nu-mu", "--set", "n=64", "--set", "ell=1", "--set", "g_shift=0.2"],
             ["gaussian-gmc", "--set", "kmax=16"],
-            # each worker process computes the kernel checks once, about 0.2 s
+            # the parent computes the kernel checks once, about 0.2 s, before
+            # any worker forks
             ["kernel-check"],
         ],
         ids=lambda argv: argv[0],
@@ -494,3 +499,20 @@ class TestParser:
         for name in names:
             args = parser.parse_args([name])
             assert args.subcommand == name
+
+    def test_readme_command_lines_parse_and_validate(self):
+        # every `thickpoints ...` line of README's "Command line" block, with
+        # its backslash continuations joined, parses and its --set items
+        # give a valid config
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+        shown = set()
+        for line in lines:
+            words = shlex.split(line)
+            assert words[0] == "thickpoints", line
+            args = build_parser().parse_args(words[1:])
+            experiment = cli._SUBCOMMANDS[args.subcommand][0]
+            apply_overrides(ExperimentConfig(experiment), args.set or [])
+            shown.add(args.subcommand)
+        assert shown == set(cli._SUBCOMMANDS)

@@ -208,9 +208,9 @@ TREE_SIZES = sorted(
 
 class TestSynthesis:
     def test_tree_sizes_cover_every_shape(self):
-        # n > SZEGO_CROSSOVER >= SZEGO_LEAF gives at least two leaves, so the
-        # root merge always sees two blocks
-        assert cue.SZEGO_CROSSOVER >= LEAF
+        # n > SZEGO_LEAF gives at least two leaves, so the root merge always
+        # sees two blocks
+        assert all(n > LEAF for n in TREE_SIZES)
         shapes = [_tree_shape(n, LEAF) for n in TREE_SIZES]
         assert all(leaves >= 2 for leaves, _, _ in shapes)
         assert any(pad > 0 for _, pad, _ in shapes)
@@ -218,13 +218,22 @@ class TestSynthesis:
         assert any(leaves == 2 for leaves, _, _ in shapes)
 
     @pytest.mark.parametrize("n", TREE_SIZES)
-    def test_tree_matches_single_block_recursion(self, n, monkeypatch):
+    def test_tree_matches_single_block_recursion(self, n):
         alphas = sample_verblunsky(n, np.random.default_rng(n))
         plain = cue._szego_steps(alphas[None, :], np.array([[1.0, 1.0]]))[0][:, 0, 0]
-        monkeypatch.setattr(cue, "SZEGO_CROSSOVER", 0)
-        tree = cue._phi_coefficient_vector(alphas)
+        tree = phi_coefficients(alphas)
         assert tree.shape == (n + 1,)
         assert np.max(np.abs(tree - plain)) <= 1e-13
+
+    @pytest.mark.parametrize("n", TREE_SIZES)
+    def test_tree_rows_match_each_spectrum_alone(self, n):
+        # a trace-cov block synthesizes its spectra as one stack, and every
+        # row must come out bit for bit as that spectrum does alone
+        alphas = cue.sample_alphas(n, [np.random.default_rng(n + s) for s in range(3)])
+        stacked = cue.szego_coefficients(alphas)
+        assert stacked.shape == (3, n + 1)
+        for row, spectrum in zip(stacked, alphas):
+            assert np.array_equal(row, phi_coefficients(spectrum))
 
     def test_blocks_are_determined_by_row_zero(self):
         # the full 2x2 product of d steps is [[A, B], [B#, A#]], with P# the
@@ -260,12 +269,13 @@ class TestSynthesis:
             atol=1e-13,
         )
 
-    @pytest.mark.parametrize("n", [101, 300, 4096])
+    @pytest.mark.parametrize("n", [33, 48, 64, 101, 300, 4096])
     def test_tree_against_long_double_recursion(self, n):
-        # 101 and 300 end in a partial leaf, and 300 carries odd blocks up
+        # 33, 48, 101 and 300 end in a partial leaf, 64 is two whole leaves,
+        # and 300 carries odd blocks up
         alphas = sample_verblunsky(n, np.random.default_rng(n + 7))
         ref = ld_phi_coefficients(alphas)
-        err = np.max(np.abs(cue._phi_coefficient_vector(alphas) - ref)) / np.max(np.abs(ref))
+        err = np.max(np.abs(phi_coefficients(alphas) - ref)) / np.max(np.abs(ref))
         assert float(err) <= 4e-15
 
     @pytest.mark.parametrize("n", [4096, 16384])

@@ -91,7 +91,7 @@ def test_gaussian_gmc_mass_odd_grid():
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
 
-# n = 256 and 300 lie above cue.SZEGO_CROSSOVER, so these pin the product
+# n = 256 and 300 lie above cue.SZEGO_LEAF, so these pin the product
 # tree; 300 also has an odd leaf count and a partial last leaf.  Float
 # columns hold to RTOL; the count-based columns (nu and the barrier
 # violations, each a grid-point count times a constant) must not move at all.
@@ -133,7 +133,7 @@ def test_fk_mass_tree_path(n):
         Experiment.FK_TEST, n=n, gamma=0.3, convention=GammaConvention.CONJECTURE,
         replicas=3, master_seed=11,
     )
-    assert n > cue.SZEGO_CROSSOVER
+    assert n > cue.SZEGO_LEAF
     records, _ = run_experiment(config)
     got = [r["fk_mass"] for r in records]
     np.testing.assert_allclose(got, TREE_FK_MASS[n], rtol=RTOL, atol=0.0)
@@ -143,7 +143,7 @@ def test_fk_mass_tree_path(n):
 def test_nu_mu_tree_path(n):
     # ell = 2 with the automatic depth L = 4: barrier levels 2, 3 and 4
     config = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, n=n, ell=2, replicas=3, master_seed=11)
-    assert n > cue.SZEGO_CROSSOVER
+    assert n > cue.SZEGO_LEAF
     records, _ = run_experiment(config)
     for name, values in TREE_NU_MU_FLOATS[n].items():
         got = [r[name] for r in records]
@@ -152,8 +152,8 @@ def test_nu_mu_tree_path(n):
         assert [r[name] for r in records] == values, name
 
 
-# trace-cov on the plain recursion (n = 16, 64) and on the product tree
-# (n = 256, 300, past cue.SZEGO_CROSSOVER), with kmax past n so that Newton's
+# trace-cov on the one-leaf recursion (n = 16) and on the product tree
+# (n = 64, 256, 300, past cue.SZEGO_LEAF), with kmax past n so that Newton's
 # identities run beyond the polynomial's degree.
 TRACE_COV = {
     (16, 40): {

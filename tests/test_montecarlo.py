@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.stats import norm
 
 from conftest import (
+    exact_thickpoint_prob,
     ks_critical_value,
     ks_statistic,
     ks_two_sample,
@@ -23,7 +25,7 @@ from thickpoints.montecarlo import (
     summarize,
     worker_count,
 )
-from thickpoints.special_fn import GammaConvention, cue_abs_moment_exact
+from thickpoints.special_fn import GammaConvention, cue_abs_moment_exact, fk_normalizer
 
 
 class TestDeriveSeed:
@@ -188,6 +190,21 @@ class TestRunExperiment:
         dev = abs(summary["exp_moment"]["mean"] - exact)
         assert dev <= 4.0 * summary["exp_moment"]["stderr"]
 
+    @pytest.mark.slow
+    def test_fk_mass_mean_is_the_exact_probability_over_the_normalizer(self, monkeypatch):
+        # every grid point has the law of X_N(0) by rotation invariance, so
+        # E[fk_mass] = P(X_N >= gamma log N) / fk_normalizer at any grid size
+        n, gamma = 256, 0.4
+        cfg = ExperimentConfig(
+            Experiment.FK_TEST, n=n, gamma=gamma, convention=GammaConvention.CONJECTURE,
+            replicas=1000,
+        )
+        monkeypatch.setenv("THICKPOINT_THREADS", "1")
+        _, summary = run_experiment(cfg)
+        exact = exact_thickpoint_prob(n, gamma * math.sqrt(2)) / fk_normalizer(n, gamma)
+        dev = abs(summary["fk_mass"]["mean"] - exact)
+        assert dev <= 4.0 * summary["fk_mass"]["stderr"]
+
     def test_kernel_check_runs_once_per_process(self, monkeypatch):
         calls = []
         check = montecarlo.assumption1_check
@@ -205,6 +222,23 @@ class TestRunExperiment:
         assert records == [run_replica(cfg, i) for i in range(3)]
         assert records[0] == records[1] == records[2]
         assert set(records[0]) == {"truncated_kernel_max_dev", "assumption1_max_dev"}
+
+    def test_kernel_check_runs_once_before_the_workers_fork(self, tmp_path, monkeypatch):
+        log = tmp_path / "calls"
+        check = montecarlo.assumption1_check
+
+        def counted(*args, **kwargs):
+            # pool workers are forked, so they append to the same file
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "assumption1_check", counted)
+        monkeypatch.setenv("THICKPOINT_THREADS", "2")
+        montecarlo._kernel_check_values.cache_clear()
+        records, _ = run_experiment(ExperimentConfig(Experiment.KERNEL_CHECKS, replicas=2))
+        assert log.read_text().split() == [str(os.getpid())]
+        assert records[0] == records[1]
 
     def test_kernel_check_separations(self):
         seps = montecarlo._kernel_check_separations()
@@ -334,7 +368,7 @@ class TestPerReplicaColumns:
 
     def test_nu_mu_barrier_synthesizes_once(self, monkeypatch):
         calls = {"synthesis": 0, "traces": 0}
-        synthesize, traces = cue._phi_coefficient_vector, cue.trace_powers
+        synthesize, traces = cue.szego_coefficients, cue.trace_powers
 
         def counted_synthesis(alphas):
             calls["synthesis"] += 1
@@ -344,7 +378,7 @@ class TestPerReplicaColumns:
             calls["traces"] += 1
             return traces(*args)
 
-        monkeypatch.setattr(cue, "_phi_coefficient_vector", counted_synthesis)
+        monkeypatch.setattr(cue, "szego_coefficients", counted_synthesis)
         monkeypatch.setattr(cue, "trace_powers", counted_traces)
         cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, n=256, replicas=1, ell=2, eta=0.2)
         run_replica(cfg, 0)
