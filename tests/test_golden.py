@@ -256,7 +256,7 @@ CSV_DIGESTS = {
     ),
     "trace-cov": (
         ["trace-cov", "n=64", "kmax=128", "replicas=9", "master_seed=31"],
-        "5482199c019ee78ba9a86848833e8c58b6d37307c836130b2f5569ddc081e133",
+        "9b380037e9435007c1a1c643c985e26dbb3fc58926ab3752aafcce7a07f36167",
     ),
     "trace-cov-tree": (
         ["trace-cov", "n=300", "kmax=600", "replicas=3", "master_seed=31"],
@@ -276,7 +276,7 @@ CSV_DIGESTS = {
     ),
     "nu-mu-ell": (
         ["nu-mu", "n=64", "ell=1", "replicas=5", "master_seed=4"],
-        "171ee4e38ff1697dced2b64f6a9d89106c7bf0bc0632f515597f7b6c15745454",
+        "71f264a9f037e1b31aecb41e8667c5ab897f450860cca8c207e98befce6ff710",
     ),
     "nu-mu-g-shift": (
         ["nu-mu", "n=32", "g_shift=0.2", "replicas=5", "master_seed=4"],
