@@ -7,12 +7,12 @@ sample as a coefficient row by one product tree of transfer matrices over
 every row of a block (szego_coefficients).  Each block of the tree carries
 only row 0 of its product, since row 1 is its reflection (Simon, Orthogonal
 Polynomials on the Unit Circle, sec. 1.5): a merge takes 4 forward FFTs and
-2 inverse, the root 3 and 1.  The field on a
-uniform grid finer than the degree is one FFT of that row, and power traces
-come from Newton's identities on the same coefficients.  At arbitrary angles
-one per-point Szego recursion (szego_log_abs), batched over replicas,
-evaluates the field in O(n) per point.  The dense determinant and
-CMV-operator references live with the tests.
+2 inverse, the root 3 and 1.  The field on a uniform grid finer than the
+degree is one FFT of that row, and power traces come from Newton's
+identities on the same coefficients.  At arbitrary angles one per-point
+Szego recursion (szego_log_abs), batched over replicas, evaluates the field
+in O(n) per point.  The dense determinant and CMV-operator references live
+with the tests.
 """
 
 from __future__ import annotations
