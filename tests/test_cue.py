@@ -506,7 +506,7 @@ class TestTracePowers:
             with pytest.raises(ValueError, match="kmax must lie"):
                 trace_powers(stacked, kmax)
 
-    # n = 16 and 64 run the plain recursion, 256 the product tree; every
+    # n = 16 runs one leaf's recursion, 64 and 256 the product tree; every
     # kmax passes n, so the loop also runs the steps with no -k a_k term
     @pytest.mark.parametrize("n, kmax", [(16, 40), (64, 200), (256, 300)])
     def test_stacked_rows_match_single_rows(self, n, kmax):
