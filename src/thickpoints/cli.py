@@ -184,16 +184,15 @@ def _emit_sample(config: ExperimentConfig, base_path: str) -> str:
 
 
 def _load_config(args, experiment: Experiment) -> ExperimentConfig:
+    # no config file reads as an empty one: every key at its default
+    text = ""
     if args.config:
         try:
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
-        config = parse_config(text, experiment)
-    else:
-        config = ExperimentConfig(experiment=experiment)
-    config = apply_overrides(config, args.set or [])  # validates the final config
+    config = apply_overrides(parse_config(text, experiment), args.set or [])  # validates it
     if args.output:
         config = replace(config, output_path=args.output)
     return config
@@ -257,9 +256,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: category=io {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    except ValueError as exc:
-        # the config was validated before any replica ran
-        print(f"error: category=runtime {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        # the config was validated before any replica ran; numpy refuses an
+        # array too large for memory while they run, in the parent or a worker
+        print(f"error: category=runtime {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
 
 

@@ -16,13 +16,13 @@ import numpy as np
 # modes per block in circle_truncated_kernel_grid; its phase tables are
 # factored as 8 x 8, so this stays 64
 TRUNCATED_BLOCK = 64
-# separations per slice in circle_truncated_kernel_grid.  On a 2-core Xeon VM
-# at one OpenBLAS thread, with the heap kept as run_experiment keeps it, the
-# kernel-check grid (10 000 separations, orders 4..4096) took a process from
-# 36.0 MB RSS after its imports to 39.6 MB in slices of 512, 37.8 MB in
-# slices of 128, 41.9 MB in slices of 1024 and 80.2 MB in one piece.  The
-# best of 15 calls took 29 ms in slices of 512, 37 ms in slices of 128,
-# 27-37 ms in slices of 1024 and 36 ms in one piece.
+# separations per slice in circle_truncated_kernel_grid, at most.  On a
+# 2-core Xeon VM at one OpenBLAS thread, with the heap kept as run_experiment
+# keeps it, the kernel-check grid (10 000 separations, orders 4..4096) took
+# a process from 36.0 MB RSS after its imports to 39.6 MB in slices of 512,
+# 37.8 MB in slices of 128, 41.9 MB in slices of 1024 and 80.2 MB in one
+# piece.  The best of 15 calls took 29 ms in slices of 512, 37 ms in slices
+# of 128, 27-37 ms in slices of 1024 and 36 ms in one piece.
 TRUNCATED_SLICE = 512
 
 # Normalization of the standard bump exp(-1/(1-u^2)) on (-1,1): the correctly
@@ -78,22 +78,22 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
     rows to snapshot after each block are looked up in a map from block end
     to rows, built once per call.
 
-    The phases are factored so that a separation costs about 28 complex
-    exponentials, not one per table row and block: table row j = 8d + c is
-    q[d] p[c] with p[c] = e^{icx} and q[d] = e^{i8dx}, and the phase of the
-    block starting at k0 = 512a + 64b + r is v[a] u[b] table[r] with
-    u[b] = e^{i64bx} and v[a] = e^{i512ax}.  The zero order of each of the
-    four factors is 1 exactly and takes no exponential.  Each phase is then
-    a product of at most three exponentials, a few roundings; at orders
-    4..4096 the grid is within 2e-15 of a 30-digit sum (measured 8.9e-16
-    over 20 separations).
+    The phases are factored so that a separation costs 32 complex
+    exponentials at orders up to 4096, not one per table row and block:
+    table row j = 8d + c is q[d] p[c] with p[c] = e^{icx} and q[d] = e^{i8dx},
+    and the phase of the block starting at k0 = 512a + 64b + r is
+    v[a] u[b] table[r] with u[b] = e^{i64bx} and v[a] = e^{i512ax}.  Each
+    phase is then a product of at most three exponentials, a few roundings;
+    at orders 4..4096 the grid is within 2e-15 of a 30-digit sum (measured
+    8.9e-16 over 20 separations).
 
-    The separations are taken TRUNCATED_SLICE at a time, so the work arrays
-    hold (blocks, TRUNCATED_SLICE) values whatever the number of separations.
-    Every step is columnwise, so the slices give the bits of one call over
-    all separations, with one exception that is kept out: a one-column
-    product goes through a matrix-vector routine that rounds differently, so
-    a lone last separation joins the slice before it.
+    The separations are cut into the fewest near-equal slices of at most
+    TRUNCATED_SLICE, so the work arrays hold at most (blocks,
+    TRUNCATED_SLICE) values whatever the number of separations.  Every step
+    is columnwise, so the slices give the bits of one call over all
+    separations.  A one-column product goes through a matrix-vector routine
+    that rounds differently, but a slice has one column only when the call
+    has one separation.
     """
     if min(kmaxes) < 1:
         raise ValueError(f"every kmax must be >= 1, got {kmaxes}")
@@ -107,13 +107,9 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
     for row, kmax in enumerate(kmaxes):
         snapshots.setdefault(kmax, []).append(row)
     out = np.empty((len(kmaxes), deltas.size))
-    lo = 0
-    while lo < deltas.size:
-        hi = lo + TRUNCATED_SLICE
-        if deltas.size - hi == 1:
-            hi += 1
-        _truncated_slice(deltas[lo:hi], starts, ends, inverse_k, snapshots, out[:, lo:hi])
-        lo = hi
+    count = max(1, math.ceil(deltas.size / TRUNCATED_SLICE))
+    for part, rows in zip(np.array_split(deltas, count), np.array_split(out, count, axis=1)):
+        _truncated_slice(part, starts, ends, inverse_k, snapshots, rows)
     return out
 
 
@@ -127,10 +123,7 @@ def _truncated_slice(part, starts, ends, inverse_k, snapshots, rows) -> None:
     a, b, r = starts // 512, starts % 512 // 64, starts % 64
     digit = np.arange(8)
     orders = np.concatenate([digit, 8 * digit, 64 * digit, 512 * np.arange(a[-1] + 1)])
-    # e^{i0x} = 1: the zero orders, rows 0, 8, 16 and 24, take no exponential
-    factors = np.ones((orders.size, part.size), dtype=np.complex128)
-    moving = orders != 0
-    factors[moving] = np.exp(1j * np.outer(orders[moving], part))
+    factors = np.exp(1j * np.outer(orders, part))
     p, q, u, v = np.split(factors, [8, 16, 24])
     table = (q[:, None] * p).reshape(TRUNCATED_BLOCK, part.size)
     phase = v[a]

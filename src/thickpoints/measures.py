@@ -63,18 +63,14 @@ def barrier_mask(
 ) -> np.ndarray:
     """Per-grid-point conjunction of the level constraints
     X_{N, e^{-k}}(theta_i) <= (gamma + eta) k over the levels k.  With no
-    levels there is no constraint."""
-    if not levels:
-        sizes = {row.size for row in truncated_fields.values()}
-        m = sizes.pop() if sizes else 1
-        return np.ones(m, dtype=bool)
+    levels there is no constraint: the mask is all true, as long as any row,
+    or of length 1 when there are no rows."""
     missing = [k for k in levels if k not in truncated_fields]
     if missing:
         raise ValueError(f"missing truncated fields for levels {missing}")
-    mask = None
+    mask = np.ones(next((row.size for row in truncated_fields.values()), 1), dtype=bool)
     for k in levels:
-        ok = truncated_fields[k] <= (gamma + eta) * k
-        mask = ok if mask is None else (mask & ok)
+        mask &= truncated_fields[k] <= (gamma + eta) * k
     return mask
 
 

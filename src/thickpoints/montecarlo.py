@@ -340,14 +340,11 @@ def _kernel_check_values() -> dict[str, float]:
     """The kernel-check scalars.  They depend on neither the config nor the
     replica index, so a run computes them once, before any worker forks."""
     seps = _kernel_check_separations()
-    js = list(range(2, 13))
-    kmaxes = [2**j for j in js]
-    grid_vals = circle_truncated_kernel_grid(seps, kmaxes)
+    js = np.arange(2, 13)
+    grid_vals = circle_truncated_kernel_grid(seps, [2**j for j in js.tolist()])
     chord = 2.0 * np.abs(np.sin(seps / 2.0))
-    worst = 0.0
-    for j, row in zip(js, grid_vals):
-        dev = np.abs(row + np.log(np.maximum(chord, 2.0**-j)))
-        worst = max(worst, float(dev.max()))
+    # the deviation from the log kernel, floored at 2^-j for order 2^j
+    worst = float(np.abs(grid_vals + np.log(np.maximum(chord, 2.0 ** -js[:, None]))).max())
     deltas = [2.0**-j for j in range(3, 9)]
     return {
         "truncated_kernel_max_dev": worst,

@@ -159,8 +159,6 @@ def log_cue_abs_moment_exact(n: int, zeta: complex) -> complex:
     zeta = complex(zeta)
     if zeta.real <= -1.0:
         raise ValueError(f"moment formula requires Re(zeta) > -1, got {zeta}")
-    if zeta == 0.0:
-        return 0.0 + 0.0j
     x = np.arange(1.0, n + 1.0)
     terms = _loggamma_difference(x, zeta, zeta / 2.0) - _loggamma_difference(x, zeta / 2.0, 0.0)
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))

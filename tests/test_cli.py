@@ -382,6 +382,22 @@ class TestMain:
         assert main(["verify-moments", "--set", "n=4"]) == EXIT_RUNTIME_ERROR
         assert "error: category=runtime replica blew up" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_memory_error_while_running_is_a_runtime_error(
+        self, threads, tmp_path, monkeypatch, capsys
+    ):
+        # a block too large for memory, as numpy refuses it; at 2 workers it
+        # is raised in a forked worker and re-raised in the parent
+        def no_room(config, streams):
+            raise MemoryError()
+
+        monkeypatch.setitem(montecarlo._BLOCK_FNS, Experiment.GAUSSIAN_GMC, no_room)
+        monkeypatch.setenv("THICKPOINT_THREADS", threads)
+        argv = ["gaussian-gmc", "--set", "kmax=8", "--set", "replicas=2", "-o", str(tmp_path / "x")]
+        assert main(argv) == EXIT_RUNTIME_ERROR
+        assert "error: category=runtime MemoryError" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_file_exit_code(self, capsys):
         code = main(["verify-moments", "/nonexistent/path.conf"])
         assert code == EXIT_CONFIG_ERROR

@@ -241,12 +241,28 @@ class TestCircleTruncatedKernel:
         assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
 
     def test_lone_last_separation_joins_bit_for_bit(self):
-        # a last slice of one separation would be a matrix-vector product
+        # the slices are near-equal, so no slice of a call on many
+        # separations is a one-column matrix-vector product
         n = 2 * kernels.TRUNCATED_SLICE + 1
         seps = np.random.default_rng(9).uniform(1e-4, math.pi, n)
         kmaxes = [4**j for j in range(1, 7)]
         whole = circle_truncated_kernel_grid(seps, kmaxes)
         pieces = [circle_truncated_kernel_grid(part, kmaxes) for part in (seps[:3], seps[3:])]
+        assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, 2, kernels.TRUNCATED_SLICE + 1, 2 * kernels.TRUNCATED_SLICE + 1]
+    )
+    def test_slice_counts_join_bit_for_bit(self, count):
+        # pieces of two or more separations, across the slice boundaries; a
+        # call on at most two separations is its own only piece
+        seps = np.random.default_rng(count).uniform(1e-4, math.pi, count)
+        kmaxes = [1, 7, 64, 65, 513, 4096]
+        whole = circle_truncated_kernel_grid(seps, kmaxes)
+        assert whole.shape == (len(kmaxes), count)
+        inner = {2, kernels.TRUNCATED_SLICE, count - 2}
+        cuts = [0, *sorted(c for c in inner if 2 <= c <= count - 2), count]
+        pieces = [circle_truncated_kernel_grid(seps[a:b], kmaxes) for a, b in zip(cuts, cuts[1:])]
         assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
 
     def test_work_memory_is_bounded(self):

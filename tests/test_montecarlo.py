@@ -25,7 +25,12 @@ from thickpoints.montecarlo import (
     summarize,
     worker_count,
 )
-from thickpoints.special_fn import GammaConvention, cue_abs_moment_exact, fk_normalizer
+from thickpoints.special_fn import (
+    GammaConvention,
+    cue_abs_moment_exact,
+    fk_normalizer,
+    thickpoint_prob_asymptotic,
+)
 
 
 class TestDeriveSeed:
@@ -204,6 +209,26 @@ class TestRunExperiment:
         exact = exact_thickpoint_prob(n, gamma * math.sqrt(2)) / fk_normalizer(n, gamma)
         dev = abs(summary["fk_mass"]["mean"] - exact)
         assert dev <= 4.0 * summary["fk_mass"]["stderr"]
+
+    @pytest.mark.slow
+    def test_nu_mu_means_are_exact(self, monkeypatch):
+        # E[mu] = 1, as its normalizer is the exact moment, and E[nu_shifted]
+        # = P(X_N >= gamma log N + c) / P_asym(gamma) at any grid size, where
+        # gamma log N + c = (gamma + c / log N) log N
+        n, gamma, shift = 256, 0.5, 0.3
+        cfg = ExperimentConfig(
+            Experiment.NU_MU_DISCREPANCY, n=n, gamma=gamma, g_shift=shift, replicas=1000
+        )
+        monkeypatch.setenv("THICKPOINT_THREADS", "1")
+        _, summary = run_experiment(cfg)
+        exact = {
+            "mu": 1.0,
+            "nu_shifted": exact_thickpoint_prob(n, gamma + shift / math.log(n))
+            / thickpoint_prob_asymptotic(n, gamma),
+        }
+        for name, want in exact.items():
+            dev = abs(summary[name]["mean"] - want)
+            assert dev <= 4.0 * summary[name]["stderr"], name
 
     def test_kernel_check_runs_once_per_process(self, monkeypatch):
         calls = []

@@ -1,6 +1,12 @@
-"""The package's public names."""
+"""The package's public names, and no module-level name left without a use."""
+
+import ast
+from pathlib import Path
 
 import thickpoints
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_public_name_resolves():
@@ -13,3 +19,56 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from thickpoints import *", namespace)
     assert set(thickpoints.__all__) <= set(namespace)
+
+
+def _names_used(node) -> set[str]:
+    """Every name read or bound, and every attribute taken, under node."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _tracer_names() -> set[str]:
+    """The names perfbench/tracer.py wraps: its CUE_FUNCTIONS and
+    MEASURES_FUNCTIONS tuples and the literal names it passes to wrap.  The
+    source is parsed, not imported."""
+    names = set()
+    for node in ast.walk(ast.parse(TRACER.read_text())):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("CUE_FUNCTIONS", "MEASURES_FUNCTIONS")
+            for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "wrap"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            names.add(node.args[1].value)
+    return names
+
+
+def test_every_module_level_definition_is_used():
+    # a function or class defined at module level must be used somewhere in
+    # src/ outside its own definition, be public, or be wrapped by the
+    # benchmark's tracer
+    statements = [
+        statement
+        for path in sorted(Path(thickpoints.__file__).parent.glob("*.py"))
+        for statement in ast.parse(path.read_text()).body
+    ]
+    uses = [_names_used(statement) for statement in statements]
+    unused = {
+        statement.name
+        for i, statement in enumerate(statements)
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(statement.name in names for j, names in enumerate(uses) if j != i)
+    } - set(thickpoints.__all__)
+    traced = _tracer_names()
+    assert unused <= traced, f"no use in src/: {sorted(unused - traced)}"
+    # only the tracer keeps these three; they are to move into tests/conftest.py
+    assert unused == {"truncated_field", "eval_field_at", "barrier_mask"}
