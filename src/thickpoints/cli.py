@@ -8,6 +8,7 @@ One config describes one experiment.  Outputs are a CSV of per-replica rows
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import enum
 import json
@@ -138,19 +139,32 @@ def _json_number(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+@contextlib.contextmanager
+def _replacing(*paths: str):
+    """Yield one temporary path beside each of paths, to write to.  When the
+    block completes, each temporary file replaces its path, in order; when
+    it raises, they are removed.  So a failed run leaves no new file and no
+    changed one."""
+    staged = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield staged
+        for temporary, path in zip(staged, paths):
+            os.replace(temporary, path)
+    finally:
+        for temporary in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
+
+
 def emit(rows: list[dict[str, float]], summary: dict[str, dict[str, float]],
          config: ExperimentConfig, base_path: str, wallclock: float) -> tuple[str, str]:
     """Write <base>.csv (one line per row, the row's position its replica
-    index) and <base>.json (the summary); returns the paths."""
+    index) and <base>.json (the summary); returns the paths.  Both are
+    written in full before either is put in place, the JSON last."""
     csv_path = f"{base_path}.csv"
     json_path = f"{base_path}.json"
     names = list(rows[0]) if rows else []
     seeds = derive_seed(config.master_seed, np.arange(len(rows), dtype=np.uint64)).tolist()
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replica_index", "derived_seed", *names])
-        for i, (seed, row) in enumerate(zip(seeds, rows)):
-            writer.writerow([i, seed, *(_fmt(row[k]) for k in names)])
     echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "output_path"}
     config_echo = {k: v.value if isinstance(v, enum.Enum) else v for k, v in echo.items()}
     payload = {
@@ -162,16 +176,23 @@ def emit(rows: list[dict[str, float]], summary: dict[str, dict[str, float]],
         "wallclock_seconds": wallclock,
         "version": __version__,
     }
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    with _replacing(csv_path, json_path) as (csv_staged, json_staged):
+        with open(csv_staged, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["replica_index", "derived_seed", *names])
+            for i, (seed, row) in enumerate(zip(seeds, rows)):
+                writer.writerow([i, seed, *(_fmt(row[k]) for k in names)])
+        with open(json_staged, "w") as fh:
+            json.dump(payload, fh, indent=2, allow_nan=False)
+            fh.write("\n")
     return csv_path, json_path
 
 
 def _emit_sample(config: ExperimentConfig, base_path: str) -> str:
-    """Field samples in long format: one row per (replica, grid point)."""
+    """Field samples in long format: one row per (replica, grid point).  The
+    file is put in place only once every replica is written."""
     csv_path = f"{base_path}.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with _replacing(csv_path) as (staged,), open(staged, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replica_index", "derived_seed", "theta", "value"])
         for i in range(config.replicas):

@@ -7,12 +7,16 @@ sample as a coefficient row by one product tree of transfer matrices over
 every row of a block (szego_coefficients).  Each block of the tree carries
 only row 0 of its product, since row 1 is its reflection (Simon, Orthogonal
 Polynomials on the Unit Circle, sec. 1.5): a merge takes 4 forward FFTs and
-2 inverse, the root 3 and 1.  The field on a uniform grid finer than the
-degree is one FFT of that row, and power traces come from Newton's
-identities on the same coefficients.  At arbitrary angles one per-point
-Szego recursion (szego_log_abs), batched over replicas, evaluates the field
-in O(n) per point.  The dense determinant and CMV-operator references live
-with the tests.
+2 inverse, the root 3 and 1.  The field on a uniform grid of g n points is
+g inverse FFTs of length n of that row, twiddled once per coset (input
+pruning of the zero-padded FFT, kernels.fourier_grid), or one FFT of the
+grid's length when g is below kernels.MIN_COSETS or the grid is no
+multiple of n.  Power traces come from Newton's identities on the same
+coefficients, and their Fourier truncations on the grid are pruned the
+same way.  At arbitrary angles one per-point Szego recursion
+(szego_log_abs), batched over replicas, evaluates the field in O(n) per
+point.  The dense determinant and CMV-operator references live with the
+tests.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import real_fourier_grid
+from .kernels import fourier_grid, real_fourier_grid
 from .special_fn import SQRT2
 
 
@@ -232,11 +236,14 @@ def _row0_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
 
 
 def eval_field(coefficients: np.ndarray, grid_size: int) -> FieldSample:
-    """X_N on the uniform grid by one inverse FFT of a characteristic
-    polynomial's ascending coefficients, shape (n + 1,), as in a row of
-    szego_coefficients.  Raises ValueError when the grid does not resolve the
-    polynomial (grid_size <= n) or the coefficients have overflowed; the
-    per-point recursion (eval_field_at) evaluates the field there.
+    """X_N on the uniform grid from a characteristic polynomial's ascending
+    coefficients, shape (n + 1,), as in a row of szego_coefficients.  The
+    polynomial's values are kernels.fourier_grid: on a grid of M = g n
+    points with g >= kernels.MIN_COSETS, g inverse FFTs of length n of the
+    twiddled coefficients; otherwise one zero-padded inverse FFT of length
+    M.  Raises ValueError when the grid does not resolve the polynomial
+    (grid_size <= n) or the coefficients have overflowed; the per-point
+    recursion (eval_field_at) evaluates the field there.
     """
     n = coefficients.size - 1
     if grid_size <= n:
@@ -244,12 +251,13 @@ def eval_field(coefficients: np.ndarray, grid_size: int) -> FieldSample:
     if not np.all(np.isfinite(coefficients)):
         raise ValueError(
             f"characteristic polynomial coefficients overflow the double range at n={n}; "
-            "one FFT cannot give the field"
+            "the grid transform cannot give the field"
         )
-    vals = np.fft.ifft(coefficients, n=grid_size) * grid_size
+    values = np.abs(fourier_grid(coefficients, grid_size))
     with np.errstate(divide="ignore"):
-        logabs = np.log(np.abs(vals))
-    return FieldSample(SQRT2 * logabs)
+        np.log(values, out=values)
+    values *= SQRT2
+    return FieldSample(values)
 
 
 def eval_field_at(alphas: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -316,11 +324,13 @@ def truncated_fields(traces: np.ndarray, deltas, grid_size: int) -> np.ndarray:
     """Fourier-truncated fields X_{N,delta} on the uniform grid, one row per delta:
     -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}.
 
-    All rows come from one batched real inverse FFT of conj(Tr U^k)/k
-    (kernels.real_fourier_grid), and each row is bit for bit the one its
-    delta gives alone.  traces[k-1] is Tr U^k, as in a row of trace_powers.
-    Each delta must lie in (0, 1], with at least floor(1/delta) traces and a
-    grid finer than that.
+    All rows come from one batched grid transform of -sqrt(2) conj(Tr U^k)/k
+    (kernels.real_fourier_grid).  Every row spans the traces given, below
+    the grid size, with zeros past its own floor(1/delta), so the transform
+    does not depend on which deltas share the call, and each row is bit for
+    bit the one its delta gives alone.  traces[k-1] is Tr U^k, as in a row
+    of trace_powers.  Each delta must lie in (0, 1], with at least
+    floor(1/delta) traces and a grid finer than that.
     """
     kmaxes = []
     for delta in deltas:
@@ -332,12 +342,11 @@ def truncated_fields(traces: np.ndarray, deltas, grid_size: int) -> np.ndarray:
         if grid_size <= kmax:
             raise ValueError(f"grid_size must exceed 1/delta={kmax}, got {grid_size}")
         kmaxes.append(kmax)
-    k = np.arange(1, max(kmaxes, default=0) + 1)
-    # row j keeps the modes k <= kmaxes[j]
-    modes = np.where(k <= np.array(kmaxes)[:, None], np.conj(traces[: k.size]) / k, 0.0)
-    values = real_fourier_grid(modes, grid_size)
-    values *= -0.5 * SQRT2 * grid_size
-    return values
+    k = np.arange(1, min(traces.size, grid_size - 1) + 1)
+    # row j keeps the modes k <= kmaxes[j]; -Tr U^k e^{-ik theta} has the real
+    # part of -conj(Tr U^k) e^{ik theta}
+    modes = np.conj(traces[: k.size]) * (-SQRT2 / k)
+    return real_fourier_grid(np.where(k <= np.array(kmaxes)[:, None], modes, 0.0), grid_size)
 
 
 def truncated_field(traces: np.ndarray, delta: float, grid_size: int) -> np.ndarray:

@@ -31,9 +31,7 @@ def sample_circle_field(kmax: int, grid_size: int, streams) -> np.ndarray:
     normals = np.array([stream.standard_normal(2 * kmax) for stream in streams])
     # A cos + B sin = Re((A - iB) e^{ik theta})
     coeff = (normals[:, :kmax] - 1j * normals[:, kmax:]) / np.sqrt(np.arange(1, kmax + 1))
-    values = real_fourier_grid(coeff, grid_size)
-    values *= 0.5 * grid_size
-    return values
+    return real_fourier_grid(coeff, grid_size)
 
 
 def gaussian_exp_normalizer(variance: float, gamma: float) -> float:

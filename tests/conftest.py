@@ -9,8 +9,9 @@ coefficient recursion, the truncated circle kernel by one correctly rounded
 sum and from a direct table of complex exponentials, the circle chord and
 log kernel, a brute-force Simpson convolution density, a bump sampler, the
 looped dyadic panel edges, the singly mollified kernel and the diagonal
-constant kappa, the truncated field by one complex FFT per scale and its
-analytic variance, the nu-mu barrier columns from one barrier mask per start
+constant kappa, the grid transforms before coset pruning (one zero-padded
+inverse FFT, complex or real, of the grid's length), the truncated field
+by one complex FFT per scale and its analytic variance, the nu-mu barrier columns from one barrier mask per start
 level, small-n dense oracles (a Gram-Schmidt Haar unitary, LU determinants,
 the CMV operator and its power traces), the Bourgade-Hughes-Nikeghbali-Yor
 product law of the field at one point, Kolmogorov-Smirnov statistics with
@@ -188,6 +189,31 @@ def ld_phi_coefficients(alphas: np.ndarray) -> np.ndarray:
         zphi[1 : k + 2] = phi[: k + 1]
         phi, star = zphi - np.conj(a) * star, star - a * zphi
     return phi
+
+
+def one_transform_grid(coefficients: np.ndarray, grid_size: int) -> np.ndarray:
+    """sum_m coefficients[..., m] e^{im theta} at theta = 2 pi j / grid_size by
+    one zero-padded inverse FFT of length grid_size: kernels.fourier_grid
+    before coset pruning."""
+    return np.fft.ifft(coefficients, n=grid_size) * grid_size
+
+
+def one_transform_real_grid(modes: np.ndarray, grid_size: int) -> np.ndarray:
+    """kernels.real_fourier_grid before coset pruning: one real inverse FFT of
+    length grid_size per row, scaled by grid_size / 2, with modes above
+    grid_size / 2 moved to the conjugate mode grid_size - k and the Nyquist
+    mode doubled."""
+    kmax = modes.shape[-1]
+    half = grid_size // 2
+    spec = np.zeros(modes.shape[:-1] + (half + 1,), dtype=np.complex128)
+    spec[..., 1 : min(kmax, half) + 1] = modes[..., :half]
+    if kmax > half:
+        spec[..., grid_size - kmax : grid_size - half] += np.conj(modes[..., : half - 1 : -1])
+    if grid_size % 2 == 0:
+        spec[..., half] *= 2.0
+    values = np.fft.irfft(spec, grid_size)
+    values *= 0.5 * grid_size
+    return values
 
 
 def truncated_field_fft(traces: np.ndarray, delta: float, grid_size: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thickpoints import __version__, cli, montecarlo
+from thickpoints import __version__, cli, cue, montecarlo
 from thickpoints.cli import (
     ConfigError,
     EXIT_CONFIG_ERROR,
@@ -397,6 +397,42 @@ class TestMain:
         assert main(argv) == EXIT_RUNTIME_ERROR
         assert "error: category=runtime MemoryError" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_sample_failing_partway_leaves_no_file(self, existing, tmp_path, monkeypatch, capsys):
+        # the second replica's field raises after the first was written
+        calls = []
+        eval_field = cue.eval_field
+
+        def failing_second(coefficients, grid_size):
+            calls.append(grid_size)
+            if len(calls) == 2:
+                raise ValueError("second field blew up")
+            return eval_field(coefficients, grid_size)
+
+        before = {"x.csv": b"an earlier run\n"} if existing else {}
+        for name, data in before.items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.setattr(cue, "eval_field", failing_second)
+        argv = ["sample", "--set", "n=4", "--set", "replicas=3", "-o", str(tmp_path / "x")]
+        assert main(argv) == EXIT_RUNTIME_ERROR
+        assert "error: category=runtime second field blew up" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_json_write_leaves_no_file(self, existing, tmp_path, monkeypatch, capsys):
+        def no_room(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        before = {"x.csv": b"an earlier csv\n", "x.json": b"{}\n"} if existing else {}
+        for name, data in before.items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.setattr(cli.json, "dump", no_room)
+        argv = ["verify-moments", "--set", "n=4", "--set", "replicas=3", "-o", str(tmp_path / "x")]
+        assert main(argv) == EXIT_IO_ERROR
+        assert "error: category=io no space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_missing_config_file_exit_code(self, capsys):
         code = main(["verify-moments", "/nonexistent/path.conf"])

@@ -22,6 +22,8 @@ from conftest import (
     mp_field_on_grid,
     mp_fourier_sum,
     mp_trace_powers,
+    one_transform_grid,
+    one_transform_real_grid,
     phi_coefficients,
     product_law_field_at_one,
     sample_alphas_block,
@@ -30,7 +32,7 @@ from conftest import (
     truncated_field_fft,
     truncated_field_variance,
 )
-from thickpoints import cue
+from thickpoints import cue, kernels
 from thickpoints.cue import (
     TRACE_COST_GUARD,
     FieldSample,
@@ -290,6 +292,26 @@ class TestSynthesis:
         # order of magnitude to the FFT path near zeros
         per_point = eval_field_at(c, 2.0 * np.pi * np.array(indices) / m)
         assert np.max(np.abs(per_point - ref)) <= 1e-10
+
+    @pytest.mark.parametrize("n, spectra", [(1024, 3), (4096, 2)])
+    def test_field_near_eigenvalues_against_mpmath(self, n, spectra):
+        # log|p| turns an absolute error in p into one of X divided by |p|, so
+        # at the three grid points of smallest |p| of each spectrum the error
+        # of X times |p| is held to 32 units of sqrt(2) eps ||c||_2, where
+        # ||c||_2 is the grid's root mean square of |p| (Parseval).  Over 36
+        # spectra at n = 1024 and 9 at n = 4096 the pruned transform measured
+        # at most 11.2 units, the one transform of length 16 n 11.4
+        rng = np.random.default_rng(n + 2)
+        m = 16 * n
+        assert kernels._coset_length(m, n) == n
+        for _ in range(spectra):
+            alphas = sample_verblunsky(n, rng)
+            c = phi_coefficients(alphas)
+            x = eval_field(c, m).values
+            indices = np.argsort(x)[:3]
+            ref = mp_field_on_grid(alphas, m, indices.tolist())
+            unit = SQRT2 * np.finfo(float).eps * np.linalg.norm(c)
+            assert np.max(np.abs(x[indices] - ref) * np.exp(ref / SQRT2)) <= 32 * unit
 
 
 class TestPerPointSzego:
@@ -627,6 +649,79 @@ class TestTruncatedField:
     def test_variance_formula_values(self):
         assert truncated_field_variance(4, 1.0) == 1.0
         assert truncated_field_variance(100, 0.5) == pytest.approx(1.0 + 2.0 / 4.0)
+
+
+# nu-mu's barrier truncations at n = 1024 keep 148 modes; the smaller n take
+# a few modes each, down to one at n = 1
+TRUNCATION_MODES = {1: 1, 2: 3, 33: 20, 300: 54, 1024: 148}
+
+
+class TestCosetTransforms:
+    """The pruned grid transforms against the one transform of the grid's
+    length (tests/conftest.py): within 1e-15 of the largest value from
+    MIN_COSETS cosets up, bit for bit below it and where the grid has no
+    divisor to prune with."""
+
+    @pytest.mark.parametrize("cosets", [4, 8, 16])
+    @pytest.mark.parametrize("n", list(TRUNCATION_MODES))
+    def test_field_grid_matches_one_transform(self, n, cosets):
+        alphas = sample_verblunsky(n, np.random.default_rng(n + cosets))
+        c = phi_coefficients(alphas)
+        m = cosets * n
+        pruned = cosets >= kernels.MIN_COSETS
+        assert kernels._coset_length(m, n) == (n if pruned else None)
+        ref = one_transform_grid(c, m)
+        got = kernels.fourier_grid(c, m)
+        if pruned:
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(got, ref)
+            assert np.array_equal(eval_field(c, m).values, SQRT2 * np.log(np.abs(ref)))
+
+    @pytest.mark.parametrize("cosets", [4, 8, 16])
+    @pytest.mark.parametrize("n", list(TRUNCATION_MODES))
+    def test_truncated_fields_match_one_transform(self, n, cosets, monkeypatch):
+        kmax = TRUNCATION_MODES[n]
+        length = 1 << (2 * kmax).bit_length()  # the least power of two >= 2 kmax + 1
+        m = cosets * length
+        pruned = cosets >= kernels.MIN_COSETS
+        assert kernels._coset_length(m, 2 * kmax + 1) == (length if pruned else None)
+        alphas = sample_verblunsky(n, np.random.default_rng(n + cosets))
+        tr = trace_powers(cue.szego_coefficients(alphas[None]), kmax)[0]
+        deltas = [1.0 / (k + 0.5) for k in sorted({kmax, max(1, kmax // 3)})]
+        got = truncated_fields(tr, deltas, m)
+        monkeypatch.setattr(cue, "real_fourier_grid", one_transform_real_grid)
+        ref = truncated_fields(tr, deltas, m)
+        for row, ref_row in zip(got, ref):
+            if pruned:
+                assert np.max(np.abs(row - ref_row)) <= 1e-15 * np.max(np.abs(ref_row))
+            else:
+                assert np.array_equal(row, ref_row)
+
+    def test_grids_with_no_divisor_keep_one_transform(self):
+        # 529 = 23^2 has no divisor from 33 up with 8 cosets, and 1031 is prime
+        alphas = sample_verblunsky(33, np.random.default_rng(529))
+        c = phi_coefficients(alphas)
+        assert kernels._coset_length(529, 33) is None
+        ref = one_transform_grid(c, 529)
+        assert np.array_equal(kernels.fourier_grid(c, 529), ref)
+        assert np.array_equal(eval_field(c, 529).values, SQRT2 * np.log(np.abs(ref)))
+        tr = trace_powers(c[None], 20)[0]
+        modes = np.conj(tr) / np.arange(1, 21)
+        assert kernels._coset_length(1031, 41) is None
+        assert np.array_equal(
+            kernels.real_fourier_grid(modes, 1031), one_transform_real_grid(modes, 1031)
+        )
+
+    def test_grid_point_on_an_eigenvalue_is_singular_when_pruned(self):
+        # alpha = (0, 0, 0, -1) gives Phi = z^4 + 1, whose roots e^{i pi (2k+1)/4}
+        # are the grid points 8, 24, 40 and 56 of 64, all in coset 8 of 16
+        c = phi_coefficients(np.array([0.0, 0.0, 0.0, -1.0 + 0.0j]))
+        assert np.array_equal(c, [1.0, 0.0, 0.0, 0.0, 1.0])
+        assert kernels._coset_length(64, 4) == 4
+        fs = eval_field(c, 64)
+        assert np.flatnonzero(np.isneginf(fs.values)).tolist() == [8, 24, 40, 56]
+        assert fs.has_singular_points
 
 
 class TestFieldSample:

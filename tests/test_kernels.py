@@ -606,3 +606,32 @@ def test_gauss_legendre_table_is_leggauss():
     nodes, weights = np.polynomial.legendre.leggauss(16)
     assert [x.hex() for x in kernels._GL_NODES.tolist()] == [x.hex() for x in nodes.tolist()]
     assert [w.hex() for w in kernels._GL_WEIGHTS.tolist()] == [w.hex() for w in weights.tolist()]
+
+
+@pytest.mark.parametrize("grid_size, length", [(64, 8), (96, 12), (100, 10), (16384, 512)])
+def test_coset_twiddles_against_mpmath(grid_size, length):
+    # each part of every entry within one unit in the last place of
+    # e^{2 pi i p / M}, and the quarter turns exact, so that a grid point on
+    # a root sums to an exact zero
+    table = kernels._coset_twiddles(grid_size, length, length + 1)
+    assert table.shape == (grid_size // length, length + 1)
+    assert not table.flags.writeable
+    phases = np.outer(np.arange(grid_size // length), np.arange(length + 1)) % grid_size
+    with mpmath.workdps(30):
+        ref = {p: complex(mpmath.expjpi(mpmath.mpf(2 * p) / grid_size)) for p in np.unique(phases).tolist()}
+    want = np.vectorize(ref.get, otypes=[complex])(phases)
+    diff = table - want
+    assert max(np.max(np.abs(diff.real)), np.max(np.abs(diff.imag))) <= 2.0**-52
+    quarter = 4 * phases % grid_size == 0
+    assert np.array_equal(table[quarter], want[quarter])
+    assert quarter.sum() > 1
+
+
+@pytest.mark.parametrize(
+    "grid_size, least, length",
+    [(16384, 297, 512), (16384, 1024, 1024), (8192, 1025, None), (4800, 109, 120), (1031, 3, None)],
+)
+def test_coset_length_takes_the_shortest_divisor_with_enough_cosets(grid_size, least, length):
+    # the nu-mu barrier at n = 1024 (148 modes) and at n = 300 (54 modes),
+    # the field at n = 1024, gaussian-gmc at kmax = 512 (4 cosets) and a prime grid
+    assert kernels._coset_length(grid_size, least) == length

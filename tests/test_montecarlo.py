@@ -15,7 +15,7 @@ from conftest import (
     nu_mu_barrier_oracle,
     replica_stream,
 )
-from thickpoints import cue, montecarlo
+from thickpoints import cue, kernels, montecarlo
 from thickpoints.montecarlo import (
     Experiment,
     ExperimentConfig,
@@ -426,6 +426,16 @@ class TestPerReplicaColumns:
             got = {k: v for k, v in row.items() if k.startswith("nu_barrier_violation_l")}
             assert got == expected
             assert row["nu_barrier_violation"] == expected[f"nu_barrier_violation_l{cfg.ell}"]
+
+    def test_twiddle_tables_are_built_once_per_config(self, monkeypatch):
+        # the field's table and the truncations' table, then cache hits only
+        cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, n=64, ell=1, replicas=3)
+        monkeypatch.setenv("THICKPOINT_THREADS", "1")
+        before = kernels._coset_twiddles.cache_info()
+        run_experiment(cfg)
+        after = kernels._coset_twiddles.cache_info()
+        assert after.misses - before.misses <= 2
+        assert after.hits + after.misses - before.hits - before.misses == 2 * cfg.replicas
 
     def test_nu_mu_empty_barrier_range_is_zero(self):
         cfg = ExperimentConfig(
