@@ -276,11 +276,11 @@ CSV_DIGESTS = {
     ),
     "nu-mu-ell": (
         ["nu-mu", "n=64", "ell=1", "replicas=5", "master_seed=4"],
-        "71f264a9f037e1b31aecb41e8667c5ab897f450860cca8c207e98befce6ff710",
+        "4c0ee42940bc079c1968f35d6c4919e56390795d0e26ffb411522bec663c09b9",
     ),
     "nu-mu-g-shift": (
         ["nu-mu", "n=32", "g_shift=0.2", "replicas=5", "master_seed=4"],
-        "6c846451a04f584f1e5de32b4b74971bff91b07e9601e3eb0312a7b402409045",
+        "cc30997c7b06c579028b87940cc3257937acab0f6b7475adee369953393503e8",
     ),
     "kernel-check": (
         ["kernel-check", "replicas=2"],
@@ -288,7 +288,7 @@ CSV_DIGESTS = {
     ),
     "sample": (
         ["sample", "n=8", "replicas=3", "master_seed=5"],
-        "3338db9ab7cec630a26104f79e8f79d043bed5c1384cea469d29bf41e82169f1",
+        "8a8e5bbe0b81a7e36516790d2d12c582cfae3ca5af48605ff941f0bb60af0fd3",
     ),
 }
 
