@@ -1,9 +1,9 @@
 """Deterministic covariance-kernel evaluations.
 
-Truncated Fourier kernels on the circle, real Fourier series on the uniform
-circle grid, and the doubly bump-mollified log kernel on an interval by
-Gauss-Legendre panel quadrature, together with a numeric check of the
-bounded-deviation estimate it is supposed to satisfy.
+Truncated Fourier kernels on the circle, complex and real Fourier sums on
+the uniform circle grid, and the doubly bump-mollified log kernel on an
+interval by Gauss-Legendre panel quadrature, together with a numeric check
+of the bounded-deviation estimate it is supposed to satisfy.
 """
 
 from __future__ import annotations
