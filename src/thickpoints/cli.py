@@ -14,6 +14,7 @@ import enum
 import json
 import math
 import os
+import shutil
 import sys
 import time
 import typing
@@ -142,13 +143,19 @@ def _json_number(value: float) -> float | None:
 @contextlib.contextmanager
 def _replacing(*paths: str):
     """Yield one temporary path beside each of paths, to write to.  When the
-    block completes, each temporary file replaces its path, in order; when
-    it raises, they are removed.  So a failed run leaves no new file and no
-    changed one."""
+    block completes, each temporary file takes the mode of the file it
+    replaces, if there is one, and replaces it, in order; a symlink's target
+    is replaced, not the link.  When the block raises, the temporary files
+    are removed, so a run that fails before the renames leaves no new file
+    and no changed one.  A failed rename leaves the files renamed before it
+    in place."""
+    paths = [os.path.realpath(path) for path in paths]
     staged = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
         yield staged
         for temporary, path in zip(staged, paths):
+            with contextlib.suppress(FileNotFoundError):
+                shutil.copymode(path, temporary)
             os.replace(temporary, path)
     finally:
         for temporary in staged:

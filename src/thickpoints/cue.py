@@ -9,11 +9,11 @@ only row 0 of its product, since row 1 is its reflection (Simon, Orthogonal
 Polynomials on the Unit Circle, sec. 1.5): a merge takes 4 forward FFTs and
 2 inverse, the root 3 and 1.  The field on a uniform grid of g n points is
 g inverse FFTs of length n of that row, twiddled once per coset (input
-pruning of the zero-padded FFT, kernels.fourier_grid), or one FFT of the
-grid's length when g is below kernels.MIN_COSETS or the grid is no
-multiple of n.  Power traces come from Newton's identities on the same
-coefficients, and their Fourier truncations on the grid are pruned the
-same way.  At arbitrary angles one per-point Szego recursion
+pruning of the zero-padded FFT, kernels.fourier_grid); a grid that is no
+multiple of n takes its shortest divisor above n as the length.  Power
+traces come from Newton's identities on the same coefficients, and their
+Fourier truncations on the grid are pruned the same way when that leaves
+kernels.MIN_COSETS cosets.  At arbitrary angles one per-point Szego recursion
 (szego_log_abs), batched over replicas, evaluates the field in O(n) per
 point.  The dense determinant and CMV-operator references live with the
 tests.
@@ -239,9 +239,7 @@ def eval_field(coefficients: np.ndarray, grid_size: int) -> FieldSample:
     """X_N on the uniform grid from a characteristic polynomial's ascending
     coefficients, shape (n + 1,), as in a row of szego_coefficients.  The
     polynomial's values are kernels.fourier_grid: on a grid of M = g n
-    points with g >= kernels.MIN_COSETS, g inverse FFTs of length n of the
-    twiddled coefficients; otherwise one zero-padded inverse FFT of length
-    M.  Raises ValueError when the grid does not resolve the polynomial
+    points, g inverse FFTs of length n of the twiddled coefficients.  Raises ValueError when the grid does not resolve the polynomial
     (grid_size <= n) or the coefficients have overflowed; the per-point
     recursion (eval_field_at) evaluates the field there.
     """

@@ -41,9 +41,9 @@ def bump_density(u) -> np.ndarray:
     return out
 
 
-# Fewest cosets for which a sum of few modes on a grid of M points is taken
-# as M/P transforms of length P (_coset_length).  On a 2-core Xeon VM, one
-# BLAS thread, median of 3 x 11 x 30 calls of real_fourier_grid: the nu-mu
+# Fewest cosets for which real_fourier_grid takes a sum of few modes on a
+# grid of M points as M/P transforms of length P (_coset_length).  On a
+# 2-core Xeon VM, one BLAS thread, median of 3 x 11 x 30 calls: the nu-mu
 # barrier's truncations (4 rows of 148 modes, M = 16384, 32 cosets) took
 # 0.43 ms pruned against 0.55 ms in one transform of length M; 256 and 512
 # modes at 8 cosets were 5-10% faster pruned; gaussian-gmc's block (15 rows
@@ -51,10 +51,10 @@ def bump_density(u) -> np.ndarray:
 MIN_COSETS = 8
 
 
-def _coset_length(grid_size: int, least: int) -> int | None:
+def _coset_length(grid_size: int, least: int, fewest: int) -> int | None:
     """The shortest transform length P >= least that divides grid_size into
-    at least MIN_COSETS cosets, or None when there is none."""
-    for cosets in range(grid_size // max(least, 1), MIN_COSETS - 1, -1):
+    at least fewest cosets, or None when there is none."""
+    for cosets in range(grid_size // max(least, 1), fewest - 1, -1):
         if grid_size % cosets == 0:
             return grid_size // cosets
     return None
@@ -107,18 +107,22 @@ def _to_grid_order(cosets: np.ndarray) -> np.ndarray:
 
 def fourier_grid(coefficients: np.ndarray, grid_size: int) -> np.ndarray:
     """sum_m coefficients[..., m] e^{im theta} at theta = 2 pi j / grid_size,
-    for K <= grid_size coefficients m = 0..K-1.
+    for K <= grid_size + 1 coefficients m = 0..K-1.
 
-    With a _coset_length P >= K - 1, each row is Q = M / P inverse FFTs of
-    length P of the twiddled coefficients (_coset_twiddles), unscaled and put
-    back in grid order; when P = K - 1 the top coefficient is folded onto
-    the constant one after its twiddle, since e^{2 pi i P r / P} = 1.
-    Otherwise it is one zero-padded inverse FFT of length M.
+    Each row is Q = M / P inverse FFTs of length P of the twiddled
+    coefficients (_coset_twiddles), unscaled and put back in grid order, P
+    the shortest divisor of M = grid_size with P >= K - 1; when P = K - 1
+    the top coefficient is folded onto the constant one after its twiddle,
+    since e^{2 pi i P r / P} = 1.  A grid with no shorter divisor takes
+    P = M, one transform.  Unlike real_fourier_grid's, this pruning needs no
+    fewest cosets: on a 2-core Xeon VM, one BLAS thread, median of 15 means
+    of 50 calls, K = 1025 at 4 to 7 cosets took 0.047, 0.050, 0.054 and
+    0.064 ms against 0.055, 0.063, 0.074 and 0.084 ms in one zero-padded
+    transform of length M, and 0.027 and 0.022 ms both ways at 2 cosets and
+    at 1 (M = 1025); K = 257 at 2 cosets took 0.013 against 0.011 ms.
     """
     modes = coefficients.shape[-1]
-    length = _coset_length(grid_size, modes - 1)
-    if length is None:
-        return np.fft.ifft(coefficients, n=grid_size) * grid_size
+    length = _coset_length(grid_size, modes - 1, 1)
     spec = coefficients[..., None, :] * _coset_twiddles(grid_size, length, modes)
     if length < modes:
         spec[..., 0] += spec[..., length]
@@ -129,17 +133,17 @@ def real_fourier_grid(modes: np.ndarray, grid_size: int) -> np.ndarray:
     """Re sum_{k>=1} modes[..., k-1] e^{ik theta} at theta = 2 pi j / grid_size.
     Needs fewer modes than grid points.
 
-    With K modes and a _coset_length P >= 2K + 1, each row is Q = M / P real
-    inverse FFTs of length P of half the twiddled modes (_coset_twiddles),
-    unscaled, so that each gives the real part twice, put back in grid
-    order.  Otherwise it is one real inverse FFT of length M, scaled by M/2:
+    With K modes and a _coset_length P >= 2K + 1 that leaves at least
+    MIN_COSETS cosets, each row is Q = M / P real inverse FFTs of length P
+    of half the twiddled modes (_coset_twiddles), unscaled, so that each
+    gives the real part twice, put back in grid order.  Otherwise it is one real inverse FFT of length M, scaled by M/2:
     irfft(spec, M) * M / 2 is Re sum_k spec_k e^{ik theta} on the grid once a
     mode above M/2 is moved to the conjugate mode M - k and the Nyquist mode,
     which irfft halves, is doubled.  Either way numpy transforms the rows
     independently, so each row is bit for bit the one it gives alone.
     """
     kmax = modes.shape[-1]
-    length = _coset_length(grid_size, 2 * kmax + 1)
+    length = _coset_length(grid_size, 2 * kmax + 1, MIN_COSETS)
     if length is not None:
         table = _coset_twiddles(grid_size, length, kmax + 1)
         spec = np.zeros(modes.shape[:-1] + table.shape, dtype=np.complex128)

@@ -32,7 +32,12 @@ import numpy as np
 
 from . import cue, measures
 from .gaussian import gaussian_exp_normalizer, harmonic_number, sample_circle_field
-from .kernels import assumption1_check, circle_truncated_kernel_grid
+from .kernels import (
+    assumption1_check,
+    circle_truncated_kernel_grid,
+    fourier_grid,
+    real_fourier_grid,
+)
 from .special_fn import GammaConvention, to_theorem_scale
 
 MASK32 = (1 << 32) - 1
@@ -309,6 +314,18 @@ def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
     return out
 
 
+def _grid_tables(config: ExperimentConfig) -> None:
+    """Build the twiddle tables of a field replica's grid transforms, the same
+    for every replica of the config, by transforming zeros of their sizes:
+    the field's n + 1 coefficients and, with a barrier, its floor(e^L)
+    modes."""
+    grid = config.grid_factor * config.n
+    fourier_grid(np.zeros(config.n + 1), grid)
+    barrier = config.experiment is Experiment.NU_MU_DISCREPANCY and config.ell is not None
+    if barrier and config.ell <= config.barrier_depth:
+        real_fourier_grid(np.zeros(int(math.floor(math.exp(config.barrier_depth)))), grid)
+
+
 @functools.cache
 def _gmc_normalizer(kmax: int, gamma: float) -> float:
     """E e^{gamma X} for the circle field truncated at kmax; the same for every
@@ -463,9 +480,12 @@ def run_experiment(
         # worker i takes the contiguous run of indices bounds[i]:bounds[i+1]
         bounds = [config.replicas * i // workers for i in range(workers + 1)]
         chunks = [(config, indices[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        # filled before the fork, so the workers inherit the cached scalars
+        # and tables
         if config.experiment is Experiment.KERNEL_CHECKS:
-            # filled before the fork, so the workers inherit the cached scalars
             _kernel_check_values()
+        elif config.experiment in (Experiment.FK_TEST, Experiment.NU_MU_DISCREPANCY):
+            _grid_tables(config)
         # imported here, so that a one-worker run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 

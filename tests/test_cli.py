@@ -434,6 +434,38 @@ class TestMain:
         assert "error: category=io no space left on device" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_failed_json_rename_keeps_the_earlier_json(self, tmp_path, monkeypatch, capsys):
+        # the CSV is renamed first, so it is the new one; the JSON and the
+        # temporary files are as a failure before the renames leaves them
+        rename = os.replace
+
+        def json_fails(source, target):
+            if str(target).endswith(".json"):
+                raise OSError("rename refused")
+            rename(source, target)
+
+        (tmp_path / "x.csv").write_bytes(b"an earlier csv\n")
+        (tmp_path / "x.json").write_bytes(b"{}\n")
+        monkeypatch.setattr(cli.os, "replace", json_fails)
+        argv = ["verify-moments", "--set", "n=4", "--set", "replicas=3", "-o", str(tmp_path / "x")]
+        assert main(argv) == EXIT_IO_ERROR
+        assert "error: category=io rename refused" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
+        assert (tmp_path / "x.json").read_bytes() == b"{}\n"
+        assert (tmp_path / "x.csv").read_text().startswith("replica_index,")
+
+    def test_output_through_a_symlink_keeps_the_link_and_the_mode(self, tmp_path):
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"an earlier csv\n")
+        target.chmod(0o640)
+        (tmp_path / "x.csv").symlink_to(target)
+        argv = ["verify-moments", "--set", "n=4", "--set", "replicas=3", "-o", str(tmp_path / "x")]
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "x.csv").is_symlink()
+        assert target.read_text().startswith("replica_index,")
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "x.csv", "x.json"]
+
     def test_missing_config_file_exit_code(self, capsys):
         code = main(["verify-moments", "/nonexistent/path.conf"])
         assert code == EXIT_CONFIG_ERROR

@@ -303,7 +303,7 @@ class TestSynthesis:
         # at most 11.2 units, the one transform of length 16 n 11.4
         rng = np.random.default_rng(n + 2)
         m = 16 * n
-        assert kernels._coset_length(m, n) == n
+        assert kernels._coset_length(m, n, 1) == n
         for _ in range(spectra):
             alphas = sample_verblunsky(n, rng)
             c = phi_coefficients(alphas)
@@ -658,9 +658,10 @@ TRUNCATION_MODES = {1: 1, 2: 3, 33: 20, 300: 54, 1024: 148}
 
 class TestCosetTransforms:
     """The pruned grid transforms against the one transform of the grid's
-    length (tests/conftest.py): within 1e-15 of the largest value from
-    MIN_COSETS cosets up, bit for bit below it and where the grid has no
-    divisor to prune with."""
+    length (tests/conftest.py): the field within 1e-15 of the largest value
+    on every grid, the truncations within 1e-15 from MIN_COSETS cosets up
+    and bit for bit below it and where the grid has no divisor to prune
+    with."""
 
     @pytest.mark.parametrize("cosets", [4, 8, 16])
     @pytest.mark.parametrize("n", list(TRUNCATION_MODES))
@@ -668,15 +669,10 @@ class TestCosetTransforms:
         alphas = sample_verblunsky(n, np.random.default_rng(n + cosets))
         c = phi_coefficients(alphas)
         m = cosets * n
-        pruned = cosets >= kernels.MIN_COSETS
-        assert kernels._coset_length(m, n) == (n if pruned else None)
+        assert kernels._coset_length(m, n, 1) == n
         ref = one_transform_grid(c, m)
         got = kernels.fourier_grid(c, m)
-        if pruned:
-            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
-        else:
-            assert np.array_equal(got, ref)
-            assert np.array_equal(eval_field(c, m).values, SQRT2 * np.log(np.abs(ref)))
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("cosets", [4, 8, 16])
     @pytest.mark.parametrize("n", list(TRUNCATION_MODES))
@@ -685,7 +681,9 @@ class TestCosetTransforms:
         length = 1 << (2 * kmax).bit_length()  # the least power of two >= 2 kmax + 1
         m = cosets * length
         pruned = cosets >= kernels.MIN_COSETS
-        assert kernels._coset_length(m, 2 * kmax + 1) == (length if pruned else None)
+        assert kernels._coset_length(m, 2 * kmax + 1, kernels.MIN_COSETS) == (
+            length if pruned else None
+        )
         alphas = sample_verblunsky(n, np.random.default_rng(n + cosets))
         tr = trace_powers(cue.szego_coefficients(alphas[None]), kmax)[0]
         deltas = [1.0 / (k + 0.5) for k in sorted({kmax, max(1, kmax // 3)})]
@@ -698,17 +696,18 @@ class TestCosetTransforms:
             else:
                 assert np.array_equal(row, ref_row)
 
-    def test_grids_with_no_divisor_keep_one_transform(self):
-        # 529 = 23^2 has no divisor from 33 up with 8 cosets, and 1031 is prime
+    def test_grids_with_no_divisor(self):
+        # 529 = 23^2 has no divisor from 33 up but itself, so the field is one
+        # transform of length 529; 1031 is prime, so the truncations keep
+        # the one real transform, bit for bit
         alphas = sample_verblunsky(33, np.random.default_rng(529))
         c = phi_coefficients(alphas)
-        assert kernels._coset_length(529, 33) is None
+        assert kernels._coset_length(529, 33, 1) == 529
         ref = one_transform_grid(c, 529)
-        assert np.array_equal(kernels.fourier_grid(c, 529), ref)
-        assert np.array_equal(eval_field(c, 529).values, SQRT2 * np.log(np.abs(ref)))
+        assert np.max(np.abs(kernels.fourier_grid(c, 529) - ref)) <= 1e-15 * np.max(np.abs(ref))
         tr = trace_powers(c[None], 20)[0]
         modes = np.conj(tr) / np.arange(1, 21)
-        assert kernels._coset_length(1031, 41) is None
+        assert kernels._coset_length(1031, 41, kernels.MIN_COSETS) is None
         assert np.array_equal(
             kernels.real_fourier_grid(modes, 1031), one_transform_real_grid(modes, 1031)
         )
@@ -718,7 +717,7 @@ class TestCosetTransforms:
         # are the grid points 8, 24, 40 and 56 of 64, all in coset 8 of 16
         c = phi_coefficients(np.array([0.0, 0.0, 0.0, -1.0 + 0.0j]))
         assert np.array_equal(c, [1.0, 0.0, 0.0, 0.0, 1.0])
-        assert kernels._coset_length(64, 4) == 4
+        assert kernels._coset_length(64, 4, 1) == 4
         fs = eval_field(c, 64)
         assert np.flatnonzero(np.isneginf(fs.values)).tolist() == [8, 24, 40, 56]
         assert fs.has_singular_points

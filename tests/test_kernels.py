@@ -628,10 +628,22 @@ def test_coset_twiddles_against_mpmath(grid_size, length):
 
 
 @pytest.mark.parametrize(
-    "grid_size, least, length",
-    [(16384, 297, 512), (16384, 1024, 1024), (8192, 1025, None), (4800, 109, 120), (1031, 3, None)],
+    "grid_size, least, fewest, length",
+    [
+        (16384, 297, kernels.MIN_COSETS, 512),
+        (16384, 1024, 1, 1024),
+        (8192, 1025, kernels.MIN_COSETS, None),
+        (8192, 1025, 1, 2048),
+        (4800, 109, kernels.MIN_COSETS, 120),
+        (1031, 3, kernels.MIN_COSETS, None),
+        (1031, 3, 1, 1031),
+    ],
 )
-def test_coset_length_takes_the_shortest_divisor_with_enough_cosets(grid_size, least, length):
-    # the nu-mu barrier at n = 1024 (148 modes) and at n = 300 (54 modes),
-    # the field at n = 1024, gaussian-gmc at kmax = 512 (4 cosets) and a prime grid
-    assert kernels._coset_length(grid_size, least) == length
+def test_coset_length_takes_the_shortest_divisor_with_enough_cosets(
+    grid_size, least, fewest, length
+):
+    # the nu-mu barrier at n = 1024 (148 modes), the field at n = 1024,
+    # gaussian-gmc at kmax = 512 (4 cosets, too few for the real sum, enough
+    # for a complex one), the barrier at n = 300 (54 modes) and a prime grid,
+    # which a complex sum takes as one transform
+    assert kernels._coset_length(grid_size, least, fewest) == length

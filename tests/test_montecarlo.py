@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 from dataclasses import replace
@@ -427,15 +428,28 @@ class TestPerReplicaColumns:
             assert got == expected
             assert row["nu_barrier_violation"] == expected[f"nu_barrier_violation_l{cfg.ell}"]
 
-    def test_twiddle_tables_are_built_once_per_config(self, monkeypatch):
-        # the field's table and the truncations' table, then cache hits only
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_twiddle_tables_are_built_once_per_config(self, workers, tmp_path, monkeypatch):
+        # the field's table and the truncations' table, both built in this
+        # process (before the fork at two workers), then cache hits only
+        log = tmp_path / "builds"
+        build = kernels._coset_twiddles.__wrapped__
+
+        @functools.cache
+        def logged(*args):
+            # pool workers are forked, so they append to the same file
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(*args)
+
+        monkeypatch.setattr(kernels, "_coset_twiddles", logged)
+        monkeypatch.setenv("THICKPOINT_THREADS", workers)
         cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, n=64, ell=1, replicas=3)
-        monkeypatch.setenv("THICKPOINT_THREADS", "1")
-        before = kernels._coset_twiddles.cache_info()
         run_experiment(cfg)
-        after = kernels._coset_twiddles.cache_info()
-        assert after.misses - before.misses <= 2
-        assert after.hits + after.misses - before.hits - before.misses == 2 * cfg.replicas
+        assert log.read_text().split() == [str(os.getpid())] * 2
+        if workers == "1":
+            info = logged.cache_info()
+            assert info.hits + info.misses == 2 * cfg.replicas
 
     def test_nu_mu_empty_barrier_range_is_zero(self):
         cfg = ExperimentConfig(
