@@ -13,7 +13,10 @@ pruning of the zero-padded FFT, kernels.fourier_grid); a grid that is no
 multiple of n takes its shortest divisor above n as the length.  Power
 traces come from Newton's identities on the same coefficients, and their
 Fourier truncations on the grid are pruned the same way when that leaves
-kernels.MIN_COSETS cosets.  At arbitrary angles one per-point Szego recursion
+kernels.MIN_COSETS cosets.  Both come in the coset layout (Q, P) (grid
+point j = Q r + q at [q, r]): eval_field puts its real values in grid order
+(kernels.to_grid_order) and truncated_fields keeps the layout, which the
+barrier counts in.  At arbitrary angles one per-point Szego recursion
 (szego_log_abs), batched over replicas, evaluates the field in O(n) per
 point.  The dense determinant and CMV-operator references live with the
 tests.
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import fourier_grid, real_fourier_grid
+from .kernels import fourier_grid, real_fourier_grid, to_grid_order
 from .special_fn import SQRT2
 
 
@@ -239,9 +242,10 @@ def eval_field(coefficients: np.ndarray, grid_size: int) -> FieldSample:
     """X_N on the uniform grid from a characteristic polynomial's ascending
     coefficients, shape (n + 1,), as in a row of szego_coefficients.  The
     polynomial's values are kernels.fourier_grid: on a grid of M = g n
-    points, g inverse FFTs of length n of the twiddled coefficients.  Raises ValueError when the grid does not resolve the polynomial
-    (grid_size <= n) or the coefficients have overflowed; the per-point
-    recursion (eval_field_at) evaluates the field there.
+    points, g inverse FFTs of length n, put in grid order once real.  Raises
+    ValueError when the grid does not resolve the polynomial (grid_size <= n)
+    or the coefficients have overflowed; the per-point recursion
+    (eval_field_at) evaluates the field there.
     """
     n = coefficients.size - 1
     if grid_size <= n:
@@ -255,7 +259,7 @@ def eval_field(coefficients: np.ndarray, grid_size: int) -> FieldSample:
     with np.errstate(divide="ignore"):
         np.log(values, out=values)
     values *= SQRT2
-    return FieldSample(values)
+    return FieldSample(to_grid_order(values))
 
 
 def eval_field_at(alphas: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -323,12 +327,12 @@ def truncated_fields(traces: np.ndarray, deltas, grid_size: int) -> np.ndarray:
     -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}.
 
     All rows come from one batched grid transform of -sqrt(2) conj(Tr U^k)/k
-    (kernels.real_fourier_grid).  Every row spans the traces given, below
-    the grid size, with zeros past its own floor(1/delta), so the transform
-    does not depend on which deltas share the call, and each row is bit for
-    bit the one its delta gives alone.  traces[k-1] is Tr U^k, as in a row
-    of trace_powers.  Each delta must lie in (0, 1], with at least
-    floor(1/delta) traces and a grid finer than that.
+    (kernels.real_fourier_grid), in its coset layout (len(deltas), Q, P).
+    Every row spans the traces given, below the grid size, with zeros past
+    its own floor(1/delta), so the transform does not depend on which deltas
+    share the call, and each row is bit for bit the one its delta gives
+    alone.  traces[k-1] is Tr U^k, as in a row of trace_powers.  Each delta
+    must lie in (0, 1], with floor(1/delta) traces and a finer grid.
     """
     kmaxes = []
     for delta in deltas:
@@ -350,6 +354,6 @@ def truncated_fields(traces: np.ndarray, deltas, grid_size: int) -> np.ndarray:
 def truncated_field(traces: np.ndarray, delta: float, grid_size: int) -> np.ndarray:
     """Fourier-truncated field X_{N,delta} on the uniform grid:
     -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}; the one row of
-    truncated_fields for this delta.
+    truncated_fields for this delta, in grid order.
     """
-    return truncated_fields(traces, [delta], grid_size)[0]
+    return to_grid_order(truncated_fields(traces, [delta], grid_size)[0])

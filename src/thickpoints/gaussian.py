@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .kernels import real_fourier_grid
+from .kernels import real_fourier_grid, to_grid_order
 
 
 def harmonic_number(k: int) -> float:
@@ -20,7 +20,8 @@ def harmonic_number(k: int) -> float:
 def sample_circle_field(kmax: int, grid_size: int, streams) -> np.ndarray:
     """X(theta) = sum_{k<=kmax} k^{-1/2} (A_k cos k theta + B_k sin k theta)
     with A, B iid standard normal; its values on the uniform grid
-    theta_j = 2 pi j / grid_size, by one real inverse FFT per row.  Row r of
+    theta_j = 2 pi j / grid_size, by kernels.real_fourier_grid put in grid
+    order, which at one coset is a view, not a copy.  Row r of
     the (R, grid_size) result is drawn from the r-th of the R streams, A
     first, then B.  Var X(theta) = harmonic_number(kmax).
     """
@@ -31,7 +32,7 @@ def sample_circle_field(kmax: int, grid_size: int, streams) -> np.ndarray:
     normals = np.array([stream.standard_normal(2 * kmax) for stream in streams])
     # A cos + B sin = Re((A - iB) e^{ik theta})
     coeff = (normals[:, :kmax] - 1j * normals[:, kmax:]) / np.sqrt(np.arange(1, kmax + 1))
-    return real_fourier_grid(coeff, grid_size)
+    return to_grid_order(real_fourier_grid(coeff, grid_size))
 
 
 def gaussian_exp_normalizer(variance: float, gamma: float) -> float:

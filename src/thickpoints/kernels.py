@@ -4,6 +4,11 @@ Truncated Fourier kernels on the circle, complex and real Fourier sums on
 the uniform circle grid, and the doubly bump-mollified log kernel on an
 interval by Gauss-Legendre panel quadrature, together with a numeric check
 of the bounded-deviation estimate it is supposed to satisfy.
+
+The grid sums return their coset layout (..., Q, P), grid point j = Q r + q
+at [..., q, r] (Q = 1 for one transform); to_grid_order is the one inverse.
+cue.eval_field reorders its real modulus, gaussian.sample_circle_field a
+free view at Q = 1; the barrier (measures.barrier_violations) never does.
 """
 
 from __future__ import annotations
@@ -99,9 +104,9 @@ def _coset_twiddles(grid_size: int, length: int, modes: int) -> np.ndarray:
     return table
 
 
-def _to_grid_order(cosets: np.ndarray) -> np.ndarray:
-    """Values (..., Q, P) of grid points j = Q r + q at [..., q, r], in
-    natural order (..., Q P)."""
+def to_grid_order(cosets: np.ndarray) -> np.ndarray:
+    """The coset layout (..., Q, P) of the grid sums, grid point j = Q r + q
+    at [..., q, r], in grid order (..., Q P); a view, not a copy, at Q = 1."""
     return cosets.swapaxes(-1, -2).reshape(cosets.shape[:-2] + (-1,))
 
 
@@ -110,8 +115,8 @@ def fourier_grid(coefficients: np.ndarray, grid_size: int) -> np.ndarray:
     for K <= grid_size + 1 coefficients m = 0..K-1.
 
     Each row is Q = M / P inverse FFTs of length P of the twiddled
-    coefficients (_coset_twiddles), unscaled and put back in grid order, P
-    the shortest divisor of M = grid_size with P >= K - 1; when P = K - 1
+    coefficients (_coset_twiddles), unscaled, in the coset layout (..., Q, P),
+    P the shortest divisor of M = grid_size with P >= K - 1; when P = K - 1
     the top coefficient is folded onto the constant one after its twiddle,
     since e^{2 pi i P r / P} = 1.  A grid with no shorter divisor takes
     P = M, one transform.  Unlike real_fourier_grid's, this pruning needs no
@@ -126,7 +131,7 @@ def fourier_grid(coefficients: np.ndarray, grid_size: int) -> np.ndarray:
     spec = coefficients[..., None, :] * _coset_twiddles(grid_size, length, modes)
     if length < modes:
         spec[..., 0] += spec[..., length]
-    return _to_grid_order(np.fft.ifft(spec, length, norm="forward"))
+    return np.fft.ifft(spec, length, norm="forward")
 
 
 def real_fourier_grid(modes: np.ndarray, grid_size: int) -> np.ndarray:
@@ -136,7 +141,8 @@ def real_fourier_grid(modes: np.ndarray, grid_size: int) -> np.ndarray:
     With K modes and a _coset_length P >= 2K + 1 that leaves at least
     MIN_COSETS cosets, each row is Q = M / P real inverse FFTs of length P
     of half the twiddled modes (_coset_twiddles), unscaled, so that each
-    gives the real part twice, put back in grid order.  Otherwise it is one real inverse FFT of length M, scaled by M/2:
+    gives the real part twice, in the coset layout (..., Q, P).  Otherwise it
+    is one real inverse FFT of length M, scaled by M/2, as (..., 1, M):
     irfft(spec, M) * M / 2 is Re sum_k spec_k e^{ik theta} on the grid once a
     mode above M/2 is moved to the conjugate mode M - k and the Nyquist mode,
     which irfft halves, is doubled.  Either way numpy transforms the rows
@@ -147,8 +153,8 @@ def real_fourier_grid(modes: np.ndarray, grid_size: int) -> np.ndarray:
     if length is not None:
         table = _coset_twiddles(grid_size, length, kmax + 1)
         spec = np.zeros(modes.shape[:-1] + table.shape, dtype=np.complex128)
-        spec[..., 1:] = (0.5 * modes)[..., None, :] * table[:, 1:]
-        return _to_grid_order(np.fft.irfft(spec, length, norm="forward"))
+        np.multiply((0.5 * modes)[..., None, :], table[:, 1:], out=spec[..., 1:])
+        return np.fft.irfft(spec, length, norm="forward")
     half = grid_size // 2
     spec = np.zeros(modes.shape[:-1] + (half + 1,), dtype=np.complex128)
     spec[..., 1 : min(kmax, half) + 1] = modes[..., :half]
@@ -159,7 +165,7 @@ def real_fourier_grid(modes: np.ndarray, grid_size: int) -> np.ndarray:
         spec[..., half] *= 2.0
     values = np.fft.irfft(spec, grid_size)
     values *= 0.5 * grid_size
-    return values
+    return values[..., None, :]
 
 
 def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.ndarray:
@@ -252,8 +258,8 @@ _GL_HALF_WEIGHTS = np.array([
     0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
 ])
-_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
-_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
+GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 
 # the bump's unit convolution density is tabulated on CONV_NODES points; its
 # lattice step divides that grid and puts CONV_MIN_POINTS on the narrower
@@ -450,14 +456,14 @@ def _log_integral(
     counts = full.sum(axis=1)
     left, right = left[full], right[full]
     halfw = 0.5 * (right - left)
-    w = (0.5 * (left + right))[:, None] + halfw[:, None] * _GL_NODES
+    w = (0.5 * (left + right))[:, None] + halfw[:, None] * GL_NODES
     shift = np.repeat(seps, counts)[:, None]
     with np.errstate(divide="ignore"):
         lg = np.log(np.abs(shift + w))
     lg[~np.isfinite(lg)] = 0.0
     np.negative(lg, out=lg)
     lg *= density(w)
-    panels = lg @ _GL_WEIGHTS * halfw
+    panels = lg @ GL_WEIGHTS * halfw
     bounds = np.cumsum([0, *counts.tolist()])
     return np.array([np.sum(panels[a:b]) for a, b in zip(bounds, bounds[1:])])
 

@@ -82,12 +82,20 @@ def barrier_violations(
     [ell', levels[-1]], in the order of the levels.
 
     truncated holds the values of X_{N, e^{-k}} on the grid, one row per
-    level.  One conjunction is kept from the deepest level up, so each level
-    is read once, and the thick-point indicator is formed once.
+    level, in the coset layout (len(levels), Q, P) of cue.truncated_fields.
+    The rows are not reordered: the thick-point indicator, a byte per point,
+    is formed once and put in their layout.  One conjunction is kept from
+    the deepest level up, so each level is read once.
     """
-    thick = thick_indicator(field, gamma, n)
+    cosets, length = truncated.shape[1:] if truncated.ndim == 3 else (0, 0)
+    if truncated.shape[:1] != (len(levels),) or cosets * length != field.size:
+        raise ValueError(
+            f"truncated fields of shape {truncated.shape} do not lay out {len(levels)} levels "
+            f"over the field of shape {field.shape} as (levels, Q, P) with Q P = {field.size}"
+        )
+    thick = np.ascontiguousarray(thick_indicator(field, gamma, n).reshape(length, cosets).T)
     denominator = thickpoint_prob_asymptotic(n, gamma)
-    mask = np.ones(field.size, dtype=bool)
+    mask = np.ones(thick.shape, dtype=bool)
     out = [0.0] * len(levels)
     for i in reversed(range(len(levels))):
         mask &= truncated[i] <= (gamma + eta) * levels[i]

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .kernels import _GL_NODES, _GL_WEIGHTS
+from .kernels import GL_NODES, GL_WEIGHTS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,8 +131,8 @@ def log_barnes_g(z: complex) -> complex:
     w = z - 1.0
     panels = max(math.ceil(abs(w) / 2.0), 1)
     h = w / panels
-    t = h * (np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1.0))
-    integral = 0.5 * h * complex(np.sum(_loggamma(1.0 + t) @ _GL_WEIGHTS))
+    t = h * (np.arange(panels)[:, None] + 0.5 * (GL_NODES + 1.0))
+    integral = 0.5 * h * complex(np.sum(_loggamma(1.0 + t) @ GL_WEIGHTS))
     return w * _LOG_SQRT_2PI - 0.5 * w * (w + 1.0) + w * complex(_loggamma(z)) - integral
 
 

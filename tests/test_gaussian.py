@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from thickpoints import gaussian
 from thickpoints.gaussian import gaussian_exp_normalizer, harmonic_number, sample_circle_field
-from thickpoints.kernels import doubly_mollified_kernel
+from thickpoints.kernels import doubly_mollified_kernel, real_fourier_grid
 from conftest import (
     circle_truncated_kernel,
     kappa,
@@ -125,6 +126,21 @@ class TestSampleCircleField:
             sample_circle_field(0, 16, [rng])
         with pytest.raises(ValueError):
             sample_circle_field(16, 16, [rng])
+
+    def test_one_coset_is_put_in_grid_order_without_a_copy(self, monkeypatch):
+        # gaussian-gmc's grid of 16 kmax points leaves 4 cosets, fewer than
+        # MIN_COSETS, so each row is one real transform in a (1, M) layout
+        made = []
+
+        def recorded(modes, grid_size):
+            made.append(real_fourier_grid(modes, grid_size))
+            return made[-1]
+
+        monkeypatch.setattr(gaussian, "real_fourier_grid", recorded)
+        rng = np.random.default_rng(9)
+        field = sample_circle_field(64, 16 * 64, [rng, rng])
+        assert made[0].shape == (2, 1, 1024) and field.shape == (2, 1024)
+        assert np.shares_memory(field, made[0])
 
 
 class TestMollifiedGaussianField:

@@ -604,8 +604,8 @@ class TestAssumption1Check:
 def test_gauss_legendre_table_is_leggauss():
     # the literal 16-point table is numpy's, bit for bit
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    assert [x.hex() for x in kernels._GL_NODES.tolist()] == [x.hex() for x in nodes.tolist()]
-    assert [w.hex() for w in kernels._GL_WEIGHTS.tolist()] == [w.hex() for w in weights.tolist()]
+    assert [x.hex() for x in kernels.GL_NODES.tolist()] == [x.hex() for x in nodes.tolist()]
+    assert [w.hex() for w in kernels.GL_WEIGHTS.tolist()] == [w.hex() for w in weights.tolist()]
 
 
 @pytest.mark.parametrize("grid_size, length", [(64, 8), (96, 12), (100, 10), (16384, 512)])

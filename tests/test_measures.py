@@ -179,6 +179,16 @@ class TestBarrierMask:
         assert barrier_mask({}, 0.5, 0.2, []).shape == (1,)
 
 
+class TestBarrierViolations:
+    # two levels over a field of 8 points: a row too many, a row too few, a
+    # layout of 12 points and a grid-order (levels, M) array
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (1, 2, 4), (2, 3, 4), (2, 8)])
+    def test_refuses_truncated_fields_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError) as refused:
+            barrier_violations(flat_field(8, 10.0), 0.5, 16, 0.2, [1, 2], np.zeros(shape))
+        assert str(shape) in str(refused.value) and "(8,)" in str(refused.value)
+
+
 class TestMeasureProperties:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -249,8 +259,8 @@ class TestSingularGridPoint:
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_barrier_violations_count_the_point_as_not_thick(self, field):
-        # every grid point breaks both levels' constraints
-        truncated = np.full((2, 4), 10.0)
+        # every grid point breaks both levels' constraints; one coset of four
+        truncated = np.full((2, 1, 4), 10.0)
         got = barrier_violations(field, self.gamma, self.n, 0.2, [1, 2], truncated)
         expected = 0.75 / asymptotic_prob(self.n, self.gamma)
         assert got == pytest.approx([expected, expected], rel=1e-14)

@@ -428,6 +428,49 @@ class TestPerReplicaColumns:
             assert got == expected
             assert row["nu_barrier_violation"] == expected[f"nu_barrier_violation_l{cfg.ell}"]
 
+    @pytest.mark.parametrize(
+        "fields, cosets",
+        [
+            (dict(n=8, grid_factor=4, ell=1, L=3), 1),  # one real transform of 32 points
+            (dict(n=1024, ell=2), 32),
+            (dict(n=1000, ell=2), 50),  # M = 16 000 and P = 320, no power of two
+        ],
+    )
+    def test_barrier_columns_in_the_coset_layout(self, fields, cosets, monkeypatch):
+        cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, eta=0.2, master_seed=7, **fields)
+        grid = cfg.grid_factor * cfg.n
+        modes = math.floor(math.exp(cfg.barrier_depth))
+        layout = kernels.real_fourier_grid(np.zeros(modes), grid).shape
+        assert layout == (cosets, grid // cosets)
+        # grid point j = Q r + q sits at [q, r]; to_grid_order undoes the view
+        # barrier_violations takes of a grid-order array
+        cells = cosets * np.arange(layout[1]) + np.arange(cosets)[:, None]
+        rows = kernels.to_grid_order(np.stack([cells, -cells]))
+        assert np.array_equal(rows, [np.arange(grid), -np.arange(grid)])
+        assert np.array_equal(np.arange(grid).reshape(layout[::-1]).T, cells)
+
+        # every spectrum gets an eigenvalue on a grid point in the last coset:
+        # Phi_n(z) = z Phi_{n-1}(z) - conj(a) Phi*_{n-1}(z), and on the circle
+        # Phi*_{n-1}(z) = z^{n-1} conj(Phi_{n-1}(z)), so this last a is a root
+        point = 6 * cosets - 1
+        z = np.exp(2j * np.pi * point / grid)
+        draw = cue.sample_verblunsky
+
+        def with_root_on_the_grid(n, stream):
+            alphas = draw(n, stream)
+            phi = np.polyval(cue.szego_coefficients(alphas[None, :-1])[0, ::-1], z)
+            alphas[-1] = z ** (n - 2) * np.conj(phi) / phi
+            return alphas
+
+        monkeypatch.setattr(cue, "sample_verblunsky", with_root_on_the_grid)
+        for index in range(4):
+            _, field = montecarlo.sample_field(cfg, replica_stream(cfg.master_seed, index))
+            assert np.argmin(field) == point and field[point] < -30.0
+            row = run_replica(cfg, index)
+            expected = nu_mu_barrier_oracle(cfg, index)
+            assert {k: v for k, v in row.items() if k.startswith("nu_barrier_violation_l")} == expected
+            assert any(expected.values())
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_twiddle_tables_are_built_once_per_config(self, workers, tmp_path, monkeypatch):
         # the field's table and the truncations' table, both built in this

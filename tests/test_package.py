@@ -1,4 +1,5 @@
-"""The package's public names, and no module-level name left without a use."""
+"""The package's public names, no module-level name left without a use, and
+no private name imported from a sibling module."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,19 @@ def test_every_module_level_definition_is_used():
     assert unused <= traced, f"no use in src/: {sorted(unused - traced)}"
     # only the tracer keeps these three; they are to move into tests/conftest.py
     assert unused == {"truncated_field", "eval_field_at", "barrier_mask"}
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a name a sibling module needs is public there, so renaming a private
+    # helper never breaks another module
+    package = Path(thickpoints.__file__).parent
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "thickpoints")
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name != "__version__"
+    ]
+    assert not private, f"private names imported from a sibling: {private}"
