@@ -24,10 +24,12 @@ TRUNCATED_BLOCK = 64
 # separations per slice in circle_truncated_kernel_grid, at most.  On a
 # 2-core Xeon VM at one OpenBLAS thread, with the heap kept as run_experiment
 # keeps it, the kernel-check grid (10 000 separations, orders 4..4096) took
-# a process from 36.0 MB RSS after its imports to 39.6 MB in slices of 512,
-# 37.8 MB in slices of 128, 41.9 MB in slices of 1024 and 80.2 MB in one
-# piece.  The best of 15 calls took 29 ms in slices of 512, 37 ms in slices
-# of 128, 27-37 ms in slices of 1024 and 36 ms in one piece.
+# a process from 29.2 MB RSS after its imports to a peak of 31.0 MB in
+# slices of 128, 31.8 MB in slices of 256, 32.8 MB in slices of 512,
+# 34.9 MB in slices of 1024 and 70.9 MB in one piece.  The best of 15 calls,
+# over three fresh processes each, took 20-33 ms in slices of 128, 18-20 ms
+# in slices of 256, 17-18 ms in slices of 512, 17-26 ms in slices of 1024
+# and 23-25 ms in one piece.
 TRUNCATED_SLICE = 512
 
 # Normalization of the standard bump exp(-1/(1-u^2)) on (-1,1): the correctly
@@ -178,18 +180,25 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
     ends at each requested order.  The block starting at k0 sums
     Re(e^{i k0 x} e^{i j x}) / k over k = k0 + j; the e^{i j x} table is built
     once per slice and every block's weighted sum over j is one row of a
-    single matrix product.  The block sums are Kahan-accumulated, and the
-    rows to snapshot after each block are looked up in a map from block end
-    to rows, built once per call.
+    single matrix product.  The block sums between two requested orders are
+    added in turn, and the runs they make are Kahan-accumulated: one
+    compensated step per distinct order, not one per block.
 
-    The phases are factored so that a separation costs 32 complex
+    The phases are factored so that a separation costs 12 complex
     exponentials at orders up to 4096, not one per table row and block:
-    table row j = 8d + c is q[d] p[c] with p[c] = e^{icx} and q[d] = e^{i8dx},
-    and the phase of the block starting at k0 = 512a + 64b + r is
-    v[a] u[b] table[r] with u[b] = e^{i64bx} and v[a] = e^{i512ax}.  Each
-    phase is then a product of at most three exponentials, a few roundings;
-    at orders 4..4096 the grid is within 2e-15 of a 30-digit sum (measured
-    8.9e-16 over 20 separations).
+    table row j = 8d + c is q[d] p[c], and the phase of the block starting at
+    k0 = 512a + 64b + r is v[a] u[b] table[r], where p[c] = e^{icx},
+    q[d] = e^{i8dx}, u[b] = e^{i64bx} and v[a] = e^{i512ax}.  Each group is
+    built by doubling from e^{isx}, e^{2isx} and e^{4isx} for its step s
+    (and on, for v past order 4096), whose arguments 2^m s x are exact: rows
+    2-3 are rows 0-1 times e^{2isx}, rows 4-7 rows 0-3 times e^{4isx}, and
+    row 0 is exactly 1.  A factor is then a product of at most three
+    exponentials and a phase of at most twelve, so at most twelve rounded
+    exponentials and eleven rounded products; measured within 3.1e-16 of
+    e^{ijx} over the table and 4.6e-16 of e^{i k0 x} over the phases.  At
+    orders 4..4096 the grid is within 2e-15 of a 30-digit sum (measured
+    8.9e-16 over 20 separations, and at the kernel-check's orders over its
+    first 60 separations).
 
     The separations are cut into the fewest near-equal slices of at most
     TRUNCATED_SLICE, so the work arrays hold at most (blocks,
@@ -199,51 +208,70 @@ def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.nd
     that rounds differently, but a slice has one column only when the call
     has one separation.
     """
+    if not kmaxes or not all(isinstance(kmax, (int, np.integer)) for kmax in kmaxes):
+        raise ValueError(f"kmaxes must be a non-empty list of integers, got {kmaxes}")
     if min(kmaxes) < 1:
         raise ValueError(f"every kmax must be >= 1, got {kmaxes}")
     deltas = np.asarray(deltas, dtype=float)
-    ends = sorted(set(range(TRUNCATED_BLOCK, max(kmaxes), TRUNCATED_BLOCK)) | {*kmaxes})
+    orders = sorted(set(kmaxes))
+    ends = sorted(set(range(TRUNCATED_BLOCK, orders[-1], TRUNCATED_BLOCK)) | {*orders})
     starts = np.array([1, *(end + 1 for end in ends[:-1])])
     inverse_k = np.zeros((len(ends), TRUNCATED_BLOCK))
     for row, (start, end) in enumerate(zip(starts, ends)):
         inverse_k[row, : end - start + 1] = 1.0 / np.arange(start, end + 1)
-    snapshots: dict[int, list[int]] = {}
-    for row, kmax in enumerate(kmaxes):
-        snapshots.setdefault(kmax, []).append(row)
+    # the first block of each order's run, and the rows that take its sum
+    firsts = [0, *(ends.index(order) + 1 for order in orders[:-1])]
+    targets = [[row for row, kmax in enumerate(kmaxes) if kmax == order] for order in orders]
     out = np.empty((len(kmaxes), deltas.size))
     count = max(1, math.ceil(deltas.size / TRUNCATED_SLICE))
     for part, rows in zip(np.array_split(deltas, count), np.array_split(out, count, axis=1)):
-        _truncated_slice(part, starts, ends, inverse_k, snapshots, rows)
+        _truncated_slice(part, starts, inverse_k, firsts, targets, rows)
     return out
 
 
-def _truncated_slice(part, starts, ends, inverse_k, snapshots, rows) -> None:
+def _truncated_slice(part, starts, inverse_k, firsts, targets, rows) -> None:
     """circle_truncated_kernel_grid on one slice of separations, written into
-    rows; snapshots maps a block end to the rows that take the running sum
-    there.  Its work arrays are freed on return, before the next slice's are
-    made."""
-    # table row j = 8d + c is q[d] p[c]; the block starting at
-    # k0 = 512a + 64b + r has the phase v[a] u[b] table[r]
-    a, b, r = starts // 512, starts % 512 // 64, starts % 64
-    digit = np.arange(8)
-    orders = np.concatenate([digit, 8 * digit, 64 * digit, 512 * np.arange(a[-1] + 1)])
-    factors = np.exp(1j * np.outer(orders, part))
-    p, q, u, v = np.split(factors, [8, 16, 24])
-    table = (q[:, None] * p).reshape(TRUNCATED_BLOCK, part.size)
-    phase = v[a]
-    phase *= u[b]
-    phase *= table[r]
+    rows; the blocks from firsts[i] up to the next first sum to the run that
+    ends at the i-th requested order, and targets[i] lists the rows that take
+    the running sum there.  Its work arrays are freed on return, before the
+    next slice's are made."""
+    table, phase = _phase_tables(part, starts)
     block_sums = inverse_k @ table
     block_sums *= phase
     acc = np.zeros_like(part)
     comp = np.zeros_like(part)  # Kahan compensation
-    for end, block in zip(ends, block_sums.real):
-        term = block - comp
+    for run, target in zip(np.add.reduceat(block_sums.real, firsts, axis=0), targets):
+        term = run - comp
         total = acc + term
         comp = (total - acc) - term
         acc = total
-        for row in snapshots.get(end, ()):
-            rows[row] = acc
+        rows[target] = acc
+
+
+def _phase_tables(part, starts) -> tuple[np.ndarray, np.ndarray]:
+    """The table e^{ijx}, j < TRUNCATED_BLOCK, and the phases e^{i k0 x} for
+    the block starts k0, each row over the separations x in part.
+
+    Table row j = 8d + c is q[d] p[c] and the phase at k0 = 512a + 64b + r is
+    v[a] u[b] table[r].  factors[t, g] is the product of e^{i 2^m s x} over
+    the set bits m of t, s the step 1, 8, 64 or 512 of group g = p, q, u, v:
+    rows 2^m..2^{m+1}-1 are rows 0..2^m-1 times e^{i 2^m s x}.  Past order
+    4096 v needs more than three bits; every group is doubled as far, and
+    only v uses the rows past 8."""
+    a, b, r = starts // 512, starts % 512 // 64, starts % 64
+    bits = max(3, int(a.max()).bit_length())
+    steps = np.outer(1 << np.arange(bits), [1, 8, 64, 512])
+    exponentials = np.exp(1j * (steps[..., None] * part))
+    factors = np.empty((1 << bits, 4, part.size), dtype=complex)
+    factors[0] = 1.0
+    for m, exponential in enumerate(exponentials):
+        np.multiply(factors[: 1 << m], exponential, out=factors[1 << m : 2 << m])
+    p, q, u, v = factors[:8, 0], factors[:8, 1], factors[:8, 2], factors[:, 3]
+    table = (q[:, None] * p).reshape(TRUNCATED_BLOCK, part.size)
+    phase = v[a]
+    phase *= u[b]
+    phase *= table[r]
+    return table, phase
 
 
 # The 16-point Gauss-Legendre rule on [-1, 1], bit for bit the output of
@@ -532,6 +560,8 @@ def assumption1_check(
     supplied by theory.
     """
     points = np.asarray(grid, dtype=float)
+    if points.size == 0:
+        raise ValueError("assumption1_check needs at least one grid point, got an empty grid")
     pairs: dict[float, tuple[float, float]] = {}
     for x in points.tolist():
         for z in points.tolist():

@@ -20,9 +20,10 @@ from conftest import (
     scaled_bump,
     simpson_conv_density,
 )
-from thickpoints import kernels
+from thickpoints import kernels, montecarlo
 from thickpoints.kernels import (
     BUMP_INTEGRAL,
+    TRUNCATED_BLOCK,
     _conv_density,
     _refined_edges,
     _uniform_spline,
@@ -195,7 +196,8 @@ class TestCircleTruncatedKernel:
             assert abs(got - circle_truncated_kernel(float(d), 0.0, 4096)) <= 1e-12
 
     def test_against_mpmath_sum(self):
-        # the factored phase tables: measured 8.9e-16, and 1.6e-15 with one
+        # the phases from 12 exponentials per separation: measured 8.9e-16,
+        # as with 32 exponentials per separation, and 1.6e-15 with one
         # complex exponential per table row and block
         deltas = np.linspace(1e-4, math.pi, 20)
         kmaxes = [4**j for j in range(1, 7)]  # 4 .. 4096
@@ -215,9 +217,64 @@ class TestCircleTruncatedKernel:
         reference = direct_truncated_kernel_grid(seps, kmaxes)
         assert float(np.max(np.abs(got - reference))) <= 1e-13
 
+    @pytest.mark.slow
+    def test_kernel_check_orders_against_mpmath_sum(self):
+        # the kernel-check's own orders 4 .. 4096 at its first 60
+        # separations; measured 8.9e-16
+        seps = montecarlo._kernel_check_separations()[:60]
+        kmaxes = [2**j for j in range(2, 13)]
+        reference = mp_truncated_kernel(tuple(seps.tolist()), tuple(kmaxes))
+        got = circle_truncated_kernel_grid(seps, kmaxes)
+        assert float(np.max(np.abs(got - reference))) <= 2e-15
+
+    def test_phase_tables_against_mpmath(self):
+        # every table row e^{ijx} is a product of at most six exponentials
+        # and every block phase e^{i k0 x} at orders up to 4096 of at most
+        # twelve (thirteen at 8191).  With each exponential within an ulp,
+        # sqrt(2) u, and each product of unit-modulus numbers within
+        # sqrt(5) u, the first-order bounds are 2.2e-15 and 4.7e-15
+        # (5.1e-15 at 8191); measured 3.1e-16 and 4.6e-16
+        seps = np.concatenate([
+            [0.0, -0.0, 1e-4, -1e-4, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi],
+            np.random.default_rng(11).uniform(-7.0, 7.0, 12),
+        ])
+        # every 64-mode block start up to 4096, every a and b with the
+        # table row of the most factors, and starts past 4096
+        starts = np.array(sorted({
+            *range(1, 4097, TRUNCATED_BLOCK),
+            *(512 * a + 64 * b + 63 for a in range(8) for b in range(8)),
+            4097, 5000, 8191, 9985,
+        }))
+        table, phase = kernels._phase_tables(seps, starts)
+        with mpmath.workdps(30):
+            xs = [mpmath.mpf(x) for x in seps.tolist()]
+            table_ref = np.array([[complex(mpmath.expj(j * x)) for x in xs] for j in range(64)])
+            phase_ref = np.array([[complex(mpmath.expj(int(k) * x)) for x in xs] for k in starts])
+        assert table.shape == (TRUNCATED_BLOCK, seps.size)
+        assert float(np.max(np.abs(table - table_ref))) <= 2.2e-15
+        assert float(np.max(np.abs(phase - phase_ref))) <= 5.1e-15
+        # the order-0 factors are exactly 1
+        assert np.all(table[0] == 1.0)
+
+    def test_orders_past_4096_against_direct_exponential_table(self):
+        # past order 4096 the 512-step factor v[a] needs more than three
+        # bits (a = 19 at 9985); measured 1.7e-14.  Few separations, since
+        # the direct table holds every order at each
+        seps = np.random.default_rng(4).uniform(-4.0, 4.0, 100)
+        seps[:4] = [0.0, -0.0, math.pi, 2.0 * math.pi]
+        kmaxes = [4096, 4097, 5000, 8192, 10_000]
+        got = circle_truncated_kernel_grid(seps, kmaxes)
+        reference = direct_truncated_kernel_grid(seps, kmaxes)
+        assert float(np.max(np.abs(got - reference))) <= 1e-13
+
     def test_grid_variant_rejects_order_below_one(self):
         with pytest.raises(ValueError):
             circle_truncated_kernel_grid(np.array([0.5]), [0, 4])
+
+    @pytest.mark.parametrize("kmaxes", [[], [4.0], [4, 8.0]], ids=["empty", "float", "mixed"])
+    def test_grid_variant_rejects_orders_that_are_not_integers(self, kmaxes):
+        with pytest.raises(ValueError, match=r"non-empty list of integers, got \["):
+            circle_truncated_kernel_grid(np.array([0.5]), kmaxes)
 
     def test_bounded_deviation_from_log_kernel(self):
         rng = np.random.default_rng(5)
@@ -583,6 +640,10 @@ class TestAssumption1Check:
         assumption1_check(np.linspace(0.15, 0.85, 5), deltas, deltas, (0.0, 1.0))
         assert len(counts) == 21
         assert sum(counts) == 16_274
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="empty grid"):
+            assumption1_check(np.array([]), [0.1], [0.1], (0.0, 1.0))
 
     @pytest.mark.parametrize("grid", [[0.05, 0.3, 0.5], [0.5, 0.7, 0.95]], ids=["first", "last"])
     @pytest.mark.parametrize(
