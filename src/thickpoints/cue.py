@@ -12,14 +12,14 @@ g inverse FFTs of length n of that row, twiddled once per coset (input
 pruning of the zero-padded FFT, kernels.fourier_grid); a grid that is no
 multiple of n takes its shortest divisor above n as the length.  Power
 traces come from Newton's identities on the same coefficients, and their
-Fourier truncations on the grid are pruned the same way when that leaves
-kernels.MIN_COSETS cosets.  Both come in the coset layout (Q, P) (grid
-point j = Q r + q at [q, r]): eval_field puts its real values in grid order
-(kernels.to_grid_order) and truncated_fields keeps the layout, which the
-barrier counts in.  At arbitrary angles one per-point Szego recursion
-(szego_log_abs), batched over replicas, evaluates the field in O(n) per
-point.  The dense determinant and CMV-operator references live with the
-tests.
+Fourier truncations of K modes on the grid are pruned the same way, to the
+shortest divisor of at least 2K + 1 points (kernels.real_fourier_grid).
+Both come in the coset layout (Q, P) (grid point j = Q r + q at [q, r]):
+eval_field puts its real values in grid order (kernels.to_grid_order) and
+truncated_fields keeps the layout, which the barrier counts in.  At
+arbitrary angles one per-point Szego recursion (szego_log_abs), batched over
+replicas, evaluates the field in O(n) per point.  The dense determinant and
+CMV-operator references live with the tests.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .kernels import real_fourier_grid, to_grid_order
+from .kernels import real_fourier_grid
 
 
 def harmonic_number(k: int) -> float:
@@ -20,10 +20,10 @@ def harmonic_number(k: int) -> float:
 def sample_circle_field(kmax: int, grid_size: int, streams) -> np.ndarray:
     """X(theta) = sum_{k<=kmax} k^{-1/2} (A_k cos k theta + B_k sin k theta)
     with A, B iid standard normal; its values on the uniform grid
-    theta_j = 2 pi j / grid_size, by kernels.real_fourier_grid put in grid
-    order, which at one coset is a view, not a copy.  Row r of
-    the (R, grid_size) result is drawn from the r-th of the R streams, A
-    first, then B.  Var X(theta) = harmonic_number(kmax).
+    theta_j = 2 pi j / grid_size, as kernels.real_fourier_grid gives them, in
+    its coset layout (R, Q, P) (kernels.to_grid_order puts them in grid
+    order).  Row r is drawn from the r-th of the R streams, A first, then B.
+    Var X(theta) = harmonic_number(kmax).
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
@@ -32,7 +32,7 @@ def sample_circle_field(kmax: int, grid_size: int, streams) -> np.ndarray:
     normals = np.array([stream.standard_normal(2 * kmax) for stream in streams])
     # A cos + B sin = Re((A - iB) e^{ik theta})
     coeff = (normals[:, :kmax] - 1j * normals[:, kmax:]) / np.sqrt(np.arange(1, kmax + 1))
-    return to_grid_order(real_fourier_grid(coeff, grid_size))
+    return real_fourier_grid(coeff, grid_size)
 
 
 def gaussian_exp_normalizer(variance: float, gamma: float) -> float:

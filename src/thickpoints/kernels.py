@@ -7,8 +7,8 @@ of the bounded-deviation estimate it is supposed to satisfy.
 
 The grid sums return their coset layout (..., Q, P), grid point j = Q r + q
 at [..., q, r] (Q = 1 for one transform); to_grid_order is the one inverse.
-cue.eval_field reorders its real modulus, gaussian.sample_circle_field a
-free view at Q = 1; the barrier (measures.barrier_violations) never does.
+cue.eval_field reorders its real modulus; gaussian-gmc's mass and the
+barrier (measures.barrier_violations) are taken in the layout.
 """
 
 from __future__ import annotations
@@ -48,23 +48,12 @@ def bump_density(u) -> np.ndarray:
     return out
 
 
-# Fewest cosets for which real_fourier_grid takes a sum of few modes on a
-# grid of M points as M/P transforms of length P (_coset_length).  On a
-# 2-core Xeon VM, one BLAS thread, median of 3 x 11 x 30 calls: the nu-mu
-# barrier's truncations (4 rows of 148 modes, M = 16384, 32 cosets) took
-# 0.43 ms pruned against 0.55 ms in one transform of length M; 256 and 512
-# modes at 8 cosets were 5-10% faster pruned; gaussian-gmc's block (15 rows
-# of 512 modes, M = 8192, 4 cosets) took 1.81 ms pruned against 1.55 ms.
-MIN_COSETS = 8
-
-
-def _coset_length(grid_size: int, least: int, fewest: int) -> int | None:
-    """The shortest transform length P >= least that divides grid_size into
-    at least fewest cosets, or None when there is none."""
-    for cosets in range(grid_size // max(least, 1), fewest - 1, -1):
+def _coset_length(grid_size: int, least: int) -> int:
+    """The shortest transform length P >= least that divides grid_size, for
+    least <= grid_size; grid_size itself when nothing shorter does."""
+    for cosets in range(grid_size // max(least, 1), 0, -1):
         if grid_size % cosets == 0:
             return grid_size // cosets
-    return None
 
 
 # e^{i(o pi/4 + a)} for octant o from cos a and sin a, a in [0, pi/4] measured
@@ -121,15 +110,16 @@ def fourier_grid(coefficients: np.ndarray, grid_size: int) -> np.ndarray:
     P the shortest divisor of M = grid_size with P >= K - 1; when P = K - 1
     the top coefficient is folded onto the constant one after its twiddle,
     since e^{2 pi i P r / P} = 1.  A grid with no shorter divisor takes
-    P = M, one transform.  Unlike real_fourier_grid's, this pruning needs no
-    fewest cosets: on a 2-core Xeon VM, one BLAS thread, median of 15 means
-    of 50 calls, K = 1025 at 4 to 7 cosets took 0.047, 0.050, 0.054 and
-    0.064 ms against 0.055, 0.063, 0.074 and 0.084 ms in one zero-padded
+    P = M, one transform.  On a 2-core Xeon VM, one BLAS thread, median of
+    15 means of 50 calls, K = 1025 at 4 to 7 cosets took 0.047, 0.050, 0.054
+    and 0.064 ms against 0.055, 0.063, 0.074 and 0.084 ms in one zero-padded
     transform of length M, and 0.027 and 0.022 ms both ways at 2 cosets and
     at 1 (M = 1025); K = 257 at 2 cosets took 0.013 against 0.011 ms.
     """
     modes = coefficients.shape[-1]
-    length = _coset_length(grid_size, modes - 1, 1)
+    if modes > grid_size + 1:
+        raise ValueError(f"{modes} coefficients need grid_size >= {modes - 1}, got {grid_size}")
+    length = _coset_length(grid_size, modes - 1)
     spec = coefficients[..., None, :] * _coset_twiddles(grid_size, length, modes)
     if length < modes:
         spec[..., 0] += spec[..., length]
@@ -137,32 +127,34 @@ def fourier_grid(coefficients: np.ndarray, grid_size: int) -> np.ndarray:
 
 
 def real_fourier_grid(modes: np.ndarray, grid_size: int) -> np.ndarray:
-    """Re sum_{k>=1} modes[..., k-1] e^{ik theta} at theta = 2 pi j / grid_size.
-    Needs fewer modes than grid points.
+    """Re sum_{k>=1} modes[..., k-1] e^{ik theta} at theta = 2 pi j / grid_size,
+    for K < grid_size modes.
 
-    With K modes and a _coset_length P >= 2K + 1 that leaves at least
-    MIN_COSETS cosets, each row is Q = M / P real inverse FFTs of length P
-    of half the twiddled modes (_coset_twiddles), unscaled, so that each
-    gives the real part twice, in the coset layout (..., Q, P).  Otherwise it
-    is one real inverse FFT of length M, scaled by M/2, as (..., 1, M):
+    When 2K + 1 <= M = grid_size, each row is Q = M / P real inverse FFTs of
+    length P of half the twiddled modes (_coset_twiddles), unscaled, so that
+    each gives the real part twice, in the coset layout (..., Q, P), P the
+    shortest divisor of M with P >= 2K + 1 (P = M, one coset, on a prime
+    grid).  Otherwise no transform shorter than M holds the modes, and each
+    row is one real inverse FFT of length M, scaled by M/2, as (..., 1, M):
     irfft(spec, M) * M / 2 is Re sum_k spec_k e^{ik theta} on the grid once a
     mode above M/2 is moved to the conjugate mode M - k and the Nyquist mode,
     which irfft halves, is doubled.  Either way numpy transforms the rows
     independently, so each row is bit for bit the one it gives alone.
     """
     kmax = modes.shape[-1]
-    length = _coset_length(grid_size, 2 * kmax + 1, MIN_COSETS)
-    if length is not None:
+    if kmax >= grid_size:
+        raise ValueError(f"{kmax} modes need grid_size > {kmax}, got {grid_size}")
+    if 2 * kmax + 1 <= grid_size:
+        length = _coset_length(grid_size, 2 * kmax + 1)
         table = _coset_twiddles(grid_size, length, kmax + 1)
         spec = np.zeros(modes.shape[:-1] + table.shape, dtype=np.complex128)
         np.multiply((0.5 * modes)[..., None, :], table[:, 1:], out=spec[..., 1:])
         return np.fft.irfft(spec, length, norm="forward")
     half = grid_size // 2
     spec = np.zeros(modes.shape[:-1] + (half + 1,), dtype=np.complex128)
-    spec[..., 1 : min(kmax, half) + 1] = modes[..., :half]
-    if kmax > half:
-        # modes k = kmax, ..., half + 1 land on M - k = M - kmax, ..., M - half - 1
-        spec[..., grid_size - kmax : grid_size - half] += np.conj(modes[..., : half - 1 : -1])
+    spec[..., 1 : half + 1] = modes[..., :half]
+    # modes k = kmax, ..., half + 1 land on M - k = M - kmax, ..., M - half - 1
+    spec[..., grid_size - kmax : grid_size - half] += np.conj(modes[..., : half - 1 : -1])
     if grid_size % 2 == 0:
         spec[..., half] *= 2.0
     values = np.fft.irfft(spec, grid_size)

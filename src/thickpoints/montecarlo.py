@@ -40,6 +40,18 @@ from .kernels import (
 )
 from .special_fn import GammaConvention, to_theorem_scale
 
+# A replica allocates and frees arrays of a few hundred kB.  By default glibc
+# serves such blocks by mmap, or trims them off the heap when they are freed,
+# so every replica faults its memory in afresh: 15-20% of a nu-mu replica at
+# n=1024.  Freeing one untouched HEAP_KEEP_BYTES block when this module is
+# imported raises glibc's mmap and trim thresholds above it, so the heap is
+# kept from one replica to the next, in forked workers too, and for library
+# callers of the kernels and samplers as well as for run_experiment.  Other
+# allocators are unaffected.  Below glibc's 32 MB cap on its adaptive mmap
+# threshold.
+HEAP_KEEP_BYTES = 8 << 20
+np.empty(HEAP_KEEP_BYTES, dtype=np.uint8)
+
 MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -340,7 +352,7 @@ def _block_gaussian_gmc(config: ExperimentConfig, streams) -> list[dict[str, flo
     norm = _gmc_normalizer(kmax, g)
     field *= g
     np.exp(field, out=field)
-    return [{"gmc_mass": float(mass / norm)} for mass in field.mean(axis=-1)]
+    return [{"gmc_mass": float(mass / norm)} for mass in field.mean(axis=(-2, -1))]
 
 
 def _kernel_check_separations() -> np.ndarray:
@@ -392,11 +404,11 @@ BLOCK_BYTES = 1 << 20
 
 def _block_size(config: ExperimentConfig) -> int:
     """Replicas per block.  The widest array of a block holds, per replica,
-    the uniforms (2n doubles) for verify-moments, the half spectrum
-    (complex) for gaussian-gmc, and for trace-cov the traces or the product
-    tree's top-level spectra: the root's two polynomials of degree d < n at
-    length 2d, under 4n complex values.  nu-mu, fk-test and kernel-check run
-    one replica per run_replica call."""
+    the uniforms (2n doubles) for verify-moments, the grid transform's half
+    spectra (about M/2 complex values) for gaussian-gmc, and for trace-cov
+    the traces or the product tree's top-level spectra: the root's two
+    polynomials of degree d < n at length 2d, under 4n complex values.
+    nu-mu, fk-test and kernel-check run one replica per run_replica call."""
     n, kmax = config.n, config.effective_kmax
     if config.experiment is Experiment.MOMENT_CHECK:
         widest = 16 * n
@@ -448,11 +460,6 @@ def _run_chunk(args) -> list[dict[str, float]]:
     return rows
 
 
-# Bytes of one block allocated and freed before the replicas run; see
-# run_experiment.  Below glibc's 32 MB cap on its adaptive mmap threshold.
-HEAP_KEEP_BYTES = 8 << 20
-
-
 def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[list[dict[str, float]], dict[str, dict[str, float]]]:
@@ -461,17 +468,8 @@ def run_experiment(
     independent of worker count and block size.  Each worker runs one
     contiguous run of replica indices, and the runs are joined in index
     order.
-
-    A replica allocates and frees arrays of a few hundred kB.  By default
-    glibc serves such blocks by mmap, or trims them off the heap when they
-    are freed, so every replica faults its memory in afresh: 15-20% of a
-    nu-mu replica at n=1024.  Freeing one untouched HEAP_KEEP_BYTES block
-    first raises glibc's mmap and trim thresholds above it, so the heap is
-    kept from one replica to the next, in forked workers too.  Other
-    allocators are unaffected.
     """
     config.validate()
-    np.empty(HEAP_KEEP_BYTES, dtype=np.uint8)
     workers = min(worker_count(), config.replicas)
     indices = list(range(config.replicas))
     if workers <= 1:

@@ -304,7 +304,7 @@ class TestSynthesis:
         # at most 11.2 units, the one transform of length 16 n 11.4
         rng = np.random.default_rng(n + 2)
         m = 16 * n
-        assert kernels._coset_length(m, n, 1) == n
+        assert kernels._coset_length(m, n) == n
         for _ in range(spectra):
             alphas = sample_verblunsky(n, rng)
             c = phi_coefficients(alphas)
@@ -659,10 +659,8 @@ TRUNCATION_MODES = {1: 1, 2: 3, 33: 20, 300: 54, 1024: 148}
 
 class TestCosetTransforms:
     """The pruned grid transforms against the one transform of the grid's
-    length (tests/conftest.py): the field within 1e-15 of the largest value
-    on every grid, the truncations within 1e-15 from MIN_COSETS cosets up
-    and bit for bit below it and where the grid has no divisor to prune
-    with."""
+    length (tests/conftest.py): the field and the truncations within 1e-15
+    of the largest value on every grid."""
 
     @pytest.mark.parametrize("cosets", [4, 8, 16])
     @pytest.mark.parametrize("n", list(TRUNCATION_MODES))
@@ -670,7 +668,7 @@ class TestCosetTransforms:
         alphas = sample_verblunsky(n, np.random.default_rng(n + cosets))
         c = phi_coefficients(alphas)
         m = cosets * n
-        assert kernels._coset_length(m, n, 1) == n
+        assert kernels._coset_length(m, n) == n
         ref = one_transform_grid(c, m)
         got = to_grid_order(kernels.fourier_grid(c, m))
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -681,10 +679,7 @@ class TestCosetTransforms:
         kmax = TRUNCATION_MODES[n]
         length = 1 << (2 * kmax).bit_length()  # the least power of two >= 2 kmax + 1
         m = cosets * length
-        pruned = cosets >= kernels.MIN_COSETS
-        assert kernels._coset_length(m, 2 * kmax + 1, kernels.MIN_COSETS) == (
-            length if pruned else None
-        )
+        assert kernels._coset_length(m, 2 * kmax + 1) == length
         alphas = sample_verblunsky(n, np.random.default_rng(n + cosets))
         tr = trace_powers(cue.szego_coefficients(alphas[None]), kmax)[0]
         deltas = [1.0 / (k + 0.5) for k in sorted({kmax, max(1, kmax // 3)})]
@@ -692,35 +687,31 @@ class TestCosetTransforms:
         monkeypatch.setattr(cue, "real_fourier_grid", one_transform_real_grid)
         ref = truncated_fields(tr, deltas, m)
         for row, ref_row in zip(got, ref):
-            if pruned:
-                assert np.max(np.abs(row - ref_row)) <= 1e-15 * np.max(np.abs(ref_row))
-            else:
-                assert np.array_equal(row, ref_row)
+            assert np.max(np.abs(row - ref_row)) <= 1e-15 * np.max(np.abs(ref_row))
 
     def test_grids_with_no_divisor(self):
         # 529 = 23^2 has no divisor from 33 up but itself, so the field is one
-        # transform of length 529; 1031 is prime, so the truncations keep
-        # the one real transform, bit for bit
+        # transform of length 529; 1031 is prime, so the truncations are one
+        # coset of length 1031
         alphas = sample_verblunsky(33, np.random.default_rng(529))
         c = phi_coefficients(alphas)
-        assert kernels._coset_length(529, 33, 1) == 529
+        assert kernels._coset_length(529, 33) == 529
         ref = one_transform_grid(c, 529)
         got = to_grid_order(kernels.fourier_grid(c, 529))
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
         tr = trace_powers(c[None], 20)[0]
         modes = np.conj(tr) / np.arange(1, 21)
-        assert kernels._coset_length(1031, 41, kernels.MIN_COSETS) is None
-        assert np.array_equal(
-            to_grid_order(kernels.real_fourier_grid(modes, 1031)),
-            one_transform_real_grid(modes, 1031),
-        )
+        assert kernels._coset_length(1031, 41) == 1031
+        ref = one_transform_real_grid(modes, 1031)
+        got = to_grid_order(kernels.real_fourier_grid(modes, 1031))
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_grid_point_on_an_eigenvalue_is_singular_when_pruned(self):
         # alpha = (0, 0, 0, -1) gives Phi = z^4 + 1, whose roots e^{i pi (2k+1)/4}
         # are the grid points 8, 24, 40 and 56 of 64, all in coset 8 of 16
         c = phi_coefficients(np.array([0.0, 0.0, 0.0, -1.0 + 0.0j]))
         assert np.array_equal(c, [1.0, 0.0, 0.0, 0.0, 1.0])
-        assert kernels._coset_length(64, 4, 1) == 4
+        assert kernels._coset_length(64, 4) == 4
         fs = eval_field(c, 64)
         assert np.flatnonzero(np.isneginf(fs.values)).tolist() == [8, 24, 40, 56]
         assert fs.has_singular_points

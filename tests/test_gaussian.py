@@ -7,7 +7,7 @@ from scipy.stats import norm
 
 from thickpoints import gaussian
 from thickpoints.gaussian import gaussian_exp_normalizer, harmonic_number, sample_circle_field
-from thickpoints.kernels import doubly_mollified_kernel, real_fourier_grid
+from thickpoints.kernels import doubly_mollified_kernel, real_fourier_grid, to_grid_order
 from conftest import (
     circle_truncated_kernel,
     kappa,
@@ -26,7 +26,7 @@ class TestHarmonicNumber:
 class TestSampleCircleField:
     def test_single_mode_is_exact_cosine_combination(self):
         rng = np.random.default_rng(0)
-        field = sample_circle_field(1, 64, [rng])[0]
+        field = to_grid_order(sample_circle_field(1, 64, [rng]))[0]
         check = np.random.default_rng(0)
         a = check.standard_normal(1)[0]
         b = check.standard_normal(1)[0]
@@ -37,7 +37,7 @@ class TestSampleCircleField:
     @pytest.mark.parametrize("kmax, m", [(4, 8), (7, 8), (5, 6), (10, 11), (64, 80), (512, 8192)])
     def test_matches_direct_sum_with_aliased_modes(self, kmax, m):
         # modes at and above m/2 alias onto the grid; the sum is still exact there
-        field = sample_circle_field(kmax, m, [np.random.default_rng(kmax)])[0]
+        field = to_grid_order(sample_circle_field(kmax, m, [np.random.default_rng(kmax)]))[0]
         check = np.random.default_rng(kmax)
         a = check.standard_normal(kmax)
         b = check.standard_normal(kmax)
@@ -49,7 +49,7 @@ class TestSampleCircleField:
     @pytest.mark.parametrize("kmax, m, step", [(512, 8192, 67), (16, 32, 1), (7, 35, 1)])
     def test_against_mpmath_direct_sum(self, kmax, m, step):
         # budget 1e-15 of sum_k (|A_k| + |B_k|) / sqrt(k); measured at most 1.6e-16 of it
-        field = sample_circle_field(kmax, m, [np.random.default_rng(kmax)])[0]
+        field = to_grid_order(sample_circle_field(kmax, m, [np.random.default_rng(kmax)]))[0]
         check = np.random.default_rng(kmax)
         a = check.standard_normal(kmax)
         b = check.standard_normal(kmax)
@@ -65,7 +65,7 @@ class TestSampleCircleField:
         x0 = np.empty(reps)
         x1 = np.empty(reps)
         for i in range(reps):
-            f = sample_circle_field(1, 6, [rng])[0]  # grid step pi/3
+            f = to_grid_order(sample_circle_field(1, 6, [rng]))[0]  # grid step pi/3
             x0[i], x1[i] = f[0], f[1]
         assert float(x0.var(ddof=1)) == pytest.approx(1.0, abs=0.03)
         cov = float(np.mean(x0 * x1))
@@ -78,7 +78,7 @@ class TestSampleCircleField:
         x0 = np.empty(reps)
         xd = np.empty(reps)
         for i in range(reps):
-            f = sample_circle_field(kmax, m, [rng])[0]
+            f = to_grid_order(sample_circle_field(kmax, m, [rng]))[0]
             x0[i], xd[i] = f[0], f[86]
         target = circle_truncated_kernel(0.0, 2.0 * math.pi * 86 / m, kmax)
         cov = float(np.mean(x0 * xd))
@@ -90,7 +90,7 @@ class TestSampleCircleField:
         kmax, reps = 64, 10_000
         vals = np.empty(reps)
         for i in range(reps):
-            vals[i] = sample_circle_field(kmax, 80, [rng])[0, 0]
+            vals[i] = to_grid_order(sample_circle_field(kmax, 80, [rng]))[0, 0]
         vals /= math.sqrt(harmonic_number(kmax))
         d = ks_statistic(vals, norm.cdf)
         assert d < ks_critical_value(reps, 0.01)
@@ -101,7 +101,7 @@ class TestSampleCircleField:
         step = 8  # common separation
         anchors = range(0, m, m // 8)
         # the rows read the one generator in turn
-        draws = sample_circle_field(kmax, m, [rng] * reps)
+        draws = to_grid_order(sample_circle_field(kmax, m, [rng] * reps))
         covs = []
         ses = []
         for a in anchors:
@@ -115,7 +115,7 @@ class TestSampleCircleField:
         # Var X(theta) = H_kmax at every grid point
         rng = np.random.default_rng(6)
         kmax, reps = 8, 20_000
-        draws = sample_circle_field(kmax, 16, [rng] * reps)
+        draws = to_grid_order(sample_circle_field(kmax, 16, [rng] * reps))
         target = harmonic_number(kmax)
         se = target * math.sqrt(2.0 / (reps - 1))  # stderr of a variance estimate
         assert np.all(np.abs(draws.var(axis=0, ddof=1) - target) <= 5.0 * se)
@@ -127,9 +127,9 @@ class TestSampleCircleField:
         with pytest.raises(ValueError):
             sample_circle_field(16, 16, [rng])
 
-    def test_one_coset_is_put_in_grid_order_without_a_copy(self, monkeypatch):
-        # gaussian-gmc's grid of 16 kmax points leaves 4 cosets, fewer than
-        # MIN_COSETS, so each row is one real transform in a (1, M) layout
+    def test_returns_the_grid_transform_itself(self, monkeypatch):
+        # gaussian-gmc's grid of 16 kmax points leaves 4 cosets; the field is
+        # the transform's own (R, Q, P) array, not a reordered copy
         made = []
 
         def recorded(modes, grid_size):
@@ -139,7 +139,7 @@ class TestSampleCircleField:
         monkeypatch.setattr(gaussian, "real_fourier_grid", recorded)
         rng = np.random.default_rng(9)
         field = sample_circle_field(64, 16 * 64, [rng, rng])
-        assert made[0].shape == (2, 1, 1024) and field.shape == (2, 1024)
+        assert made[0].shape == field.shape == (2, 4, 256)
         assert np.shares_memory(field, made[0])
 
 
@@ -187,7 +187,7 @@ class TestGaussianExpNormalizer:
         kmax, reps, gamma = 64, 100_000, 0.5
         vals = np.empty(reps)
         for i in range(reps):
-            vals[i] = math.exp(gamma * sample_circle_field(kmax, 80, [rng])[0, 0])
+            vals[i] = math.exp(gamma * to_grid_order(sample_circle_field(kmax, 80, [rng]))[0, 0])
         target = gaussian_exp_normalizer(harmonic_number(kmax), gamma)
         se = float(vals.std(ddof=1) / math.sqrt(reps))
         assert abs(float(vals.mean()) - target) <= 4.0 * se

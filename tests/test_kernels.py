@@ -16,6 +16,7 @@ from conftest import (
     kappa,
     looped_refined_edges,
     mollified_kernel,
+    mp_fourier_sum,
     sample_profile,
     scaled_bump,
     simpson_conv_density,
@@ -31,6 +32,9 @@ from thickpoints.kernels import (
     bump_density,
     circle_truncated_kernel_grid,
     doubly_mollified_kernel,
+    fourier_grid,
+    real_fourier_grid,
+    to_grid_order,
 )
 
 
@@ -689,22 +693,63 @@ def test_coset_twiddles_against_mpmath(grid_size, length):
 
 
 @pytest.mark.parametrize(
-    "grid_size, least, fewest, length",
+    "grid_size, least, length",
     [
-        (16384, 297, kernels.MIN_COSETS, 512),
-        (16384, 1024, 1, 1024),
-        (8192, 1025, kernels.MIN_COSETS, None),
-        (8192, 1025, 1, 2048),
-        (4800, 109, kernels.MIN_COSETS, 120),
-        (1031, 3, kernels.MIN_COSETS, None),
-        (1031, 3, 1, 1031),
+        (16384, 297, 512),
+        (16384, 1024, 1024),
+        (8192, 1025, 2048),
+        (4800, 109, 120),
+        (1031, 3, 1031),
     ],
 )
-def test_coset_length_takes_the_shortest_divisor_with_enough_cosets(
-    grid_size, least, fewest, length
-):
+def test_coset_length_takes_the_shortest_divisor(grid_size, least, length):
     # the nu-mu barrier at n = 1024 (148 modes), the field at n = 1024,
-    # gaussian-gmc at kmax = 512 (4 cosets, too few for the real sum, enough
-    # for a complex one), the barrier at n = 300 (54 modes) and a prime grid,
-    # which a complex sum takes as one transform
-    assert kernels._coset_length(grid_size, least, fewest) == length
+    # gaussian-gmc at kmax = 512 (4 cosets), the barrier at n = 300 (54
+    # modes) and a prime grid, one transform of its whole length
+    assert kernels._coset_length(grid_size, least) == length
+
+
+@pytest.mark.parametrize(
+    "grid_size, kmax",
+    [(41, 20), (40, 20), (1031, 20), (32, 31), (8192, 512)],
+    ids=["one-coset", "nyquist-fold", "prime", "most-modes", "gaussian-gmc"],
+)
+def test_real_fourier_grid_on_both_sides_of_the_fold(grid_size, kmax):
+    # the coset layout while 2K + 1 <= M, one transform (1, M) with modes
+    # folded past M/2 beyond; budget 1e-15 of sum_k |modes_k|, as for the
+    # truncated fields, measured at most 2.3e-16 of it
+    rng = np.random.default_rng(grid_size + kmax)
+    modes = rng.standard_normal((2, kmax)) + 1j * rng.standard_normal((2, kmax))
+    if 2 * kmax + 1 <= grid_size:
+        length = kernels._coset_length(grid_size, 2 * kmax + 1)
+        layout = (grid_size // length, length)
+    else:
+        layout = (1, grid_size)
+    got = real_fourier_grid(modes, grid_size)
+    assert got.shape == (2, *layout)
+    indices = range(0, grid_size, 67 if grid_size > 2000 else 1)
+    for row, row_modes in zip(to_grid_order(got), modes):
+        ref = mp_fourier_sum(row_modes, lambda k: 1, grid_size, indices)
+        assert np.max(np.abs(row[indices] - ref)) <= 1e-15 * np.sum(np.abs(row_modes))
+
+
+def test_grid_sums_refuse_too_many_modes():
+    modes = np.ones(8, dtype=complex)
+    with pytest.raises(ValueError, match="8 modes .* got 8"):
+        real_fourier_grid(modes, 8)
+    with pytest.raises(ValueError, match="8 modes .* got 7"):
+        real_fourier_grid(modes, 7)
+    with pytest.raises(ValueError, match="8 coefficients .* got 6"):
+        fourier_grid(modes, 6)
+
+
+def test_fourier_grid_takes_one_coefficient_past_the_grid():
+    # K = M + 1: the top coefficient folds onto the constant one; measured
+    # 2.7e-16 of sum_m |c_m| off the direct sum
+    grid_size = 12
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal(grid_size + 1) + 1j * rng.standard_normal(grid_size + 1)
+    phase = np.outer(np.arange(grid_size), np.arange(grid_size + 1)) % grid_size
+    direct = np.exp(2j * np.pi * phase / grid_size) @ c
+    got = to_grid_order(fourier_grid(c, grid_size))
+    assert np.max(np.abs(got - direct)) <= 1e-15 * np.sum(np.abs(c))

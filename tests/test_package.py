@@ -53,10 +53,26 @@ def _tracer_names() -> set[str]:
     return names
 
 
+def _defined(statement) -> set[str]:
+    """The names a module-level statement defines: a function or class, or
+    the non-dunder names an assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return {
+            node.id
+            for target in targets
+            for node in ast.walk(target)
+            if isinstance(node, ast.Name) and not node.id.startswith("__")
+        }
+    return set()
+
+
 def test_every_module_level_definition_is_used():
-    # a function or class defined at module level must be used somewhere in
-    # src/ outside its own definition, be public, or be wrapped by the
-    # benchmark's tracer
+    # a function, class or constant defined at module level must be used
+    # somewhere in src/ outside its own definition, be public, or be wrapped
+    # by the benchmark's tracer
     statements = [
         statement
         for path in sorted(Path(thickpoints.__file__).parent.glob("*.py"))
@@ -64,10 +80,10 @@ def test_every_module_level_definition_is_used():
     ]
     uses = [_names_used(statement) for statement in statements]
     unused = {
-        statement.name
+        name
         for i, statement in enumerate(statements)
-        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not any(statement.name in names for j, names in enumerate(uses) if j != i)
+        for name in _defined(statement)
+        if not any(name in names for j, names in enumerate(uses) if j != i)
     } - set(thickpoints.__all__)
     traced = _tracer_names()
     assert unused <= traced, f"no use in src/: {sorted(unused - traced)}"
