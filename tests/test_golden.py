@@ -264,7 +264,7 @@ CSV_DIGESTS = {
     ),
     "gaussian-gmc-even": (
         ["gaussian-gmc", "kmax=16", "gamma=1.0", "replicas=40", "master_seed=33"],
-        "aa1da4f073324fcfdf6cd34daea4c7178afacd63b3134dd00acf09cc46d095c1",
+        "41a6eb76c2336210baec791e047893d620ad28d0bdf11cbacb89b49b1b8ea22b",
     ),
     "gaussian-gmc-odd": (
         ["gaussian-gmc", "kmax=7", "grid_factor=5", "replicas=5", "master_seed=33"],
