@@ -64,7 +64,8 @@ def _defined(statement) -> set[str]:
             node.id
             for target in targets
             for node in ast.walk(target)
-            if isinstance(node, ast.Name) and not node.id.startswith("__")
+            if isinstance(node, ast.Name)
+            and not (node.id.startswith("__") and node.id.endswith("__"))
         }
     return set()
 
