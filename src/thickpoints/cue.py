@@ -16,8 +16,8 @@ Fourier truncations of K modes on the grid are pruned the same way, to the
 shortest divisor of at least 2K + 1 points (kernels.real_fourier_grid).
 Both come in the coset layout (Q, P) (grid point j = Q r + q at [q, r]):
 eval_field puts its real values in grid order (kernels.to_grid_order) and
-truncated_fields keeps the layout, which the barrier counts in.  At
-arbitrary angles one per-point Szego recursion (szego_log_abs), batched over
+truncated_field keeps the layout, which the barrier counts in.  At
+arbitrary angles one per-point Szego recursion (eval_field_at), batched over
 replicas, evaluates the field in O(n) per point.  The dense determinant and
 CMV-operator references live with the tests.
 """
@@ -88,40 +88,6 @@ def sample_verblunsky(n: int, stream: np.random.Generator) -> np.ndarray:
     """Draw one CUE spectrum's Verblunsky coefficients, shape (n,) (see
     sample_alphas)."""
     return sample_alphas(n, [stream])[0]
-
-
-# Steps between renormalizations of the per-point recursion; 64 steps grow
-# |Phi| by at most 2^64, far inside the double range.
-RESCALE_CADENCE = 64
-
-
-def szego_log_abs(alphas: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """log|Phi_n(z)| by the Szego recursion run per point, batched over replicas.
-
-    alphas has shape (R, n) and z shape (m,); returns shape (R, m).  The pair
-    (Phi_k, Phi*_k) is renormalized every RESCALE_CADENCE steps and the scale
-    kept as a logarithm, so any n works without overflow.  O(R m n).
-    """
-    shape = (alphas.shape[0], z.size)
-    # z spelled out per replica keeps every product elementwise on equal
-    # shapes, so a row comes out bit for bit the same whatever R is
-    z = np.broadcast_to(z, shape).copy()
-    phi = np.ones(shape, dtype=np.complex128)
-    star = np.ones_like(phi)
-    logscale = np.zeros(shape)
-    steps = alphas.T[:, :, None]
-    for k, (a, a_conj) in enumerate(zip(steps, steps.conj())):
-        zphi = z * phi
-        phi = zphi - a_conj * star
-        star = star - a * zphi
-        if (k + 1) % RESCALE_CADENCE == 0:
-            s = np.maximum(np.abs(phi), np.abs(star))
-            s[s == 0.0] = 1.0
-            phi = phi / s
-            star = star / s
-            logscale += np.log(s)
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(phi)) + logscale
 
 
 # Steps per leaf of the product tree.  On a 2-core Xeon VM (best of 9),
@@ -262,11 +228,43 @@ def eval_field(coefficients: np.ndarray, grid_size: int) -> FieldSample:
     return FieldSample(to_grid_order(values))
 
 
+# Steps between renormalizations of the per-point recursion; 64 steps grow
+# |Phi| by at most 2^64, far inside the double range.
+RESCALE_CADENCE = 64
+
+
 def eval_field_at(alphas: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """X_N at arbitrary angles by the per-point Szego recursion, given one
-    spectrum's Verblunsky coefficients, shape (n,)."""
-    z = np.exp(1j * np.atleast_1d(np.asarray(theta, dtype=float)))
-    return SQRT2 * szego_log_abs(alphas[None, :], z)[0]
+    """X_N = sqrt(2) log|Phi_n(e^{i theta})| by the Szego recursion run per
+    point, batched over replicas.
+
+    alphas holds each replica's Verblunsky coefficients, shape (R, n), and
+    theta the angles, shape (m,); returns shape (R, m).  The pair
+    (Phi_k, Phi*_k) is renormalized every RESCALE_CADENCE steps and the scale
+    kept as a logarithm, so any n works without overflow, and the field is
+    evaluated where eval_field refuses the grid or the coefficients; -inf
+    where Phi_n vanishes.  O(R m n).
+    """
+    z = np.exp(1j * np.ravel(np.asarray(theta, dtype=float)))
+    shape = (alphas.shape[0], z.size)
+    # z spelled out per replica keeps every product elementwise on equal
+    # shapes, so a row comes out bit for bit the same whatever R is
+    z = np.broadcast_to(z, shape).copy()
+    phi = np.ones(shape, dtype=np.complex128)
+    star = np.ones_like(phi)
+    logscale = np.zeros(shape)
+    steps = alphas.T[:, :, None]
+    for k, (a, a_conj) in enumerate(zip(steps, steps.conj())):
+        zphi = z * phi
+        phi = zphi - a_conj * star
+        star = star - a * zphi
+        if (k + 1) % RESCALE_CADENCE == 0:
+            s = np.maximum(np.abs(phi), np.abs(star))
+            s[s == 0.0] = 1.0
+            phi = phi / s
+            star = star / s
+            logscale += np.log(s)
+    with np.errstate(divide="ignore"):
+        return SQRT2 * (np.log(np.abs(phi)) + logscale)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,7 @@ def trace_powers(coefficients: np.ndarray, kmax: int) -> np.ndarray:
     return rev[:, ::-1]
 
 
-def truncated_fields(traces: np.ndarray, deltas, grid_size: int) -> np.ndarray:
+def truncated_field(traces: np.ndarray, deltas, grid_size: int) -> np.ndarray:
     """Fourier-truncated fields X_{N,delta} on the uniform grid, one row per delta:
     -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}.
 
@@ -349,11 +347,3 @@ def truncated_fields(traces: np.ndarray, deltas, grid_size: int) -> np.ndarray:
     # part of -conj(Tr U^k) e^{ik theta}
     modes = np.conj(traces[: k.size]) * (-SQRT2 / k)
     return real_fourier_grid(np.where(k <= np.array(kmaxes)[:, None], modes, 0.0), grid_size)
-
-
-def truncated_field(traces: np.ndarray, delta: float, grid_size: int) -> np.ndarray:
-    """Fourier-truncated field X_{N,delta} on the uniform grid:
-    -sqrt(2) Re sum_{k <= 1/delta} (Tr U^k / k) e^{-ik theta}; the one row of
-    truncated_fields for this delta, in grid order.
-    """
-    return to_grid_order(truncated_fields(traces, [delta], grid_size)[0])

@@ -7,8 +7,10 @@ of the bounded-deviation estimate it is supposed to satisfy.
 
 The grid sums return their coset layout (..., Q, P), grid point j = Q r + q
 at [..., q, r] (Q = 1 for one transform); to_grid_order is the one inverse.
-cue.eval_field reorders its real modulus; gaussian-gmc's mass and the
-barrier (measures.barrier_violations) are taken in the layout.
+A real sum with too many modes for a real transform shorter than the grid
+is the real part of the complex one.  cue.eval_field reorders its real
+modulus; gaussian-gmc's mass and the barrier (measures.barrier_mask) are
+taken in the layout.
 """
 
 from __future__ import annotations
@@ -134,32 +136,22 @@ def real_fourier_grid(modes: np.ndarray, grid_size: int) -> np.ndarray:
     length P of half the twiddled modes (_coset_twiddles), unscaled, so that
     each gives the real part twice, in the coset layout (..., Q, P), P the
     shortest divisor of M with P >= 2K + 1 (P = M, one coset, on a prime
-    grid).  Otherwise no transform shorter than M holds the modes, and each
-    row is one real inverse FFT of length M, scaled by M/2, as (..., 1, M):
-    irfft(spec, M) * M / 2 is Re sum_k spec_k e^{ik theta} on the grid once a
-    mode above M/2 is moved to the conjugate mode M - k and the Nyquist mode,
-    which irfft halves, is doubled.  Either way numpy transforms the rows
+    grid).  Otherwise no real transform shorter than M holds the modes, and
+    the sum is the real part of fourier_grid's, the modes after a zero
+    constant, in its coset layout.  Either way numpy transforms the rows
     independently, so each row is bit for bit the one it gives alone.
     """
     kmax = modes.shape[-1]
     if kmax >= grid_size:
         raise ValueError(f"{kmax} modes need grid_size > {kmax}, got {grid_size}")
-    if 2 * kmax + 1 <= grid_size:
-        length = _coset_length(grid_size, 2 * kmax + 1)
-        table = _coset_twiddles(grid_size, length, kmax + 1)
-        spec = np.zeros(modes.shape[:-1] + table.shape, dtype=np.complex128)
-        np.multiply((0.5 * modes)[..., None, :], table[:, 1:], out=spec[..., 1:])
-        return np.fft.irfft(spec, length, norm="forward")
-    half = grid_size // 2
-    spec = np.zeros(modes.shape[:-1] + (half + 1,), dtype=np.complex128)
-    spec[..., 1 : half + 1] = modes[..., :half]
-    # modes k = kmax, ..., half + 1 land on M - k = M - kmax, ..., M - half - 1
-    spec[..., grid_size - kmax : grid_size - half] += np.conj(modes[..., : half - 1 : -1])
-    if grid_size % 2 == 0:
-        spec[..., half] *= 2.0
-    values = np.fft.irfft(spec, grid_size)
-    values *= 0.5 * grid_size
-    return values[..., None, :]
+    if 2 * kmax + 1 > grid_size:
+        coefficients = np.concatenate([np.zeros_like(modes[..., :1]), modes], axis=-1)
+        return fourier_grid(coefficients, grid_size).real
+    length = _coset_length(grid_size, 2 * kmax + 1)
+    table = _coset_twiddles(grid_size, length, kmax + 1)
+    spec = np.zeros(modes.shape[:-1] + table.shape, dtype=np.complex128)
+    np.multiply((0.5 * modes)[..., None, :], table[:, 1:], out=spec[..., 1:])
+    return np.fft.irfft(spec, length, norm="forward")
 
 
 def circle_truncated_kernel_grid(deltas: np.ndarray, kmaxes: list[int]) -> np.ndarray:

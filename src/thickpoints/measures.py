@@ -58,20 +58,23 @@ def fk_normalized_mass(field: np.ndarray, gamma: float, n: int) -> float:
     return np.count_nonzero(thick) / field.size / fk_normalizer(n, gamma / SQRT2)
 
 
-def barrier_mask(
-    truncated_fields: dict[int, np.ndarray], gamma: float, eta: float, levels
-) -> np.ndarray:
-    """Per-grid-point conjunction of the level constraints
-    X_{N, e^{-k}}(theta_i) <= (gamma + eta) k over the levels k.  With no
-    levels there is no constraint: the mask is all true, as long as any row,
-    or of length 1 when there are no rows."""
-    missing = [k for k in levels if k not in truncated_fields]
-    if missing:
-        raise ValueError(f"missing truncated fields for levels {missing}")
-    mask = np.ones(next((row.size for row in truncated_fields.values()), 1), dtype=bool)
-    for k in levels:
-        mask &= truncated_fields[k] <= (gamma + eta) * k
-    return mask
+def barrier_mask(truncated: np.ndarray, gamma: float, eta: float, levels) -> np.ndarray:
+    """The barrier for every start level: row i is the per-grid-point
+    conjunction of the constraints X_{N, e^{-k}} <= (gamma + eta) k over the
+    levels k = levels[j], j >= i.
+
+    truncated holds X_{N, e^{-k}} one row per level, in any layout of the
+    grid that the rows share; the masks come in that shape.  The rows are
+    compared once, then joined in place from the deepest level up, so each
+    is read once.  Raises ValueError unless there is one row per level.
+    """
+    if len(truncated) != len(levels):
+        raise ValueError(f"{len(truncated)} truncated fields for {len(levels)} levels")
+    bounds = (gamma + eta) * np.reshape(levels, (-1,) + (1,) * (truncated.ndim - 1))
+    masks = truncated <= bounds
+    for i in reversed(range(len(masks) - 1)):
+        masks[i] &= masks[i + 1]
+    return masks
 
 
 def barrier_violations(
@@ -82,10 +85,9 @@ def barrier_violations(
     [ell', levels[-1]], in the order of the levels.
 
     truncated holds the values of X_{N, e^{-k}} on the grid, one row per
-    level, in the coset layout (len(levels), Q, P) of cue.truncated_fields.
+    level, in the coset layout (len(levels), Q, P) of cue.truncated_field.
     The rows are not reordered: the thick-point indicator, a byte per point,
-    is formed once and put in their layout.  One conjunction is kept from
-    the deepest level up, so each level is read once.
+    is formed once and put in their layout.
     """
     cosets, length = truncated.shape[1:] if truncated.ndim == 3 else (0, 0)
     if truncated.shape[:1] != (len(levels),) or cosets * length != field.size:
@@ -95,12 +97,8 @@ def barrier_violations(
         )
     thick = np.ascontiguousarray(thick_indicator(field, gamma, n).reshape(length, cosets).T)
     denominator = thickpoint_prob_asymptotic(n, gamma)
-    mask = np.ones(thick.shape, dtype=bool)
-    out = [0.0] * len(levels)
-    for i in reversed(range(len(levels))):
-        mask &= truncated[i] <= (gamma + eta) * levels[i]
-        out[i] = np.count_nonzero(thick & ~mask) / field.size / denominator
-    return out
+    masks = barrier_mask(truncated, gamma, eta, levels)
+    return [np.count_nonzero(thick & ~mask) / field.size / denominator for mask in masks]
 
 
 def l1_discrepancy(field: np.ndarray, gamma: float, n: int) -> tuple[float, float, float]:

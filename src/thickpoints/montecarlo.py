@@ -261,8 +261,7 @@ class ExperimentConfig:
 
 def _block_moment_check(config: ExperimentConfig, streams) -> list[dict[str, float]]:
     alphas = cue.sample_alphas(config.n, streams)
-    # the field at angle 0, where z = e^{i0} = 1
-    field_at_0 = cue.SQRT2 * cue.szego_log_abs(alphas, np.ones(1, dtype=np.complex128))[:, 0]
+    field_at_0 = cue.eval_field_at(alphas, np.zeros(1))[:, 0]
     g = config.gamma_theorem
     return [{"exp_moment": math.exp(g * x0), "field_at_0": x0} for x0 in field_at_0.tolist()]
 
@@ -316,7 +315,7 @@ def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
             # validate keeps floor(e^L) within the trace guard and below the grid size
             kmax = int(math.floor(math.exp(levels[-1])))
             traces = cue.trace_powers(coefficients, kmax)[0]
-            truncated = cue.truncated_fields(traces, [math.exp(-k) for k in levels], field.size)
+            truncated = cue.truncated_field(traces, [math.exp(-k) for k in levels], field.size)
             violations = measures.barrier_violations(
                 field, g, config.n, config.eta, levels, truncated
             )

@@ -32,8 +32,8 @@ from scipy.special import zeta
 from thickpoints.cue import (
     TRACE_COST_GUARD,
     _alphas_from_uniforms,
+    eval_field_at,
     szego_coefficients,
-    szego_log_abs,
     trace_powers,
     truncated_field,
 )
@@ -43,8 +43,8 @@ from thickpoints.kernels import (
     bump_density,
     circle_truncated_kernel_grid,
     doubly_mollified_kernel,
+    to_grid_order,
 )
-from thickpoints.measures import barrier_mask
 from thickpoints.montecarlo import ExperimentConfig, derive_seed, sample_field
 from thickpoints.special_fn import (
     _loggamma,
@@ -127,12 +127,11 @@ def mc_field_at(
 ) -> np.ndarray:
     """X_N at the given angles over many replicas, shape (reps, len(thetas)),
     chunked to bound memory."""
-    z = np.exp(1j * np.atleast_1d(np.asarray(thetas, dtype=float)))
     parts = []
     done = 0
     while done < reps:
         m = min(chunk, reps - done)
-        parts.append(SQRT2 * szego_log_abs(sample_alphas_block(n, rng, (m,)), z))
+        parts.append(eval_field_at(sample_alphas_block(n, rng, (m,)), thetas))
         done += m
     return np.concatenate(parts, axis=0)
 
@@ -247,9 +246,9 @@ def mp_fourier_sum(modes: np.ndarray, weight, grid_size: int, indices, dps: int 
 
 def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[str, float]:
     """The nu_barrier_violation_l* columns of one nu-mu replica, each start
-    level's mask built afresh by barrier_mask over the per-scale truncated
-    fields, and its complement integrated against the thick points
-    X >= gamma log N as a float mean over the grid."""
+    level's mask built afresh by its own conjunction over the per-scale
+    truncated fields in grid order, and its complement integrated against
+    the thick points X >= gamma log N as a float mean over the grid."""
     coefficients, field = sample_field(config, replica_stream(config.master_seed, replica_index))
     gamma = config.gamma_theorem
     levels = list(range(config.ell, config.barrier_depth + 1))
@@ -257,12 +256,16 @@ def nu_mu_barrier_oracle(config: ExperimentConfig, replica_index: int) -> dict[s
         return {f"nu_barrier_violation_l{config.ell}": 0.0}
     kmax = int(math.floor(math.exp(levels[-1])))
     traces = trace_powers(coefficients, kmax)[0]
-    truncated = {k: truncated_field(traces, math.exp(-k), field.size) for k in levels}
+    truncated = {
+        k: to_grid_order(truncated_field(traces, [math.exp(-k)], field.size))[0] for k in levels
+    }
     thick = (field >= gamma * math.log(config.n)).astype(float)
     denominator = thickpoint_prob_asymptotic(config.n, gamma)
     out = {}
     for start in levels:
-        mask = barrier_mask(truncated, gamma, config.eta, range(start, levels[-1] + 1))
+        mask = np.ones(field.size, dtype=bool)
+        for k in range(start, levels[-1] + 1):
+            mask &= truncated[k] <= (gamma + config.eta) * k
         complement = (~mask).astype(float)
         out[f"nu_barrier_violation_l{start}"] = float(np.mean(complement * thick)) / denominator
     return out

@@ -41,7 +41,6 @@ from thickpoints.cue import (
     sample_verblunsky,
     trace_powers,
     truncated_field,
-    truncated_fields,
 )
 from thickpoints.kernels import to_grid_order
 from thickpoints.special_fn import cue_abs_moment_exact
@@ -113,7 +112,7 @@ class TestSampleVerblunsky:
 
 class TestEvalField:
     def test_single_root_at_minus_one(self):
-        got = float(eval_field_at(np.array([-1.0 + 0.0j]), np.array([0.0]))[0])
+        got = float(eval_field_at(np.array([[-1.0 + 0.0j]]), np.array([0.0]))[0, 0])
         assert got == pytest.approx(SQRT2 * math.log(2.0), abs=1e-13)
 
     def test_matches_determinant_oracle_small_n(self):
@@ -134,16 +133,16 @@ class TestEvalField:
             c = sample_verblunsky(n, rng)
             m = 16 * n
             fs = eval_field(phi_coefficients(c), m)
-            ref = eval_field_at(c, 2.0 * np.pi * np.arange(m) / m)
+            ref = eval_field_at(c[None], 2.0 * np.pi * np.arange(m) / m)[0]
             assert np.max(np.abs(fs.values - ref)) < 1e-9
 
     def test_rescaling_cadence_does_not_change_values(self, monkeypatch):
         rng = np.random.default_rng(6)
         c = sample_verblunsky(200, rng)
         theta = np.linspace(0.0, 2.0 * np.pi, 37, endpoint=False)
-        b = eval_field_at(c, theta)
+        b = eval_field_at(c[None], theta)
         monkeypatch.setattr(cue, "RESCALE_CADENCE", 16)
-        a = eval_field_at(c, theta)
+        a = eval_field_at(c[None], theta)
         assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_zero_mean_at_origin(self):
@@ -291,7 +290,7 @@ class TestSynthesis:
         assert np.max(np.abs(got - ref)) <= 1e-11
         # the per-point recursion has the looser budget: it loses about an
         # order of magnitude to the FFT path near zeros
-        per_point = eval_field_at(c, 2.0 * np.pi * np.array(indices) / m)
+        per_point = eval_field_at(c[None], 2.0 * np.pi * np.array(indices) / m)[0]
         assert np.max(np.abs(per_point - ref)) <= 1e-10
 
     @pytest.mark.parametrize("n, spectra", [(1024, 3), (4096, 2)])
@@ -325,11 +324,10 @@ class TestPerPointSzego:
     )
     def test_batched_rows_match_single_replica(self, reps, n, theta, seed):
         alphas = cue.sample_alphas(n, [np.random.default_rng(seed)] * reps)
-        z = np.exp(1j * np.array(theta))
-        batched = SQRT2 * cue.szego_log_abs(alphas, z)
+        batched = eval_field_at(alphas, theta)
         assert batched.shape == (reps, len(theta))
         for r in range(reps):
-            assert np.array_equal(batched[r], eval_field_at(alphas[r], theta))
+            assert np.array_equal(batched[r], eval_field_at(alphas[r : r + 1], theta)[0])
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
@@ -371,7 +369,7 @@ class TestPerPointSzego:
             assert not np.all(np.isfinite(row))
             with pytest.raises(ValueError, match="overflow"):
                 eval_field(row, 2048)
-            per_point = eval_field_at(alphas, 2.0 * np.pi * np.arange(2048) / 2048)
+            per_point = eval_field_at(alphas[None], 2.0 * np.pi * np.arange(2048) / 2048)[0]
         assert np.isneginf(per_point[0])
 
     def test_overflowing_coefficients_make_trace_powers_raise(self):
@@ -442,7 +440,7 @@ class TestCmvMatrix:
         via_eigs = SQRT2 * np.array(
             [float(np.sum(np.log(np.abs(np.exp(1j * t) - lam)))) for t in theta]
         )
-        assert np.max(np.abs(via_eigs - eval_field_at(c, theta))) < 1e-9
+        assert np.max(np.abs(via_eigs - eval_field_at(c[None], theta)[0])) < 1e-9
 
 
 class TestTracePowers:
@@ -541,12 +539,17 @@ class TestTracePowers:
             assert np.array_equal(row, single[0])
 
 
+def one_scale(traces, delta, grid_size):
+    """The one row of truncated_field at one scale, in grid order."""
+    return to_grid_order(truncated_field(traces, [delta], grid_size))[0]
+
+
 class TestTruncatedField:
     def test_single_term(self):
         rng = np.random.default_rng(19)
         c = sample_verblunsky(8, rng)
         tr = trace_powers(cue.szego_coefficients(c[None]), 4)[0]
-        row = truncated_field(tr, 1.0, 32)
+        row = one_scale(tr, 1.0, 32)
         theta = 2.0 * np.pi * np.arange(32) / 32
         expected = -SQRT2 * np.real(tr[0] * np.exp(-1j * theta))
         assert np.max(np.abs(row - expected)) < 1e-12
@@ -556,9 +559,9 @@ class TestTruncatedField:
         c = sample_verblunsky(8, rng)
         tr = trace_powers(cue.szego_coefficients(c[None]), 4)[0]
         with pytest.raises(ValueError):
-            truncated_field(tr, 1.0 / 8.0, 64)
+            truncated_field(tr, [1.0 / 8.0], 64)
         with pytest.raises(ValueError):
-            truncated_field(tr, 1.0 / 4.0, 4)
+            truncated_field(tr, [1.0 / 4.0], 4)
 
     @pytest.mark.parametrize(
         "n, grid_size, inverse_deltas",
@@ -574,10 +577,10 @@ class TestTruncatedField:
         rng = np.random.default_rng(grid_size)
         coeffs = cue.szego_coefficients(sample_verblunsky(n, rng)[None])
         tr = trace_powers(coeffs, int(max(inverse_deltas)))[0]
-        rows = to_grid_order(truncated_fields(tr, deltas, grid_size))
+        rows = to_grid_order(truncated_field(tr, deltas, grid_size))
         assert rows.shape == (len(deltas), grid_size)
         for row, delta in zip(rows, deltas):
-            assert np.array_equal(row, truncated_field(tr, delta, grid_size))
+            assert np.array_equal(row, one_scale(tr, delta, grid_size))
             kmax = int(math.floor(1.0 / delta))
             scale = np.sum(np.abs(tr[:kmax]) / np.arange(1, kmax + 1))
             assert np.max(np.abs(row - truncated_field_fft(tr, delta, grid_size))) <= 1e-13 * scale
@@ -598,7 +601,7 @@ class TestTruncatedField:
         tr = trace_powers(coeffs, int(max(inverse_deltas)))[0]
         deltas = [1.0 / (math.floor(d) + 0.5) for d in inverse_deltas]
         indices = range(0, grid_size, step)
-        rows = to_grid_order(truncated_fields(tr, deltas, grid_size))
+        rows = to_grid_order(truncated_field(tr, deltas, grid_size))
         for row, inverse_delta in zip(rows, inverse_deltas):
             kmax = math.floor(inverse_delta)
             modes = np.conj(tr[:kmax])
@@ -619,7 +622,7 @@ class TestTruncatedField:
             coeff[1:9] = fhat[1:9]
             coeff[-8:] = fhat[-8:]
             proj = np.real(np.fft.ifft(coeff) * m)
-            tf = truncated_field(trace_powers(cue.szego_coefficients(c[None]), 8)[0], 1.0 / 8.0, m)
+            tf = one_scale(trace_powers(cue.szego_coefficients(c[None]), 8)[0], 1.0 / 8.0, m)
             assert np.max(np.abs(proj - tf)) < 5e-2
 
     def test_projection_at_coarse_grid_pinned_draw(self):
@@ -632,7 +635,7 @@ class TestTruncatedField:
         coeff[1:9] = fhat[1:9]
         coeff[-8:] = fhat[-8:]
         proj = np.real(np.fft.ifft(coeff) * m)
-        tf = truncated_field(trace_powers(cue.szego_coefficients(c[None]), 8)[0], 1.0 / 8.0, m)
+        tf = one_scale(trace_powers(cue.szego_coefficients(c[None]), 8)[0], 1.0 / 8.0, m)
         assert np.max(np.abs(proj - tf)) < 5e-2
 
     def test_variance_matches_truncated_harmonic_sum(self):
@@ -641,7 +644,7 @@ class TestTruncatedField:
         vals = np.empty(reps)
         for i in range(reps):
             tr = trace_powers(cue.szego_coefficients(sample_verblunsky(n, rng)[None]), 16)[0]
-            vals[i] = truncated_field(tr, delta, 32)[0]
+            vals[i] = one_scale(tr, delta, 32)[0]
         target = truncated_field_variance(n, delta)
         var = float(vals.var(ddof=1))
         se = var * math.sqrt(2.0 / (reps - 1))  # stderr of a variance estimate
@@ -683,9 +686,9 @@ class TestCosetTransforms:
         alphas = sample_verblunsky(n, np.random.default_rng(n + cosets))
         tr = trace_powers(cue.szego_coefficients(alphas[None]), kmax)[0]
         deltas = [1.0 / (k + 0.5) for k in sorted({kmax, max(1, kmax // 3)})]
-        got = to_grid_order(truncated_fields(tr, deltas, m))
+        got = to_grid_order(truncated_field(tr, deltas, m))
         monkeypatch.setattr(cue, "real_fourier_grid", one_transform_real_grid)
-        ref = truncated_fields(tr, deltas, m)
+        ref = truncated_field(tr, deltas, m)
         for row, ref_row in zip(got, ref):
             assert np.max(np.abs(row - ref_row)) <= 1e-15 * np.max(np.abs(ref_row))
 

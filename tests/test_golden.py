@@ -45,8 +45,7 @@ def test_eval_field_grids():
         0.12407329251888607, -0.22451861715343407, -1.889445907878397, -1.6700592409469,
         -3.8245005261310823, -0.17060996036912304, 1.4578286285026305, -2.753177493599117,
     ]
-    z = np.exp(2j * np.pi * np.arange(16) / 16)
-    got = cue.SQRT2 * cue.szego_log_abs(alphas[None], z)[0]
+    got = cue.eval_field_at(alphas[None], 2.0 * np.pi * np.arange(16) / 16)[0]
     np.testing.assert_allclose(got, per_point, rtol=RTOL, atol=0.0)
     # grid_size > n: one FFT of the synthesized coefficients
     fft = [

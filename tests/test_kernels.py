@@ -17,6 +17,7 @@ from conftest import (
     looped_refined_edges,
     mollified_kernel,
     mp_fourier_sum,
+    one_transform_real_grid,
     sample_profile,
     scaled_bump,
     simpson_conv_density,
@@ -711,26 +712,27 @@ def test_coset_length_takes_the_shortest_divisor(grid_size, least, length):
 
 @pytest.mark.parametrize(
     "grid_size, kmax",
-    [(41, 20), (40, 20), (1031, 20), (32, 31), (8192, 512)],
-    ids=["one-coset", "nyquist-fold", "prime", "most-modes", "gaussian-gmc"],
+    [(41, 20), (40, 20), (1031, 20), (32, 31), (8192, 512), (31, 20)],
+    ids=["one-coset", "nyquist-fold", "prime", "most-modes", "gaussian-gmc", "prime-past-the-fold"],
 )
 def test_real_fourier_grid_on_both_sides_of_the_fold(grid_size, kmax):
-    # the coset layout while 2K + 1 <= M, one transform (1, M) with modes
-    # folded past M/2 beyond; budget 1e-15 of sum_k |modes_k|, as for the
-    # truncated fields, measured at most 2.3e-16 of it
+    # the real coset layout while 2K + 1 <= M, the complex sum's layout of
+    # K + 1 coefficients beyond; budget 1e-15 of sum_k |modes_k| against
+    # mpmath and against the one real transform that folds the modes past
+    # M/2, as for the truncated fields, measured at most 2.3e-16 of it
     rng = np.random.default_rng(grid_size + kmax)
     modes = rng.standard_normal((2, kmax)) + 1j * rng.standard_normal((2, kmax))
-    if 2 * kmax + 1 <= grid_size:
-        length = kernels._coset_length(grid_size, 2 * kmax + 1)
-        layout = (grid_size // length, length)
-    else:
-        layout = (1, grid_size)
+    least = 2 * kmax + 1 if 2 * kmax + 1 <= grid_size else kmax
+    length = kernels._coset_length(grid_size, least)
     got = real_fourier_grid(modes, grid_size)
-    assert got.shape == (2, *layout)
+    assert got.shape == (2, grid_size // length, length)
     indices = range(0, grid_size, 67 if grid_size > 2000 else 1)
-    for row, row_modes in zip(to_grid_order(got), modes):
+    folded = one_transform_real_grid(modes, grid_size)
+    for row, row_modes, folded_row in zip(to_grid_order(got), modes, folded):
+        budget = 1e-15 * np.sum(np.abs(row_modes))
         ref = mp_fourier_sum(row_modes, lambda k: 1, grid_size, indices)
-        assert np.max(np.abs(row[indices] - ref)) <= 1e-15 * np.sum(np.abs(row_modes))
+        assert np.max(np.abs(row[indices] - ref)) <= budget
+        assert np.max(np.abs(row - folded_row)) <= budget
 
 
 def test_grid_sums_refuse_too_many_modes():

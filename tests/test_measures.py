@@ -153,30 +153,25 @@ class TestFkNormalizedMass:
 
 class TestBarrierMask:
     def test_all_zero_fields_pass(self):
-        fields = {k: flat_field(8, 0.0) for k in (2, 3, 4)}
-        assert np.all(barrier_mask(fields, 0.5, 0.2, [2, 3, 4]))
+        masks = barrier_mask(np.zeros((3, 8)), 0.5, 0.2, [2, 3, 4])
+        assert masks.shape == (3, 8) and np.all(masks)
 
     def test_single_violation_flips_one_point(self):
-        values2 = np.zeros(8)
-        values3 = np.zeros(8)
-        values3[5] = 10.0  # exceeds (gamma+eta)*3
-        fields = {2: values2, 3: values3}
-        mask = barrier_mask(fields, 0.5, 0.2, [2, 3])
-        assert not mask[5]
-        assert np.sum(~mask) == 1
+        truncated = np.zeros((2, 8))
+        truncated[1, 5] = 10.0  # exceeds (gamma+eta)*3
+        masks = barrier_mask(truncated, 0.5, 0.2, [2, 3])
+        # the deepest level's constraint holds for both start levels
+        for mask in masks:
+            assert not mask[5]
+            assert np.sum(~mask) == 1
 
     def test_missing_scale_raises(self):
-        with pytest.raises(ValueError):
-            barrier_mask({2: flat_field(8, 0.0)}, 0.5, 0.2, [2, 3, 4])
-
-    def test_empty_levels_mask_all_true(self):
-        mask = barrier_mask({}, 0.5, 0.2, [])
-        assert mask.dtype == bool and np.all(mask)
+        with pytest.raises(ValueError, match="1 truncated fields for 3 levels"):
+            barrier_mask(np.zeros((1, 8)), 0.5, 0.2, [2, 3, 4])
 
     def test_empty_levels_take_the_row_size(self):
-        mask = barrier_mask({3: flat_field(8, 10.0)}, 0.5, 0.2, [])
-        assert mask.shape == (8,) and np.all(mask)
-        assert barrier_mask({}, 0.5, 0.2, []).shape == (1,)
+        masks = barrier_mask(np.zeros((0, 2, 4)), 0.5, 0.2, [])
+        assert masks.shape == (0, 2, 4) and masks.dtype == bool
 
 
 class TestBarrierViolations:
@@ -198,11 +193,32 @@ class TestMeasureProperties:
     )
     def test_barrier_mask_grows_with_ell(self, seed, depth, ells):
         # a larger ell drops constraints, so every point that passes the
-        # smaller ell's barrier passes the larger one's
+        # smaller ell's barrier passes the larger one's; a start level past
+        # the depth has no constraint
         rng = np.random.default_rng(seed)
-        fields = {k: rng.normal(0.0, k, 32) for k in range(1, depth + 1)}
-        small, large = (barrier_mask(fields, 0.5, 0.2, range(ell, depth + 1)) for ell in ells)
+        truncated = rng.normal(0.0, 1.0, (depth, 32)) * np.arange(1, depth + 1)[:, None]
+        masks = barrier_mask(truncated, 0.5, 0.2, range(1, depth + 1))
+        no_constraint = np.ones(32, dtype=bool)
+        small, large = (masks[ell - 1] if ell <= depth else no_constraint for ell in ells)
         assert np.all(large[small])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.lists(st.integers(1, 9), max_size=6),
+        layout=st.sampled_from([(16,), (4, 4), (2, 3, 5)]),
+        eta=st.floats(0.05, 0.95),
+    )
+    def test_barrier_mask_rows_are_the_naive_conjunctions(self, seed, levels, layout, eta):
+        rng = np.random.default_rng(seed)
+        truncated = rng.normal(0.0, 2.0, (len(levels), *layout))
+        masks = barrier_mask(truncated, 0.5, eta, levels)
+        assert masks.shape == truncated.shape
+        for i in range(len(levels)):
+            naive = np.ones(layout, dtype=bool)
+            for j in range(i, len(levels)):
+                naive = naive & (truncated[j] <= (0.5 + eta) * levels[j])
+            assert np.array_equal(masks[i], naive)
 
 
 class TestL1Discrepancy:

@@ -431,7 +431,7 @@ class TestPerReplicaColumns:
     @pytest.mark.parametrize(
         "fields, cosets",
         [
-            (dict(n=8, grid_factor=4, ell=1, L=3), 1),  # one real transform of 32 points
+            (dict(n=8, grid_factor=4, ell=1, L=3), 1),  # one complex transform of 32 points
             (dict(n=1024, ell=2), 32),
             (dict(n=1000, ell=2), 50),  # M = 16 000 and P = 320, no power of two
         ],

@@ -1,14 +1,13 @@
-"""The package's public names, no module-level name left without a use, and
-no private name imported from a sibling module."""
+"""The package's public names, no module-level name left without a use, no
+private name imported from a sibling module, and no dotted name in the
+README or the sources that the package lacks."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import thickpoints
-
-ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "perfbench" / "tracer.py"
-
 
 def test_every_public_name_resolves():
     missing = [name for name in thickpoints.__all__ if not hasattr(thickpoints, name)]
@@ -31,28 +30,6 @@ def _names_used(node) -> set[str]:
     }
 
 
-def _tracer_names() -> set[str]:
-    """The names perfbench/tracer.py wraps: its CUE_FUNCTIONS and
-    MEASURES_FUNCTIONS tuples and the literal names it passes to wrap.  The
-    source is parsed, not imported."""
-    names = set()
-    for node in ast.walk(ast.parse(TRACER.read_text())):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id in ("CUE_FUNCTIONS", "MEASURES_FUNCTIONS")
-            for t in node.targets
-        ):
-            names.update(ast.literal_eval(node.value))
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "wrap"
-            and len(node.args) > 1
-            and isinstance(node.args[1], ast.Constant)
-        ):
-            names.add(node.args[1].value)
-    return names
-
-
 def _defined(statement) -> set[str]:
     """The names a module-level statement defines: a function or class, or
     the non-dunder names an assignment binds."""
@@ -72,8 +49,7 @@ def _defined(statement) -> set[str]:
 
 def test_every_module_level_definition_is_used():
     # a function, class or constant defined at module level must be used
-    # somewhere in src/ outside its own definition, be public, or be wrapped
-    # by the benchmark's tracer
+    # somewhere in src/ outside its own definition, or be public
     statements = [
         statement
         for path in sorted(Path(thickpoints.__file__).parent.glob("*.py"))
@@ -86,10 +62,7 @@ def test_every_module_level_definition_is_used():
         for name in _defined(statement)
         if not any(name in names for j, names in enumerate(uses) if j != i)
     } - set(thickpoints.__all__)
-    traced = _tracer_names()
-    assert unused <= traced, f"no use in src/: {sorted(unused - traced)}"
-    # only the tracer keeps these three; they are to move into tests/conftest.py
-    assert unused == {"truncated_field", "eval_field_at", "barrier_mask"}
+    assert not unused, f"no use in src/: {sorted(unused)}"
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
@@ -106,3 +79,25 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         if alias.name.startswith("_") and alias.name != "__version__"
     ]
     assert not private, f"private names imported from a sibling: {private}"
+
+
+MODULE_NAMES = re.compile(r"\b(cue|kernels|measures|montecarlo|special_fn|gaussian|cli)\.([A-Za-z_]\w*)")
+
+
+def test_every_dotted_name_in_the_readme_and_sources_resolves():
+    # a renamed or deleted function leaves no stale module.name behind in
+    # the prose that describes it
+    package = Path(thickpoints.__file__).parent
+    texts = [package.parents[1] / "README.md", *sorted(package.glob("*.py"))]
+    cited = {
+        (path.name, *match.groups())
+        for path in texts
+        for match in MODULE_NAMES.finditer(path.read_text())
+    }
+    assert cited
+    stale = sorted(
+        f"{where}: {module}.{name}"
+        for where, module, name in cited
+        if not hasattr(importlib.import_module(f"thickpoints.{module}"), name)
+    )
+    assert not stale, f"names that do not resolve: {stale}"

@@ -4,7 +4,8 @@ perfbench/tracer.py wraps functions of `cue` and `measures` by name, the
 `kernels` functions where `montecarlo` binds them and
 `kernels.doubly_mollified_kernel` in `kernels` itself, and perfbench/child.py
 wraps `montecarlo.run_replica` and `montecarlo._run_chunk`; a missing name
-fails the traced run, not the test suite.  The experiments
+fails the traced run, not the test suite, and a name that no experiment
+calls reads 0 in the traced pass, so each must run.  The experiments
 whose replica times set the benchmark's pace factors must keep calling
 `run_replica` once per replica.  `run_experiment` must return one row per
 replica, in index order, since perfbench/child.py counts `len(records)` as
@@ -42,6 +43,41 @@ def test_traced_functions_exist(module, list_name):
     assert names
     missing = [name for name in names if not callable(getattr(module, name, None))]
     assert not missing, f"{module.__name__} lacks {missing}"
+
+
+# a small config of every experiment, each run in this process
+SMALL_CONFIGS = {
+    montecarlo.Experiment.MOMENT_CHECK: dict(n=4, replicas=2),
+    montecarlo.Experiment.TRACE_COVARIANCE: dict(n=4, replicas=2),
+    montecarlo.Experiment.FK_TEST: dict(n=16),
+    montecarlo.Experiment.NU_MU_DISCREPANCY: dict(n=64, ell=1, replicas=2),
+    montecarlo.Experiment.GAUSSIAN_GMC: dict(kmax=16, replicas=2),
+    montecarlo.Experiment.KERNEL_CHECKS: {},
+}
+
+
+def test_every_traced_name_runs(monkeypatch):
+    # a wrapped name that no experiment calls reads 0 in every traced layer
+    assert set(SMALL_CONFIGS) == set(montecarlo.Experiment)
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[f"{module.__name__}.{name}"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, list_name in [(cue, "CUE_FUNCTIONS"), (measures, "MEASURES_FUNCTIONS")]:
+        for name in _tracer_tuple(list_name):
+            calls[f"{module.__name__}.{name}"] = 0
+            monkeypatch.setattr(module, name, counted(module, name))
+    monkeypatch.setenv("THICKPOINT_THREADS", "1")
+    for experiment, fields in SMALL_CONFIGS.items():
+        montecarlo.run_experiment(montecarlo.ExperimentConfig(experiment, **fields))
+    assert not [name for name, count in calls.items() if count == 0], calls
 
 
 def _tracer_wraps(owner: str) -> list[str]:

@@ -478,7 +478,7 @@ class TestJointMoment:
         vals = np.empty(reps)
         for i in range(reps):
             c = cue.sample_verblunsky(64, rng)
-            x = float(cue.eval_field_at(c, np.array([x1]))[0])
+            x = float(cue.eval_field_at(c[None], [x1])[0, 0])
             tr = cue.trace_powers(cue.szego_coefficients(c[None]), 8)[0]
             xdel = -SQRT2 * float(np.real(np.sum(tr / k * np.exp(-1j * k * z1))))
             vals[i] = math.exp(0.5 * x + 0.3 * xdel)
