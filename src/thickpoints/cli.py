@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .montecarlo import (
+    EXPERIMENTS,
     Experiment,
     ExperimentConfig,
     derive_seed,
@@ -37,25 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
 EXIT_RUNTIME_ERROR = 4
-
-# subcommand -> (experiment whose config it reads, help text); sample draws
-# fields with the moment-check config instead of running replicas
-_SUBCOMMANDS = {
-    "sample": (Experiment.MOMENT_CHECK, "draw field samples and write them as CSV"),
-    "verify-moments": (
-        Experiment.MOMENT_CHECK, "Monte Carlo check of the exact finite-N moment formula"
-    ),
-    "trace-cov": (
-        Experiment.TRACE_COVARIANCE, "empirical covariance of power traces against min(k, N)"
-    ),
-    "fk-test": (Experiment.FK_TEST, "normalized thick-point mass against the limiting law"),
-    "nu-mu": (
-        Experiment.NU_MU_DISCREPANCY,
-        "thick-point vs exponential measure discrepancy (and barrier)",
-    ),
-    "gaussian-gmc": (Experiment.GAUSSIAN_GMC, "normalized Gaussian chaos mass and stability"),
-    "kernel-check": (Experiment.KERNEL_CHECKS, "deterministic kernel bound checks"),
-}
 
 _KEY_HELP = {
     "n": "matrix dimension N (int, default 64)",
@@ -248,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, desc) in _SUBCOMMANDS.items():
-        sub = subs.add_parser(name, help=desc, description=desc)
-        _add_common(sub)
+    helps = {"sample": "draw field samples and write them as CSV"}
+    helps.update((experiment.value, spec.help) for experiment, spec in EXPERIMENTS.items())
+    for name, desc in helps.items():
+        _add_common(subs.add_parser(name, help=desc, description=desc))
     return parser
 
 
@@ -258,23 +241,24 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        experiment, _ = _SUBCOMMANDS[args.subcommand]
+        # sample draws fields with the verify-moments config
+        sampling = args.subcommand == "sample"
+        experiment = Experiment.MOMENT_CHECK if sampling else Experiment(args.subcommand)
         config = _load_config(args, experiment)
         try:
             worker_count()
         except ValueError as exc:
             raise ConfigError(str(exc))
-        if args.subcommand == "sample":
-            path = _emit_sample(config, config.output_path or "sample")
-            print(f"wrote {path}")
+        base = config.output_path or args.subcommand
+        if sampling:
+            print(f"wrote {_emit_sample(config, base)}")
             return EXIT_OK
-        base = config.output_path or experiment.value
         directory = os.path.dirname(base) or "."
         if not os.path.isdir(directory):
             # refused here, before any replica runs
             raise FileNotFoundError(f"output directory {directory!r} does not exist")
         rows, summary = run_experiment(config)
-        print(f"completed {config.replicas} replicas of {experiment.value}")
+        print(f"completed {config.replicas} replicas of {args.subcommand}")
         csv_path, json_path = emit(rows, summary, config, base, time.monotonic() - started)
         print(f"wrote {csv_path} and {json_path}")
         return EXIT_OK

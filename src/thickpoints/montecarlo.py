@@ -26,6 +26,7 @@ import enum
 import functools
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,12 +152,14 @@ def _streams(words) -> list[np.random.Generator]:
 
 
 class Experiment(enum.Enum):
-    MOMENT_CHECK = "moment-check"
-    TRACE_COVARIANCE = "trace-covariance"
+    """An experiment, valued by the subcommand that runs it."""
+
+    MOMENT_CHECK = "verify-moments"
+    TRACE_COVARIANCE = "trace-cov"
     FK_TEST = "fk-test"
     NU_MU_DISCREPANCY = "nu-mu"
     GAUSSIAN_GMC = "gaussian-gmc"
-    KERNEL_CHECKS = "kernel-checks"
+    KERNEL_CHECKS = "kernel-check"
 
 
 @dataclass(frozen=True)
@@ -242,15 +245,27 @@ class ExperimentConfig:
 
     @property
     def effective_kmax(self) -> int | None:
-        """kmax, defaulting to 2n for trace-cov and n for gaussian-gmc, the
-        experiments that read it."""
-        if self.kmax is not None:
+        """kmax, defaulting to kmax_per_n * n of its experiment, or None for
+        an experiment that reads no kmax."""
+        per_n = EXPERIMENTS[self.experiment].kmax_per_n
+        if self.kmax is not None or per_n is None:
             return self.kmax
-        if self.experiment is Experiment.TRACE_COVARIANCE:
-            return 2 * self.n
-        if self.experiment is Experiment.GAUSSIAN_GMC:
-            return self.n
-        return None
+        return per_n * self.n
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """What an experiment is, besides its config checks: its subcommand's
+    help, its block function (None for kernel-check, which draws nothing), a
+    replica's bytes in a block's widest array (None runs one replica per
+    run_replica call), its default kmax per unit of n, and the per-config
+    work done once before a pool forks, which reads only its own keys."""
+
+    help: str
+    block: Callable[[ExperimentConfig, list], list[dict[str, float]]] | None = None
+    replica_bytes: Callable[[ExperimentConfig], int] | None = None
+    kmax_per_n: int | None = None
+    before_fork: Callable[[ExperimentConfig], object] = lambda config: None
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +340,14 @@ def _replica_nu_mu(config: ExperimentConfig, stream) -> dict[str, float]:
     return out
 
 
-def _grid_tables(config: ExperimentConfig) -> None:
+def _grid_tables(config: ExperimentConfig, barrier: bool = False) -> None:
     """Build the twiddle tables of a field replica's grid transforms, the same
     for every replica of the config, by transforming zeros of their sizes:
     the field's n + 1 coefficients and, with a barrier, its floor(e^L)
-    modes."""
+    modes.  Only nu-mu has a barrier: fk-test reads neither ell nor L."""
     grid = config.grid_factor * config.n
     fourier_grid(np.zeros(config.n + 1), grid)
-    barrier = config.experiment is Experiment.NU_MU_DISCREPANCY and config.ell is not None
-    if barrier and config.ell <= config.barrier_depth:
+    if barrier and config.ell is not None and config.ell <= config.barrier_depth:
         real_fourier_grid(np.zeros(int(math.floor(math.exp(config.barrier_depth)))), grid)
 
 
@@ -382,12 +396,28 @@ def _kernel_check_values() -> dict[str, float]:
     }
 
 
-_BLOCK_FNS = {
-    Experiment.MOMENT_CHECK: _block_moment_check,
-    Experiment.TRACE_COVARIANCE: _block_trace_covariance,
-    Experiment.FK_TEST: _each(_replica_fk_test),
-    Experiment.NU_MU_DISCREPANCY: _each(_replica_nu_mu),
-    Experiment.GAUSSIAN_GMC: _block_gaussian_gmc,
+# A block's widest array holds, per replica: verify-moments' uniforms, 2n
+# doubles; trace-cov's traces, or its product tree's root, two polynomials
+# of degree d < n at length 2d, under 4n complex values; and gaussian-gmc's
+# half spectra of the grid transform, about M/2 complex values.
+EXPERIMENTS: dict[Experiment, ExperimentSpec] = {
+    Experiment.MOMENT_CHECK: ExperimentSpec(
+        "Monte Carlo check of the exact finite-N moment formula",
+        _block_moment_check, lambda c: 16 * c.n),
+    Experiment.TRACE_COVARIANCE: ExperimentSpec(
+        "empirical covariance of power traces against min(k, N)",
+        _block_trace_covariance, lambda c: 16 * max(4 * c.n, c.effective_kmax), kmax_per_n=2),
+    Experiment.FK_TEST: ExperimentSpec(
+        "normalized thick-point mass against the limiting law",
+        _each(_replica_fk_test), before_fork=_grid_tables),
+    Experiment.NU_MU_DISCREPANCY: ExperimentSpec(
+        "thick-point vs exponential measure discrepancy (and barrier)",
+        _each(_replica_nu_mu), before_fork=lambda c: _grid_tables(c, barrier=True)),
+    Experiment.GAUSSIAN_GMC: ExperimentSpec(
+        "normalized Gaussian chaos mass and stability", _block_gaussian_gmc,
+        lambda c: 16 * (c.grid_factor * c.effective_kmax // 2 + 1), kmax_per_n=1),
+    Experiment.KERNEL_CHECKS: ExperimentSpec(
+        "deterministic kernel bound checks", before_fork=lambda c: _kernel_check_values()),
 }
 
 # Block limits: at most BLOCK_REPLICAS replicas, and at most BLOCK_BYTES in
@@ -402,31 +432,20 @@ BLOCK_BYTES = 1 << 20
 
 
 def _block_size(config: ExperimentConfig) -> int:
-    """Replicas per block.  The widest array of a block holds, per replica,
-    the uniforms (2n doubles) for verify-moments, the grid transform's half
-    spectra (about M/2 complex values) for gaussian-gmc, and for trace-cov
-    the traces or the product tree's top-level spectra: the root's two
-    polynomials of degree d < n at length 2d, under 4n complex values.
-    nu-mu, fk-test and kernel-check run one replica per run_replica call."""
-    n, kmax = config.n, config.effective_kmax
-    if config.experiment is Experiment.MOMENT_CHECK:
-        widest = 16 * n
-    elif config.experiment is Experiment.TRACE_COVARIANCE:
-        widest = 16 * max(4 * n, kmax)
-    elif config.experiment is Experiment.GAUSSIAN_GMC:
-        widest = 16 * (config.grid_factor * kmax // 2 + 1)
-    else:
+    """Replicas per block, 1 for an experiment without replica_bytes."""
+    replica_bytes = EXPERIMENTS[config.experiment].replica_bytes
+    if replica_bytes is None:
         return 1
-    return max(1, min(BLOCK_REPLICAS, BLOCK_BYTES // widest))
+    return max(1, min(BLOCK_REPLICAS, BLOCK_BYTES // replica_bytes(config)))
 
 
 def run_replica(config: ExperimentConfig, replica_index: int) -> dict[str, float]:
     """The scalar row of one replica: its experiment's block of one index.
-    kernel-check draws nothing, so its row is returned with no stream made."""
-    if config.experiment is Experiment.KERNEL_CHECKS:
+    kernel-check has no block, so its row is returned with no stream made."""
+    block = EXPERIMENTS[config.experiment].block
+    if block is None:
         return dict(_kernel_check_values())
-    stream = replica_stream(config.master_seed, replica_index)
-    return _BLOCK_FNS[config.experiment](config, [stream])[0]
+    return block(config, [replica_stream(config.master_seed, replica_index)])[0]
 
 
 def worker_count() -> int:
@@ -455,7 +474,7 @@ def _run_chunk(args) -> list[dict[str, float]]:
     words = np.stack(_seed_sequence_words(seeds), axis=-1)
     rows = []
     for lo in range(0, len(words), size):
-        rows += _BLOCK_FNS[config.experiment](config, _streams(words[lo:lo + size]))
+        rows += EXPERIMENTS[config.experiment].block(config, _streams(words[lo:lo + size]))
     return rows
 
 
@@ -479,10 +498,7 @@ def run_experiment(
         chunks = [(config, indices[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         # filled before the fork, so the workers inherit the cached scalars
         # and tables
-        if config.experiment is Experiment.KERNEL_CHECKS:
-            _kernel_check_values()
-        elif config.experiment in (Experiment.FK_TEST, Experiment.NU_MU_DISCREPANCY):
-            _grid_tables(config)
+        EXPERIMENTS[config.experiment].before_fork(config)
         # imported here, so that a one-worker run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 

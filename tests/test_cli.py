@@ -155,7 +155,7 @@ class TestEmit:
         _, json_path = emit(recs, summary, cfg, str(tmp_path / "out"), 2.25)
         with open(json_path) as fh:
             payload = json.load(fh)
-        assert payload["config_echo"]["experiment"] == "moment-check"
+        assert payload["config_echo"]["experiment"] == "verify-moments"
         assert payload["config_echo"]["master_seed"] == 5
         assert payload["estimates"] == summary
         assert payload["wallclock_seconds"] == 2.25
@@ -174,9 +174,7 @@ _OPTIONAL_INT = st.none() | st.integers(1, 64)
 
 @settings(max_examples=60, deadline=None)
 @given(
-    experiment=st.sampled_from(
-        sorted({e for e, _ in cli._SUBCOMMANDS.values()}, key=lambda e: e.value)
-    ),
+    experiment=st.sampled_from(list(montecarlo.EXPERIMENTS)),
     n=st.integers(2, 4096),
     grid_factor=st.integers(4, 64),
     gamma=st.floats(0.01, 0.99),
@@ -281,7 +279,7 @@ class TestMain:
         # 11 replicas: neither 2 nor 3 workers nor blocks of 3 or 5 divide them
         # evenly, so some worker ends in a ragged block
         argv = [*argv, "--set", "replicas=11", "--set", "master_seed=9"]
-        config = apply_overrides(ExperimentConfig(cli._SUBCOMMANDS[argv[0]][0]), argv[2::2])
+        config = apply_overrides(ExperimentConfig(Experiment(argv[0])), argv[2::2])
         records = [montecarlo.run_replica(config, i) for i in range(config.replicas)]
         emit(records, summarize(records), config, str(tmp_path / "single"), 0.0)
         expected = (tmp_path / "single.csv").read_bytes()
@@ -294,6 +292,45 @@ class TestMain:
                 base = tmp_path / f"b{block}t{threads}"
                 assert main([*argv, "-o", str(base)]) == EXIT_OK
                 assert Path(f"{base}.csv").read_bytes() == expected, (block, threads)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-moments", "--set", "n=4"],
+            ["trace-cov", "--set", "n=4"],
+            ["fk-test", "--set", "n=16"],
+            ["nu-mu", "--set", "n=16"],
+            ["gaussian-gmc", "--set", "kmax=8"],
+            ["kernel-check"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_default_output_and_echo_name_the_subcommand(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("THICKPOINT_THREADS", "1")
+        assert main([*argv, "--set", "replicas=2"]) == EXIT_OK
+        name = argv[0]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f"{name}.csv", f"{name}.json"]
+        payload = json.loads((tmp_path / f"{name}.json").read_text())
+        assert payload["config_echo"]["experiment"] == name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fk-test", "--set", "n=16"], ["verify-moments", "--set", "n=4"], ["trace-cov", "--set", "n=4"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_barrier_keys_are_ignored_where_unread(self, argv, tmp_path, monkeypatch):
+        # only nu-mu reads ell and L, and only nu-mu's barrier depth is
+        # validated: floor(e^50) modes are never transformed, before a fork
+        # or after it
+        argv = [*argv, "--set", "ell=1", "--set", "L=50", "--set", "replicas=4"]
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("THICKPOINT_THREADS", threads)
+            base = tmp_path / f"t{threads}"
+            assert main([*argv, "-o", str(base)]) == EXIT_OK
+            outputs.append(Path(f"{base}.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_set_overrides_file(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -342,7 +379,7 @@ class TestMain:
         monkeypatch.setattr(cli, "run_experiment", no_run)
         assert main(argv) == EXIT_CONFIG_ERROR
         assert "category=config invalid config" in capsys.readouterr().err
-        cfg = ExperimentConfig(experiment=cli._SUBCOMMANDS[argv[0]][0])
+        cfg = ExperimentConfig(experiment=Experiment(argv[0]))
         with pytest.raises(ConfigError):
             apply_overrides(cfg, argv[2::2])
 
@@ -391,7 +428,8 @@ class TestMain:
         def no_room(config, streams):
             raise MemoryError()
 
-        monkeypatch.setitem(montecarlo._BLOCK_FNS, Experiment.GAUSSIAN_GMC, no_room)
+        spec = dataclasses.replace(montecarlo.EXPERIMENTS[Experiment.GAUSSIAN_GMC], block=no_room)
+        monkeypatch.setitem(montecarlo.EXPERIMENTS, Experiment.GAUSSIAN_GMC, spec)
         monkeypatch.setenv("THICKPOINT_THREADS", threads)
         argv = ["gaussian-gmc", "--set", "kmax=8", "--set", "replicas=2", "-o", str(tmp_path / "x")]
         assert main(argv) == EXIT_RUNTIME_ERROR
@@ -596,7 +634,8 @@ class TestParser:
             words = shlex.split(line)
             assert words[0] == "thickpoints", line
             args = build_parser().parse_args(words[1:])
-            experiment = cli._SUBCOMMANDS[args.subcommand][0]
+            sampling = args.subcommand == "sample"
+            experiment = Experiment.MOMENT_CHECK if sampling else Experiment(args.subcommand)
             apply_overrides(ExperimentConfig(experiment), args.set or [])
             shown.add(args.subcommand)
-        assert shown == set(cli._SUBCOMMANDS)
+        assert shown == {"sample", *(experiment.value for experiment in Experiment)}

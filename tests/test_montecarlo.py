@@ -164,6 +164,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="g_shift must be finite"):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "experiment, fields, size",
+        [
+            (Experiment.MOMENT_CHECK, dict(n=64), 64),
+            (Experiment.MOMENT_CHECK, dict(n=20000), 3),
+            (Experiment.TRACE_COVARIANCE, dict(n=64, kmax=128), 64),
+            (Experiment.TRACE_COVARIANCE, dict(n=4096), 4),
+            (Experiment.GAUSSIAN_GMC, dict(kmax=512), 15),
+            (Experiment.GAUSSIAN_GMC, dict(kmax=128), 63),
+            (Experiment.GAUSSIAN_GMC, dict(kmax=8192), 1),
+            (Experiment.NU_MU_DISCREPANCY, dict(n=1024, ell=2), 1),
+            (Experiment.FK_TEST, dict(n=16), 1),
+            (Experiment.KERNEL_CHECKS, {}, 1),
+        ],
+    )
+    def test_block_sizes(self, experiment, fields, size):
+        # the block's widest array sets the peak RSS of a blocked run
+        assert montecarlo._block_size(ExperimentConfig(experiment, **fields)) == size
+
     def test_effective_kmax_defaults(self):
         assert ExperimentConfig(Experiment.TRACE_COVARIANCE, n=8).effective_kmax == 16
         assert ExperimentConfig(Experiment.GAUSSIAN_GMC, n=8).effective_kmax == 8
@@ -473,26 +492,28 @@ class TestPerReplicaColumns:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_twiddle_tables_are_built_once_per_config(self, workers, tmp_path, monkeypatch):
-        # the field's table and the truncations' table, both built in this
-        # process (before the fork at two workers), then cache hits only
-        log = tmp_path / "builds"
+        # nu-mu's field table and truncations' table, and fk-test's field
+        # table alone (it reads no ell), each built in this process (before
+        # the fork at two workers), then cache hits only
         build = kernels._coset_twiddles.__wrapped__
-
-        @functools.cache
-        def logged(*args):
-            # pool workers are forked, so they append to the same file
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return build(*args)
-
-        monkeypatch.setattr(kernels, "_coset_twiddles", logged)
         monkeypatch.setenv("THICKPOINT_THREADS", workers)
-        cfg = ExperimentConfig(Experiment.NU_MU_DISCREPANCY, n=64, ell=1, replicas=3)
-        run_experiment(cfg)
-        assert log.read_text().split() == [str(os.getpid())] * 2
-        if workers == "1":
-            info = logged.cache_info()
-            assert info.hits + info.misses == 2 * cfg.replicas
+        for experiment, tables in ((Experiment.NU_MU_DISCREPANCY, 2), (Experiment.FK_TEST, 1)):
+            log = tmp_path / f"builds-{experiment.value}"
+
+            @functools.cache
+            def logged(*args):
+                # pool workers are forked, so they append to the same file
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return build(*args)
+
+            monkeypatch.setattr(kernels, "_coset_twiddles", logged)
+            cfg = ExperimentConfig(experiment, n=64, ell=1, replicas=3)
+            run_experiment(cfg)
+            assert log.read_text().split() == [str(os.getpid())] * tables, experiment
+            if workers == "1":
+                info = logged.cache_info()
+                assert info.hits + info.misses == tables * cfg.replicas
 
     def test_nu_mu_empty_barrier_range_is_zero(self):
         cfg = ExperimentConfig(
