@@ -245,8 +245,7 @@ class ExperimentConfig:
 
     @property
     def effective_kmax(self) -> int | None:
-        """kmax, defaulting to kmax_per_n * n of its experiment, or None for
-        an experiment that reads no kmax."""
+        """kmax, defaulting to kmax_per_n * n for the experiments that read it."""
         per_n = EXPERIMENTS[self.experiment].kmax_per_n
         if self.kmax is not None or per_n is None:
             return self.kmax
